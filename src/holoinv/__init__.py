@@ -70,7 +70,6 @@ from .quadrature import (
     IntegrationResult,
     QuadratureSpec,
     integrate,
-    integrate_invariant_density,
 )
 from .registry import ExampleBundle, registry_get, registry_names
 

@@ -208,34 +208,38 @@ def divergence_field(components, log_density, coords, scheme=DEFAULT_SCHEME, ste
     return holo + np.einsum("...i,...i->...", values, grad)
 
 
-# ---------------------------------------------------------------------------
-# pointwise operations on ChartPoint / spec objects
-# ---------------------------------------------------------------------------
-
-
-def _point_batch(p: "ChartPoint"):
-    return np.asarray(p.coords, dtype=complex)[None, :]
-
-
-def _chart_step(chart, coords, scheme):
+def chart_step(chart, coords, scheme):
     """Per-point step, shrunk so nested stencils stay inside the chart.
 
     Nested order-4 stencils reach 4h from the base point; a factor-5 margin
-    keeps every node strictly interior.
+    keeps every node strictly interior. Without a chart or a declared
+    boundary clearance the scheme's step is used unchanged.
     """
     if chart is None or chart.boundary_clearance is None:
-        return scheme.step, False
+        return scheme.step
     clearance = np.asarray(chart.boundary_clearance(coords), dtype=float)
-    step = np.minimum(scheme.step, clearance / 5.0)
-    return step, bool(np.any(step < scheme.step))
+    return np.minimum(scheme.step, clearance / 5.0)
+
+
+# ---------------------------------------------------------------------------
+# pointwise views of the batched operators on ChartPoint / spec objects
+# ---------------------------------------------------------------------------
+
+
+def _at_point(operator, p: "ChartPoint", scheme, chart, what):
+    """operator(coords, step) on the one-point batch of `p`: (finite value, step)."""
+    coords = np.asarray(p.coords, dtype=complex)[None, :]
+    step = chart_step(chart, coords, scheme)
+    value = operator(coords, step)[0]
+    if not np.all(np.isfinite(value)):
+        raise EvaluationError(f"non-finite {what} around {p}")
+    return value, step
 
 
 def wirtinger_gradient(fn, p: "ChartPoint", scheme=DEFAULT_SCHEME):
     """Holomorphic gradient (d fn/dz^1, ..., d fn/dz^n) at a single chart point."""
-    g = wirtinger_gradient_at(fn, _point_batch(p), scheme)[0]
-    if not np.all(np.isfinite(g)):
-        raise EvaluationError(f"non-finite evaluation on stencil around {p}")
-    return g
+    return _at_point(lambda c, h: wirtinger_gradient_at(fn, c, scheme, step=h),
+                     p, scheme, None, "Wirtinger gradient stencil")[0]
 
 
 def ricci_matrix(vol: "VolumeFormSpec", p: "ChartPoint", scheme=DEFAULT_SCHEME, chart=None):
@@ -244,39 +248,31 @@ def ricci_matrix(vol: "VolumeFormSpec", p: "ChartPoint", scheme=DEFAULT_SCHEME, 
     Uses the closed-form evaluator registered on the volume form when one
     exists for this chart; otherwise nested Wirtinger stencils.
     """
-    coords = _point_batch(p)
     exact = (vol.exact_ricci or {}).get(p.chart_id)
-    step, shrunk = _chart_step(chart, coords, scheme)
-    R = ricci_field(vol.log_density[p.chart_id], coords, scheme, step=step, exact=exact)[0]
-    if not np.all(np.isfinite(R)):
-        raise EvaluationError(f"non-finite Ricci stencil around {p}")
+    R, step = _at_point(lambda c, h: ricci_field(vol.log_density[p.chart_id], c, scheme,
+                                                 step=h, exact=exact),
+                        p, scheme, chart, "Ricci stencil")
     res = float(hermiticity_residual(R[None, ...])[0])
-    used = float(np.min(step)) if not np.isscalar(step) else float(step)
     return RicciEvaluation(matrix=R, point=p, hermiticity_residual=res,
-                           step_used=used, step_shrunk=shrunk)
+                           step_used=float(np.min(step)),
+                           step_shrunk=bool(np.any(step < scheme.step)))
 
 
 def divergence(x: "VectorFieldSpec", vol: "VolumeFormSpec", p: "ChartPoint",
                scheme=DEFAULT_SCHEME, chart=None) -> complex:
     """Divergence of the field `x` against `vol` at a single chart point."""
-    coords = _point_batch(p)
-    step, _ = _chart_step(chart, coords, scheme)
-    val = divergence_field(x.components[p.chart_id], vol.log_density[p.chart_id],
-                           coords, scheme, step=step)[0]
-    if not np.isfinite(val):
-        raise EvaluationError(f"non-finite divergence stencil around {p}")
-    return complex(val)
+    return complex(_at_point(
+        lambda c, h: divergence_field(x.components[p.chart_id],
+                                      vol.log_density[p.chart_id], c, scheme, step=h),
+        p, scheme, chart, "divergence stencil")[0])
 
 
 def ricci_top_density(vol: "VolumeFormSpec", p: "ChartPoint", scheme=DEFAULT_SCHEME,
                       chart=None, herm_tol=DEFAULT_HERMITICITY_TOL,
                       imag_tol=DEFAULT_IMAG_TOL) -> float:
     """n! * det(R) at a single chart point (see ricci_top_field)."""
-    coords = _point_batch(p)
     exact = (vol.exact_ricci or {}).get(p.chart_id)
-    step, _ = _chart_step(chart, coords, scheme)
-    val = ricci_top_field(vol.log_density[p.chart_id], coords, scheme, step=step,
-                          exact=exact, herm_tol=herm_tol, imag_tol=imag_tol)[0]
-    if not np.isfinite(val):
-        raise EvaluationError(f"non-finite Ricci density around {p}")
-    return float(val)
+    return float(_at_point(
+        lambda c, h: ricci_top_field(vol.log_density[p.chart_id], c, scheme, step=h,
+                                     exact=exact, herm_tol=herm_tol, imag_tol=imag_tol),
+        p, scheme, chart, "Ricci density")[0])

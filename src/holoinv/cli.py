@@ -142,11 +142,11 @@ def cmd_list(args) -> tuple[Report, int]:
 
 
 def _quadrature_for(bundle, args) -> QuadratureSpec:
-    base = bundle.default_quadrature or QuadratureSpec()
+    base = bundle.default_quadrature
     return QuadratureSpec(
-        points_per_axis=args.points or base.points_per_axis,
+        points_per_axis=base.points_per_axis if args.points is None else args.points,
         rule=base.rule,
-        refinement_levels=args.refine or base.refinement_levels,
+        refinement_levels=base.refinement_levels if args.refine is None else args.refine,
     )
 
 
@@ -155,7 +155,7 @@ def cmd_invariant(args) -> tuple[Report, int]:
     report = Report(command="invariant", inputs={
         "example": args.example, "volume": args.volume, "field": args.field,
         "method": args.method, "refine": args.refine, "points": args.points,
-        "step": args.step, "order": args.order, "threads": args.threads,
+        "step": args.step, "order": args.order,
         "fixed_point_file": args.fixed_point_file,
     })
 
@@ -192,7 +192,7 @@ def cmd_invariant(args) -> tuple[Report, int]:
     q = _quadrature_for(bundle, args)
     compute = invariant_direct if args.method == "direct" else invariant_alternative
     started = time.perf_counter()
-    result = compute(manifold, vol, fld, scheme, q, threads=args.threads)
+    result = compute(manifold, vol, fld, scheme, q=q)
     elapsed = time.perf_counter() - started
     log.info("%s invariant on %s took %.2fs", args.method, args.example, elapsed)
     label = f"{args.example}:{args.volume}:{args.field}"
@@ -209,9 +209,13 @@ def cmd_invariant(args) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
+def _tol(args, key):
+    return SUITE_TOLS[key] if args.tol is None else args.tol
+
+
 def _suite_automorphy(bundle, args, rows):
     manifold = _need_manifold(bundle)
-    tol = args.tol or SUITE_TOLS["automorphy"]
+    tol = _tol(args, "automorphy")
     ok = True
     deck = geometry.deck_group_report(manifold, args.samples, tol, args.seed)
     rows.append(_result_row("deck-group", deck.max_residual, tol, "check",
@@ -232,7 +236,7 @@ def _suite_automorphy(bundle, args, rows):
 
 def _suite_invariance(bundle, args, rows):
     manifold = _need_manifold(bundle)
-    tol = args.tol or SUITE_TOLS["invariance"]
+    tol = _tol(args, "invariance")
     ok = True
     for name in sorted(bundle.fields):
         rep = geometry.verify_invariant_field(bundle.fields[name], manifold,
@@ -256,8 +260,7 @@ def _suite_deformation(bundle, args, rows):
     if bundle.name == "cp1":
         curve = deformation_invariant_curve(
             manifold, bundle.volumes["fs"], bundle.volumes["fs-bump"],
-            bundle.fields["z-ddz"], (0.0, 0.25, 0.5, 0.75, 1.0),
-            q=q, threads=args.threads)
+            bundle.fields["z-ddz"], (0.0, 0.25, 0.5, 0.75, 1.0), q=q)
         values = [r.value for _, r in curve]
         spread = max(abs(a - b) for a in values for b in values)
         budget = 2.0 * max(r.error_estimate for _, r in curve)
@@ -265,13 +268,11 @@ def _suite_deformation(bundle, args, rows):
                                 passed=spread <= budget))
         ok &= spread <= budget
     else:
-        tol = args.tol or SUITE_TOLS["deformation_hopf"]
+        tol = _tol(args, "deformation_hopf")
         vol0, vol1 = bundle.volumes["r4"], bundle.volumes["lebesgue"]
         for name in sorted(bundle.fields):
-            f0 = invariant_direct(manifold, vol0, bundle.fields[name], q=q,
-                                  threads=args.threads)
-            f1 = invariant_direct(manifold, vol1, bundle.fields[name], q=q,
-                                  threads=args.threads)
+            f0 = invariant_direct(manifold, vol0, bundle.fields[name], q=q)
+            f1 = invariant_direct(manifold, vol1, bundle.fields[name], q=q)
             gap = abs(f0.value - f1.value)
             rows.append(_result_row(f"deformation:{name}", gap, tol, "check",
                                     passed=gap <= tol))
@@ -283,7 +284,7 @@ def _suite_vaisman(bundle, args, rows):
     if bundle.name != "hopf":
         raise UsageError("the vaisman suite applies to the hopf example")
     manifold = bundle.manifold
-    det_tol = args.tol or SUITE_TOLS["vaisman_det"]
+    det_tol = _tol(args, "vaisman_det")
     pts = geometry.sample_domain_points(manifold, 10_000, args.seed)
     ricci = bundle.volumes["r4"].exact_ricci["punctured"](pts)
     max_det = float(np.max(np.abs(np.linalg.det(ricci))))
@@ -295,7 +296,7 @@ def _suite_vaisman(bundle, args, rows):
                           ("r4-bump", SUITE_TOLS["vaisman_f_perturbed"])):
         for name in sorted(bundle.fields):
             res = invariant_direct(manifold, bundle.volumes[vol_name],
-                                   bundle.fields[name], q=q, threads=args.threads)
+                                   bundle.fields[name], q=q)
             passed = abs(res.value) <= tol
             rows.append(_result_row(f"vaisman:f:{vol_name}:{name}", res.value,
                                     res.error_estimate, "check", passed=passed))
@@ -306,7 +307,7 @@ def _suite_vaisman(bundle, args, rows):
 def _suite_convergence(bundle, args, rows):
     if bundle.name != "cp1":
         raise UsageError("the convergence suite applies to the cp1 example")
-    tol = args.tol or SUITE_TOLS["ricci_match"]
+    tol = _tol(args, "ricci_match")
     rng = np.random.default_rng(args.seed)
     pts = (rng.uniform(-2, 2, (100, 1)) + 1j * rng.uniform(-2, 2, (100, 1)))
     vol = bundle.volumes["fs"]
@@ -345,7 +346,7 @@ def cmd_check(args) -> tuple[Report, int]:
     bundle = _bundle(args.example)
     report = Report(command="check", inputs={
         "example": args.example, "suite": args.suite, "samples": args.samples,
-        "tol": args.tol, "seed": args.seed, "threads": args.threads,
+        "tol": args.tol, "seed": args.seed,
     })
     rows = []
     ok = _SUITES[args.suite](bundle, args, rows)
@@ -388,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--step", type=float, default=1e-3,
                        help="finite-difference step in chart units")
     p_inv.add_argument("--order", type=int, default=4, choices=(2, 4))
-    p_inv.add_argument("--threads", type=int, default=1)
     p_inv.add_argument("--fixed-point-file",
                        help="JSON fixed-point data (localization only)")
     p_inv.add_argument("--json", action="store_true")
@@ -400,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--samples", type=int, default=geometry.DEFAULT_SAMPLES)
     p_chk.add_argument("--tol", type=float, help="override the suite tolerance")
     p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--threads", type=int, default=1)
     p_chk.add_argument("--refine", type=int, dest="refine", default=None)
     p_chk.add_argument("--points", type=int, dest="points", default=None)
     p_chk.add_argument("--json", action="store_true")
@@ -415,6 +414,9 @@ def main(argv=None) -> int:
                         format="%(name)s: %(message)s")
     if getattr(args, "refine", None) is not None and args.refine < 2:
         print("holoinv: --refine must be at least 2", file=sys.stderr)
+        return 2
+    if getattr(args, "tol", None) is not None and not args.tol > 0:
+        print("holoinv: --tol must be positive", file=sys.stderr)
         return 2
     try:
         report, code = args.handler(args)

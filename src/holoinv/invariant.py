@@ -15,7 +15,7 @@ fixed-point data compare against these values through the factor
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,32 +43,29 @@ class InvariantResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def _default_quadrature(m: ManifoldSpec) -> QuadratureSpec:
-    # coarse-but-spectral defaults: fewer nodes per axis in high dimension
-    if len(m.fundamental_domain.box) <= 2:
-        return QuadratureSpec(points_per_axis=12, refinement_levels=3)
-    return QuadratureSpec(points_per_axis=6, refinement_levels=2)
-
-
-def _chart_pieces(m: ManifoldSpec, vol: VolumeFormSpec, x: Optional[VectorFieldSpec]):
+def _chart_pieces(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec):
     chart = m.chart(m.integration_chart)
     logd = vol.log_density[chart.chart_id]
     exact = (vol.exact_ricci or {}).get(chart.chart_id)
-    comps = x.components[chart.chart_id] if x is not None else None
-    return chart, logd, exact, comps
+    return chart, logd, exact, x.components[chart.chart_id]
 
 
-def _step_for(chart, coords, scheme):
-    if chart.boundary_clearance is None:
-        return None
-    clearance = np.asarray(chart.boundary_clearance(coords), dtype=float)
-    return np.minimum(scheme.step, clearance / 5.0)
+def _integrate_route(m: ManifoldSpec, density, q: QuadratureSpec, method: str,
+                     notes: str = "") -> InvariantResult:
+    """2^n times the integral of `density` over the fundamental domain.
+
+    The error budget is the refinement estimate plus the domain's declared
+    tail bound.
+    """
+    factor = 2.0 ** m.dimension
+    res = integrate(lambda coords: density(coords) * factor, m.fundamental_domain, q)
+    return InvariantResult(res.value, res.error_estimate + res.tail_bound, method,
+                           notes=notes)
 
 
 def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
-                     scheme: DifferentiationScheme = DEFAULT_SCHEME,
-                     q: Optional[QuadratureSpec] = None,
-                     threads: int = 1) -> InvariantResult:
+                     scheme: DifferentiationScheme = DEFAULT_SCHEME, *,
+                     q: QuadratureSpec) -> InvariantResult:
     """Invariant by direct quadrature of div X times the top Ricci density.
 
     Callers are responsible for the membership contracts (the volume form
@@ -76,34 +73,29 @@ def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
     bundles satisfy them by construction and the check suites verify them.
     """
     chart, logd, exact, comps = _chart_pieces(m, vol, x)
-    factor = 2.0 ** m.dimension
 
     def density(coords):
-        step = _step_for(chart, coords, scheme)
+        step = calculus.chart_step(chart, coords, scheme)
         div = calculus.divergence_field(comps, logd, coords, scheme, step=step)
         top = calculus.ricci_top_field(logd, coords, scheme, step=step, exact=exact)
-        return div * top * factor
+        return div * top
 
-    q = q or _default_quadrature(m)
-    res = integrate(density, m.fundamental_domain, q, threads)
-    return InvariantResult(res.value, res.error_estimate + res.tail_bound, "direct")
+    return _integrate_route(m, density, q, "direct")
 
 
 def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
-                          scheme: DifferentiationScheme = DEFAULT_SCHEME,
-                          q: Optional[QuadratureSpec] = None,
-                          threads: int = 1) -> InvariantResult:
+                          scheme: DifferentiationScheme = DEFAULT_SCHEME, *,
+                          q: QuadratureSpec) -> InvariantResult:
     """Invariant as -integral of X(n! det R / a) against the volume form."""
     chart, logd, exact, comps = _chart_pieces(m, vol, x)
-    factor = 2.0 ** m.dimension
 
     def ratio(coords):
-        step = _step_for(chart, coords, scheme)
+        step = calculus.chart_step(chart, coords, scheme)
         top = calculus.ricci_top_field(logd, coords, scheme, step=step, exact=exact)
         return top * np.exp(-np.asarray(logd(coords), dtype=float))
 
     def density(coords):
-        step = _step_for(chart, coords, scheme)
+        step = calculus.chart_step(chart, coords, scheme)
         n = coords.shape[-1]
         values = np.asarray(comps(coords))
         directional = None
@@ -112,13 +104,11 @@ def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSp
             term = values[..., i] * d
             directional = term if directional is None else directional + term
         weight = np.exp(np.asarray(logd(coords), dtype=float))
-        return -directional * weight * factor
+        return -directional * weight
 
-    q = q or _default_quadrature(m)
-    res = integrate(density, m.fundamental_domain, q, threads)
-    return InvariantResult(res.value, res.error_estimate + res.tail_bound, "alternative",
-                           notes="differences the Ricci ratio; third derivatives of "
-                                 "the log-density enter, expect elevated noise")
+    return _integrate_route(m, density, q, "alternative",
+                            notes="differences the Ricci ratio; third derivatives of "
+                                  "the log-density enter, expect elevated noise")
 
 
 @dataclass(frozen=True)
@@ -188,12 +178,11 @@ class DeformationFamily:
 def deformation_invariant_curve(m: ManifoldSpec, vol0: VolumeFormSpec,
                                 vol1: VolumeFormSpec, x: VectorFieldSpec,
                                 t_grid: Sequence[float],
-                                scheme: DifferentiationScheme = DEFAULT_SCHEME,
-                                q: Optional[QuadratureSpec] = None,
-                                threads: int = 1):
+                                scheme: DifferentiationScheme = DEFAULT_SCHEME, *,
+                                q: QuadratureSpec):
     """Direct invariant along the interpolation family, one result per t."""
     out = []
     for t in t_grid:
         family = DeformationFamily(vol0, vol1, float(t))
-        out.append((float(t), invariant_direct(m, family.volume, x, scheme, q, threads)))
+        out.append((float(t), invariant_direct(m, family.volume, x, scheme, q=q)))
     return out

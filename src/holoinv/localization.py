@@ -249,30 +249,51 @@ def _parse_rational(value, where: str) -> Fraction:
         raise ValueError(f"{where}: invalid rational {value!r}") from exc
 
 
-def fixed_point_data_from_dict(payload: dict) -> FixedPointData:
-    """Parse the JSON object form of fixed-point data, validating as it goes."""
+def _typed(value, kind: type, where: str):
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _parse_component(entry) -> ZeroComponent:
+    entry = _typed(entry, dict, "component")
+    name = _typed(entry.get("name"), str, "component name")
+    where = f"component '{name}'"
     try:
-        label = payload["label"]
-        manifold_dim = payload["manifold_dim"]
-        raw_components = payload["components"]
-    except (TypeError, KeyError) as exc:
+        dim, trace_L, weights = entry["dim"], entry["trace_L"], entry["normal_weights"]
+    except KeyError as exc:
+        raise ValueError(f"{where} missing key: {exc}") from exc
+
+    def rationals(values, key):
+        values = _typed(values, list, f"{where}: {key}")
+        return tuple(_parse_rational(v, where) for v in values)
+
+    return ZeroComponent(
+        name=name,
+        dim=_typed(dim, int, f"{where}: dim"),
+        trace_L=_parse_rational(trace_L, where),
+        normal_weights=rationals(weights, "normal_weights"),
+        c1_tangent_deg=_parse_rational(entry.get("c1_tangent_deg", 0), where),
+        normal_line_degrees=rationals(entry.get("normal_line_degrees", []),
+                                      "normal_line_degrees"),
+    )
+
+
+def fixed_point_data_from_dict(payload: dict) -> FixedPointData:
+    """Parse the JSON object form of fixed-point data, validating as it goes.
+
+    Malformed input raises ValueError, or a HoloinvError where the data
+    breaks a hypothesis of the residue formula.
+    """
+    payload = _typed(payload, dict, "fixed-point data")
+    try:
+        label = _typed(payload["label"], str, "label")
+        manifold_dim = _typed(payload["manifold_dim"], int, "manifold_dim")
+        raw_components = _typed(payload["components"], list, "components")
+    except KeyError as exc:
         raise ValueError(f"fixed-point data missing key: {exc}") from exc
-    if not isinstance(manifold_dim, int) or isinstance(manifold_dim, bool):
-        raise ValueError("manifold_dim must be an integer")
-    components = []
-    for entry in raw_components:
-        where = f"component '{entry.get('name', '?')}'"
-        components.append(ZeroComponent(
-            name=entry["name"],
-            dim=entry["dim"],
-            trace_L=_parse_rational(entry["trace_L"], where),
-            normal_weights=tuple(_parse_rational(w, where)
-                                 for w in entry["normal_weights"]),
-            c1_tangent_deg=_parse_rational(entry.get("c1_tangent_deg", 0), where),
-            normal_line_degrees=tuple(_parse_rational(v, where)
-                                      for v in entry.get("normal_line_degrees", [])),
-        ))
-    return FixedPointData(label, manifold_dim, tuple(components))
+    components = tuple(_parse_component(entry) for entry in raw_components)
+    return FixedPointData(label, manifold_dim, components)
 
 
 def fixed_point_data_to_dict(data: FixedPointData) -> dict:

@@ -7,16 +7,17 @@ the box. Integration refines the box into 2^(level-1) panels per axis and
 reports the difference between the last two refinement levels as the
 error estimate.
 
-Determinism: nodes are generated in a fixed order, per-cell sums use
-exactly rounded compensated summation (math.fsum) over statically
-partitioned contiguous node blocks, and block partials are combined in
-block order. Results are bit-identical for any worker count.
+Determinism and memory: each level's nodes are generated in a fixed order
+and handed to the density in contiguous blocks of at most _CELL_NODES
+nodes, so the stencil temporaries of one density call stay bounded however
+fine the level. Every block sum is exactly rounded (math.fsum), and the
+block partials are combined with math.fsum in block order, so repeated
+runs give bit-identical results.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
@@ -26,7 +27,7 @@ import numpy as np
 from .errors import IllPosedIntegrandError
 
 _RULES = ("gauss-legendre", "midpoint")
-_CELL_NODES = 8192  # static reduction block size, independent of worker count
+_CELL_NODES = 8192  # nodes per density call: bounds peak memory, not tuned for speed
 _NONFINITE_FRACTION = 0.01
 
 
@@ -140,7 +141,7 @@ def _block_sum(density, chart_pts, weights, mask):
             int(len(weights)), dropped)
 
 
-def _evaluate_level(density, dom, q, level, threads):
+def _evaluate_level(density, dom, q, level):
     pts, weights = _level_grid(dom, q, level)
     chart_pts = dom.to_chart(pts)
     if dom.measure_map is not None:
@@ -149,18 +150,11 @@ def _evaluate_level(density, dom, q, level, threads):
     if dom.indicator is not None:
         mask = np.asarray(dom.indicator(chart_pts), dtype=bool)
 
-    blocks = range(0, len(weights), _CELL_NODES)
-
-    def run(start):
+    partials = []
+    for start in range(0, len(weights), _CELL_NODES):
         sl = slice(start, start + _CELL_NODES)
-        return _block_sum(density, chart_pts[sl], weights[sl],
-                          None if mask is None else mask[sl])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(run, blocks))
-    else:
-        partials = [run(start) for start in blocks]
+        partials.append(_block_sum(density, chart_pts[sl], weights[sl],
+                                   None if mask is None else mask[sl]))
 
     total = complex(math.fsum(p[0] for p in partials),
                     math.fsum(p[1] for p in partials))
@@ -172,8 +166,8 @@ def _evaluate_level(density, dom, q, level, threads):
     return total, dropped
 
 
-def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpec(),
-              threads: int = 1) -> IntegrationResult:
+def integrate(density, dom: IntegrationDomain,
+              q: QuadratureSpec = QuadratureSpec()) -> IntegrationResult:
     """Integrate a pointwise density over a domain with refinement estimates.
 
     Parameters
@@ -185,8 +179,10 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
     dom : IntegrationDomain
     q : QuadratureSpec
         Tensor-product rule; level k uses 2^(k-1) panels per axis.
-    threads : int
-        Worker cap for block evaluation. Does not affect the result.
+
+    Each level calls `density` once per block of at most 8192 nodes, in a
+    fixed order, and sums with math.fsum, so the result is deterministic
+    and the memory of one call is bounded.
 
     Returns
     -------
@@ -198,16 +194,10 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
     values = []
     dropped = 0
     for level in range(1, q.refinement_levels + 1):
-        total, dropped = _evaluate_level(density, dom, q, level, threads)
+        total, dropped = _evaluate_level(density, dom, q, level)
         values.append(total)
     if len(values) >= 2:
         error = abs(values[-1] - values[-2])
     else:
         error = math.inf
     return IntegrationResult(values[-1], error, dom.tail_bound, dropped)
-
-
-def integrate_invariant_density(m, density, q: QuadratureSpec = QuadratureSpec(),
-                                threads: int = 1) -> IntegrationResult:
-    """Integrate over a manifold's fundamental domain (convenience wrapper)."""
-    return integrate(density, m.fundamental_domain, q, threads)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holoinv import (
+    DEFAULT_SCHEME,
     ChartPoint,
     DifferentiationScheme,
     DifferentiationQualityError,
@@ -231,6 +232,44 @@ def test_top_density_hopf_degenerate(hopf):
 
 def test_top_density_flat_zero():
     assert abs(ricci_top_density(FLAT, ChartPoint("affine", (1.0,)))) < 1e-10
+
+
+# --- pointwise views of the batched operators ------------------------------
+
+
+@pytest.mark.parametrize("coords", [(0.9, 0.7j), (3e-3, 2e-3j)],
+                         ids=["full-step", "shrunk-step"])
+@pytest.mark.parametrize("view", ["wirtinger_gradient", "ricci_matrix", "divergence",
+                                  "ricci_top_density"])
+def test_pointwise_view_equals_batched_operator(hopf, view, coords):
+    # r4-bump has no closed-form Ricci, so the stencils run with the chart's
+    # step: the scheme's 1e-3 at the first point, |z|/5 < 1e-3 at the second
+    chart = hopf.manifold.chart("punctured")
+    vol, fld = hopf.volumes["r4-bump"], hopf.fields["x1"]
+    logd = vol.log_density["punctured"]
+    p = ChartPoint("punctured", coords)
+    batch = np.array([coords], dtype=complex)
+    step = calculus.chart_step(chart, batch, DEFAULT_SCHEME)
+    shrunk = np.linalg.norm(coords) < 5e-3
+    if view == "wirtinger_gradient":  # takes no chart: always the scheme's step
+        pointwise = wirtinger_gradient(logd, p)
+        batched = calculus.wirtinger_gradient_at(logd, batch)[0]
+    elif view == "ricci_matrix":
+        ev = ricci_matrix(vol, p, chart=chart)
+        pointwise = ev.matrix
+        batched = calculus.ricci_field(logd, batch, step=step)[0]
+        assert ev.step_shrunk == shrunk
+        expected = np.linalg.norm(coords) / 5.0 if shrunk else DEFAULT_SCHEME.step
+        assert ev.step_used == pytest.approx(expected, rel=1e-12)
+    elif view == "divergence":
+        pointwise = divergence(fld, vol, p, chart=chart)
+        batched = calculus.divergence_field(fld.components["punctured"], logd, batch,
+                                            step=step)[0]
+    else:
+        pointwise = ricci_top_density(vol, p, chart=chart)
+        batched = calculus.ricci_top_field(logd, batch, step=step)[0]
+    assert np.all(np.isfinite(pointwise))
+    assert np.array_equal(pointwise, batched)
 
 
 # --- scheme validation -----------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line behaviour: output schema, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -79,15 +81,6 @@ def test_invariant_determinism(capsys):
     assert first == second
 
 
-def test_threads_do_not_change_results(capsys):
-    base = ("invariant", "--example", "hopf", "--volume", "r4-bump",
-            "--field", "x2", "--method", "direct", "--json")
-    _, single, _ = run_cli(capsys, *base, "--threads", "1")
-    _, multi, _ = run_cli(capsys, *base, "--threads", "3")
-    # the inputs echo differs in the worker cap; the numbers must not
-    assert json.loads(single)["results"] == json.loads(multi)["results"]
-
-
 # --- usage errors ------------------------------------------------------------
 
 
@@ -102,6 +95,11 @@ def test_threads_do_not_change_results(capsys):
     ("invariant", "--example", "hopf", "--field", "x1", "--method", "localization"),
     ("check", "--example", "cp1", "--suite", "vaisman"),
     ("check", "--example", "hopf", "--suite", "convergence"),
+    ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
+     "--method", "direct", "--points", "0"),
+    ("check", "--example", "cp1", "--suite", "deformation", "--points", "0"),
+    ("check", "--example", "cp1", "--suite", "convergence", "--tol", "0"),
+    ("check", "--example", "cp1", "--suite", "convergence", "--tol=-1e-8"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -158,6 +156,25 @@ def test_fixed_point_file_zero_weight_surfaced(capsys, tmp_path):
     assert "nonsingular" in err
 
 
+@pytest.mark.parametrize("components", [
+    [{"dim": 0, "trace_L": 1, "normal_weights": [1]}],
+    ["not an object"],
+    {"p": {"name": "p", "dim": 0, "trace_L": 1, "normal_weights": [1]}},
+    [{"name": "p", "dim": "0", "trace_L": 1, "normal_weights": [1]}],
+    [{"name": "p", "dim": 0, "trace_L": 1, "normal_weights": 1}],
+], ids=["no-name", "not-object", "components-object", "dim-string", "weights-scalar"])
+def test_malformed_fixed_point_file_exits_two(capsys, tmp_path, components):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"label": "malformed", "manifold_dim": 1,
+                                "components": components}))
+    code, out, err = run_cli(capsys, "invariant", "--example", "cp1",
+                             "--method", "localization",
+                             "--fixed-point-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("holoinv: ValueError:")
+
+
 def test_fixed_point_file_requires_localization(capsys, tmp_path):
     path = tmp_path / "data.json"
     path.write_text("{}")
@@ -206,8 +223,11 @@ def test_failing_check_exits_one(capsys):
 
 
 def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "holoinv.cli", "list"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "cp1" in proc.stdout

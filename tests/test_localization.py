@@ -5,11 +5,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from holoinv import (
     CohomologyClass,
     FixedPointData,
+    HoloinvError,
     NonInvertibleClassError,
     NonsingularityError,
     ZeroComponent,
@@ -256,6 +257,45 @@ def test_json_zero_weight_message(tmp_path):
     }))
     with pytest.raises(NonsingularityError, match="nonsingular"):
         load_fixed_point_data(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+RATIONAL = st.integers(-2, 2) | st.sampled_from(["1/2", "-3/2", "0/5", "1/0", "x"])
+
+
+def _or_junk(valid):
+    return valid | JSON_VALUES
+
+
+COMPONENT_JSON = st.fixed_dictionaries({}, optional={
+    "name": _or_junk(st.text(max_size=3)),
+    "dim": _or_junk(st.integers(-1, 2)),
+    "trace_L": _or_junk(RATIONAL),
+    "normal_weights": _or_junk(st.lists(RATIONAL, max_size=3)),
+    "c1_tangent_deg": _or_junk(RATIONAL),
+    "normal_line_degrees": _or_junk(st.lists(RATIONAL, max_size=3)),
+})
+PAYLOAD_JSON = _or_junk(st.fixed_dictionaries({}, optional={
+    "label": _or_junk(st.text(max_size=4)),
+    "manifold_dim": _or_junk(st.integers(0, 3)),
+    "components": _or_junk(st.lists(_or_junk(COMPONENT_JSON), max_size=3)),
+}))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(payload=PAYLOAD_JSON)
+def test_json_parse_raises_only_typed_errors(payload):
+    # any JSON value, malformed at any depth, is either parsed into data whose
+    # residue sum evaluates, or rejected with ValueError / HoloinvError
+    try:
+        data = fixed_point_data_from_dict(payload)
+    except (ValueError, HoloinvError):
+        return
+    localization_sum(data)
 
 
 def test_load_from_file(tmp_path, hopf_blowup):

@@ -11,7 +11,6 @@ from holoinv import (
     IntegrationDomain,
     QuadratureSpec,
     integrate,
-    integrate_invariant_density,
 )
 from holoinv import calculus
 
@@ -61,7 +60,7 @@ def test_hopf_annulus_volume(hopf):
     assert abs(res.value - 1.5 * math.pi ** 2) < 1e-10
 
 
-def test_determinism_across_repeats_and_threads(hopf):
+def test_determinism_across_repeats(hopf):
     def density(z):
         return np.cos(_abs2(z).sum(-1)) + 0.3 * z[..., 0].real
 
@@ -69,10 +68,8 @@ def test_determinism_across_repeats_and_threads(hopf):
     dom = hopf.manifold.fundamental_domain
     first = integrate(density, dom, q)
     again = integrate(density, dom, q)
-    threaded = integrate(density, dom, q, threads=3)
     assert first.value == again.value
-    assert first.value == threaded.value
-    assert first.error_estimate == threaded.error_estimate
+    assert first.error_estimate == again.error_estimate
 
 
 def test_refinement_monotonicity_on_smooth_benchmark(cp1):
@@ -141,8 +138,8 @@ def test_invariant_density_wrapper_hopf_degenerate(hopf):
         return calculus.ricci_top_field(vol.log_density["punctured"], z,
                                         exact=vol.exact_ricci["punctured"])
 
-    res = integrate_invariant_density(hopf.manifold, density,
-                                      QuadratureSpec(5, "gauss-legendre", 2))
+    res = integrate(density, hopf.manifold.fundamental_domain,
+                    QuadratureSpec(5, "gauss-legendre", 2))
     assert abs(res.value) < 1e-12
     assert res.error_estimate < 1e-12
 
@@ -157,19 +154,17 @@ def test_invariant_density_wrapper_cp1_odd_integrand(cp1):
                                        exact=vol.exact_ricci["affine"])
         return div * top
 
-    coarse = integrate_invariant_density(cp1.manifold, density,
-                                         QuadratureSpec(12, "gauss-legendre", 3))
-    oracle = integrate_invariant_density(cp1.manifold, density,
-                                         QuadratureSpec(24, "gauss-legendre", 3))
+    dom = cp1.manifold.fundamental_domain
+    coarse = integrate(density, dom, QuadratureSpec(12, "gauss-legendre", 3))
+    oracle = integrate(density, dom, QuadratureSpec(24, "gauss-legendre", 3))
     budget = coarse.error_estimate + coarse.tail_bound
     assert abs(coarse.value) <= budget
     assert abs(coarse.value - oracle.value) <= budget
 
 
 def test_zero_density_is_exact(cp1):
-    res = integrate_invariant_density(cp1.manifold,
-                                      lambda z: np.zeros(z.shape[:-1]),
-                                      QuadratureSpec(8, "gauss-legendre", 2))
+    res = integrate(lambda z: np.zeros(z.shape[:-1]), cp1.manifold.fundamental_domain,
+                    QuadratureSpec(8, "gauss-legendre", 2))
     assert res.value == 0.0
     assert res.error_estimate == 0.0
 

@@ -10,7 +10,7 @@ from holoinv import (
     component_contribution_parts,
     fixed_point_data_from_dict,
     fixed_point_data_to_dict,
-    integrate_invariant_density,
+    integrate,
     localization_sum,
     registry_get,
     registry_names,
@@ -124,8 +124,8 @@ def test_curvature_mass_independent_of_density(cp1):
                 _vol.log_density["affine"], z,
                 exact=(_vol.exact_ricci or {}).get("affine"))
 
-        res = integrate_invariant_density(cp1.manifold, density,
-                                          QuadratureSpec(16, "gauss-legendre", 3))
+        res = integrate(density, cp1.manifold.fundamental_domain,
+                        QuadratureSpec(16, "gauss-legendre", 3))
         assert abs(res.value - 4.0 * math.pi) < 1e-4, name
 
 
@@ -140,8 +140,8 @@ def test_hopf_curvature_mass_vanishes(hopf):
                 _vol.log_density["punctured"], z,
                 exact=(_vol.exact_ricci or {}).get("punctured"))
 
-        res = integrate_invariant_density(hopf.manifold, density,
-                                          hopf.default_quadrature or QuadratureSpec())
+        res = integrate(density, hopf.manifold.fundamental_domain,
+                        hopf.default_quadrature)
         assert abs(res.value) < 1e-6, name
 
 
