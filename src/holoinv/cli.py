@@ -29,19 +29,6 @@ from .registry import registry_get, registry_names
 
 log = logging.getLogger("holoinv")
 
-# suite tolerances mirror the acceptance gates; all overridable via --tol
-SUITE_TOLS = {
-    "automorphy": 1e-8,
-    "invariance": 1e-8,
-    "vaisman_det": 1e-8,
-    "vaisman_f": 1e-6,
-    "vaisman_f_perturbed": 1e-5,
-    "deformation_hopf": 1e-6,
-    "ricci_match": 1e-7,
-    "order_min": 3.5,
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -60,17 +47,15 @@ class Report:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def _result_row(label, value, error_estimate, method, **extra):
+def _result_row(label, value, method, **extra):
     value = complex(value)
-    row = {
+    return {
         "label": label,
         "value_re": float(value.real),
         "value_im": float(value.imag),
-        "error_estimate": float(error_estimate),
         "method": method,
+        **extra,
     }
-    row.update(extra)
-    return row
 
 
 def _bundle(name):
@@ -115,6 +100,7 @@ def cmd_list(args) -> tuple[Report, int]:
             "localization_only": bundle.manifold is None,
             "volumes": sorted(bundle.volumes),
             "fields": sorted(bundle.fields),
+            "suites": sorted(bundle.suites),
             "has_fixed_point_data": bundle.fixed_point_data is not None,
             "fixed_point_field": bundle.fixed_point_field,
             "notes": bundle.notes,
@@ -130,7 +116,8 @@ def cmd_list(args) -> tuple[Report, int]:
             tail = (f"; fixed-point data for {bundle.fixed_point_field}"
                     if bundle.fixed_point_data is not None else "")
             lines.append(f"{name}: volumes [{', '.join(sorted(bundle.volumes))}]; "
-                         f"fields [{', '.join(sorted(bundle.fields))}]{tail}")
+                         f"fields [{', '.join(sorted(bundle.fields))}]; "
+                         f"suites [{', '.join(sorted(bundle.suites))}]{tail}")
     if not args.json:
         print("\n".join(lines))
     return report, 0
@@ -177,7 +164,7 @@ def cmd_invariant(args) -> tuple[Report, int]:
         residue_sum = localization.localization_sum(data)
         value = localization.unnormalized_invariant(data)
         report.results.append(_result_row(
-            label, value, 0.0, "localization",
+            label, value, "localization", error_estimate=0.0,
             exact_residue_sum=str(residue_sum)))
         if not args.json:
             print(f"{label}: residue sum = {residue_sum} (exact); f = {value!r}")
@@ -197,7 +184,7 @@ def cmd_invariant(args) -> tuple[Report, int]:
     log.info("%s invariant on %s took %.2fs", args.method, args.example, elapsed)
     label = f"{args.example}:{args.volume}:{args.field}"
     report.results.append(_result_row(
-        label, result.value, result.error_estimate, result.method))
+        label, result.value, result.method, error_estimate=float(result.error_estimate)))
     if not args.json:
         print(f"{label} ({result.method}): f = {result.value:.6e} "
               f"+/- {result.error_estimate:.2e}")
@@ -209,128 +196,90 @@ def cmd_invariant(args) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
-def _tol(args, key):
-    return SUITE_TOLS[key] if args.tol is None else args.tol
+def _check_row(label, value, bound, error=0.0, passed=None):
+    """One check row; unless `passed` is given, it passes when |value| <= bound."""
+    if passed is None:
+        passed = abs(complex(value)) <= bound
+    return _result_row(label, value, "check", bound=float(bound), error=float(error),
+                       passed=bool(passed))
 
 
-def _suite_automorphy(bundle, args, rows):
-    manifold = _need_manifold(bundle)
-    tol = _tol(args, "automorphy")
-    ok = True
-    deck = geometry.deck_group_report(manifold, args.samples, tol, args.seed)
-    rows.append(_result_row("deck-group", deck.max_residual, tol, "check",
-                            passed=deck.passed))
-    ok &= deck.passed
-    for name in sorted(bundle.volumes):
-        rep = geometry.verify_automorphic(bundle.volumes[name], manifold,
-                                          args.samples, tol, args.seed)
-        trans = geometry.verify_volume_transitions(bundle.volumes[name], manifold,
-                                                   args.samples, seed=args.seed)
-        passed = rep.passed and trans.passed
-        rows.append(_result_row(f"automorphy:{name}",
-                                max(rep.max_residual, trans.max_residual),
-                                tol, "check", passed=passed))
-        ok &= passed
-    return ok
+def _membership_rows(kind, specs, verify, verify_transitions, m, p, samples, seed):
+    rows = []
+    for name in sorted(specs):
+        rep = verify(specs[name], m, samples, seed=seed)
+        rows.append(_check_row(f"{kind}:{name}", rep.max_residual, p["bound"]))
+        if m.transitions:
+            trans = verify_transitions(specs[name], m, samples, seed=seed)
+            rows.append(_check_row(f"transitions:{name}", trans.max_residual,
+                                   p["transitions_bound"]))
+    return rows
 
 
-def _suite_invariance(bundle, args, rows):
-    manifold = _need_manifold(bundle)
-    tol = _tol(args, "invariance")
-    ok = True
-    for name in sorted(bundle.fields):
-        rep = geometry.verify_invariant_field(bundle.fields[name], manifold,
-                                              args.samples, tol, args.seed)
-        trans = geometry.verify_field_transitions(bundle.fields[name], manifold,
-                                                  args.samples, seed=args.seed)
-        passed = rep.passed and trans.passed
-        rows.append(_result_row(f"invariance:{name}",
-                                max(rep.max_residual, trans.max_residual),
-                                tol, "check", passed=passed))
-        ok &= passed
-    return ok
+def _suite_automorphy(bundle, p, samples, seed, q):
+    deck = geometry.deck_group_report(bundle.manifold, samples, seed=seed)
+    return [_check_row("deck-group", deck.max_residual, p["bound"]),
+            *_membership_rows("automorphy", bundle.volumes, geometry.verify_automorphic,
+                              geometry.verify_volume_transitions, bundle.manifold, p,
+                              samples, seed)]
 
 
-def _suite_deformation(bundle, args, rows):
-    manifold = _need_manifold(bundle)
-    if len(bundle.volumes) < 2:
-        raise UsageError(f"deformation needs at least two volumes on '{bundle.name}'")
-    q = _quadrature_for(bundle, args)
-    ok = True
-    if bundle.name == "cp1":
-        curve = deformation_invariant_curve(
-            manifold, bundle.volumes["fs"], bundle.volumes["fs-bump"],
-            bundle.fields["z-ddz"], (0.0, 0.25, 0.5, 0.75, 1.0), q=q)
+def _suite_invariance(bundle, p, samples, seed, q):
+    return _membership_rows("invariance", bundle.fields, geometry.verify_invariant_field,
+                            geometry.verify_field_transitions, bundle.manifold, p,
+                            samples, seed)
+
+
+def _suite_deformation(bundle, p, samples, seed, q):
+    vol0, vol1 = (bundle.volumes[name] for name in p["volumes"])
+    rows = []
+    for name in p["fields"]:
+        curve = deformation_invariant_curve(bundle.manifold, vol0, vol1,
+                                            bundle.fields[name], p["t_grid"], q=q)
         values = [r.value for _, r in curve]
         spread = max(abs(a - b) for a in values for b in values)
-        budget = 2.0 * max(r.error_estimate for _, r in curve)
-        rows.append(_result_row("deformation:spread", spread, budget, "check",
-                                passed=spread <= budget))
-        ok &= spread <= budget
-    else:
-        tol = _tol(args, "deformation_hopf")
-        vol0, vol1 = bundle.volumes["r4"], bundle.volumes["lebesgue"]
-        for name in sorted(bundle.fields):
-            f0 = invariant_direct(manifold, vol0, bundle.fields[name], q=q)
-            f1 = invariant_direct(manifold, vol1, bundle.fields[name], q=q)
-            gap = abs(f0.value - f1.value)
-            rows.append(_result_row(f"deformation:{name}", gap, tol, "check",
-                                    passed=gap <= tol))
-            ok &= gap <= tol
-    return ok
+        error = max(r.error_estimate for _, r in curve)
+        # no declared bound: the spread is held to twice the curve's largest
+        # quadrature error estimate
+        bound = 2.0 * error if p["bound"] is None else p["bound"]
+        rows.append(_check_row(f"deformation:{name}", spread, bound, error))
+    return rows
 
 
-def _suite_vaisman(bundle, args, rows):
-    if bundle.name != "hopf":
-        raise UsageError("the vaisman suite applies to the hopf example")
-    manifold = bundle.manifold
-    det_tol = _tol(args, "vaisman_det")
-    pts = geometry.sample_domain_points(manifold, 10_000, args.seed)
-    ricci = bundle.volumes["r4"].exact_ricci["punctured"](pts)
+def _suite_vaisman(bundle, p, samples, seed, q):
+    m = bundle.manifold
+    pts = geometry.sample_domain_points(m, 10_000, seed)
+    ricci = bundle.volumes[p["volume"]].exact_ricci[m.integration_chart](pts)
     max_det = float(np.max(np.abs(np.linalg.det(ricci))))
-    rows.append(_result_row("vaisman:max|det R|", max_det, det_tol, "check",
-                            passed=max_det <= det_tol))
-    ok = max_det <= det_tol
-    q = _quadrature_for(bundle, args)
-    for vol_name, tol in (("r4", SUITE_TOLS["vaisman_f"]),
-                          ("r4-bump", SUITE_TOLS["vaisman_f_perturbed"])):
-        for name in sorted(bundle.fields):
-            res = invariant_direct(manifold, bundle.volumes[vol_name],
-                                   bundle.fields[name], q=q)
-            passed = abs(res.value) <= tol
-            rows.append(_result_row(f"vaisman:f:{vol_name}:{name}", res.value,
-                                    res.error_estimate, "check", passed=passed))
-            ok &= passed
-    return ok
+    rows = [_check_row("vaisman:max|det R|", max_det, p["det_bound"])]
+    for vol_name, bound in ((p["volume"], p["bound"]),
+                            (p["perturbed"], p["perturbed_bound"])):
+        for name in p["fields"]:
+            res = invariant_direct(m, bundle.volumes[vol_name], bundle.fields[name], q=q)
+            rows.append(_check_row(f"vaisman:f:{vol_name}:{name}", res.value, bound,
+                                   res.error_estimate))
+    return rows
 
 
-def _suite_convergence(bundle, args, rows):
-    if bundle.name != "cp1":
-        raise UsageError("the convergence suite applies to the cp1 example")
-    tol = _tol(args, "ricci_match")
-    rng = np.random.default_rng(args.seed)
+def _suite_convergence(bundle, p, samples, seed, q):
+    rng = np.random.default_rng(seed)
     pts = (rng.uniform(-2, 2, (100, 1)) + 1j * rng.uniform(-2, 2, (100, 1)))
-    vol = bundle.volumes["fs"]
-    logd = vol.log_density["affine"]
-    exact = vol.exact_ricci["affine"](pts)
+    vol = bundle.volumes[p["volume"]]
+    chart = bundle.manifold.integration_chart
+    logd = vol.log_density[chart]
+    exact = vol.exact_ricci[chart](pts)
 
-    scheme = DifferentiationScheme(step=1e-3, order=4)
-    numeric = calculus.ricci_from_log_density(logd, pts, scheme)
-    mismatch = float(np.max(np.abs(numeric - exact)))
-    rows.append(_result_row("convergence:match@1e-3", mismatch, tol, "check",
-                            passed=mismatch <= tol))
-
-    errors = []
-    for h in (0.04, 0.02, 0.01):
-        num = calculus.ricci_from_log_density(
+    def mismatch(h):
+        numeric = calculus.ricci_from_log_density(
             logd, pts, DifferentiationScheme(step=h, order=4))
-        errors.append(float(np.max(np.abs(num - exact))))
+        return float(np.max(np.abs(numeric - exact)))
+
+    errors = [mismatch(h) for h in (0.04, 0.02, 0.01)]
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     observed = float(min(orders))
-    order_ok = observed >= SUITE_TOLS["order_min"]
-    rows.append(_result_row("convergence:order", observed,
-                            SUITE_TOLS["order_min"], "check", passed=order_ok))
-    return mismatch <= tol and order_ok
+    floor = p["order_floor"]
+    return [_check_row("convergence:match@1e-3", mismatch(1e-3), p["bound"]),
+            _check_row("convergence:order", observed, floor, passed=observed >= floor)]
 
 
 _SUITES = {
@@ -342,20 +291,38 @@ _SUITES = {
 }
 
 
+def run_suite(bundle, name, *, samples, seed, tol, q):
+    """Run the check suite `name` as `bundle` declares it; return (rows, passed).
+
+    `tol`, when given, replaces every declared tolerance of the form
+    |value| <= bound. It does not replace an error budget (a declared bound
+    of None) or the convergence order floor. A suite the bundle does not
+    declare raises UsageError.
+    """
+    params = _pick(bundle.suites, name, "suite", bundle.name)
+    if tol is not None:
+        params = {key: tol if key.endswith("bound") and value is not None else value
+                  for key, value in params.items()}
+    rows = _SUITES[name](bundle, params, samples, seed, q)
+    return rows, all(row["passed"] for row in rows)
+
+
 def cmd_check(args) -> tuple[Report, int]:
     bundle = _bundle(args.example)
     report = Report(command="check", inputs={
         "example": args.example, "suite": args.suite, "samples": args.samples,
         "tol": args.tol, "seed": args.seed,
     })
-    rows = []
-    ok = _SUITES[args.suite](bundle, args, rows)
+    # localization-only examples have no quadrature and declare no suite
+    q = None if bundle.default_quadrature is None else _quadrature_for(bundle, args)
+    rows, ok = run_suite(bundle, args.suite, samples=args.samples, seed=args.seed,
+                         tol=args.tol, q=q)
     report.results.extend(rows)
     if not args.json:
         for row in rows:
-            status = "pass" if row.get("passed") else "FAIL"
+            status = "pass" if row["passed"] else "FAIL"
             print(f"[{status}] {row['label']}: {row['value_re']:.3e} "
-                  f"(bound {row['error_estimate']:.3e})")
+                  f"(bound {row['bound']:.3e}, error {row['error']:.3e})")
         print(f"suite {args.suite} on {args.example}: "
               f"{'pass' if ok else 'FAIL'}")
     return report, 0 if ok else 1
@@ -396,9 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chk = sub.add_parser("check", help="run a property suite")
     p_chk.add_argument("--example", required=True)
-    p_chk.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    p_chk.add_argument("--suite", required=True,
+                       help="a suite the example declares (see `holoinv list`)")
     p_chk.add_argument("--samples", type=int, default=geometry.DEFAULT_SAMPLES)
-    p_chk.add_argument("--tol", type=float, help="override the suite tolerance")
+    p_chk.add_argument("--tol", type=float,
+                       help=("replaces every declared tolerance of the form "
+                             "|value| <= bound; not an error budget, nor the "
+                             "convergence order floor"))
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--refine", type=int, dest="refine", default=None)
     p_chk.add_argument("--points", type=int, dest="points", default=None)

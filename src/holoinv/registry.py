@@ -23,7 +23,7 @@ Four bundles ship with the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Optional
@@ -49,6 +49,13 @@ RADIAL_CUTOFF = 1.0e4
 # bounded by C / cutoff^2 with C below 4*pi for every registered density.
 PLANE_TAIL_BOUND = 2.0e-7
 
+# Sampled membership checks of every example with a chart atlas; residuals
+# across chart transitions are held to their own, tighter bound.
+_MEMBERSHIP_SUITES = {
+    "automorphy": {"bound": 1e-8, "transitions_bound": 1e-10},
+    "invariance": {"bound": 1e-8, "transitions_bound": 1e-10},
+}
+
 
 @dataclass(frozen=True)
 class ExampleBundle:
@@ -62,6 +69,10 @@ class ExampleBundle:
     fixed_point_field: Optional[str]
     default_quadrature: Optional[QuadratureSpec]
     notes: str
+    # suite name -> parameters of a `holoinv check` suite: volume and field
+    # names (read from the bundle the suite runs on), t-grid and bounds. Keys
+    # ending in "bound" are |value| <= bound tolerances.
+    suites: Mapping[str, Mapping] = field(default_factory=dict)
 
 
 def _abs2(z):
@@ -230,6 +241,13 @@ def _cp1_bundle() -> ExampleBundle:
                "Both densities are smooth positive representatives of the same "
                "curvature class; the three fields span the global holomorphic "
                "fields of the line."),
+        suites={
+            **_MEMBERSHIP_SUITES,
+            "deformation": {"volumes": ("fs", "fs-bump"), "fields": ("z-ddz",),
+                            "t_grid": (0.0, 0.25, 0.5, 0.75, 1.0), "bound": None},
+            # order-4 Ricci stencil against the closed form of `volume`
+            "convergence": {"volume": "fs", "bound": 1e-7, "order_floor": 3.5},
+        },
     )
 
 
@@ -383,6 +401,16 @@ def _hopf_bundle() -> ExampleBundle:
                "3-sphere and has everywhere-degenerate Ricci matrix; the Lebesgue "
                "density is automorphic for the character value 16 = |det(2 Id)|^2; "
                "the angular perturbation Re(z1^2 conj(z2))/r^3 is deck-invariant."),
+        suites={
+            **_MEMBERSHIP_SUITES,
+            "deformation": {"volumes": ("r4", "lebesgue"), "fields": ("radial", "x1", "x2"),
+                            "t_grid": (0.0, 1.0), "bound": 1e-6},
+            # f vanishes both for `volume`, whose Ricci matrix is degenerate
+            # everywhere, and for `perturbed`, whose Ricci matrix is not
+            "vaisman": {"volume": "r4", "det_bound": 1e-8, "bound": 1e-6,
+                        "perturbed": "r4-bump", "perturbed_bound": 1e-5,
+                        "fields": ("radial", "x1", "x2")},
+        },
     )
 
 

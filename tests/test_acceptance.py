@@ -1,7 +1,9 @@
 """Acceptance gates, one test per criterion, one printed line per criterion.
 
 Run with `pytest -s tests/test_acceptance.py` to see every line; pytest -v
-shows the same outcomes per test. Each gate pins its tolerance inline.
+shows the same outcomes per test. Each gate pins its tolerance inline; gates
+3-5 run the check suites the examples declare and fail when a declared bound
+differs from the pinned one.
 """
 
 import math
@@ -9,24 +11,20 @@ import random
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from holoinv import (
     CohomologyClass,
     QuadratureSpec,
     class_inverse,
     class_mul,
     component_contribution_parts,
-    deformation_invariant_curve,
     invariant_alternative,
     invariant_direct,
     localization_sum,
     registry_get,
     rescale_field,
-    sample_domain_points,
 )
-from holoinv import calculus
-from holoinv.calculus import DifferentiationScheme
+from holoinv.cli import run_suite
+from holoinv.geometry import DEFAULT_SAMPLES
 
 
 def _report(criterion, passed, detail=""):
@@ -72,61 +70,59 @@ def test_criterion_2_cross_method_consistency(cp1):
             f"{elapsed:.2f}s")
 
 
+def _declared_rows(bundle, suite, pinned):
+    """Rows of the suite `bundle` declares, run at seed 0, and the gate verdict.
+
+    The verdict holds when the rows carry exactly the labels of `pinned`,
+    every row passed, and each declared bound equals its pinned number (None
+    pins none), so loosening the declaration fails the gate.
+    """
+    rows, _ = run_suite(bundle, suite, samples=DEFAULT_SAMPLES, seed=0, tol=None,
+                        q=bundle.default_quadrature)
+    by_label = {row["label"]: row for row in rows}
+    ok = (set(by_label) == set(pinned)
+          and all(row["passed"] for row in rows)
+          and all(by_label[label]["bound"] == bound
+                  for label, bound in pinned.items() if bound is not None))
+    return by_label, ok
+
+
 def test_criterion_3_vaisman_vanishing(hopf):
-    pts = sample_domain_points(hopf.manifold, 10_000, seed=0)
-    ricci = hopf.volumes["r4"].exact_ricci["punctured"](pts)
-    max_det = float(np.max(np.abs(np.linalg.det(ricci))))
-    ok = max_det <= 1e-8
-    detail = [f"max|det R|={max_det:.2e}"]
-    q = hopf.default_quadrature
-    for vol_name, bound in (("r4", 1e-6), ("r4-bump", 1e-5)):
-        for field_name in ("x1", "x2", "radial"):
-            res = invariant_direct(hopf.manifold, hopf.volumes[vol_name],
-                                   hopf.fields[field_name], q=q)
-            ok &= abs(res.value) <= bound
-            detail.append(f"{vol_name}:{field_name}={abs(res.value):.1e}")
+    fields = ("x1", "x2", "radial")
+    pinned = {"vaisman:max|det R|": 1e-8,
+              **{f"vaisman:f:r4:{f}": 1e-6 for f in fields},
+              **{f"vaisman:f:r4-bump:{f}": 1e-5 for f in fields}}
+    rows, ok = _declared_rows(hopf, "vaisman", pinned)
+    detail = [f"max|det R|={rows['vaisman:max|det R|']['value_re']:.2e}"]
+    detail += [f"{label.removeprefix('vaisman:f:')}="
+               f"{abs(complex(rows[label]['value_re'], rows[label]['value_im'])):.1e}"
+               for label in list(pinned)[1:]]
     assert _report(
         "3 hopf vanishing: det R <= 1e-8; |f| <= 1e-6 (r4) and <= 1e-5 (perturbed)",
         ok, " ".join(detail))
 
 
 def test_criterion_4_choice_independence(cp1, hopf):
-    curve = deformation_invariant_curve(
-        cp1.manifold, cp1.volumes["fs"], cp1.volumes["fs-bump"],
-        cp1.fields["z-ddz"], (0.0, 0.25, 0.5, 0.75, 1.0), q=cp1.default_quadrature)
-    values = [r.value for _, r in curve]
-    spread = max(abs(u - v) for u in values for v in values)
-    budget = 2.0 * max(r.error_estimate for _, r in curve)
-    ok = spread <= budget
-    gaps = []
-    for field_name in ("x1", "x2", "radial"):
-        f0 = invariant_direct(hopf.manifold, hopf.volumes["r4"],
-                              hopf.fields[field_name], q=hopf.default_quadrature)
-        f1 = invariant_direct(hopf.manifold, hopf.volumes["lebesgue"],
-                              hopf.fields[field_name], q=hopf.default_quadrature)
-        gaps.append(abs(f0.value - f1.value))
-    ok &= max(gaps) <= 1e-6
+    cp1_rows, ok = _declared_rows(cp1, "deformation", {"deformation:z-ddz": None})
+    hopf_rows, hopf_ok = _declared_rows(
+        hopf, "deformation", {f"deformation:{f}": 1e-6 for f in ("x1", "x2", "radial")})
+    spread = cp1_rows["deformation:z-ddz"]
+    # cp1's budget: twice the largest quadrature error estimate on the curve
+    ok = ok and hopf_ok and spread["bound"] == 2.0 * spread["error"]
+    hopf_gap = max(row["value_re"] for row in hopf_rows.values())
     assert _report(
         "4 choice independence: cp1 spread within budget; hopf characters within 1e-6",
-        ok, f"spread={spread:.2e} budget={budget:.2e} hopf_gap={max(gaps):.2e}")
+        ok, f"spread={spread['value_re']:.2e} budget={spread['bound']:.2e} "
+            f"hopf_gap={hopf_gap:.2e}")
 
 
 def test_criterion_5_differentiation_quality(cp1):
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-2, 2, (100, 1)) + 1j * rng.uniform(-2, 2, (100, 1))
-    logd = cp1.volumes["fs"].log_density["affine"]
-    exact = cp1.volumes["fs"].exact_ricci["affine"](pts)
-    numeric = calculus.ricci_from_log_density(logd, pts, DifferentiationScheme(1e-3, 4))
-    mismatch = float(np.max(np.abs(numeric - exact)))
-    errors = []
-    for h in (0.04, 0.02, 0.01):
-        num = calculus.ricci_from_log_density(logd, pts, DifferentiationScheme(h, 4))
-        errors.append(float(np.max(np.abs(num - exact))))
-    order = min(np.log2(errors[i] / errors[i + 1]) for i in range(2))
-    ok = mismatch <= 1e-7 and order >= 3.5
+    rows, ok = _declared_rows(cp1, "convergence",
+                              {"convergence:match@1e-3": 1e-7, "convergence:order": 3.5})
     assert _report(
         "5 order-4 scheme: matches closed form within 1e-7 at h=1e-3; order >= 3.5",
-        ok, f"mismatch={mismatch:.2e} order={order:.2f}")
+        ok, f"mismatch={rows['convergence:match@1e-3']['value_re']:.2e} "
+            f"order={rows['convergence:order']['value_re']:.2f}")
 
 
 def test_criterion_6a_ring_round_trips():

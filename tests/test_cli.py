@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from holoinv import registry_get
 from holoinv.cli import main
 
 
@@ -24,6 +25,7 @@ def test_list_mentions_localization_only(capsys):
     code, out, _ = run_cli(capsys, "list")
     assert code == 0
     assert "hopf-blowup (localization only)" in out
+    assert "suites [automorphy, deformation, invariance, vaisman]" in out
 
 
 def test_list_json_round_trips(capsys):
@@ -35,6 +37,9 @@ def test_list_json_round_trips(capsys):
     assert {"cp1", "hopf", "hopf-blowup"} <= names
     blowup = next(e for e in report["results"] if e["name"] == "hopf-blowup")
     assert blowup["fixed_point_data"]["manifold_dim"] == 2
+    assert blowup["suites"] == []
+    cp1 = next(e for e in report["results"] if e["name"] == "cp1")
+    assert cp1["suites"] == ["automorphy", "convergence", "deformation", "invariance"]
     assert report["environment"]["version"]
     assert report["environment"]["normalization"]
 
@@ -100,6 +105,7 @@ def test_invariant_determinism(capsys):
     ("check", "--example", "cp1", "--suite", "deformation", "--points", "0"),
     ("check", "--example", "cp1", "--suite", "convergence", "--tol", "0"),
     ("check", "--example", "cp1", "--suite", "convergence", "--tol=-1e-8"),
+    ("check", "--example", "hopf-blowup", "--suite", "automorphy"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -113,6 +119,12 @@ def test_refine_below_two_rejected(capsys):
                            "--method", "direct", "--refine", "1")
     assert code == 2
     assert "refine" in err
+
+
+def test_undeclared_suite_lists_declared_ones(capsys):
+    code, _, err = run_cli(capsys, "check", "--example", "cp1", "--suite", "vaisman")
+    assert code == 2
+    assert "available: automorphy, convergence, deformation, invariance" in err
 
 
 def test_usage_error_carries_hint(capsys):
@@ -213,6 +225,27 @@ def test_check_automorphy_and_invariance_pass(capsys):
             code, _, _ = run_cli(capsys, "check", "--example", example,
                                  "--suite", suite)
             assert code == 0, (example, suite)
+
+
+@pytest.mark.parametrize("example", ["cp1", "hopf"])
+def test_check_rows_pass_by_their_own_bound(capsys, example):
+    for suite in registry_get(example).suites:
+        code, out, _ = run_cli(capsys, "check", "--example", example,
+                               "--suite", suite, "--json")
+        assert code == 0, suite
+        for row in json.loads(out)["results"]:
+            if row["label"] == "convergence:order":  # a lower bound
+                continue
+            value = complex(row["value_re"], row["value_im"])
+            assert row["passed"] == (abs(value) <= row["bound"]), row
+
+
+def test_tol_reaches_every_vaisman_bound(capsys):
+    # r4-bump:x1 reads about 1e-9, above this --tol
+    code, out, _ = run_cli(capsys, "check", "--example", "hopf", "--suite", "vaisman",
+                           "--tol", "1e-12")
+    assert code == 1
+    assert "[FAIL] vaisman:f:r4-bump:x1" in out
 
 
 def test_failing_check_exits_one(capsys):
