@@ -36,8 +36,8 @@ _STENCILS = {
     4: ((-2.0, -1.0, 1.0, 2.0), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
 }
 
-DEFAULT_HERMITICITY_TOL = 1e-6
-DEFAULT_IMAG_TOL = 1e-6
+HERMITICITY_TOL = 1e-6
+IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -148,36 +148,29 @@ def ricci_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact=Non
     return ricci_from_log_density(log_density, coords, scheme, step)
 
 
-def ricci_top_field(
-    log_density,
-    coords,
-    scheme=DEFAULT_SCHEME,
-    step=None,
-    exact=None,
-    herm_tol=DEFAULT_HERMITICITY_TOL,
-    imag_tol=DEFAULT_IMAG_TOL,
-):
+def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact=None):
     """Top-degree Ricci density n! * det(R) as a real batch.
 
-    The raw matrix must be Hermitian within `herm_tol` wherever it is
+    The raw matrix must be Hermitian within HERMITICITY_TOL wherever it is
     finite; it is then symmetrized before the determinant so the result is
-    real up to rounding. Non-finite points propagate as NaN (the quadrature
-    layer decides whether to drop them).
+    real up to rounding, and its imaginary part must stay within IMAG_TOL.
+    Non-finite points propagate as NaN (the quadrature layer decides
+    whether to drop them).
     """
     R = ricci_field(log_density, coords, scheme, step, exact)
     res = hermiticity_residual(R)
     scale = np.abs(R).max(axis=(-2, -1))
-    bad = res > herm_tol * np.maximum(1.0, scale)
+    bad = res > HERMITICITY_TOL * np.maximum(1.0, scale)
     if np.any(bad):
         worst = float(np.nanmax(np.where(bad, res, 0.0)))
         raise DifferentiationQualityError(
             f"Ricci matrix Hermiticity residual {worst:.3e} exceeds tolerance "
-            f"{herm_tol:.1e}; refine the differentiation scheme"
+            f"{HERMITICITY_TOL:.1e}; refine the differentiation scheme"
         )
     R = 0.5 * (R + np.conj(np.swapaxes(R, -1, -2)))
     det = np.linalg.det(R)
     det_scale = np.maximum(1.0, np.abs(det))
-    stray = np.abs(det.imag) > imag_tol * det_scale
+    stray = np.abs(det.imag) > IMAG_TOL * det_scale
     if np.any(stray):
         worst = float(np.nanmax(np.where(stray, np.abs(det.imag), 0.0)))
         raise DifferentiationQualityError(
@@ -268,11 +261,10 @@ def divergence(x: "VectorFieldSpec", vol: "VolumeFormSpec", p: "ChartPoint",
 
 
 def ricci_top_density(vol: "VolumeFormSpec", p: "ChartPoint", scheme=DEFAULT_SCHEME,
-                      chart=None, herm_tol=DEFAULT_HERMITICITY_TOL,
-                      imag_tol=DEFAULT_IMAG_TOL) -> float:
+                      chart=None) -> float:
     """n! * det(R) at a single chart point (see ricci_top_field)."""
     exact = (vol.exact_ricci or {}).get(p.chart_id)
     return float(_at_point(
         lambda c, h: ricci_top_field(vol.log_density[p.chart_id], c, scheme, step=h,
-                                     exact=exact, herm_tol=herm_tol, imag_tol=imag_tol),
+                                     exact=exact),
         p, scheme, chart, "Ricci density")[0])

@@ -132,7 +132,6 @@ def _quadrature_for(bundle, args) -> QuadratureSpec:
     base = bundle.default_quadrature
     return QuadratureSpec(
         points_per_axis=base.points_per_axis if args.points is None else args.points,
-        rule=base.rule,
         refinement_levels=base.refinement_levels if args.refine is None else args.refine,
     )
 
@@ -204,21 +203,25 @@ def _check_row(label, value, bound, error=0.0, passed=None):
                        passed=bool(passed))
 
 
+def _report_rows(label, rep, bound):
+    """The check row of a verifier's report; none if it measured nothing."""
+    return [_check_row(label, rep.max_residual, bound)] if rep.residuals else []
+
+
 def _membership_rows(kind, specs, verify, verify_transitions, m, p, samples, seed):
     rows = []
     for name in sorted(specs):
-        rep = verify(specs[name], m, samples, seed=seed)
-        rows.append(_check_row(f"{kind}:{name}", rep.max_residual, p["bound"]))
-        if m.transitions:
-            trans = verify_transitions(specs[name], m, samples, seed=seed)
-            rows.append(_check_row(f"transitions:{name}", trans.max_residual,
-                                   p["transitions_bound"]))
+        rows += _report_rows(f"{kind}:{name}", verify(specs[name], m, samples, seed=seed),
+                             p["bound"])
+        rows += _report_rows(f"transitions:{name}",
+                             verify_transitions(specs[name], m, samples, seed=seed),
+                             p["transitions_bound"])
     return rows
 
 
 def _suite_automorphy(bundle, p, samples, seed, q):
     deck = geometry.deck_group_report(bundle.manifold, samples, seed=seed)
-    return [_check_row("deck-group", deck.max_residual, p["bound"]),
+    return [*_report_rows("deck-group", deck, p["bound"]),
             *_membership_rows("automorphy", bundle.volumes, geometry.verify_automorphic,
                               geometry.verify_volume_transitions, bundle.manifold, p,
                               samples, seed)]

@@ -1,9 +1,8 @@
 """Deterministic tensor-product quadrature over fundamental domains.
 
 A domain is a real coordinate box together with an optional map into chart
-coordinates (used for polar-type substitutions), the matching measure
-weight, and an optional indicator carving the fundamental domain out of
-the box. Integration refines the box into 2^(level-1) panels per axis and
+coordinates (used for polar-type substitutions) and the matching measure
+weight. Integration refines the box into 2^(level-1) panels per axis and
 reports the difference between the last two refinement levels as the
 error estimate.
 
@@ -26,22 +25,19 @@ import numpy as np
 
 from .errors import IllPosedIntegrandError
 
-_RULES = ("gauss-legendre", "midpoint")
 _CELL_NODES = 8192  # nodes per density call: bounds peak memory, not tuned for speed
 _NONFINITE_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
 class IntegrationDomain:
-    """Box in real coordinates plus optional chart map / weight / indicator.
+    """Box in real coordinates plus optional chart map and weight.
 
     box: per-real-coordinate (low, high) bounds, 2n entries for an
         n-dimensional chart.
     chart_map: box points (m, 2n) -> chart coordinates (m, n) complex.
         Defaults to pairing consecutive reals as (x + i y).
     measure_map: box points -> positive Jacobian weight of the substitution.
-    indicator: chart coordinates -> bool mask selecting the fundamental
-        domain (boundary assumed measure zero).
     tail_bound: declared bound on the mass outside a truncated box, carried
         into downstream error budgets.
     """
@@ -49,7 +45,6 @@ class IntegrationDomain:
     box: tuple[tuple[float, float], ...]
     chart_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
     measure_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    indicator: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tail_bound: float = 0.0
 
     def __post_init__(self):
@@ -69,17 +64,14 @@ class IntegrationDomain:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
+    """Gauss-Legendre points per axis and panel, and refinement levels."""
+
     points_per_axis: int = 8
-    rule: str = "gauss-legendre"
     refinement_levels: int = 3
 
     def __post_init__(self):
-        if self.rule not in _RULES:
-            raise ValueError(f"rule must be one of {_RULES}, got '{self.rule}'")
-        minimum = 2 if self.rule == "gauss-legendre" else 1
-        if self.points_per_axis < minimum:
-            raise ValueError(
-                f"points_per_axis must be >= {minimum} for {self.rule}")
+        if self.points_per_axis < 2:
+            raise ValueError("points_per_axis must be >= 2")
         if self.refinement_levels < 1:
             raise ValueError("refinement_levels must be >= 1")
 
@@ -92,17 +84,14 @@ class IntegrationResult(NamedTuple):
 
 
 @lru_cache(maxsize=32)
-def _reference_nodes(points: int, rule: str):
-    """Nodes and weights on [0, 1]; cached, treat as read-only."""
-    if rule == "gauss-legendre":
-        x, w = np.polynomial.legendre.leggauss(points)
-        return 0.5 * (x + 1.0), 0.5 * w
-    x = (np.arange(points) + 0.5) / points
-    return x, np.full(points, 1.0 / points)
+def _reference_nodes(points: int):
+    """Gauss-Legendre nodes and weights on [0, 1]; cached, treat as read-only."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def _axis_nodes(lo: float, hi: float, panels: int, q: QuadratureSpec):
-    ref_x, ref_w = _reference_nodes(q.points_per_axis, q.rule)
+    ref_x, ref_w = _reference_nodes(q.points_per_axis)
     edges = np.linspace(lo, hi, panels + 1)
     widths = np.diff(edges)
     nodes = (edges[:-1, None] + widths[:, None] * ref_x[None, :]).ravel()
@@ -122,13 +111,8 @@ def _level_grid(dom: IntegrationDomain, q: QuadratureSpec, level: int):
     return pts, weights
 
 
-def _block_sum(density, chart_pts, weights, mask):
-    """Weighted sum over one node block: (real, imag, evaluated, dropped)."""
-    if mask is not None:
-        chart_pts = chart_pts[mask]
-        weights = weights[mask]
-    if len(weights) == 0:
-        return 0.0, 0.0, 0, 0
+def _block_sum(density, chart_pts, weights):
+    """Weighted sum over one node block: (real, imag, dropped)."""
     values = np.asarray(density(chart_pts))
     finite = np.isfinite(values)
     if values.dtype.kind == "c":
@@ -137,8 +121,7 @@ def _block_sum(density, chart_pts, weights, mask):
     if dropped:
         values = np.where(finite, values, 0.0)
     contrib = weights * values
-    return (math.fsum(np.real(contrib)), math.fsum(np.imag(contrib)),
-            int(len(weights)), dropped)
+    return math.fsum(np.real(contrib)), math.fsum(np.imag(contrib)), dropped
 
 
 def _evaluate_level(density, dom, q, level):
@@ -146,23 +129,17 @@ def _evaluate_level(density, dom, q, level):
     chart_pts = dom.to_chart(pts)
     if dom.measure_map is not None:
         weights = weights * np.asarray(dom.measure_map(pts), dtype=float)
-    mask = None
-    if dom.indicator is not None:
-        mask = np.asarray(dom.indicator(chart_pts), dtype=bool)
-
     partials = []
     for start in range(0, len(weights), _CELL_NODES):
         sl = slice(start, start + _CELL_NODES)
-        partials.append(_block_sum(density, chart_pts[sl], weights[sl],
-                                   None if mask is None else mask[sl]))
+        partials.append(_block_sum(density, chart_pts[sl], weights[sl]))
 
     total = complex(math.fsum(p[0] for p in partials),
                     math.fsum(p[1] for p in partials))
-    evaluated = sum(p[2] for p in partials)
-    dropped = sum(p[3] for p in partials)
-    if evaluated and dropped > _NONFINITE_FRACTION * evaluated:
+    dropped = sum(p[2] for p in partials)
+    if dropped > _NONFINITE_FRACTION * len(weights):
         raise IllPosedIntegrandError(
-            f"{dropped} of {evaluated} samples non-finite at level {level}")
+            f"{dropped} of {len(weights)} samples non-finite at level {level}")
     return total, dropped
 
 
@@ -178,7 +155,8 @@ def integrate(density, dom: IntegrationDomain,
         than 1% of them raises IllPosedIntegrandError.
     dom : IntegrationDomain
     q : QuadratureSpec
-        Tensor-product rule; level k uses 2^(k-1) panels per axis.
+        Tensor-product Gauss-Legendre rule; level k uses 2^(k-1) panels
+        per axis.
 
     Each level calls `density` once per block of at most 8192 nodes, in a
     fixed order, and sums with math.fsum, so the result is deterministic

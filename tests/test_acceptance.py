@@ -54,7 +54,7 @@ def test_criterion_1_headline_residue(hopf_blowup):
 
 def test_criterion_2_cross_method_consistency(cp1):
     exact = localization_sum(cp1.fixed_point_data)
-    q3 = QuadratureSpec(points_per_axis=16, rule="gauss-legendre", refinement_levels=3)
+    q3 = QuadratureSpec(points_per_axis=16, refinement_levels=3)
     started = time.perf_counter()
     direct = invariant_direct(cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"], q=q3)
     elapsed = time.perf_counter() - started

@@ -1,7 +1,9 @@
 """Command-line behaviour: output schema, exit codes, determinism."""
 
+import importlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -227,6 +229,15 @@ def test_check_automorphy_and_invariance_pass(capsys):
             assert code == 0, (example, suite)
 
 
+def test_cp1_automorphy_has_no_vacuous_rows(capsys):
+    # cp1's deck group has no generator: only the chart transitions are measured
+    code, out, _ = run_cli(capsys, "check", "--example", "cp1", "--suite", "automorphy",
+                           "--json")
+    assert code == 0
+    labels = [row["label"] for row in json.loads(out)["results"]]
+    assert labels == ["transitions:fs", "transitions:fs-bump"]
+
+
 @pytest.mark.parametrize("example", ["cp1", "hopf"])
 def test_check_rows_pass_by_their_own_bound(capsys, example):
     for suite in registry_get(example).suites:
@@ -264,3 +275,18 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "cp1" in proc.stdout
+
+
+# --- benchmark hooks ---------------------------------------------------------
+
+
+def test_benchmark_hooks_resolve():
+    # the benchmark's tracer skips a callable it cannot find and reads its
+    # per-layer metric as 0, so a rename would pass unnoticed there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = runpy.run_path(str(path))
+    hooks = [hook[:2] for hook in tracer["HOOKS"] + tracer["SPAN_ONLY_HOOKS"]]
+    hooks += [("holoinv.cli", "registry_get"), ("holoinv.invariant", "integrate")]
+    missing = [f"{module}.{attr}" for module, attr in hooks
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -185,7 +185,7 @@ def test_deformation_character_interpolation(hopf):
     from holoinv import verify_automorphic
 
     rep = verify_automorphic(vol, hopf.manifold)
-    assert rep.passed
+    assert rep.max_residual <= 1e-8
 
 
 def test_deformation_family_validation(cp1, hopf):

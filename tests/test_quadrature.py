@@ -25,22 +25,11 @@ def ones(z):
 
 UNIT_BOX = IntegrationDomain(box=((0.0, 1.0), (0.0, 1.0)))
 
-ANNULUS = IntegrationDomain(
-    box=((-1.5, 1.5), (-1.5, 1.5)),
-    indicator=lambda z: (_abs2(z[..., 0]) >= 1.0) & (_abs2(z[..., 0]) <= 2.0),
-)
-
 
 def test_unit_box_area():
-    res = integrate(ones, UNIT_BOX, QuadratureSpec(4, "gauss-legendre", 2))
+    res = integrate(ones, UNIT_BOX, QuadratureSpec(4, 2))
     assert abs(res.value - 1.0) < 1e-14
     assert res.dropped_samples == 0
-
-
-def test_annulus_area_within_estimate():
-    # area = pi * (2 - 1): squared radii between 1 and 2
-    res = integrate(ones, ANNULUS, QuadratureSpec(32, "midpoint", 3))
-    assert abs(res.value - math.pi) <= res.error_estimate
 
 
 def test_plane_area_benchmark(cp1):
@@ -49,14 +38,14 @@ def test_plane_area_benchmark(cp1):
         return 2.0 / (1.0 + _abs2(z[..., 0])) ** 2
 
     res = integrate(density, cp1.manifold.fundamental_domain,
-                    QuadratureSpec(16, "gauss-legendre", 3))
+                    QuadratureSpec(16, 3))
     assert abs(res.value - 2.0 * math.pi) < 1e-4
 
 
 def test_hopf_annulus_volume(hopf):
     # Lebesgue volume of 1 <= |z|^2 <= 2 in R^4: pi^2/2 * (4 - 1)
     res = integrate(ones, hopf.manifold.fundamental_domain,
-                    QuadratureSpec(6, "gauss-legendre", 2))
+                    QuadratureSpec(6, 2))
     assert abs(res.value - 1.5 * math.pi ** 2) < 1e-10
 
 
@@ -64,7 +53,7 @@ def test_determinism_across_repeats(hopf):
     def density(z):
         return np.cos(_abs2(z).sum(-1)) + 0.3 * z[..., 0].real
 
-    q = QuadratureSpec(5, "gauss-legendre", 2)
+    q = QuadratureSpec(5, 2)
     dom = hopf.manifold.fundamental_domain
     first = integrate(density, dom, q)
     again = integrate(density, dom, q)
@@ -80,7 +69,7 @@ def test_refinement_monotonicity_on_smooth_benchmark(cp1):
     dom = cp1.manifold.fundamental_domain
     estimates = []
     for levels in (2, 3, 4):
-        res = integrate(density, dom, QuadratureSpec(8, "gauss-legendre", levels))
+        res = integrate(density, dom, QuadratureSpec(8, levels))
         estimates.append(res.error_estimate)
     for coarse, fine in zip(estimates, estimates[1:]):
         assert fine <= coarse / 4.0 or fine <= 1e-10
@@ -101,7 +90,7 @@ def test_linearity(alpha, beta):
     def combo(z):
         return alpha * f(z) + beta * g(z)
 
-    q = QuadratureSpec(6, "gauss-legendre", 2)
+    q = QuadratureSpec(6, 2)
     lhs = integrate(combo, UNIT_BOX, q).value
     rhs = (alpha * integrate(f, UNIT_BOX, q).value
            + beta * integrate(g, UNIT_BOX, q).value)
@@ -115,18 +104,18 @@ def test_ill_posed_integrand_raises():
         return out
 
     with pytest.raises(IllPosedIntegrandError):
-        integrate(mostly_nan, UNIT_BOX, QuadratureSpec(8, "gauss-legendre", 2))
+        integrate(mostly_nan, UNIT_BOX, QuadratureSpec(8, 2))
 
 
 def test_sparse_nonfinite_samples_dropped_and_counted():
-    # the first midpoint node column sits at x = 1/256 only at the finest
-    # level (32 points, 4 panels), 0.78% of that grid: dropped, not fatal
+    # only the finest level (32 points, 4 panels) puts a node column below
+    # x = 5e-4, at x ~ 3.4e-4: 128 of 16,384 samples, dropped, not fatal
     def thin_sliver(z):
         out = np.ones(z.shape[:-1])
-        out[z[..., 0].real < 0.004] = np.nan
+        out[z[..., 0].real < 5e-4] = np.nan
         return out
 
-    res = integrate(thin_sliver, UNIT_BOX, QuadratureSpec(32, "midpoint", 3))
+    res = integrate(thin_sliver, UNIT_BOX, QuadratureSpec(32, 3))
     assert res.dropped_samples == 128
     assert abs(res.value - 1.0) < 1e-2
 
@@ -139,7 +128,7 @@ def test_invariant_density_wrapper_hopf_degenerate(hopf):
                                         exact=vol.exact_ricci["punctured"])
 
     res = integrate(density, hopf.manifold.fundamental_domain,
-                    QuadratureSpec(5, "gauss-legendre", 2))
+                    QuadratureSpec(5, 2))
     assert abs(res.value) < 1e-12
     assert res.error_estimate < 1e-12
 
@@ -155,8 +144,8 @@ def test_invariant_density_wrapper_cp1_odd_integrand(cp1):
         return div * top
 
     dom = cp1.manifold.fundamental_domain
-    coarse = integrate(density, dom, QuadratureSpec(12, "gauss-legendre", 3))
-    oracle = integrate(density, dom, QuadratureSpec(24, "gauss-legendre", 3))
+    coarse = integrate(density, dom, QuadratureSpec(12, 3))
+    oracle = integrate(density, dom, QuadratureSpec(24, 3))
     budget = coarse.error_estimate + coarse.tail_bound
     assert abs(coarse.value) <= budget
     assert abs(coarse.value - oracle.value) <= budget
@@ -164,19 +153,17 @@ def test_invariant_density_wrapper_cp1_odd_integrand(cp1):
 
 def test_zero_density_is_exact(cp1):
     res = integrate(lambda z: np.zeros(z.shape[:-1]), cp1.manifold.fundamental_domain,
-                    QuadratureSpec(8, "gauss-legendre", 2))
+                    QuadratureSpec(8, 2))
     assert res.value == 0.0
     assert res.error_estimate == 0.0
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        QuadratureSpec(points_per_axis=1, rule="gauss-legendre")
-    with pytest.raises(ValueError):
-        QuadratureSpec(rule="monte-carlo")
+        QuadratureSpec(points_per_axis=1)
     with pytest.raises(ValueError):
         QuadratureSpec(refinement_levels=0)
-    QuadratureSpec(points_per_axis=1, rule="midpoint")  # allowed
+    QuadratureSpec(points_per_axis=2, refinement_levels=1)  # smallest allowed
 
 
 def test_domain_validation():
@@ -187,5 +174,5 @@ def test_domain_validation():
 
 
 def test_single_level_reports_unknown_error():
-    res = integrate(ones, UNIT_BOX, QuadratureSpec(4, "gauss-legendre", 1))
+    res = integrate(ones, UNIT_BOX, QuadratureSpec(4, 1))
     assert res.error_estimate == math.inf
