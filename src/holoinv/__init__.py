@@ -8,11 +8,6 @@ __version__ = "0.1.0"
 from .calculus import (
     DEFAULT_SCHEME,
     DifferentiationScheme,
-    RicciEvaluation,
-    divergence,
-    ricci_matrix,
-    ricci_top_density,
-    wirtinger_gradient,
 )
 from .errors import (
     DifferentiationQualityError,
@@ -26,7 +21,6 @@ from .errors import (
 from .geometry import (
     Character,
     Chart,
-    ChartPoint,
     CheckReport,
     DeckGenerator,
     DeckGroupSpec,

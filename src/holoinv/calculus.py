@@ -1,4 +1,4 @@
-"""Pointwise complex-differential operators on chart evaluators.
+"""Batched complex-differential operators on chart evaluators.
 
 Wirtinger derivatives are assembled from real central differences on the
 underlying (x, y) coordinate pairs: log-densities are real-valued rather
@@ -21,14 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DifferentiationQualityError, EvaluationError
-
-if TYPE_CHECKING:
-    from .geometry import ChartPoint, VectorFieldSpec, VolumeFormSpec
+from .errors import DifferentiationQualityError
 
 # central first-derivative stencils: (offsets in units of h, weights in 1/h)
 _STENCILS = {
@@ -57,28 +53,15 @@ class DifferentiationScheme:
 DEFAULT_SCHEME = DifferentiationScheme()
 
 
-@dataclass(frozen=True)
-class RicciEvaluation:
-    """Ricci coefficient matrix of a volume density at one chart point."""
-
-    matrix: np.ndarray
-    point: "ChartPoint"
-    hermiticity_residual: float
-    step_used: float = 0.0
-    step_shrunk: bool = False
-
-
-def _resolve_step(scheme: DifferentiationScheme, step):
-    return scheme.step if step is None else step
-
-
 def _real_derivative(fn, coords, axis, direction, scheme, step):
     """Directional central difference along one real coordinate.
 
     direction is 1.0 for the x-part and 1j for the y-part of complex axis
     `axis`. `step` may be a scalar or an array broadcastable to the batch
-    shape (per-point shrunken steps near chart boundaries).
+    shape (per-point shrunken steps near chart boundaries); None means the
+    scheme's step.
     """
+    step = scheme.step if step is None else step
     offsets, weights = _STENCILS[scheme.order]
     acc = None
     for o, w in zip(offsets, weights):
@@ -91,17 +74,15 @@ def _real_derivative(fn, coords, axis, direction, scheme, step):
 
 def holomorphic_derivative(fn, coords, scheme=DEFAULT_SCHEME, axis=0, step=None):
     """d fn / dz^axis at each point of `coords`."""
-    h = _resolve_step(scheme, step)
-    dx = _real_derivative(fn, coords, axis, 1.0, scheme, h)
-    dy = _real_derivative(fn, coords, axis, 1.0j, scheme, h)
+    dx = _real_derivative(fn, coords, axis, 1.0, scheme, step)
+    dy = _real_derivative(fn, coords, axis, 1.0j, scheme, step)
     return 0.5 * (dx - 1.0j * dy)
 
 
 def antiholomorphic_derivative(fn, coords, scheme=DEFAULT_SCHEME, axis=0, step=None):
     """d fn / dzbar^axis at each point of `coords`."""
-    h = _resolve_step(scheme, step)
-    dx = _real_derivative(fn, coords, axis, 1.0, scheme, h)
-    dy = _real_derivative(fn, coords, axis, 1.0j, scheme, h)
+    dx = _real_derivative(fn, coords, axis, 1.0, scheme, step)
+    dy = _real_derivative(fn, coords, axis, 1.0j, scheme, step)
     return 0.5 * (dx + 1.0j * dy)
 
 
@@ -119,13 +100,12 @@ def wirtinger_gradient_at(fn, coords, scheme=DEFAULT_SCHEME, step=None):
 def mixed_hessian(fn, coords, scheme=DEFAULT_SCHEME, step=None):
     """H[..., i, j] = d^2 fn / dz^i dzbar^j by nested stencils."""
     n = coords.shape[-1]
-    h = _resolve_step(scheme, step)
     cols = []
     for j in range(n):
         def dbar_j(c, _j=j):
-            return antiholomorphic_derivative(fn, c, scheme, _j, step=h)
+            return antiholomorphic_derivative(fn, c, scheme, _j, step=step)
 
-        col = [holomorphic_derivative(dbar_j, coords, scheme, i, step=h) for i in range(n)]
+        col = [holomorphic_derivative(dbar_j, coords, scheme, i, step=step) for i in range(n)]
         cols.append(np.stack(col, axis=-1))
     return np.stack(cols, axis=-1)
 
@@ -141,23 +121,20 @@ def hermiticity_residual(matrix):
     return dev.max(axis=(-2, -1))
 
 
-def ricci_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact=None):
-    """Ricci matrix batch; an exact closed-form evaluator short-circuits the stencils."""
-    if exact is not None:
-        return np.asarray(exact(coords))
-    return ricci_from_log_density(log_density, coords, scheme, step)
-
-
 def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact=None):
     """Top-degree Ricci density n! * det(R) as a real batch.
 
-    The raw matrix must be Hermitian within HERMITICITY_TOL wherever it is
+    An exact closed-form Ricci evaluator short-circuits the stencils. The
+    raw matrix must be Hermitian within HERMITICITY_TOL wherever it is
     finite; it is then symmetrized before the determinant so the result is
     real up to rounding, and its imaginary part must stay within IMAG_TOL.
     Non-finite points propagate as NaN (the quadrature layer decides
     whether to drop them).
     """
-    R = ricci_field(log_density, coords, scheme, step, exact)
+    if exact is not None:
+        R = np.asarray(exact(coords))
+    else:
+        R = ricci_from_log_density(log_density, coords, scheme, step)
     res = hermiticity_residual(R)
     scale = np.abs(R).max(axis=(-2, -1))
     bad = res > HERMITICITY_TOL * np.maximum(1.0, scale)
@@ -188,15 +165,14 @@ def divergence_field(components, log_density, coords, scheme=DEFAULT_SCHEME, ste
     (coords -> (...)).
     """
     n = coords.shape[-1]
-    h = _resolve_step(scheme, step)
     holo = None
     for i in range(n):
         def comp_i(c, _i=i):
             return np.asarray(components(c))[..., _i]
 
-        d = holomorphic_derivative(comp_i, coords, scheme, i, step=h)
+        d = holomorphic_derivative(comp_i, coords, scheme, i, step=step)
         holo = d if holo is None else holo + d
-    grad = wirtinger_gradient_at(log_density, coords, scheme, step=h)
+    grad = wirtinger_gradient_at(log_density, coords, scheme, step=step)
     values = np.asarray(components(coords))
     return holo + np.einsum("...i,...i->...", values, grad)
 
@@ -212,59 +188,3 @@ def chart_step(chart, coords, scheme):
         return scheme.step
     clearance = np.asarray(chart.boundary_clearance(coords), dtype=float)
     return np.minimum(scheme.step, clearance / 5.0)
-
-
-# ---------------------------------------------------------------------------
-# pointwise views of the batched operators on ChartPoint / spec objects
-# ---------------------------------------------------------------------------
-
-
-def _at_point(operator, p: "ChartPoint", scheme, chart, what):
-    """operator(coords, step) on the one-point batch of `p`: (finite value, step)."""
-    coords = np.asarray(p.coords, dtype=complex)[None, :]
-    step = chart_step(chart, coords, scheme)
-    value = operator(coords, step)[0]
-    if not np.all(np.isfinite(value)):
-        raise EvaluationError(f"non-finite {what} around {p}")
-    return value, step
-
-
-def wirtinger_gradient(fn, p: "ChartPoint", scheme=DEFAULT_SCHEME):
-    """Holomorphic gradient (d fn/dz^1, ..., d fn/dz^n) at a single chart point."""
-    return _at_point(lambda c, h: wirtinger_gradient_at(fn, c, scheme, step=h),
-                     p, scheme, None, "Wirtinger gradient stencil")[0]
-
-
-def ricci_matrix(vol: "VolumeFormSpec", p: "ChartPoint", scheme=DEFAULT_SCHEME, chart=None):
-    """Ricci coefficient matrix of `vol` at `p` as a RicciEvaluation.
-
-    Uses the closed-form evaluator registered on the volume form when one
-    exists for this chart; otherwise nested Wirtinger stencils.
-    """
-    exact = (vol.exact_ricci or {}).get(p.chart_id)
-    R, step = _at_point(lambda c, h: ricci_field(vol.log_density[p.chart_id], c, scheme,
-                                                 step=h, exact=exact),
-                        p, scheme, chart, "Ricci stencil")
-    res = float(hermiticity_residual(R[None, ...])[0])
-    return RicciEvaluation(matrix=R, point=p, hermiticity_residual=res,
-                           step_used=float(np.min(step)),
-                           step_shrunk=bool(np.any(step < scheme.step)))
-
-
-def divergence(x: "VectorFieldSpec", vol: "VolumeFormSpec", p: "ChartPoint",
-               scheme=DEFAULT_SCHEME, chart=None) -> complex:
-    """Divergence of the field `x` against `vol` at a single chart point."""
-    return complex(_at_point(
-        lambda c, h: divergence_field(x.components[p.chart_id],
-                                      vol.log_density[p.chart_id], c, scheme, step=h),
-        p, scheme, chart, "divergence stencil")[0])
-
-
-def ricci_top_density(vol: "VolumeFormSpec", p: "ChartPoint", scheme=DEFAULT_SCHEME,
-                      chart=None) -> float:
-    """n! * det(R) at a single chart point (see ricci_top_field)."""
-    exact = (vol.exact_ricci or {}).get(p.chart_id)
-    return float(_at_point(
-        lambda c, h: ricci_top_field(vol.log_density[p.chart_id], c, scheme, step=h,
-                                     exact=exact),
-        p, scheme, chart, "Ricci density")[0])

@@ -394,10 +394,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report, code = args.handler(args)
-    except UsageError as exc:
-        print(f"holoinv: {exc}", file=sys.stderr)
-        return 2
-    except NonsingularityError as exc:
+    except (UsageError, NonsingularityError) as exc:
         print(f"holoinv: {exc}", file=sys.stderr)
         return 2
     except (HoloinvError, ValueError, OSError) as exc:

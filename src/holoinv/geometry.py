@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -23,17 +23,6 @@ from .errors import DomainError, EvaluationError
 from .quadrature import IntegrationDomain
 
 DEFAULT_SAMPLES = 256
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point given by holomorphic coordinates in a named chart."""
-
-    chart_id: str
-    coords: tuple[complex, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(complex(c) for c in self.coords))
 
 
 @dataclass(frozen=True)
@@ -96,12 +85,6 @@ class Character:
 
     def value(self, generator: str) -> float:
         return float(self.generator_values[generator])
-
-    def value_on_word(self, word: Sequence[tuple[str, int]]) -> float:
-        out = 1.0
-        for name, power in word:
-            out *= self.generator_values[name] ** power
-        return out
 
 
 TRIVIAL_CHARACTER = Character({})

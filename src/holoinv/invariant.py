@@ -15,7 +15,7 @@ fixed-point data compare against these values through the factor
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -35,8 +35,8 @@ class InvariantResult:
     value: complex
     error_estimate: float
     method: str
-    normalization: str = NORMALIZATION
     notes: str = ""
+    normalization: ClassVar[str] = NORMALIZATION
 
     def __post_init__(self):
         if not self.error_estimate >= 0:
@@ -96,13 +96,8 @@ def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSp
 
     def density(coords):
         step = calculus.chart_step(chart, coords, scheme)
-        n = coords.shape[-1]
-        values = np.asarray(comps(coords))
-        directional = None
-        for i in range(n):
-            d = calculus.holomorphic_derivative(ratio, coords, scheme, axis=i, step=step)
-            term = values[..., i] * d
-            directional = term if directional is None else directional + term
+        grad = calculus.wirtinger_gradient_at(ratio, coords, scheme, step=step)
+        directional = (np.asarray(comps(coords)) * grad).sum(axis=-1)
         weight = np.exp(np.asarray(logd(coords), dtype=float))
         return -directional * weight
 

@@ -218,10 +218,18 @@ def unnormalized_invariant(data: FixedPointData) -> float:
     """f(X) as a float: residue sum times (2pi)^n / (n+1).
 
     The exact rational is converted to the nearest binary64 before the
-    transcendental factor is applied.
+    transcendental factor is applied; a non-finite result raises ValueError.
     """
     n = data.manifold_dim
-    return float(localization_sum(data)) * (2.0 * math.pi) ** n / (n + 1)
+    total = localization_sum(data)
+    try:
+        value = float(total) * (2.0 * math.pi) ** n / (n + 1) if total else 0.0
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"f(X) of '{data.label}' is not a finite float; the exact "
+                         "residue sum (localization_sum) is still valid")
+    return value
 
 
 def rescale_field(data: FixedPointData, c: Rational) -> FixedPointData:
@@ -329,4 +337,8 @@ def fixed_point_data_to_dict(data: FixedPointData) -> dict:
 
 def load_fixed_point_data(path) -> FixedPointData:
     with open(path, "r", encoding="utf-8") as handle:
-        return fixed_point_data_from_dict(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except RecursionError as exc:
+            raise ValueError(f"fixed-point file {path} is nested too deeply") from exc
+    return fixed_point_data_from_dict(payload)

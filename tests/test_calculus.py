@@ -5,15 +5,9 @@ import pytest
 
 from holoinv import (
     DEFAULT_SCHEME,
-    ChartPoint,
     DifferentiationScheme,
     DifferentiationQualityError,
-    EvaluationError,
-    VolumeFormSpec,
-    divergence,
-    ricci_matrix,
-    ricci_top_density,
-    wirtinger_gradient,
+    VectorFieldSpec,
 )
 from holoinv import calculus
 
@@ -30,66 +24,72 @@ def log_one_plus(coords):
     return np.log1p(_abs2(coords[..., 0]))
 
 
-FLAT = VolumeFormSpec("flat", {"affine": lambda c: np.zeros(c.shape[:-1])})
+def flat(coords):
+    return np.zeros(coords.shape[:-1])
 
 
-# --- wirtinger_gradient ----------------------------------------------------
+def point(*coords):
+    """One-point batch of chart coordinates, shape (1, n)."""
+    return np.array([coords], dtype=complex)
+
+
+def top_density_at(vol, chart_id, *coords):
+    """n! det(R) at one point, from the closed form when one is registered."""
+    exact = (vol.exact_ricci or {}).get(chart_id)
+    return calculus.ricci_top_field(vol.log_density[chart_id], point(*coords),
+                                    exact=exact)[0]
+
+
+def divergence_at(fld, vol, chart_id, *coords):
+    return calculus.divergence_field(fld.components[chart_id], vol.log_density[chart_id],
+                                     point(*coords))[0]
+
+
+# --- wirtinger_gradient_at -------------------------------------------------
 
 
 def test_gradient_of_modulus_squared_is_conjugate():
     # d|z|^2/dz = zbar; exact for polynomials up to rounding
-    g = wirtinger_gradient(mod_squared, ChartPoint("affine", (1.0,)))
+    g = calculus.wirtinger_gradient_at(mod_squared, point(1.0))[0]
     assert abs(g[0] - 1.0) < 1e-12
-    g2 = wirtinger_gradient(mod_squared, ChartPoint("affine", (0.5 + 2.0j,)))
+    g2 = calculus.wirtinger_gradient_at(mod_squared, point(0.5 + 2.0j))[0]
     assert abs(g2[0] - (0.5 - 2.0j)) < 1e-11
 
 
 def test_gradient_critical_point():
-    g = wirtinger_gradient(log_one_plus, ChartPoint("affine", (0.0,)))
+    g = calculus.wirtinger_gradient_at(log_one_plus, point(0.0))[0]
     assert abs(g[0]) < 1e-13
 
 
 def test_gradient_log_closed_form():
     # d log(1+|z|^2)/dz = zbar/(1+|z|^2) = 0.5 at z = 1
-    g = wirtinger_gradient(log_one_plus, ChartPoint("affine", (1.0,)))
+    g = calculus.wirtinger_gradient_at(log_one_plus, point(1.0))[0]
     assert abs(g[0] - 0.5) < 1e-11
 
 
-def test_gradient_raises_on_nonfinite():
-    def bad(coords):
-        out = np.zeros(coords.shape[:-1])
-        out[:] = np.nan
-        return out
-
-    with pytest.raises(EvaluationError):
-        wirtinger_gradient(bad, ChartPoint("affine", (0.0,)))
-
-
-# --- ricci_matrix ----------------------------------------------------------
+# --- ricci_from_log_density ------------------------------------------------
 
 
 def test_fs_ricci_at_origin(cp1):
     # -d dbar log a = 2/(1+|z|^2)^2 = 2 at z = 0
-    numeric = VolumeFormSpec("fs-numeric", {"affine": cp1.volumes["fs"].log_density["affine"]})
-    ev = ricci_matrix(numeric, ChartPoint("affine", (0.0,)))
-    assert ev.matrix.shape == (1, 1)
-    assert abs(ev.matrix[0, 0] - 2.0) < 1e-9
-    assert ev.hermiticity_residual < 1e-10
+    R = calculus.ricci_from_log_density(cp1.volumes["fs"].log_density["affine"], point(0.0))
+    assert R.shape == (1, 1, 1)
+    assert abs(R[0, 0, 0] - 2.0) < 1e-9
+    assert calculus.hermiticity_residual(R)[0] < 1e-10
 
 
 def test_flat_density_has_zero_ricci():
-    ev = ricci_matrix(FLAT, ChartPoint("affine", (0.3 + 0.4j,)))
-    assert np.max(np.abs(ev.matrix)) < 1e-10
+    R = calculus.ricci_from_log_density(flat, point(0.3 + 0.4j))[0]
+    assert np.max(np.abs(R)) < 1e-10
 
 
 def test_hopf_ricci_hand_value(hopf):
     # d_i d_jbar log r^2 = delta_ij/r^2 - zbar_i z_j / r^4; at (1, 0) the
     # r^-4 density gives 2*diag(0, 1) with vanishing determinant
-    numeric = VolumeFormSpec("r4-numeric",
-                             {"punctured": hopf.volumes["r4"].log_density["punctured"]})
-    ev = ricci_matrix(numeric, ChartPoint("punctured", (1.0, 0.0)))
-    assert np.max(np.abs(ev.matrix - np.diag([0.0, 2.0]))) < 1e-9
-    assert abs(np.linalg.det(ev.matrix)) < 1e-9
+    R = calculus.ricci_from_log_density(hopf.volumes["r4"].log_density["punctured"],
+                                        point(1.0, 0.0))[0]
+    assert np.max(np.abs(R - np.diag([0.0, 2.0]))) < 1e-9
+    assert abs(np.linalg.det(R)) < 1e-9
 
 
 def test_hopf_numeric_matches_hand_formula(hopf):
@@ -107,9 +107,11 @@ def test_hopf_numeric_matches_hand_formula(hopf):
 
 def test_exact_ricci_short_circuits_scheme(cp1):
     # a nonsense scheme must not matter when the closed form is registered
-    ev = ricci_matrix(cp1.volumes["fs"], ChartPoint("affine", (1.0,)),
-                      DifferentiationScheme(step=1e3, order=2))
-    assert abs(ev.matrix[0, 0] - 0.5) < 1e-14  # 2/(1+1)^2
+    vol = cp1.volumes["fs"]
+    top = calculus.ricci_top_field(vol.log_density["affine"], point(1.0),
+                                   DifferentiationScheme(step=1e3, order=2),
+                                   exact=vol.exact_ricci["affine"])[0]
+    assert abs(top - 0.5) < 1e-14  # 1! * 2/(1+1)^2
 
 
 def test_numeric_matches_exact_fs(cp1):
@@ -149,29 +151,27 @@ def test_hermiticity_of_builtin_densities(cp1, hopf):
 
 
 def test_hermiticity_gate_raises():
-    skew = VolumeFormSpec(
-        "skew", {"affine": lambda c: np.zeros(c.shape[:-1])},
-        exact_ricci={"affine": lambda c: np.broadcast_to(
-            np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-            c.shape[:-1] + (2, 2))})
+    def skew(c):
+        return np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+                               c.shape[:-1] + (2, 2))
+
     with pytest.raises(DifferentiationQualityError):
-        ricci_top_density(skew, ChartPoint("affine", (0.0, 0.0)))
+        calculus.ricci_top_field(flat, point(0.0, 0.0), exact=skew)
 
 
-# --- divergence ------------------------------------------------------------
+# --- divergence_field ------------------------------------------------------
 
 
 def test_divergence_cp1_origin(cp1):
     # 1 + z * (-2 zbar/(1+|z|^2)) = 1 at z = 0
-    val = divergence(cp1.fields["z-ddz"], cp1.volumes["fs"], ChartPoint("affine", (0.0,)))
+    val = divergence_at(cp1.fields["z-ddz"], cp1.volumes["fs"], "affine", 0.0)
     assert abs(val - 1.0) < 1e-11
 
 
 def test_divergence_cp1_unit_circle(cp1):
     # 1 - 2|z|^2/(1+|z|^2) vanishes on |z| = 1
     for z in (1.0, 1.0j, np.exp(0.7j)):
-        val = divergence(cp1.fields["z-ddz"], cp1.volumes["fs"],
-                         ChartPoint("affine", (z,)))
+        val = divergence_at(cp1.fields["z-ddz"], cp1.volumes["fs"], "affine", z)
         assert abs(val) < 1e-11
 
 
@@ -179,24 +179,21 @@ def test_divergence_hopf_radial_identically_zero(hopf):
     # 2 + X log r^-4 = 2 - 2 = 0
     rng = np.random.default_rng(3)
     for _ in range(5):
-        z = tuple(rng.uniform(0.7, 1.5, 2) * np.exp(1j * rng.uniform(0, 6.28, 2)))
-        val = divergence(hopf.fields["radial"], hopf.volumes["r4"],
-                         ChartPoint("punctured", z))
+        z = rng.uniform(0.7, 1.5, 2) * np.exp(1j * rng.uniform(0, 6.28, 2))
+        val = divergence_at(hopf.fields["radial"], hopf.volumes["r4"], "punctured", *z)
         assert abs(val) < 1e-10
 
 
 def test_divergence_additivity(cp1):
-    from holoinv import VectorFieldSpec
-
     x, y = cp1.fields["z-ddz"], cp1.fields["z2-ddz"]
     combined = VectorFieldSpec("x+y", {
         "affine": lambda c: x.components["affine"](c) + y.components["affine"](c)})
+    vol = cp1.volumes["fs-bump"]
     rng = np.random.default_rng(4)
     for _ in range(10):
-        p = ChartPoint("affine", (complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),))
-        lhs = divergence(combined, cp1.volumes["fs-bump"], p)
-        rhs = (divergence(x, cp1.volumes["fs-bump"], p)
-               + divergence(y, cp1.volumes["fs-bump"], p))
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        lhs = divergence_at(combined, vol, "affine", z)
+        rhs = divergence_at(x, vol, "affine", z) + divergence_at(y, vol, "affine", z)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -218,58 +215,36 @@ def test_dbar_of_divergence_matches_contraction(cp1):
     assert np.max(np.abs(lhs - rhs)) < 1e-5
 
 
-# --- ricci_top_density -----------------------------------------------------
+# --- ricci_top_field -------------------------------------------------------
 
 
 def test_top_density_cp1_origin(cp1):
-    assert abs(ricci_top_density(cp1.volumes["fs"], ChartPoint("affine", (0.0,))) - 2.0) < 1e-9
+    assert abs(top_density_at(cp1.volumes["fs"], "affine", 0.0) - 2.0) < 1e-9
 
 
 def test_top_density_hopf_degenerate(hopf):
-    val = ricci_top_density(hopf.volumes["r4"], ChartPoint("punctured", (0.9, 0.7j)))
+    val = top_density_at(hopf.volumes["r4"], "punctured", 0.9, 0.7j)
     assert abs(val) < 1e-12
 
 
 def test_top_density_flat_zero():
-    assert abs(ricci_top_density(FLAT, ChartPoint("affine", (1.0,)))) < 1e-10
+    assert abs(calculus.ricci_top_field(flat, point(1.0))[0]) < 1e-10
 
 
-# --- pointwise views of the batched operators ------------------------------
+# --- chart_step ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("coords", [(0.9, 0.7j), (3e-3, 2e-3j)],
-                         ids=["full-step", "shrunk-step"])
-@pytest.mark.parametrize("view", ["wirtinger_gradient", "ricci_matrix", "divergence",
-                                  "ricci_top_density"])
-def test_pointwise_view_equals_batched_operator(hopf, view, coords):
-    # r4-bump has no closed-form Ricci, so the stencils run with the chart's
-    # step: the scheme's 1e-3 at the first point, |z|/5 < 1e-3 at the second
+def test_chart_step_shrinks_near_the_chart_boundary(hopf):
+    # nested order-4 stencils reach 4h, so the step is at most |z|/5 on the
+    # punctured chart and the scheme's step away from the puncture
     chart = hopf.manifold.chart("punctured")
-    vol, fld = hopf.volumes["r4-bump"], hopf.fields["x1"]
-    logd = vol.log_density["punctured"]
-    p = ChartPoint("punctured", coords)
-    batch = np.array([coords], dtype=complex)
-    step = calculus.chart_step(chart, batch, DEFAULT_SCHEME)
-    shrunk = np.linalg.norm(coords) < 5e-3
-    if view == "wirtinger_gradient":  # takes no chart: always the scheme's step
-        pointwise = wirtinger_gradient(logd, p)
-        batched = calculus.wirtinger_gradient_at(logd, batch)[0]
-    elif view == "ricci_matrix":
-        ev = ricci_matrix(vol, p, chart=chart)
-        pointwise = ev.matrix
-        batched = calculus.ricci_field(logd, batch, step=step)[0]
-        assert ev.step_shrunk == shrunk
-        expected = np.linalg.norm(coords) / 5.0 if shrunk else DEFAULT_SCHEME.step
-        assert ev.step_used == pytest.approx(expected, rel=1e-12)
-    elif view == "divergence":
-        pointwise = divergence(fld, vol, p, chart=chart)
-        batched = calculus.divergence_field(fld.components["punctured"], logd, batch,
-                                            step=step)[0]
-    else:
-        pointwise = ricci_top_density(vol, p, chart=chart)
-        batched = calculus.ricci_top_field(logd, batch, step=step)[0]
-    assert np.all(np.isfinite(pointwise))
-    assert np.array_equal(pointwise, batched)
+    near = point(3e-3, 2e-3j)
+    step = calculus.chart_step(chart, near, DEFAULT_SCHEME)
+    assert step[0] == pytest.approx(np.linalg.norm(near[0]) / 5.0, rel=1e-12)
+    assert step[0] < DEFAULT_SCHEME.step
+    far = calculus.chart_step(chart, point(0.9, 0.7j), DEFAULT_SCHEME)
+    assert far[0] == DEFAULT_SCHEME.step
+    assert calculus.chart_step(None, near, DEFAULT_SCHEME) == DEFAULT_SCHEME.step
 
 
 # --- scheme validation -----------------------------------------------------
@@ -283,6 +258,6 @@ def test_scheme_rejects_bad_parameters():
 
 
 def test_order_two_scheme_works():
-    g = wirtinger_gradient(mod_squared, ChartPoint("affine", (1.0,)),
-                           DifferentiationScheme(step=1e-4, order=2))
+    g = calculus.wirtinger_gradient_at(mod_squared, point(1.0),
+                                       DifferentiationScheme(step=1e-4, order=2))[0]
     assert abs(g[0] - 1.0) < 1e-9

@@ -170,17 +170,26 @@ def test_fixed_point_file_zero_weight_surfaced(capsys, tmp_path):
     assert "nonsingular" in err
 
 
-@pytest.mark.parametrize("components", [
-    [{"dim": 0, "trace_L": 1, "normal_weights": [1]}],
-    ["not an object"],
-    {"p": {"name": "p", "dim": 0, "trace_L": 1, "normal_weights": [1]}},
-    [{"name": "p", "dim": "0", "trace_L": 1, "normal_weights": [1]}],
-    [{"name": "p", "dim": 0, "trace_L": 1, "normal_weights": 1}],
-], ids=["no-name", "not-object", "components-object", "dim-string", "weights-scalar"])
-def test_malformed_fixed_point_file_exits_two(capsys, tmp_path, components):
+def _fixed_point_text(components, manifold_dim=1):
+    return json.dumps({"label": "malformed", "manifold_dim": manifold_dim,
+                       "components": components})
+
+
+@pytest.mark.parametrize("text", [
+    _fixed_point_text([{"dim": 0, "trace_L": 1, "normal_weights": [1]}]),
+    _fixed_point_text(["not an object"]),
+    _fixed_point_text({"p": {"name": "p", "dim": 0, "trace_L": 1, "normal_weights": [1]}}),
+    _fixed_point_text([{"name": "p", "dim": "0", "trace_L": 1, "normal_weights": [1]}]),
+    _fixed_point_text([{"name": "p", "dim": 0, "trace_L": 1, "normal_weights": 1}]),
+    "[" * 100000 + "]" * 100000,
+    # residue sum 10^600: exact as a rational, but f(X) is no finite float
+    _fixed_point_text([{"name": "p", "dim": 0, "trace_L": 10**200, "normal_weights": [1, 1]}],
+                      manifold_dim=2),
+], ids=["no-name", "not-object", "components-object", "dim-string", "weights-scalar",
+        "nested-too-deeply", "f-beyond-float-range"])
+def test_malformed_fixed_point_file_exits_two(capsys, tmp_path, text):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"label": "malformed", "manifold_dim": 1,
-                                "components": components}))
+    path.write_text(text)
     code, out, err = run_cli(capsys, "invariant", "--example", "cp1",
                              "--method", "localization",
                              "--fixed-point-file", str(path))

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from holoinv import (
     Character,
@@ -108,27 +107,6 @@ def test_character_rejects_nonpositive_values():
         Character({"g": 0.0})
     with pytest.raises(ValueError):
         Character({"g": -2.0})
-
-
-def test_character_empty_word_is_one():
-    chi = Character({"g": 16.0})
-    assert chi.value_on_word([]) == 1.0
-    assert chi.value_on_word([("g", 1), ("g", -1)]) == 1.0
-
-
-@given(
-    values=st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=3),
-    splits=st.data(),
-)
-def test_character_homomorphism_on_words(values, splits):
-    # power-of-two values make every float product exact, so the
-    # homomorphism law holds bit-for-bit on words of bounded length
-    names = [f"g{i}" for i in range(len(values))]
-    chi = Character({n: 2.0 ** k for n, k in zip(names, values)})
-    letters = st.tuples(st.sampled_from(names), st.sampled_from((-1, 1)))
-    w1 = splits.draw(st.lists(letters, max_size=4))
-    w2 = splits.draw(st.lists(letters, max_size=4))
-    assert chi.value_on_word(w1 + w2) == chi.value_on_word(w1) * chi.value_on_word(w2)
 
 
 # --- chart transitions -----------------------------------------------------

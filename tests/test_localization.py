@@ -151,6 +151,24 @@ def test_unnormalized_value(hopf_blowup):
         expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim, trace", [(2, 10**200), (2, "1e400"), (400, 1), (1, 10**154)],
+                         ids=["sum-1e600", "trace-string-1e400", "dim-400", "product-pi-1e308"])
+def test_unnormalized_value_beyond_float_range_raises(dim, trace):
+    # the exact sum stays available; only its float image f(X) overflows
+    data = fixed_point_data_from_dict({"label": "huge", "manifold_dim": dim, "components": [
+        {"name": "p", "dim": 0, "trace_L": trace, "normal_weights": [1] * dim}]})
+    assert localization_sum(data) == Fraction(trace) ** (dim + 1)
+    with pytest.raises(ValueError, match="exact residue sum"):
+        unnormalized_invariant(data)
+
+
+def test_unnormalized_zero_sum_is_zero_beyond_float_range():
+    # (2pi)^400 overflows a float, but f(X) = 0 is exact
+    data = fixed_point_data_from_dict({"label": "zero", "manifold_dim": 400, "components": [
+        {"name": "p", "dim": 0, "trace_L": 0, "normal_weights": [1] * 400}]})
+    assert unnormalized_invariant(data) == 0.0
+
+
 def test_projective_line_dataset_cancels(cp1):
     assert localization_sum(cp1.fixed_point_data) == 0
 
