@@ -4,7 +4,11 @@ Wirtinger derivatives are assembled from real central differences on the
 underlying (x, y) coordinate pairs: log-densities are real-valued rather
 than holomorphic, so complex-step differentiation does not apply. Every
 operator accepts batched coordinate arrays of shape (..., n) and calls the
-evaluator once per stencil node, vectorized over the whole batch.
+evaluator once per distinct stencil node, vectorized over the whole batch.
+The mixed Hessian is read off the real 2n x 2n Hessian, built in one pass
+with the nested first-derivative stencil's weights (129 evaluations at
+n = 2 and order 4), so it is exactly Hermitian. Determinants of order 1
+and 2 are taken in closed form.
 
 Conventions
 -----------
@@ -32,6 +36,14 @@ _STENCILS = {
     4: ((-2.0, -1.0, 1.0, 2.0), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
 }
 
+# second derivative along one real axis: each first-derivative stencil applied
+# to itself, its nodes merged by offset (offsets in units of h, weights in 1/h^2)
+_DIAGONAL_STENCILS = {
+    2: ((-2.0, 0.0, 2.0), (0.25, -0.5, 0.25)),
+    4: ((-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
+        tuple(w / 144.0 for w in (1.0, -16.0, 64.0, 16.0, -130.0, 16.0, 64.0, -16.0, 1.0))),
+}
+
 HERMITICITY_TOL = 1e-6
 IMAG_TOL = 1e-6
 
@@ -44,8 +56,8 @@ class DifferentiationScheme:
     order: int = 4
 
     def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step}")
+        if not (math.isfinite(self.step) and self.step > 0):
+            raise ValueError(f"step must be positive and finite, got {self.step}")
         if self.order not in _STENCILS:
             raise ValueError(f"order must be one of {sorted(_STENCILS)}, got {self.order}")
 
@@ -98,16 +110,46 @@ def wirtinger_gradient_at(fn, coords, scheme=DEFAULT_SCHEME, step=None):
 
 
 def mixed_hessian(fn, coords, scheme=DEFAULT_SCHEME, step=None):
-    """H[..., i, j] = d^2 fn / dz^i dzbar^j by nested stencils."""
-    n = coords.shape[-1]
-    cols = []
-    for j in range(n):
-        def dbar_j(c, _j=j):
-            return antiholomorphic_derivative(fn, c, scheme, _j, step=step)
+    """H[..., i, j] = d^2 fn / dz^i dzbar^j from the real 2n x 2n Hessian.
 
-        col = [holomorphic_derivative(dbar_j, coords, scheme, i, step=step) for i in range(n)]
-        cols.append(np.stack(col, axis=-1))
-    return np.stack(cols, axis=-1)
+    Real coordinate a is the x-part (a even) or y-part (a odd) of complex
+    axis a // 2. The real second derivatives are those of the nested
+    first-derivative stencils, with every distinct node evaluated once: the
+    diagonal ones by the merged stencil of _DIAGONAL_STENCILS (the base
+    point shared by all of them), the off-diagonal ones by the product
+    stencil, computed once and stored in both (a, b) and (b, a). Then
+    H_ij = [(f_xixj + f_yiyj) + i (f_xiyj - f_yixj)] / 4, which is exactly
+    Hermitian for real fn. `step` is as for holomorphic_derivative.
+    """
+    step = scheme.step if step is None else step
+    n = coords.shape[-1]
+    offsets, weights = _STENCILS[scheme.order]
+    real_axes = [(axis, direction) for axis in range(n) for direction in (1.0, 1.0j)]
+
+    def at(*shifts):
+        shifted = np.array(coords)
+        for a, o in shifts:
+            axis, direction = real_axes[a]
+            shifted[..., axis] = shifted[..., axis] + (o * step) * direction
+        return np.asarray(fn(shifted))
+
+    inv_h2 = 1.0 / (step * step)
+    base = at()
+    real = [[None] * (2 * n) for _ in range(2 * n)]
+    for a in range(2 * n):
+        real[a][a] = inv_h2 * sum(w * (base if o == 0.0 else at((a, o)))
+                                  for o, w in zip(*_DIAGONAL_STENCILS[scheme.order]))
+        for b in range(a):
+            real[a][b] = real[b][a] = inv_h2 * sum(
+                (wa * wb) * at((a, oa), (b, ob))
+                for oa, wa in zip(offsets, weights) for ob, wb in zip(offsets, weights))
+    rows = []
+    for i in range(n):
+        xi, yi = real[2 * i], real[2 * i + 1]
+        rows.append(np.stack([
+            0.25 * ((xi[2 * j] + yi[2 * j + 1]) + 1.0j * (xi[2 * j + 1] - yi[2 * j]))
+            for j in range(n)], axis=-1))
+    return np.stack(rows, axis=-2)
 
 
 def ricci_from_log_density(log_density, coords, scheme=DEFAULT_SCHEME, step=None):
@@ -126,8 +168,9 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
 
     An exact closed-form Ricci evaluator short-circuits the stencils. The
     raw matrix must be Hermitian within HERMITICITY_TOL wherever it is
-    finite; it is then symmetrized before the determinant so the result is
-    real up to rounding, and its imaginary part must stay within IMAG_TOL.
+    finite; it is then symmetrized before the determinant (closed form for
+    n <= 2, LAPACK beyond) so the result is real up to rounding, and its
+    imaginary part must stay within IMAG_TOL.
     Non-finite points propagate as NaN (the quadrature layer decides
     whether to drop them).
     """
@@ -145,7 +188,13 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
             f"{HERMITICITY_TOL:.1e}; refine the differentiation scheme"
         )
     R = 0.5 * (R + np.conj(np.swapaxes(R, -1, -2)))
-    det = np.linalg.det(R)
+    n = R.shape[-1]
+    if n == 1:
+        det = R[..., 0, 0]
+    elif n == 2:
+        det = R[..., 0, 0] * R[..., 1, 1] - R[..., 0, 1] * R[..., 1, 0]
+    else:
+        det = np.linalg.det(R)
     det_scale = np.maximum(1.0, np.abs(det))
     stray = np.abs(det.imag) > IMAG_TOL * det_scale
     if np.any(stray):
@@ -153,7 +202,6 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
         raise DifferentiationQualityError(
             f"determinant of symmetrized Ricci matrix has imaginary part {worst:.3e}"
         )
-    n = coords.shape[-1]
     return math.factorial(n) * det.real
 
 
@@ -178,10 +226,11 @@ def divergence_field(components, log_density, coords, scheme=DEFAULT_SCHEME, ste
 
 
 def chart_step(chart, coords, scheme):
-    """Per-point step, shrunk so nested stencils stay inside the chart.
+    """Per-point step, shrunk so every stencil node stays inside the chart.
 
-    Nested order-4 stencils reach 4h from the base point; a factor-5 margin
-    keeps every node strictly interior. Without a chart or a declared
+    The order-4 diagonal second-derivative stencil of mixed_hessian reaches
+    4h from the base point along one real axis; a factor-5 margin keeps
+    every node strictly interior. Without a chart or a declared
     boundary clearance the scheme's step is used unchanged.
     """
     if chart is None or chart.boundary_clearance is None:

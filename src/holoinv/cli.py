@@ -58,6 +58,16 @@ def _result_row(label, value, method, **extra):
     }
 
 
+def _exact_text(q) -> str:
+    """An exact rational as text: decimal where Python can write it (its
+    integer-string limit is 4,300 digits), otherwise hexadecimal `0x.../0x...`,
+    which has no such limit and reads back with int(part, 16)."""
+    try:
+        return str(q)
+    except ValueError:
+        return f"{q.numerator:#x}/{q.denominator:#x}"
+
+
 def _bundle(name):
     try:
         return registry_get(name)
@@ -160,11 +170,11 @@ def cmd_invariant(args) -> tuple[Report, int]:
                     f"'{bundle.fixed_point_field}', not '{args.field}'")
             data = bundle.fixed_point_data
             label = f"{args.example}:{bundle.fixed_point_field}"
-        residue_sum = localization.localization_sum(data)
+        residue_sum = _exact_text(localization.localization_sum(data))
         value = localization.unnormalized_invariant(data)
         report.results.append(_result_row(
             label, value, "localization", error_estimate=0.0,
-            exact_residue_sum=str(residue_sum)))
+            exact_residue_sum=residue_sum))
         if not args.json:
             print(f"{label}: residue sum = {residue_sum} (exact); f = {value!r}")
         return report, 0

@@ -1,5 +1,7 @@
 """Wirtinger stencils, Ricci matrices, divergences and their quality gates."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,70 @@ def test_hermiticity_of_builtin_densities(cp1, hopf):
         assert np.max(calculus.hermiticity_residual(R)) < 1e-8
 
 
+@pytest.mark.parametrize("n, evaluations", [(1, 33), (2, 129)])
+def test_mixed_hessian_evaluates_each_node_once(n, evaluations):
+    # order 4: the base point, 8 more nodes per real axis, 16 per real pair
+    pts = np.full((7, n), 0.9 + 0.3j)
+    shapes = []
+
+    def counted(c):
+        shapes.append(c.shape)
+        return np.log1p(_abs2(c).sum(axis=-1))
+
+    calculus.mixed_hessian(counted, pts)
+    assert shapes == [(7, n)] * evaluations
+
+
+def test_stencil_hessian_is_exactly_hermitian(hopf):
+    rng = np.random.default_rng(8)
+    w = rng.uniform(0.8, 1.4, (50, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (50, 2)))
+    H = calculus.mixed_hessian(hopf.volumes["r4-bump"].log_density["punctured"], w)
+    assert np.all(calculus.hermiticity_residual(H) == 0.0)
+
+
+@pytest.mark.parametrize("order", sorted(calculus._STENCILS))
+def test_diagonal_stencil_is_the_first_derivative_stencil_squared(order):
+    offsets, weights = calculus._STENCILS[order]
+    merged = {}
+    for oa, wa in zip(offsets, weights):
+        for ob, wb in zip(offsets, weights):
+            merged[oa + ob] = merged.get(oa + ob, 0.0) + wa * wb
+    diag_offsets, diag_weights = calculus._DIAGONAL_STENCILS[order]
+    assert list(diag_offsets) == sorted(merged)
+    assert list(diag_weights) == pytest.approx([merged[o] for o in diag_offsets],
+                                               rel=1e-15, abs=1e-17)
+
+
+def _random_hermitian(rng, points, n):
+    a = rng.normal(size=(points, n, n)) + 1j * rng.normal(size=(points, n, n))
+    return a @ np.conj(np.swapaxes(a, -1, -2)) + np.eye(n)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_top_density_determinant(monkeypatch, n):
+    # closed form for n <= 2, LAPACK beyond; a NaN entry gives NaN, no error
+    rng = np.random.default_rng(9)
+    R = _random_hermitian(rng, 200, n)
+    lapack_det = np.linalg.det
+    lapack = math.factorial(n) * lapack_det(R).real
+    lapack_calls = []
+
+    def det(m):
+        lapack_calls.append(m.shape)
+        return lapack_det(m)
+
+    monkeypatch.setattr(np.linalg, "det", det)
+    coords = np.zeros((200, n), dtype=complex)
+    top = calculus.ricci_top_field(flat, coords, exact=lambda c: R)
+    assert np.max(np.abs(top - lapack) / np.abs(lapack)) < 1e-13
+    assert len(lapack_calls) == (n >= 3)
+    R[3, 0, n - 1] = np.nan
+    top = calculus.ricci_top_field(flat, coords, exact=lambda c: R)
+    assert np.isnan(top[3])
+    assert np.all(np.isfinite(np.delete(top, 3)))
+
+
 def test_hermiticity_gate_raises():
     def skew(c):
         return np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
@@ -235,8 +301,9 @@ def test_top_density_flat_zero():
 
 
 def test_chart_step_shrinks_near_the_chart_boundary(hopf):
-    # nested order-4 stencils reach 4h, so the step is at most |z|/5 on the
-    # punctured chart and the scheme's step away from the puncture
+    # the order-4 diagonal second-derivative stencil reaches 4h, so the step
+    # is at most |z|/5 on the punctured chart and the scheme's step away from
+    # the puncture
     chart = hopf.manifold.chart("punctured")
     near = point(3e-3, 2e-3j)
     step = calculus.chart_step(chart, near, DEFAULT_SCHEME)
@@ -253,6 +320,8 @@ def test_chart_step_shrinks_near_the_chart_boundary(hopf):
 def test_scheme_rejects_bad_parameters():
     with pytest.raises(ValueError):
         DifferentiationScheme(step=0.0)
+    with pytest.raises(ValueError):
+        DifferentiationScheme(step=float("inf"))
     with pytest.raises(ValueError):
         DifferentiationScheme(order=3)
 

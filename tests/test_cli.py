@@ -6,6 +6,7 @@ import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,8 @@ def test_invariant_determinism(capsys):
     ("check", "--example", "cp1", "--suite", "convergence", "--tol", "0"),
     ("check", "--example", "cp1", "--suite", "convergence", "--tol=-1e-8"),
     ("check", "--example", "hopf-blowup", "--suite", "automorphy"),
+    ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
+     "--method", "direct", "--step", "inf"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -154,6 +157,29 @@ def test_fixed_point_file(capsys, tmp_path):
                            "--fixed-point-file", str(path), "--json")
     assert code == 0
     assert json.loads(out)["results"][0]["exact_residue_sum"] == "0"
+
+
+def test_fixed_point_file_residue_sum_beyond_the_digit_limit(capsys, tmp_path):
+    # (10^2500 + 1)^2 / 10^5000 has 5,000-digit terms: more than Python
+    # writes in decimal by default, so the sum is written in hexadecimal
+    trace = 10**2500 + 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({
+        "label": "big", "manifold_dim": 1,
+        "components": [{"name": "p", "dim": 0, "trace_L": f"{trace:d}",
+                        "normal_weights": ["1e5000"]}],
+    }))
+    expected = Fraction(trace**2, 10**5000)
+    argv = ("invariant", "--example", "cp1", "--method", "localization",
+            "--fixed-point-file", str(path))
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    written = json.loads(out)["results"][0]["exact_residue_sum"]
+    numerator, denominator = (int(part, 16) for part in written.split("/"))
+    assert Fraction(numerator, denominator) == expected
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert f"residue sum = {written} (exact)" in out
 
 
 def test_fixed_point_file_zero_weight_surfaced(capsys, tmp_path):

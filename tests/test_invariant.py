@@ -46,6 +46,15 @@ def test_zero_field_gives_exact_zero(cp1, hopf):
     assert res2.value == 0.0
 
 
+@pytest.mark.parametrize("field", ["x1", "x2", "radial"])
+def test_hopf_stencil_error_bar_bounds_the_value(hopf, field):
+    # the true value is 0, so |value| is the error; the 1e-12 rounding floor
+    # is the benchmark's; a noisier Hessian stencil breaks this for radial
+    res = invariant_direct(hopf.manifold, hopf.volumes["r4-bump"], hopf.fields[field],
+                           q=hopf.default_quadrature)
+    assert abs(res.value) <= res.error_estimate + 1e-12
+
+
 # --- alternative route -----------------------------------------------------
 
 
