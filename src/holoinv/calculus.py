@@ -7,8 +7,10 @@ operator accepts batched coordinate arrays of shape (..., n) and calls the
 evaluator once per distinct stencil node, vectorized over the whole batch.
 The mixed Hessian is read off the real 2n x 2n Hessian, built in one pass
 with the nested first-derivative stencil's weights (129 evaluations at
-n = 2 and order 4), so it is exactly Hermitian. Determinants of order 1
-and 2 are taken in closed form.
+n = 2 and order 4), so it is exactly Hermitian. The checks on Ricci
+matrices and determinants of order 1 and 2 work entry by entry, each
+entry a view over the batch, folded elementwise: there are no reductions
+over the short trailing matrix axes.
 
 Conventions
 -----------
@@ -23,6 +25,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -158,9 +161,16 @@ def ricci_from_log_density(log_density, coords, scheme=DEFAULT_SCHEME, step=None
 
 
 def hermiticity_residual(matrix):
-    """Per-point max-entry deviation of a matrix batch from Hermiticity."""
-    dev = np.abs(matrix - np.conj(np.swapaxes(matrix, -1, -2)))
-    return dev.max(axis=(-2, -1))
+    """Per-point max-entry deviation of a matrix batch from Hermiticity.
+
+    |M_ij - conj(M_ji)| and |M_ji - conj(M_ij)| are equal bit for bit, so
+    only the pairs i <= j are formed, each a view over the whole batch, and
+    they are folded by np.maximum (NaN propagates as in a max reduction).
+    """
+    m = np.asarray(matrix)
+    n = m.shape[-1]
+    return functools.reduce(np.maximum, (np.abs(m[..., i, j] - np.conj(m[..., j, i]))
+                                         for i in range(n) for j in range(i, n)))
 
 
 def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact=None):
@@ -171,6 +181,10 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
     finite; it is then symmetrized before the determinant (closed form for
     n <= 2, LAPACK beyond) so the result is real up to rounding, and its
     imaginary part must stay within IMAG_TOL.
+    Every check works on the n x n entries as views over the batch, folded
+    elementwise: numpy reductions over a trailing axis of length n cost far
+    more than the arithmetic on such small matrices. Only LAPACK (n >= 3)
+    gets a stacked matrix.
     Non-finite points propagate as NaN (the quadrature layer decides
     whether to drop them).
     """
@@ -178,8 +192,10 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
         R = np.asarray(exact(coords))
     else:
         R = ricci_from_log_density(log_density, coords, scheme, step)
+    n = R.shape[-1]
+    entry = [[R[..., i, j] for j in range(n)] for i in range(n)]
     res = hermiticity_residual(R)
-    scale = np.abs(R).max(axis=(-2, -1))
+    scale = functools.reduce(np.maximum, (np.abs(e) for row in entry for e in row))
     bad = res > HERMITICITY_TOL * np.maximum(1.0, scale)
     if np.any(bad):
         worst = float(np.nanmax(np.where(bad, res, 0.0)))
@@ -187,14 +203,13 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
             f"Ricci matrix Hermiticity residual {worst:.3e} exceeds tolerance "
             f"{HERMITICITY_TOL:.1e}; refine the differentiation scheme"
         )
-    R = 0.5 * (R + np.conj(np.swapaxes(R, -1, -2)))
-    n = R.shape[-1]
+    sym = [[0.5 * (entry[i][j] + np.conj(entry[j][i])) for j in range(n)] for i in range(n)]
     if n == 1:
-        det = R[..., 0, 0]
+        det = sym[0][0]
     elif n == 2:
-        det = R[..., 0, 0] * R[..., 1, 1] - R[..., 0, 1] * R[..., 1, 0]
+        det = sym[0][0] * sym[1][1] - sym[0][1] * sym[1][0]
     else:
-        det = np.linalg.det(R)
+        det = np.linalg.det(np.stack([np.stack(row, axis=-1) for row in sym], axis=-2))
     det_scale = np.maximum(1.0, np.abs(det))
     stray = np.abs(det.imag) > IMAG_TOL * det_scale
     if np.any(stray):
@@ -222,6 +237,7 @@ def divergence_field(components, log_density, coords, scheme=DEFAULT_SCHEME, ste
         holo = d if holo is None else holo + d
     grad = wirtinger_gradient_at(log_density, coords, scheme, step=step)
     values = np.asarray(components(coords))
+    # einsum, not an np.add fold over the axes: the fold changes the low bits
     return holo + np.einsum("...i,...i->...", values, grad)
 
 

@@ -14,6 +14,7 @@ fixed-point data compare against these values through the factor
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -97,7 +98,9 @@ def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSp
     def density(coords):
         step = calculus.chart_step(chart, coords, scheme)
         grad = calculus.wirtinger_gradient_at(ratio, coords, scheme, step=step)
-        directional = (np.asarray(comps(coords)) * grad).sum(axis=-1)
+        values = np.asarray(comps(coords))
+        directional = functools.reduce(np.add, (values[..., i] * grad[..., i]
+                                                for i in range(values.shape[-1])))
         weight = np.exp(np.asarray(logd(coords), dtype=float))
         return -directional * weight
 

@@ -114,9 +114,7 @@ def _level_grid(dom: IntegrationDomain, q: QuadratureSpec, level: int):
 def _block_sum(density, chart_pts, weights):
     """Weighted sum over one node block: (real, imag, dropped)."""
     values = np.asarray(density(chart_pts))
-    finite = np.isfinite(values)
-    if values.dtype.kind == "c":
-        finite = np.isfinite(values.real) & np.isfinite(values.imag)
+    finite = np.isfinite(values)  # complex: False where either part is non-finite
     dropped = int(len(weights) - finite.sum())
     if dropped:
         values = np.where(finite, values, 0.0)

@@ -225,6 +225,51 @@ def test_hermiticity_gate_raises():
         calculus.ricci_top_field(flat, point(0.0, 0.0), exact=skew)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hermiticity_residual_matches_the_reference_reduction(n):
+    # the entrywise fold is bit-equal to the trailing-axis max, NaN and inf included
+    rng = np.random.default_rng(11 + n)
+    M = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
+    M[1, 0, n - 1] = np.nan
+    M[2, n - 1, 0] = complex(np.inf, 1.0)
+    M[3, 0, 0] = complex(-np.inf, np.inf)
+    M[4, n - 1, n - 1] = complex(1.0, np.nan)
+    M[5] = _random_hermitian(rng, 1, n)[0]
+    with np.errstate(invalid="ignore"):
+        reference = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-2, -1))
+        residual = calculus.hermiticity_residual(M)
+    assert residual.tobytes() == reference.tobytes()
+    assert np.isnan(residual[1]) and np.isnan(residual[4])
+
+
+def test_hermiticity_tolerance_scales_with_the_largest_entry():
+    # residual 1 against entries near 1e8 is a relative residual of 5e-9
+    def near_hermitian(c):
+        R = np.array([[1e8, 2e7 + 1.0], [2e7, 1e8]], dtype=complex)
+        return np.broadcast_to(R, c.shape[:-1] + (2, 2))
+
+    top = calculus.ricci_top_field(flat, point(0.0, 0.0), exact=near_hermitian)
+    assert np.all(np.isfinite(top))
+
+
+def test_hermiticity_gate_names_the_finite_point_beside_a_nan_point():
+    def batch(skew):
+        def exact(c):
+            R = np.zeros(c.shape[:-1] + (2, 2), dtype=complex)
+            R[..., 0, 0] = R[..., 1, 1] = 1.0
+            R[0, 0, 1] = np.nan
+            R[1, 0, 1] = skew
+            return R
+        return exact
+
+    coords = np.zeros((3, 2), dtype=complex)
+    with pytest.raises(DifferentiationQualityError, match="residual 2.500e-01"):
+        calculus.ricci_top_field(flat, coords, exact=batch(0.25))
+    top = calculus.ricci_top_field(flat, coords, exact=batch(0.0))
+    assert np.isnan(top[0])
+    assert np.all(top[1:] == 2.0)
+
+
 # --- divergence_field ------------------------------------------------------
 
 
