@@ -5,10 +5,7 @@ density, and exact rational residue summation over the zero set."""
 
 __version__ = "0.1.0"
 
-from .calculus import (
-    DEFAULT_SCHEME,
-    DifferentiationScheme,
-)
+from .calculus import DEFAULT_STEP
 from .errors import (
     DifferentiationQualityError,
     DomainError,

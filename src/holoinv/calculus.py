@@ -5,9 +5,11 @@ underlying (x, y) coordinate pairs: log-densities are real-valued rather
 than holomorphic, so complex-step differentiation does not apply. Every
 operator accepts batched coordinate arrays of shape (..., n) and calls the
 evaluator once per distinct stencil node, vectorized over the whole batch.
-The mixed Hessian is read off the real 2n x 2n Hessian, built in one pass
-with the nested first-derivative stencil's weights (129 evaluations at
-n = 2 and order 4), so it is exactly Hermitian. The checks on Ricci
+There is one stencil, the order-4 central first difference, and one
+parameter, the step h: a scalar, or an array of per-point steps
+broadcastable to the batch shape. The mixed Hessian is read off the real
+2n x 2n Hessian, built in one pass with the nested stencil's weights (129
+evaluations at n = 2), so it is exactly Hermitian. The checks on Ricci
 matrices and determinants of order 1 and 2 work entry by entry, each
 entry a view over the batch, folded elementwise: there are no reductions
 over the short trailing matrix axes.
@@ -27,121 +29,96 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DifferentiationQualityError
 
-# central first-derivative stencils: (offsets in units of h, weights in 1/h)
-_STENCILS = {
-    2: ((-1.0, 1.0), (-0.5, 0.5)),
-    4: ((-2.0, -1.0, 1.0, 2.0), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)),
-}
+# order-4 central first-derivative stencil: (offsets in units of h, weights in 1/h)
+_STENCIL = ((-2.0, -1.0, 1.0, 2.0), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0))
 
-# second derivative along one real axis: each first-derivative stencil applied
+# second derivative along one real axis: the first-derivative stencil applied
 # to itself, its nodes merged by offset (offsets in units of h, weights in 1/h^2)
-_DIAGONAL_STENCILS = {
-    2: ((-2.0, 0.0, 2.0), (0.25, -0.5, 0.25)),
-    4: ((-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
-        tuple(w / 144.0 for w in (1.0, -16.0, 64.0, 16.0, -130.0, 16.0, 64.0, -16.0, 1.0))),
-}
+_DIAGONAL_STENCIL = ((-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
+                     tuple(w / 144.0 for w in (1.0, -16.0, 64.0, 16.0, -130.0,
+                                               16.0, 64.0, -16.0, 1.0)))
 
+DEFAULT_STEP = 1e-3
 HERMITICITY_TOL = 1e-6
 IMAG_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DifferentiationScheme:
-    """Step size and order of the real central-difference stencils."""
-
-    step: float = 1e-3
-    order: int = 4
-
-    def __post_init__(self):
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
-        if self.order not in _STENCILS:
-            raise ValueError(f"order must be one of {sorted(_STENCILS)}, got {self.order}")
+def _shifted(coords, shifts, step):
+    """Copy of `coords` moved by o * step * direction for each (axis, direction, o)."""
+    shifted = np.array(coords)
+    for axis, direction, o in shifts:
+        shifted[..., axis] = shifted[..., axis] + (o * step) * direction
+    return shifted
 
 
-DEFAULT_SCHEME = DifferentiationScheme()
-
-
-def _real_derivative(fn, coords, axis, direction, scheme, step):
+def _real_derivative(fn, coords, axis, direction, step):
     """Directional central difference along one real coordinate.
 
     direction is 1.0 for the x-part and 1j for the y-part of complex axis
-    `axis`. `step` may be a scalar or an array broadcastable to the batch
-    shape (per-point shrunken steps near chart boundaries); None means the
-    scheme's step.
+    `axis`; `step` is a scalar or per-point array as in the module notes.
     """
-    step = scheme.step if step is None else step
-    offsets, weights = _STENCILS[scheme.order]
     acc = None
-    for o, w in zip(offsets, weights):
-        shifted = np.array(coords)
-        shifted[..., axis] = shifted[..., axis] + (o * step) * direction
-        term = (w / step) * np.asarray(fn(shifted))
+    for o, w in zip(*_STENCIL):
+        term = (w / step) * np.asarray(fn(_shifted(coords, [(axis, direction, o)], step)))
         acc = term if acc is None else acc + term
     return acc
 
 
-def holomorphic_derivative(fn, coords, scheme=DEFAULT_SCHEME, axis=0, step=None):
+def holomorphic_derivative(fn, coords, step=DEFAULT_STEP, axis=0):
     """d fn / dz^axis at each point of `coords`."""
-    dx = _real_derivative(fn, coords, axis, 1.0, scheme, step)
-    dy = _real_derivative(fn, coords, axis, 1.0j, scheme, step)
+    dx = _real_derivative(fn, coords, axis, 1.0, step)
+    dy = _real_derivative(fn, coords, axis, 1.0j, step)
     return 0.5 * (dx - 1.0j * dy)
 
 
-def antiholomorphic_derivative(fn, coords, scheme=DEFAULT_SCHEME, axis=0, step=None):
+def antiholomorphic_derivative(fn, coords, step=DEFAULT_STEP, axis=0):
     """d fn / dzbar^axis at each point of `coords`."""
-    dx = _real_derivative(fn, coords, axis, 1.0, scheme, step)
-    dy = _real_derivative(fn, coords, axis, 1.0j, scheme, step)
+    dx = _real_derivative(fn, coords, axis, 1.0, step)
+    dy = _real_derivative(fn, coords, axis, 1.0j, step)
     return 0.5 * (dx + 1.0j * dy)
 
 
-def wirtinger_gradient_at(fn, coords, scheme=DEFAULT_SCHEME, step=None):
+def wirtinger_gradient_at(fn, coords, step=DEFAULT_STEP):
     """All holomorphic derivatives (d fn / dz^1, ..., d fn / dz^n).
 
     Returns an array of shape coords.shape: component i is the derivative
     along complex axis i.
     """
     n = coords.shape[-1]
-    parts = [holomorphic_derivative(fn, coords, scheme, i, step) for i in range(n)]
+    parts = [holomorphic_derivative(fn, coords, step, i) for i in range(n)]
     return np.stack(parts, axis=-1)
 
 
-def mixed_hessian(fn, coords, scheme=DEFAULT_SCHEME, step=None):
+def mixed_hessian(fn, coords, step=DEFAULT_STEP):
     """H[..., i, j] = d^2 fn / dz^i dzbar^j from the real 2n x 2n Hessian.
 
     Real coordinate a is the x-part (a even) or y-part (a odd) of complex
     axis a // 2. The real second derivatives are those of the nested
-    first-derivative stencils, with every distinct node evaluated once: the
-    diagonal ones by the merged stencil of _DIAGONAL_STENCILS (the base
-    point shared by all of them), the off-diagonal ones by the product
-    stencil, computed once and stored in both (a, b) and (b, a). Then
+    first-derivative stencil, with every distinct node evaluated once: the
+    diagonal ones by the merged _DIAGONAL_STENCIL (the base point shared by
+    all of them), the off-diagonal ones by the product stencil, computed
+    once and stored in both (a, b) and (b, a). Then
     H_ij = [(f_xixj + f_yiyj) + i (f_xiyj - f_yixj)] / 4, which is exactly
-    Hermitian for real fn. `step` is as for holomorphic_derivative.
+    Hermitian for real fn.
     """
-    step = scheme.step if step is None else step
     n = coords.shape[-1]
-    offsets, weights = _STENCILS[scheme.order]
+    offsets, weights = _STENCIL
     real_axes = [(axis, direction) for axis in range(n) for direction in (1.0, 1.0j)]
 
     def at(*shifts):
-        shifted = np.array(coords)
-        for a, o in shifts:
-            axis, direction = real_axes[a]
-            shifted[..., axis] = shifted[..., axis] + (o * step) * direction
-        return np.asarray(fn(shifted))
+        return np.asarray(fn(_shifted(coords, [(*real_axes[a], o) for a, o in shifts], step)))
 
     inv_h2 = 1.0 / (step * step)
     base = at()
     real = [[None] * (2 * n) for _ in range(2 * n)]
     for a in range(2 * n):
         real[a][a] = inv_h2 * sum(w * (base if o == 0.0 else at((a, o)))
-                                  for o, w in zip(*_DIAGONAL_STENCILS[scheme.order]))
+                                  for o, w in zip(*_DIAGONAL_STENCIL))
         for b in range(a):
             real[a][b] = real[b][a] = inv_h2 * sum(
                 (wa * wb) * at((a, oa), (b, ob))
@@ -155,9 +132,9 @@ def mixed_hessian(fn, coords, scheme=DEFAULT_SCHEME, step=None):
     return np.stack(rows, axis=-2)
 
 
-def ricci_from_log_density(log_density, coords, scheme=DEFAULT_SCHEME, step=None):
+def ricci_from_log_density(log_density, coords, step=DEFAULT_STEP):
     """Ricci coefficient matrix R = -(mixed Hessian of log a), shape (..., n, n)."""
-    return -mixed_hessian(log_density, coords, scheme, step)
+    return -mixed_hessian(log_density, coords, step)
 
 
 def hermiticity_residual(matrix):
@@ -173,7 +150,7 @@ def hermiticity_residual(matrix):
                                          for i in range(n) for j in range(i, n)))
 
 
-def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact=None):
+def ricci_top_field(log_density, coords, step=DEFAULT_STEP, exact=None):
     """Top-degree Ricci density n! * det(R) as a real batch.
 
     An exact closed-form Ricci evaluator short-circuits the stencils. The
@@ -191,7 +168,7 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
     if exact is not None:
         R = np.asarray(exact(coords))
     else:
-        R = ricci_from_log_density(log_density, coords, scheme, step)
+        R = ricci_from_log_density(log_density, coords, step)
     n = R.shape[-1]
     entry = [[R[..., i, j] for j in range(n)] for i in range(n)]
     res = hermiticity_residual(R)
@@ -201,7 +178,7 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
         worst = float(np.nanmax(np.where(bad, res, 0.0)))
         raise DifferentiationQualityError(
             f"Ricci matrix Hermiticity residual {worst:.3e} exceeds tolerance "
-            f"{HERMITICITY_TOL:.1e}; refine the differentiation scheme"
+            f"{HERMITICITY_TOL:.1e}; refine the stencil step"
         )
     sym = [[0.5 * (entry[i][j] + np.conj(entry[j][i])) for j in range(n)] for i in range(n)]
     if n == 1:
@@ -220,7 +197,7 @@ def ricci_top_field(log_density, coords, scheme=DEFAULT_SCHEME, step=None, exact
     return math.factorial(n) * det.real
 
 
-def divergence_field(components, log_density, coords, scheme=DEFAULT_SCHEME, step=None):
+def divergence_field(components, log_density, coords, step=DEFAULT_STEP):
     """Divergence of a holomorphic field against a volume density.
 
     Returns sum_i dX^i/dz^i + sum_i X^i * d(log a)/dz^i for the chart
@@ -233,23 +210,25 @@ def divergence_field(components, log_density, coords, scheme=DEFAULT_SCHEME, ste
         def comp_i(c, _i=i):
             return np.asarray(components(c))[..., _i]
 
-        d = holomorphic_derivative(comp_i, coords, scheme, i, step=step)
+        d = holomorphic_derivative(comp_i, coords, step, i)
         holo = d if holo is None else holo + d
-    grad = wirtinger_gradient_at(log_density, coords, scheme, step=step)
+    grad = wirtinger_gradient_at(log_density, coords, step)
     values = np.asarray(components(coords))
     # einsum, not an np.add fold over the axes: the fold changes the low bits
     return holo + np.einsum("...i,...i->...", values, grad)
 
 
-def chart_step(chart, coords, scheme):
-    """Per-point step, shrunk so every stencil node stays inside the chart.
+def chart_step(chart, coords, step):
+    """`step`, shrunk per point so every stencil node stays inside the chart.
 
-    The order-4 diagonal second-derivative stencil of mixed_hessian reaches
-    4h from the base point along one real axis; a factor-5 margin keeps
-    every node strictly interior. Without a chart or a declared
-    boundary clearance the scheme's step is used unchanged.
+    The diagonal second-derivative stencil of mixed_hessian reaches 4h from
+    the base point along one real axis; dividing the clearance by 5 (that
+    4h reach plus a margin of h) keeps every node strictly interior. Without
+    a chart or a declared boundary clearance `step` is returned unchanged.
     """
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     if chart is None or chart.boundary_clearance is None:
-        return scheme.step
+        return step
     clearance = np.asarray(chart.boundary_clearance(coords), dtype=float)
-    return np.minimum(scheme.step, clearance / 5.0)
+    return np.minimum(step, clearance / 5.0)

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, calculus, geometry, localization
-from .calculus import DifferentiationScheme
 from .errors import HoloinvError, NonsingularityError
 from .invariant import (
     NORMALIZATION,
@@ -152,7 +151,7 @@ def cmd_invariant(args) -> tuple[Report, int]:
     report = Report(command="invariant", inputs={
         "example": args.example, "volume": args.volume, "field": args.field,
         "method": args.method, "refine": args.refine, "points": args.points,
-        "step": args.step, "order": args.order,
+        "step": args.step,
         "fixed_point_file": args.fixed_point_file,
     })
 
@@ -185,11 +184,10 @@ def cmd_invariant(args) -> tuple[Report, int]:
     manifold = _need_manifold(bundle)
     vol = _pick(bundle.volumes, args.volume, "volume", args.example)
     fld = _pick(bundle.fields, args.field, "field", args.example)
-    scheme = DifferentiationScheme(step=args.step, order=args.order)
     q = _quadrature_for(bundle, args)
     compute = invariant_direct if args.method == "direct" else invariant_alternative
     started = time.perf_counter()
-    result = compute(manifold, vol, fld, scheme, q=q)
+    result = compute(manifold, vol, fld, args.step, q=q)
     elapsed = time.perf_counter() - started
     log.info("%s invariant on %s took %.2fs", args.method, args.example, elapsed)
     label = f"{args.example}:{args.volume}:{args.field}"
@@ -286,8 +284,7 @@ def _suite_convergence(bundle, p, samples, seed, q):
     exact = vol.exact_ricci[chart](pts)
 
     def mismatch(h):
-        numeric = calculus.ricci_from_log_density(
-            logd, pts, DifferentiationScheme(step=h, order=4))
+        numeric = calculus.ricci_from_log_density(logd, pts, h)
         return float(np.max(np.abs(numeric - exact)))
 
     errors = [mismatch(h) for h in (0.04, 0.02, 0.01)]
@@ -369,9 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("direct", "alt", "localization"))
     p_inv.add_argument("--refine", type=int, help="refinement levels (>= 2)")
     p_inv.add_argument("--points", type=int, help="quadrature points per axis")
-    p_inv.add_argument("--step", type=float, default=1e-3,
+    p_inv.add_argument("--step", type=float, default=calculus.DEFAULT_STEP,
                        help="finite-difference step in chart units")
-    p_inv.add_argument("--order", type=int, default=4, choices=(2, 4))
     p_inv.add_argument("--fixed-point-file",
                        help="JSON fixed-point data (localization only)")
     p_inv.add_argument("--json", action="store_true")
@@ -381,7 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--example", required=True)
     p_chk.add_argument("--suite", required=True,
                        help="a suite the example declares (see `holoinv list`)")
-    p_chk.add_argument("--samples", type=int, default=geometry.DEFAULT_SAMPLES)
+    p_chk.add_argument("--samples", type=int, default=geometry.DEFAULT_SAMPLES,
+                       help=("points sampled by the automorphy and invariance "
+                             "suites; vaisman samples a fixed 10,000 points, "
+                             "convergence 100, and deformation none"))
     p_chk.add_argument("--tol", type=float,
                        help=("replaces every declared tolerance of the form "
                              "|value| <= bound; not an error budget, nor the "

@@ -21,7 +21,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from . import calculus
-from .calculus import DEFAULT_SCHEME, DifferentiationScheme
+from .calculus import DEFAULT_STEP
 from .geometry import Character, ManifoldSpec, VectorFieldSpec, VolumeFormSpec
 from .quadrature import QuadratureSpec, integrate
 
@@ -65,7 +65,7 @@ def _integrate_route(m: ManifoldSpec, density, q: QuadratureSpec, method: str,
 
 
 def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
-                     scheme: DifferentiationScheme = DEFAULT_SCHEME, *,
+                     step: float = DEFAULT_STEP, *,
                      q: QuadratureSpec) -> InvariantResult:
     """Invariant by direct quadrature of div X times the top Ricci density.
 
@@ -76,28 +76,28 @@ def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
     chart, logd, exact, comps = _chart_pieces(m, vol, x)
 
     def density(coords):
-        step = calculus.chart_step(chart, coords, scheme)
-        div = calculus.divergence_field(comps, logd, coords, scheme, step=step)
-        top = calculus.ricci_top_field(logd, coords, scheme, step=step, exact=exact)
+        h = calculus.chart_step(chart, coords, step)
+        div = calculus.divergence_field(comps, logd, coords, h)
+        top = calculus.ricci_top_field(logd, coords, h, exact=exact)
         return div * top
 
     return _integrate_route(m, density, q, "direct")
 
 
 def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
-                          scheme: DifferentiationScheme = DEFAULT_SCHEME, *,
+                          step: float = DEFAULT_STEP, *,
                           q: QuadratureSpec) -> InvariantResult:
     """Invariant as -integral of X(n! det R / a) against the volume form."""
     chart, logd, exact, comps = _chart_pieces(m, vol, x)
 
     def ratio(coords):
-        step = calculus.chart_step(chart, coords, scheme)
-        top = calculus.ricci_top_field(logd, coords, scheme, step=step, exact=exact)
+        h = calculus.chart_step(chart, coords, step)
+        top = calculus.ricci_top_field(logd, coords, h, exact=exact)
         return top * np.exp(-np.asarray(logd(coords), dtype=float))
 
     def density(coords):
-        step = calculus.chart_step(chart, coords, scheme)
-        grad = calculus.wirtinger_gradient_at(ratio, coords, scheme, step=step)
+        h = calculus.chart_step(chart, coords, step)
+        grad = calculus.wirtinger_gradient_at(ratio, coords, h)
         values = np.asarray(comps(coords))
         directional = functools.reduce(np.add, (values[..., i] * grad[..., i]
                                                 for i in range(values.shape[-1])))
@@ -176,11 +176,11 @@ class DeformationFamily:
 def deformation_invariant_curve(m: ManifoldSpec, vol0: VolumeFormSpec,
                                 vol1: VolumeFormSpec, x: VectorFieldSpec,
                                 t_grid: Sequence[float],
-                                scheme: DifferentiationScheme = DEFAULT_SCHEME, *,
+                                step: float = DEFAULT_STEP, *,
                                 q: QuadratureSpec):
     """Direct invariant along the interpolation family, one result per t."""
     out = []
     for t in t_grid:
         family = DeformationFamily(vol0, vol1, float(t))
-        out.append((float(t), invariant_direct(m, family.volume, x, scheme, q=q)))
+        out.append((float(t), invariant_direct(m, family.volume, x, step, q=q)))
     return out

@@ -120,7 +120,7 @@ def test_criterion_5_differentiation_quality(cp1):
     rows, ok = _declared_rows(cp1, "convergence",
                               {"convergence:match@1e-3": 1e-7, "convergence:order": 3.5})
     assert _report(
-        "5 order-4 scheme: matches closed form within 1e-7 at h=1e-3; order >= 3.5",
+        "5 order-4 stencil: matches closed form within 1e-7 at h=1e-3; order >= 3.5",
         ok, f"mismatch={rows['convergence:match@1e-3']['value_re']:.2e} "
             f"order={rows['convergence:order']['value_re']:.2f}")
 

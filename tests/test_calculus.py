@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from holoinv import (
-    DEFAULT_SCHEME,
-    DifferentiationScheme,
+    DEFAULT_STEP,
     DifferentiationQualityError,
     VectorFieldSpec,
 )
@@ -108,10 +107,9 @@ def test_hopf_numeric_matches_hand_formula(hopf):
 
 
 def test_exact_ricci_short_circuits_scheme(cp1):
-    # a nonsense scheme must not matter when the closed form is registered
+    # a nonsense step must not matter when the closed form is registered
     vol = cp1.volumes["fs"]
-    top = calculus.ricci_top_field(vol.log_density["affine"], point(1.0),
-                                   DifferentiationScheme(step=1e3, order=2),
+    top = calculus.ricci_top_field(vol.log_density["affine"], point(1.0), step=1e3,
                                    exact=vol.exact_ricci["affine"])[0]
     assert abs(top - 0.5) < 1e-14  # 1! * 2/(1+1)^2
 
@@ -120,8 +118,7 @@ def test_numeric_matches_exact_fs(cp1):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-2, 2, (100, 1)) + 1j * rng.uniform(-2, 2, (100, 1))
     logd = cp1.volumes["fs"].log_density["affine"]
-    numeric = calculus.ricci_from_log_density(logd, pts,
-                                              DifferentiationScheme(1e-3, 4))
+    numeric = calculus.ricci_from_log_density(logd, pts, 1e-3)
     exact = cp1.volumes["fs"].exact_ricci["affine"](pts)
     assert np.max(np.abs(numeric - exact)) < 1e-7
 
@@ -133,8 +130,7 @@ def test_convergence_order_at_least_3_5(cp1):
     exact = cp1.volumes["fs"].exact_ricci["affine"](pts)
     errors = []
     for h in (0.04, 0.02, 0.01):
-        numeric = calculus.ricci_from_log_density(
-            logd, pts, DifferentiationScheme(step=h, order=4))
+        numeric = calculus.ricci_from_log_density(logd, pts, h)
         errors.append(np.max(np.abs(numeric - exact)))
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(2)]
     assert min(orders) >= 3.5
@@ -173,14 +169,17 @@ def test_stencil_hessian_is_exactly_hermitian(hopf):
     assert np.all(calculus.hermiticity_residual(H) == 0.0)
 
 
-@pytest.mark.parametrize("order", sorted(calculus._STENCILS))
+@pytest.mark.parametrize("order", [4])
 def test_diagonal_stencil_is_the_first_derivative_stencil_squared(order):
-    offsets, weights = calculus._STENCILS[order]
+    offsets, weights = calculus._STENCIL
+    # exact on polynomials of degree <= order: sum w o^k is 1 for k = 1, else 0
+    assert [math.fsum(w * o ** k for o, w in zip(offsets, weights))
+            for k in range(order + 1)] == [float(k == 1) for k in range(order + 1)]
     merged = {}
     for oa, wa in zip(offsets, weights):
         for ob, wb in zip(offsets, weights):
             merged[oa + ob] = merged.get(oa + ob, 0.0) + wa * wb
-    diag_offsets, diag_weights = calculus._DIAGONAL_STENCILS[order]
+    diag_offsets, diag_weights = calculus._DIAGONAL_STENCIL
     assert list(diag_offsets) == sorted(merged)
     assert list(diag_weights) == pytest.approx([merged[o] for o in diag_offsets],
                                                rel=1e-15, abs=1e-17)
@@ -319,8 +318,7 @@ def test_dbar_of_divergence_matches_contraction(cp1):
     def div_fn(c):
         return calculus.divergence_field(comps, logd, c)
 
-    outer = DifferentiationScheme(step=1e-3, order=2)
-    lhs = calculus.antiholomorphic_derivative(div_fn, pts, outer, axis=0)
+    lhs = calculus.antiholomorphic_derivative(div_fn, pts, axis=0)
     hessian = calculus.mixed_hessian(logd, pts)
     rhs = np.einsum("...i,...ij->...j", np.asarray(comps(pts)), hessian)[..., 0]
     assert np.max(np.abs(lhs - rhs)) < 1e-5
@@ -342,36 +340,45 @@ def test_top_density_flat_zero():
     assert abs(calculus.ricci_top_field(flat, point(1.0))[0]) < 1e-10
 
 
-# --- chart_step ------------------------------------------------------------
+# --- step ------------------------------------------------------------------
 
 
 def test_chart_step_shrinks_near_the_chart_boundary(hopf):
-    # the order-4 diagonal second-derivative stencil reaches 4h, so the step
-    # is at most |z|/5 on the punctured chart and the scheme's step away from
-    # the puncture
+    # the diagonal second-derivative stencil reaches 4h, so the step is at
+    # most |z|/5 on the punctured chart and the given step away from the
+    # puncture
     chart = hopf.manifold.chart("punctured")
     near = point(3e-3, 2e-3j)
-    step = calculus.chart_step(chart, near, DEFAULT_SCHEME)
+    step = calculus.chart_step(chart, near, DEFAULT_STEP)
     assert step[0] == pytest.approx(np.linalg.norm(near[0]) / 5.0, rel=1e-12)
-    assert step[0] < DEFAULT_SCHEME.step
-    far = calculus.chart_step(chart, point(0.9, 0.7j), DEFAULT_SCHEME)
-    assert far[0] == DEFAULT_SCHEME.step
-    assert calculus.chart_step(None, near, DEFAULT_SCHEME) == DEFAULT_SCHEME.step
+    assert step[0] < DEFAULT_STEP
+    far = calculus.chart_step(chart, point(0.9, 0.7j), DEFAULT_STEP)
+    assert far[0] == DEFAULT_STEP
+    assert calculus.chart_step(None, near, DEFAULT_STEP) == DEFAULT_STEP
 
 
-# --- scheme validation -----------------------------------------------------
+def test_scheme_rejects_bad_parameters(hopf):
+    # rejected with or without a chart boundary to shrink towards
+    for chart in (None, hopf.manifold.chart("punctured")):
+        for bad in (0.0, -1e-3, math.inf, math.nan):
+            with pytest.raises(ValueError, match="step must be positive and finite"):
+                calculus.chart_step(chart, point(0.9, 0.7j), bad)
 
 
-def test_scheme_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        DifferentiationScheme(step=0.0)
-    with pytest.raises(ValueError):
-        DifferentiationScheme(step=float("inf"))
-    with pytest.raises(ValueError):
-        DifferentiationScheme(order=3)
-
-
-def test_order_two_scheme_works():
-    g = calculus.wirtinger_gradient_at(mod_squared, point(1.0),
-                                       DifferentiationScheme(step=1e-4, order=2))[0]
-    assert abs(g[0] - 1.0) < 1e-9
+def test_per_point_steps_match_one_point_calls(hopf):
+    # |z| >= 1 on the hopf domain, so chart_step never shrinks a step there;
+    # unequal steps within one batch come only from the caller
+    logd = hopf.volumes["r4-bump"].log_density["punctured"]
+    comps = hopf.fields["x1"].components["punctured"]
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(0.8, 1.4, (9, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (9, 2)))
+    steps = np.geomspace(1e-4, 1e-2, 9)
+    operators = {
+        "mixed_hessian": lambda c, h: calculus.mixed_hessian(logd, c, h),
+        "wirtinger_gradient_at": lambda c, h: calculus.wirtinger_gradient_at(logd, c, h),
+        "divergence_field": lambda c, h: calculus.divergence_field(comps, logd, c, h),
+        "ricci_top_field": lambda c, h: calculus.ricci_top_field(logd, c, h),
+    }
+    for name, op in operators.items():
+        one_point = np.concatenate([op(pts[k:k + 1], float(h)) for k, h in enumerate(steps)])
+        assert np.array_equal(op(pts, steps), one_point), name

@@ -111,6 +111,12 @@ def test_invariant_determinism(capsys):
     ("check", "--example", "hopf-blowup", "--suite", "automorphy"),
     ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
      "--method", "direct", "--step", "inf"),
+    ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
+     "--method", "direct", "--step", "0"),
+    ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
+     "--method", "direct", "--step=-1e-3"),
+    ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
+     "--method", "direct", "--step", "nan"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
