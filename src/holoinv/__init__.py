@@ -34,9 +34,9 @@ from .geometry import (
 )
 from .invariant import (
     NORMALIZATION,
-    DeformationFamily,
     InvariantResult,
     deformation_invariant_curve,
+    interpolated_volume,
     invariant_alternative,
     invariant_direct,
 )

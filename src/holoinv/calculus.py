@@ -7,12 +7,15 @@ operator accepts batched coordinate arrays of shape (..., n) and calls the
 evaluator once per distinct stencil node, vectorized over the whole batch.
 There is one stencil, the order-4 central first difference, and one
 parameter, the step h: a scalar, or an array of per-point steps
-broadcastable to the batch shape. The mixed Hessian is read off the real
-2n x 2n Hessian, built in one pass with the nested stencil's weights (129
-evaluations at n = 2), so it is exactly Hermitian. The checks on Ricci
-matrices and determinants of order 1 and 2 work entry by entry, each
-entry a view over the batch, folded elementwise: there are no reductions
-over the short trailing matrix axes.
+broadcastable to the batch shape. holomorphic_derivative is the one
+first-derivative operator: it differentiates along every complex axis at
+once, for an evaluator of any value shape, so a field's Jacobian is one
+call and d/dzbar is conj(d/dz of the conjugate). The mixed Hessian is read
+off the real 2n x 2n Hessian, built in one pass with the nested stencil's
+weights (129 evaluations at n = 2), so it is exactly Hermitian. The checks
+on Ricci matrices and determinants of order 1 and 2 work entry by entry,
+each entry a view over the batch, folded elementwise: there are no
+reductions over the short trailing matrix axes.
 
 Conventions
 -----------
@@ -61,36 +64,32 @@ def _real_derivative(fn, coords, axis, direction, step):
 
     direction is 1.0 for the x-part and 1j for the y-part of complex axis
     `axis`; `step` is a scalar or per-point array as in the module notes.
+    The weight w / step is reshaped to step.shape + (1,) * k for values with
+    k trailing axes beyond the batch, so per-point steps scale each point's
+    whole value instead of broadcasting along a component axis.
     """
     acc = None
     for o, w in zip(*_STENCIL):
-        term = (w / step) * np.asarray(fn(_shifted(coords, [(axis, direction, o)], step)))
-        acc = term if acc is None else acc + term
+        values = np.asarray(fn(_shifted(coords, [(axis, direction, o)], step)))
+        weight = np.reshape(w / step, np.shape(step) + (1,) * (values.ndim - np.ndim(step)))
+        acc = weight * values if acc is None else acc + weight * values
     return acc
 
 
-def holomorphic_derivative(fn, coords, step=DEFAULT_STEP, axis=0):
-    """d fn / dz^axis at each point of `coords`."""
-    dx = _real_derivative(fn, coords, axis, 1.0, step)
-    dy = _real_derivative(fn, coords, axis, 1.0j, step)
-    return 0.5 * (dx - 1.0j * dy)
+def holomorphic_derivative(fn, coords, step=DEFAULT_STEP):
+    """d fn / dz^j along every complex axis j, at each point of `coords`.
 
-
-def antiholomorphic_derivative(fn, coords, step=DEFAULT_STEP, axis=0):
-    """d fn / dzbar^axis at each point of `coords`."""
-    dx = _real_derivative(fn, coords, axis, 1.0, step)
-    dy = _real_derivative(fn, coords, axis, 1.0j, step)
-    return 0.5 * (dx + 1.0j * dy)
-
-
-def wirtinger_gradient_at(fn, coords, step=DEFAULT_STEP):
-    """All holomorphic derivatives (d fn / dz^1, ..., d fn / dz^n).
-
-    Returns an array of shape coords.shape: component i is the derivative
-    along complex axis i.
+    fn maps coordinates (..., n) to values of any shape (..., *v); the result
+    has shape (..., *v, n), its last axis indexing j. A scalar evaluator thus
+    gives the gradient (..., n) and a vector one the Jacobian (..., k, n),
+    from 8n calls of fn either way. The antiholomorphic derivative is
+    d fn / dzbar^j = conj(d conj(fn) / dz^j).
     """
-    n = coords.shape[-1]
-    parts = [holomorphic_derivative(fn, coords, step, i) for i in range(n)]
+    parts = []
+    for j in range(coords.shape[-1]):
+        dx = _real_derivative(fn, coords, j, 1.0, step)
+        dy = _real_derivative(fn, coords, j, 1.0j, step)
+        parts.append(0.5 * (dx - 1.0j * dy))
     return np.stack(parts, axis=-1)
 
 
@@ -204,15 +203,9 @@ def divergence_field(components, log_density, coords, step=DEFAULT_STEP):
     evaluators `components` (coords -> (..., n)) and `log_density`
     (coords -> (...)).
     """
-    n = coords.shape[-1]
-    holo = None
-    for i in range(n):
-        def comp_i(c, _i=i):
-            return np.asarray(components(c))[..., _i]
-
-        d = holomorphic_derivative(comp_i, coords, step, i)
-        holo = d if holo is None else holo + d
-    grad = wirtinger_gradient_at(log_density, coords, step)
+    jac = holomorphic_derivative(components, coords, step)
+    holo = functools.reduce(np.add, (jac[..., i, i] for i in range(coords.shape[-1])))
+    grad = holomorphic_derivative(log_density, coords, step)
     values = np.asarray(components(coords))
     # einsum, not an np.add fold over the axes: the fold changes the low bits
     return holo + np.einsum("...i,...i->...", values, grad)

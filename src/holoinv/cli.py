@@ -1,7 +1,9 @@
 """Command-line front end: list examples, compute invariants, run check suites.
 
 Reports go to stdout (JSON with --json), logs to stderr. Exit codes:
-0 success / suite passed, 1 suite failed, 2 usage or input-data error.
+0 success / suite passed, 1 suite failed, 2 usage or input-data error,
+141 (128 + SIGPIPE) stdout closed before the report was written, as in
+`holoinv ... --json | head`; nothing is printed to stderr then.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -44,7 +47,7 @@ class Report:
     })
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _result_row(label, value, method, **extra):
@@ -154,6 +157,7 @@ def cmd_invariant(args) -> tuple[Report, int]:
         "step": args.step,
         "fixed_point_file": args.fixed_point_file,
     })
+    calculus.chart_step(None, None, args.step)  # rejects a step no route can use
 
     if args.method == "localization":
         if args.fixed_point_file:
@@ -401,19 +405,28 @@ def main(argv=None) -> int:
     if getattr(args, "refine", None) is not None and args.refine < 2:
         print("holoinv: --refine must be at least 2", file=sys.stderr)
         return 2
-    if getattr(args, "tol", None) is not None and not args.tol > 0:
-        print("holoinv: --tol must be positive", file=sys.stderr)
+    if getattr(args, "tol", None) is not None and not (math.isfinite(args.tol)
+                                                         and args.tol > 0):
+        print("holoinv: --tol must be positive and finite", file=sys.stderr)
         return 2
     try:
         report, code = args.handler(args)
+        if args.json:
+            print(report.to_json())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; further writes, including the interpreter's
+        # final flush, go to the null device instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (UsageError, NonsingularityError) as exc:
         print(f"holoinv: {exc}", file=sys.stderr)
         return 2
     except (HoloinvError, ValueError, OSError) as exc:
         print(f"holoinv: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(report.to_json())
     return code
 
 

@@ -97,7 +97,7 @@ def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSp
 
     def density(coords):
         h = calculus.chart_step(chart, coords, step)
-        grad = calculus.wirtinger_gradient_at(ratio, coords, h)
+        grad = calculus.holomorphic_derivative(ratio, coords, h)
         values = np.asarray(comps(coords))
         directional = functools.reduce(np.add, (values[..., i] * grad[..., i]
                                                 for i in range(values.shape[-1])))
@@ -109,68 +109,44 @@ def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSp
                                   "the log-density enter, expect elevated noise")
 
 
-@dataclass(frozen=True)
-class DeformationFamily:
+def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,
+                        t: float) -> VolumeFormSpec:
     """Log-linear interpolation between two automorphic volume forms.
 
     At parameter t the log-density is (1-t) log a0 + t log a1 and the
     character is chi_0^(1-t) chi_1^t, so every slice is automorphic by
     construction. No volume normalization is applied.
     """
+    chi0, chi1 = vol0.character.generator_values, vol1.character.generator_values
+    if set(chi0) != set(chi1):
+        raise ValueError("endpoint characters live on different deck groups")
+    if not 0.0 <= t <= 1.0:
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    # endpoints and trivial families reproduce their inputs exactly
+    if vol0 is vol1 or t == 0.0:
+        return vol0
+    if t == 1.0:
+        return vol1
+    charts = sorted(set(vol0.log_density) & set(vol1.log_density))
+    if not charts:
+        raise ValueError("endpoint volume forms share no chart")
 
-    vol0: VolumeFormSpec
-    vol1: VolumeFormSpec
-    t: float
+    def blend(a0, a1):
+        return lambda coords: (1.0 - t) * np.asarray(a0(coords)) + t * np.asarray(a1(coords))
 
-    def __post_init__(self):
-        k0 = set(self.vol0.character.generator_values)
-        k1 = set(self.vol1.character.generator_values)
-        if k0 != k1:
-            raise ValueError("endpoint characters live on different deck groups")
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"t must lie in [0, 1], got {self.t}")
-
-    @property
-    def character(self) -> Character:
-        t = self.t
-        return Character({
-            name: self.vol0.character.generator_values[name] ** (1.0 - t)
-            * self.vol1.character.generator_values[name] ** t
-            for name in self.vol0.character.generator_values
-        })
-
-    @property
-    def volume(self) -> VolumeFormSpec:
-        # endpoints and trivial families reproduce their inputs exactly
-        if self.vol0 is self.vol1 or self.t == 0.0:
-            return self.vol0
-        if self.t == 1.0:
-            return self.vol1
-        t = self.t
-        charts = sorted(set(self.vol0.log_density) & set(self.vol1.log_density))
-        if not charts:
-            raise ValueError("endpoint volume forms share no chart")
-
-        def blend(a0, a1):
-            return lambda coords: ((1.0 - t) * np.asarray(a0(coords))
-                                   + t * np.asarray(a1(coords)))
-
-        log_density = {c: blend(self.vol0.log_density[c], self.vol1.log_density[c])
-                       for c in charts}
-        exact_ricci = None
-        if self.vol0.exact_ricci and self.vol1.exact_ricci:
-            shared = [c for c in charts
-                      if c in self.vol0.exact_ricci and c in self.vol1.exact_ricci]
-            if shared:
-                # the Ricci matrix is linear in the log-density
-                exact_ricci = {c: blend(self.vol0.exact_ricci[c], self.vol1.exact_ricci[c])
-                               for c in shared}
-        return VolumeFormSpec(
-            name=f"{self.vol0.name}~{self.vol1.name}@t={self.t:g}",
-            log_density=log_density,
-            character=self.character,
-            exact_ricci=exact_ricci,
-        )
+    exact_ricci = None
+    if vol0.exact_ricci and vol1.exact_ricci:
+        shared = [c for c in charts if c in vol0.exact_ricci and c in vol1.exact_ricci]
+        if shared:
+            # the Ricci matrix is linear in the log-density
+            exact_ricci = {c: blend(vol0.exact_ricci[c], vol1.exact_ricci[c]) for c in shared}
+    return VolumeFormSpec(
+        name=f"{vol0.name}~{vol1.name}@t={t:g}",
+        log_density={c: blend(vol0.log_density[c], vol1.log_density[c]) for c in charts},
+        character=Character({name: chi0[name] ** (1.0 - t) * chi1[name] ** t
+                             for name in chi0}),
+        exact_ricci=exact_ricci,
+    )
 
 
 def deformation_invariant_curve(m: ManifoldSpec, vol0: VolumeFormSpec,
@@ -181,6 +157,6 @@ def deformation_invariant_curve(m: ManifoldSpec, vol0: VolumeFormSpec,
     """Direct invariant along the interpolation family, one result per t."""
     out = []
     for t in t_grid:
-        family = DeformationFamily(vol0, vol1, float(t))
-        out.append((float(t), invariant_direct(m, family.volume, x, step, q=q)))
+        vol = interpolated_volume(vol0, vol1, float(t))
+        out.append((float(t), invariant_direct(m, vol, x, step, q=q)))
     return out

@@ -46,26 +46,48 @@ def divergence_at(fld, vol, chart_id, *coords):
                                      point(*coords))[0]
 
 
-# --- wirtinger_gradient_at -------------------------------------------------
+# --- holomorphic_derivative ------------------------------------------------
 
 
 def test_gradient_of_modulus_squared_is_conjugate():
     # d|z|^2/dz = zbar; exact for polynomials up to rounding
-    g = calculus.wirtinger_gradient_at(mod_squared, point(1.0))[0]
+    g = calculus.holomorphic_derivative(mod_squared, point(1.0))[0]
     assert abs(g[0] - 1.0) < 1e-12
-    g2 = calculus.wirtinger_gradient_at(mod_squared, point(0.5 + 2.0j))[0]
+    g2 = calculus.holomorphic_derivative(mod_squared, point(0.5 + 2.0j))[0]
     assert abs(g2[0] - (0.5 - 2.0j)) < 1e-11
 
 
 def test_gradient_critical_point():
-    g = calculus.wirtinger_gradient_at(log_one_plus, point(0.0))[0]
+    g = calculus.holomorphic_derivative(log_one_plus, point(0.0))[0]
     assert abs(g[0]) < 1e-13
 
 
 def test_gradient_log_closed_form():
     # d log(1+|z|^2)/dz = zbar/(1+|z|^2) = 0.5 at z = 1
-    g = calculus.wirtinger_gradient_at(log_one_plus, point(1.0))[0]
+    g = calculus.holomorphic_derivative(log_one_plus, point(1.0))[0]
     assert abs(g[0] - 0.5) < 1e-11
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_vector_evaluator_is_called_8n_times(n):
+    # one call differentiates every component along every axis: the Jacobian
+    # of a 3-component evaluator has shape (..., 3, n), and its row k is
+    # bit-equal to differentiating component k alone
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1, 1, (5, n)) + 1j * rng.uniform(-1, 1, (5, n))
+    calls = []
+
+    def field(c):
+        calls.append(c.shape)
+        return np.stack([c[..., 0] ** (k + 2) * np.conj(c[..., -1]) + k for k in range(3)],
+                        axis=-1)
+
+    jac = calculus.holomorphic_derivative(field, pts)
+    assert jac.shape == (5, 3, n)
+    assert len(calls) == 8 * n
+    for k in range(3):
+        alone = calculus.holomorphic_derivative(lambda c, _k=k: field(c)[..., _k], pts)
+        assert np.array_equal(jac[:, k], alone), k
 
 
 # --- ricci_from_log_density ------------------------------------------------
@@ -318,7 +340,8 @@ def test_dbar_of_divergence_matches_contraction(cp1):
     def div_fn(c):
         return calculus.divergence_field(comps, logd, c)
 
-    lhs = calculus.antiholomorphic_derivative(div_fn, pts, axis=0)
+    # d/dzbar = conj(d/dz of the conjugate)
+    lhs = np.conj(calculus.holomorphic_derivative(lambda c: np.conj(div_fn(c)), pts))[..., 0]
     hessian = calculus.mixed_hessian(logd, pts)
     rhs = np.einsum("...i,...ij->...j", np.asarray(comps(pts)), hessian)[..., 0]
     assert np.max(np.abs(lhs - rhs)) < 1e-5
@@ -375,10 +398,15 @@ def test_per_point_steps_match_one_point_calls(hopf):
     steps = np.geomspace(1e-4, 1e-2, 9)
     operators = {
         "mixed_hessian": lambda c, h: calculus.mixed_hessian(logd, c, h),
-        "wirtinger_gradient_at": lambda c, h: calculus.wirtinger_gradient_at(logd, c, h),
+        "holomorphic_derivative": lambda c, h: calculus.holomorphic_derivative(logd, c, h),
+        "holomorphic_derivative:x1": lambda c, h: calculus.holomorphic_derivative(comps, c, h),
         "divergence_field": lambda c, h: calculus.divergence_field(comps, logd, c, h),
         "ricci_top_field": lambda c, h: calculus.ricci_top_field(logd, c, h),
     }
-    for name, op in operators.items():
-        one_point = np.concatenate([op(pts[k:k + 1], float(h)) for k, h in enumerate(steps)])
-        assert np.array_equal(op(pts, steps), one_point), name
+    # a 2-point batch of 2-component values: per-point steps that broadcast
+    # along the component axis would go unnoticed there without a shape error
+    for batch in (2, 9):
+        for name, op in operators.items():
+            one_point = np.concatenate([op(pts[k:k + 1], float(h))
+                                        for k, h in enumerate(steps[:batch])])
+            assert np.array_equal(op(pts[:batch], steps[:batch]), one_point), (batch, name)

@@ -21,6 +21,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}, which JSON does not allow")
+
+
+def load_report(out):
+    """The --json report, refusing NaN and Infinity (RFC 8259 has neither)."""
+    return json.loads(out, parse_constant=_reject_constant)
+
+
 # --- list -------------------------------------------------------------------
 
 
@@ -34,7 +43,7 @@ def test_list_mentions_localization_only(capsys):
 def test_list_json_round_trips(capsys):
     code, out, _ = run_cli(capsys, "list", "--json")
     assert code == 0
-    report = json.loads(out)
+    report = load_report(out)
     assert report["command"] == "list"
     names = {entry["name"] for entry in report["results"]}
     assert {"cp1", "hopf", "hopf-blowup"} <= names
@@ -54,7 +63,7 @@ def test_localization_headline(capsys):
     code, out, _ = run_cli(capsys, "invariant", "--example", "hopf-blowup",
                            "--field", "x1", "--method", "localization", "--json")
     assert code == 0
-    report = json.loads(out)
+    report = load_report(out)
     row = report["results"][0]
     assert row["exact_residue_sum"] == "-2"
     assert row["value_re"] == pytest.approx(-26.318945069571623, abs=1e-9)
@@ -66,7 +75,7 @@ def test_direct_invariant_small(capsys):
                            "--volume", "fs", "--field", "z-ddz",
                            "--method", "direct", "--refine", "3", "--json")
     assert code == 0
-    row = json.loads(out)["results"][0]
+    row = load_report(out)["results"][0]
     assert abs(complex(row["value_re"], row["value_im"])) < 1e-6
     assert row["error_estimate"] > 0
 
@@ -76,7 +85,7 @@ def test_alt_method(capsys):
                            "--volume", "r4", "--field", "radial",
                            "--method", "alt", "--json")
     assert code == 0
-    row = json.loads(out)["results"][0]
+    row = load_report(out)["results"][0]
     assert abs(complex(row["value_re"], row["value_im"])) < 1e-6
     assert row["method"] == "alternative"
 
@@ -117,10 +126,15 @@ def test_invariant_determinism(capsys):
      "--method", "direct", "--step=-1e-3"),
     ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
      "--method", "direct", "--step", "nan"),
+    ("invariant", "--example", "cp1", "--method", "localization", "--step", "nan",
+     "--json"),
+    ("invariant", "--example", "cp1", "--method", "localization", "--step=-1"),
+    ("check", "--example", "cp1", "--suite", "convergence", "--tol", "inf"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.strip()
 
 
@@ -162,7 +176,7 @@ def test_fixed_point_file(capsys, tmp_path):
                            "--method", "localization",
                            "--fixed-point-file", str(path), "--json")
     assert code == 0
-    assert json.loads(out)["results"][0]["exact_residue_sum"] == "0"
+    assert load_report(out)["results"][0]["exact_residue_sum"] == "0"
 
 
 def test_fixed_point_file_residue_sum_beyond_the_digit_limit(capsys, tmp_path):
@@ -180,7 +194,7 @@ def test_fixed_point_file_residue_sum_beyond_the_digit_limit(capsys, tmp_path):
             "--fixed-point-file", str(path))
     code, out, _ = run_cli(capsys, *argv, "--json")
     assert code == 0
-    written = json.loads(out)["results"][0]["exact_residue_sum"]
+    written = load_report(out)["results"][0]["exact_residue_sum"]
     numerator, denominator = (int(part, 16) for part in written.split("/"))
     assert Fraction(numerator, denominator) == expected
     code, out, _ = run_cli(capsys, *argv)
@@ -246,7 +260,7 @@ def test_check_vaisman_passes(capsys):
     code, out, _ = run_cli(capsys, "check", "--example", "hopf",
                            "--suite", "vaisman", "--json")
     assert code == 0
-    report = json.loads(out)
+    report = load_report(out)
     assert all(row["passed"] for row in report["results"])
 
 
@@ -275,7 +289,7 @@ def test_cp1_automorphy_has_no_vacuous_rows(capsys):
     code, out, _ = run_cli(capsys, "check", "--example", "cp1", "--suite", "automorphy",
                            "--json")
     assert code == 0
-    labels = [row["label"] for row in json.loads(out)["results"]]
+    labels = [row["label"] for row in load_report(out)["results"]]
     assert labels == ["transitions:fs", "transitions:fs-bump"]
 
 
@@ -285,7 +299,7 @@ def test_check_rows_pass_by_their_own_bound(capsys, example):
         code, out, _ = run_cli(capsys, "check", "--example", example,
                                "--suite", suite, "--json")
         assert code == 0, suite
-        for row in json.loads(out)["results"]:
+        for row in load_report(out)["results"]:
             if row["label"] == "convergence:order":  # a lower bound
                 continue
             value = complex(row["value_re"], row["value_im"])
@@ -316,6 +330,26 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "cp1" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # as in `holoinv ... --json | head`: the reader is gone before the
+    # report is written, so the write fails with EPIPE
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    for json_flag in (("--json",), ()):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "holoinv.cli", "invariant", "--example", "cp1",
+                 "--method", "localization", *json_flag],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                env={**os.environ, "PYTHONPATH": path})
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, json_flag
+        assert proc.stderr == b"", json_flag
 
 
 # --- benchmark hooks ---------------------------------------------------------

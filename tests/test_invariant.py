@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from holoinv import (
-    DeformationFamily,
     InvariantResult,
     VectorFieldSpec,
     deformation_invariant_curve,
+    interpolated_volume,
     invariant_alternative,
     invariant_direct,
     localization_sum,
@@ -175,6 +175,8 @@ def test_deformation_trivial_family_is_constant(cp1):
         cp1.fields["z-ddz"], (0.0, 0.3, 1.0), q=cp1.default_quadrature)
     values = [r.value for _, r in curve]
     assert values[0] == values[1] == values[2]
+    fs = cp1.volumes["fs"]
+    assert interpolated_volume(fs, fs, 0.3) is fs
 
 
 def test_deformation_hopf_cross_character(hopf):
@@ -186,9 +188,10 @@ def test_deformation_hopf_cross_character(hopf):
 
 
 def test_deformation_character_interpolation(hopf):
-    family = DeformationFamily(hopf.volumes["r4"], hopf.volumes["lebesgue"], 0.5)
-    assert family.character.generator_values["double"] == pytest.approx(4.0)
-    vol = family.volume
+    r4, lebesgue = hopf.volumes["r4"], hopf.volumes["lebesgue"]
+    assert interpolated_volume(r4, lebesgue, 0.0) is r4
+    assert interpolated_volume(r4, lebesgue, 1.0) is lebesgue
+    vol = interpolated_volume(r4, lebesgue, 0.5)
     assert vol.character.generator_values["double"] == pytest.approx(4.0)
     # the slice must itself be automorphic for the interpolated character
     from holoinv import verify_automorphic
@@ -199,9 +202,9 @@ def test_deformation_character_interpolation(hopf):
 
 def test_deformation_family_validation(cp1, hopf):
     with pytest.raises(ValueError):
-        DeformationFamily(cp1.volumes["fs"], hopf.volumes["r4"], 0.5)
+        interpolated_volume(cp1.volumes["fs"], hopf.volumes["r4"], 0.5)
     with pytest.raises(ValueError):
-        DeformationFamily(cp1.volumes["fs"], cp1.volumes["fs-bump"], 1.5)
+        interpolated_volume(cp1.volumes["fs"], cp1.volumes["fs-bump"], 1.5)
 
 
 def test_result_validation():
