@@ -5,7 +5,6 @@ density, and exact rational residue summation over the zero set."""
 
 __version__ = "0.1.0"
 
-from .calculus import DEFAULT_STEP
 from .errors import (
     DifferentiationQualityError,
     DomainError,

@@ -7,15 +7,18 @@ operator accepts batched coordinate arrays of shape (..., n) and calls the
 evaluator once per distinct stencil node, vectorized over the whole batch.
 There is one stencil, the order-4 central first difference, and one
 parameter, the step h: a scalar, or an array of per-point steps
-broadcastable to the batch shape. holomorphic_derivative is the one
-first-derivative operator: it differentiates along every complex axis at
-once, for an evaluator of any value shape, so a field's Jacobian is one
-call and d/dzbar is conj(d/dz of the conjugate). The mixed Hessian is read
-off the real 2n x 2n Hessian, built in one pass with the nested stencil's
-weights (129 evaluations at n = 2), so it is exactly Hermitian. The checks
-on Ricci matrices and determinants of order 1 and 2 work entry by entry,
-each entry a view over the batch, folded elementwise: there are no
-reductions over the short trailing matrix axes.
+broadcastable to the batch shape. The step is set here and nowhere above
+this layer: the invariant routes take DEFAULT_STEP, shrunk per point by
+chart_step near a chart boundary, and only the convergence suite passes
+other steps. holomorphic_derivative is the one first-derivative operator:
+it differentiates along every complex axis at once, for an evaluator of
+any value shape, so a field's Jacobian is one call and d/dzbar is
+conj(d/dz of the conjugate). The mixed Hessian is read off the real
+2n x 2n Hessian, built in one pass with the nested stencil's weights (129
+evaluations at n = 2), so it is exactly Hermitian. The checks on Ricci
+matrices and determinants of order 1 and 2 work entry by entry, each entry
+a view over the batch, folded elementwise: there are no reductions over
+the short trailing matrix axes.
 
 Conventions
 -----------
@@ -211,17 +214,17 @@ def divergence_field(components, log_density, coords, step=DEFAULT_STEP):
     return holo + np.einsum("...i,...i->...", values, grad)
 
 
-def chart_step(chart, coords, step):
-    """`step`, shrunk per point so every stencil node stays inside the chart.
+def chart_step(chart, coords):
+    """DEFAULT_STEP, shrunk per point so every stencil node stays inside the chart.
 
     The diagonal second-derivative stencil of mixed_hessian reaches 4h from
     the base point along one real axis; dividing the clearance by 5 (that
-    4h reach plus a margin of h) keeps every node strictly interior. Without
-    a chart or a declared boundary clearance `step` is returned unchanged.
+    4h reach plus a margin of h) keeps every node strictly interior. On a
+    chart without a declared boundary clearance DEFAULT_STEP is returned
+    unchanged. The invariant routes take their step from here; no caller
+    passes one.
     """
-    if not (math.isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    if chart is None or chart.boundary_clearance is None:
-        return step
+    if chart.boundary_clearance is None:
+        return DEFAULT_STEP
     clearance = np.asarray(chart.boundary_clearance(coords), dtype=float)
-    return np.minimum(step, clearance / 5.0)
+    return np.minimum(DEFAULT_STEP, clearance / 5.0)

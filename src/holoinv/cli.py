@@ -154,10 +154,8 @@ def cmd_invariant(args) -> tuple[Report, int]:
     report = Report(command="invariant", inputs={
         "example": args.example, "volume": args.volume, "field": args.field,
         "method": args.method, "refine": args.refine, "points": args.points,
-        "step": args.step,
         "fixed_point_file": args.fixed_point_file,
     })
-    calculus.chart_step(None, None, args.step)  # rejects a step no route can use
 
     if args.method == "localization":
         if args.fixed_point_file:
@@ -191,7 +189,7 @@ def cmd_invariant(args) -> tuple[Report, int]:
     q = _quadrature_for(bundle, args)
     compute = invariant_direct if args.method == "direct" else invariant_alternative
     started = time.perf_counter()
-    result = compute(manifold, vol, fld, args.step, q=q)
+    result = compute(manifold, vol, fld, q=q)
     elapsed = time.perf_counter() - started
     log.info("%s invariant on %s took %.2fs", args.method, args.example, elapsed)
     label = f"{args.example}:{args.volume}:{args.field}"
@@ -295,7 +293,8 @@ def _suite_convergence(bundle, p, samples, seed, q):
     orders = [np.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
     observed = float(min(orders))
     floor = p["order_floor"]
-    return [_check_row("convergence:match@1e-3", mismatch(1e-3), p["bound"]),
+    return [_check_row("convergence:match@1e-3", mismatch(calculus.DEFAULT_STEP),
+                       p["bound"]),
             _check_row("convergence:order", observed, floor, passed=observed >= floor)]
 
 
@@ -308,18 +307,14 @@ _SUITES = {
 }
 
 
-def run_suite(bundle, name, *, samples, seed, tol, q):
+def run_suite(bundle, name, *, samples, seed, q):
     """Run the check suite `name` as `bundle` declares it; return (rows, passed).
 
-    `tol`, when given, replaces every declared tolerance of the form
-    |value| <= bound. It does not replace an error budget (a declared bound
-    of None) or the convergence order floor. A suite the bundle does not
-    declare raises UsageError.
+    The bounds the bundle declares for the suite are the only bounds: no
+    caller overrides them. A suite the bundle does not declare raises
+    UsageError.
     """
     params = _pick(bundle.suites, name, "suite", bundle.name)
-    if tol is not None:
-        params = {key: tol if key.endswith("bound") and value is not None else value
-                  for key, value in params.items()}
     rows = _SUITES[name](bundle, params, samples, seed, q)
     return rows, all(row["passed"] for row in rows)
 
@@ -328,12 +323,11 @@ def cmd_check(args) -> tuple[Report, int]:
     bundle = _bundle(args.example)
     report = Report(command="check", inputs={
         "example": args.example, "suite": args.suite, "samples": args.samples,
-        "tol": args.tol, "seed": args.seed,
+        "seed": args.seed,
     })
     # localization-only examples have no quadrature and declare no suite
     q = None if bundle.default_quadrature is None else _quadrature_for(bundle, args)
-    rows, ok = run_suite(bundle, args.suite, samples=args.samples, seed=args.seed,
-                         tol=args.tol, q=q)
+    rows, ok = run_suite(bundle, args.suite, samples=args.samples, seed=args.seed, q=q)
     report.results.extend(rows)
     if not args.json:
         for row in rows:
@@ -370,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("direct", "alt", "localization"))
     p_inv.add_argument("--refine", type=int, help="refinement levels (>= 2)")
     p_inv.add_argument("--points", type=int, help="quadrature points per axis")
-    p_inv.add_argument("--step", type=float, default=calculus.DEFAULT_STEP,
-                       help="finite-difference step in chart units")
     p_inv.add_argument("--fixed-point-file",
                        help="JSON fixed-point data (localization only)")
     p_inv.add_argument("--json", action="store_true")
@@ -385,10 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=("points sampled by the automorphy and invariance "
                              "suites; vaisman samples a fixed 10,000 points, "
                              "convergence 100, and deformation none"))
-    p_chk.add_argument("--tol", type=float,
-                       help=("replaces every declared tolerance of the form "
-                             "|value| <= bound; not an error budget, nor the "
-                             "convergence order floor"))
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--refine", type=int, dest="refine", default=None)
     p_chk.add_argument("--points", type=int, dest="points", default=None)
@@ -398,16 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
     logging.basicConfig(stream=sys.stderr,
                         level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(name)s: %(message)s")
     if getattr(args, "refine", None) is not None and args.refine < 2:
         print("holoinv: --refine must be at least 2", file=sys.stderr)
-        return 2
-    if getattr(args, "tol", None) is not None and not (math.isfinite(args.tol)
-                                                         and args.tol > 0):
-        print("holoinv: --tol must be positive and finite", file=sys.stderr)
         return 2
     try:
         report, code = args.handler(args)

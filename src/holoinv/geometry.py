@@ -30,15 +30,14 @@ class Chart:
     """One coordinate chart: a containment predicate over C^n coordinates.
 
     `boundary_clearance`, when present, returns the per-point distance to
-    the chart boundary so finite-difference stencils can shrink their step
-    instead of leaving the domain.
+    the chart boundary; calculus.chart_step reads it to shrink the stencil
+    step near that boundary, so no stencil node leaves the chart.
     """
 
     chart_id: str
     dim: int
     contains: Callable[[np.ndarray], np.ndarray]
     boundary_clearance: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class DeckGenerator:
 @dataclass(frozen=True)
 class DeckGroupSpec:
     generators: tuple[DeckGenerator, ...] = ()
-    description: str = ""
 
 
 @dataclass(frozen=True)

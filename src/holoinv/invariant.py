@@ -21,7 +21,6 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from . import calculus
-from .calculus import DEFAULT_STEP
 from .geometry import Character, ManifoldSpec, VectorFieldSpec, VolumeFormSpec
 from .quadrature import QuadratureSpec, integrate
 
@@ -36,7 +35,6 @@ class InvariantResult:
     value: complex
     error_estimate: float
     method: str
-    notes: str = ""
     normalization: ClassVar[str] = NORMALIZATION
 
     def __post_init__(self):
@@ -51,8 +49,8 @@ def _chart_pieces(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec):
     return chart, logd, exact, x.components[chart.chart_id]
 
 
-def _integrate_route(m: ManifoldSpec, density, q: QuadratureSpec, method: str,
-                     notes: str = "") -> InvariantResult:
+def _integrate_route(m: ManifoldSpec, density, q: QuadratureSpec,
+                     method: str) -> InvariantResult:
     """2^n times the integral of `density` over the fundamental domain.
 
     The error budget is the refinement estimate plus the domain's declared
@@ -60,12 +58,10 @@ def _integrate_route(m: ManifoldSpec, density, q: QuadratureSpec, method: str,
     """
     factor = 2.0 ** m.dimension
     res = integrate(lambda coords: density(coords) * factor, m.fundamental_domain, q)
-    return InvariantResult(res.value, res.error_estimate + res.tail_bound, method,
-                           notes=notes)
+    return InvariantResult(res.value, res.error_estimate + res.tail_bound, method)
 
 
-def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
-                     step: float = DEFAULT_STEP, *,
+def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *,
                      q: QuadratureSpec) -> InvariantResult:
     """Invariant by direct quadrature of div X times the top Ricci density.
 
@@ -76,7 +72,7 @@ def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
     chart, logd, exact, comps = _chart_pieces(m, vol, x)
 
     def density(coords):
-        h = calculus.chart_step(chart, coords, step)
+        h = calculus.chart_step(chart, coords)
         div = calculus.divergence_field(comps, logd, coords, h)
         top = calculus.ricci_top_field(logd, coords, h, exact=exact)
         return div * top
@@ -84,19 +80,18 @@ def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
     return _integrate_route(m, density, q, "direct")
 
 
-def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
-                          step: float = DEFAULT_STEP, *,
+def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *,
                           q: QuadratureSpec) -> InvariantResult:
     """Invariant as -integral of X(n! det R / a) against the volume form."""
     chart, logd, exact, comps = _chart_pieces(m, vol, x)
 
     def ratio(coords):
-        h = calculus.chart_step(chart, coords, step)
+        h = calculus.chart_step(chart, coords)
         top = calculus.ricci_top_field(logd, coords, h, exact=exact)
         return top * np.exp(-np.asarray(logd(coords), dtype=float))
 
     def density(coords):
-        h = calculus.chart_step(chart, coords, step)
+        h = calculus.chart_step(chart, coords)
         grad = calculus.holomorphic_derivative(ratio, coords, h)
         values = np.asarray(comps(coords))
         directional = functools.reduce(np.add, (values[..., i] * grad[..., i]
@@ -104,9 +99,7 @@ def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSp
         weight = np.exp(np.asarray(logd(coords), dtype=float))
         return -directional * weight
 
-    return _integrate_route(m, density, q, "alternative",
-                            notes="differences the Ricci ratio; third derivatives of "
-                                  "the log-density enter, expect elevated noise")
+    return _integrate_route(m, density, q, "alternative")
 
 
 def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,
@@ -151,12 +144,10 @@ def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,
 
 def deformation_invariant_curve(m: ManifoldSpec, vol0: VolumeFormSpec,
                                 vol1: VolumeFormSpec, x: VectorFieldSpec,
-                                t_grid: Sequence[float],
-                                step: float = DEFAULT_STEP, *,
-                                q: QuadratureSpec):
+                                t_grid: Sequence[float], *, q: QuadratureSpec):
     """Direct invariant along the interpolation family, one result per t."""
     out = []
     for t in t_grid:
         vol = interpolated_volume(vol0, vol1, float(t))
-        out.append((float(t), invariant_direct(m, vol, x, step, q=q)))
+        out.append((float(t), invariant_direct(m, vol, x, q=q)))
     return out

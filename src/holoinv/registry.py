@@ -151,8 +151,8 @@ def _cp1_bundle() -> ExampleBundle:
     def everywhere(coords):
         return np.ones(coords.shape[:-1], dtype=bool)
 
-    affine = Chart("affine", 1, everywhere, description="z around the origin")
-    affine_inf = Chart("affine-inf", 1, everywhere, description="w = 1/z around infinity")
+    affine = Chart("affine", 1, everywhere)
+    affine_inf = Chart("affine-inf", 1, everywhere)
 
     def invert(coords):
         return 1.0 / coords
@@ -169,7 +169,7 @@ def _cp1_bundle() -> ExampleBundle:
         name="cp1",
         dimension=1,
         atlas=(affine, affine_inf),
-        deck_group=DeckGroupSpec(description="trivial covering"),
+        deck_group=DeckGroupSpec(),
         fundamental_domain=_plane_domain(),
         integration_chart="affine",
         transitions=transitions,
@@ -319,8 +319,7 @@ def _hopf_bundle() -> ExampleBundle:
     def clearance(coords):
         return np.sqrt(_hopf_r2(coords))
 
-    chart = Chart("punctured", 2, punctured_contains, boundary_clearance=clearance,
-                  description="C^2 minus the origin")
+    chart = Chart("punctured", 2, punctured_contains, boundary_clearance=clearance)
 
     def double(coords):
         return 2.0 * coords
@@ -335,7 +334,6 @@ def _hopf_bundle() -> ExampleBundle:
     deck = DeckGroupSpec(
         generators=(DeckGenerator("double", double, halve,
                                   lambda c: 2.0 * double_jacobian(c)),),
-        description="infinite cyclic group of doublings",
     )
 
     manifold = ManifoldSpec(

@@ -77,7 +77,7 @@ def _declared_rows(bundle, suite, pinned):
     every row passed, and each declared bound equals its pinned number (None
     pins none), so loosening the declaration fails the gate.
     """
-    rows, _ = run_suite(bundle, suite, samples=DEFAULT_SAMPLES, seed=0, tol=None,
+    rows, _ = run_suite(bundle, suite, samples=DEFAULT_SAMPLES, seed=0,
                         q=bundle.default_quadrature)
     by_label = {row["label"]: row for row in rows}
     ok = (set(by_label) == set(pinned)
