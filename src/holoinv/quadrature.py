@@ -1,10 +1,13 @@
 """Deterministic tensor-product quadrature over fundamental domains.
 
 A domain is a real coordinate box together with an optional map into chart
-coordinates (used for polar-type substitutions) and the matching measure
-weight. Integration refines the box into 2^(level-1) panels per axis and
-reports the difference between the last two refinement levels as the
-error estimate.
+coordinates (used for polar-type substitutions), the matching measure
+weight, and the axes on which every integrand is periodic. At level L an
+ordinary axis with p points gets 2^(L-1) Gauss-Legendre panels of p nodes
+each; a periodic axis gets the trapezoid rule with p * 2^(L-1) equispaced
+nodes, which converges exponentially in the node count for smooth periodic
+integrands. The point count p may differ per axis. The difference between
+the last two refinement levels is reported as the error estimate.
 
 Determinism and memory: each level's nodes are generated in a fixed order
 and handed to the density in contiguous blocks of at most _CELL_NODES
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -40,12 +43,17 @@ class IntegrationDomain:
     measure_map: box points -> positive Jacobian weight of the substitution.
     tail_bound: declared bound on the mass outside a truncated box, carried
         into downstream error budgets.
+    periodic: one bool per box axis, True where the integrand (density
+        times measure) is periodic along that axis with period hi - lo, so
+        the axis spans exactly one period and takes the trapezoid rule.
+        Empty means no periodic axis.
     """
 
     box: tuple[tuple[float, float], ...]
     chart_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
     measure_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tail_bound: float = 0.0
+    periodic: tuple[bool, ...] = ()
 
     def __post_init__(self):
         if not self.box:
@@ -53,6 +61,9 @@ class IntegrationDomain:
         for lo, hi in self.box:
             if not hi > lo:
                 raise ValueError(f"box axis ({lo}, {hi}) has nonpositive extent")
+        if self.periodic and len(self.periodic) != len(self.box):
+            raise ValueError(f"periodic has {len(self.periodic)} entries "
+                             f"for {len(self.box)} box axes")
 
     def to_chart(self, pts: np.ndarray) -> np.ndarray:
         if self.chart_map is not None:
@@ -64,14 +75,20 @@ class IntegrationDomain:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre points per axis and panel, and refinement levels."""
+    """Level-1 points per axis, and refinement levels.
 
-    points_per_axis: int = 8
+    points_per_axis: one count for every axis, or a tuple with one count
+        per box axis. On an ordinary axis it is the Gauss-Legendre points
+        per panel; on a periodic axis, the trapezoid nodes at level 1.
+    """
+
+    points_per_axis: Union[int, tuple[int, ...]] = 8
     refinement_levels: int = 3
 
     def __post_init__(self):
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be >= 2")
+        counts = self.points_per_axis
+        if not all(c >= 2 for c in (counts if isinstance(counts, tuple) else (counts,))):
+            raise ValueError("every points_per_axis count must be >= 2")
         if self.refinement_levels < 1:
             raise ValueError("refinement_levels must be >= 1")
 
@@ -90,8 +107,21 @@ def _reference_nodes(points: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _axis_nodes(lo: float, hi: float, panels: int, q: QuadratureSpec):
-    ref_x, ref_w = _reference_nodes(q.points_per_axis)
+def _axis_points(q: QuadratureSpec, axes: int) -> tuple[int, ...]:
+    """Level-1 point count of each of `axes` box axes."""
+    counts = q.points_per_axis
+    if not isinstance(counts, tuple):
+        return (counts,) * axes
+    if len(counts) != axes:
+        raise ValueError(f"points_per_axis has {len(counts)} counts for {axes} box axes")
+    return counts
+
+
+def _axis_nodes(lo: float, hi: float, panels: int, points: int, periodic: bool):
+    if periodic:
+        count = points * panels
+        return lo + (hi - lo) * np.arange(count) / count, np.full(count, (hi - lo) / count)
+    ref_x, ref_w = _reference_nodes(points)
     edges = np.linspace(lo, hi, panels + 1)
     widths = np.diff(edges)
     nodes = (edges[:-1, None] + widths[:, None] * ref_x[None, :]).ravel()
@@ -101,7 +131,10 @@ def _axis_nodes(lo: float, hi: float, panels: int, q: QuadratureSpec):
 
 def _level_grid(dom: IntegrationDomain, q: QuadratureSpec, level: int):
     panels = 2 ** (level - 1)
-    per_axis = [_axis_nodes(lo, hi, panels, q) for lo, hi in dom.box]
+    points = _axis_points(q, len(dom.box))
+    periodic = dom.periodic or (False,) * len(dom.box)
+    per_axis = [_axis_nodes(lo, hi, panels, p, per)
+                for (lo, hi), p, per in zip(dom.box, points, periodic)]
     mesh = np.meshgrid(*[n for n, _ in per_axis], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     wmesh = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
@@ -153,8 +186,11 @@ def integrate(density, dom: IntegrationDomain,
         than 1% of them raises IllPosedIntegrandError.
     dom : IntegrationDomain
     q : QuadratureSpec
-        Tensor-product Gauss-Legendre rule; level k uses 2^(k-1) panels
-        per axis.
+        Tensor-product rule; at level k an ordinary axis with p points gets
+        2^(k-1) Gauss-Legendre panels of p nodes, and a periodic axis the
+        trapezoid rule with p * 2^(k-1) nodes starting at its low end.
+        A per-axis points tuple must have one count per box axis, or
+        ValueError is raised.
 
     Each level calls `density` once per block of at most 8192 nodes, in a
     fixed order, and sums with math.fsum, so the result is deterministic

@@ -6,7 +6,9 @@ Four bundles ship with the package:
   rotation-invariant density 1/(1+|z|^2)^2 and a bump-perturbed variant,
   with the three global holomorphic fields.
 * ``hopf`` - the Hopf surface (C^2 minus 0) / (z -> 2z), integration over
-  the annulus 1 <= |z1|^2+|z2|^2 <= 2 in smooth polar coordinates. Ships
+  the fundamental domain 1 <= |z| <= 2 in log-polar coordinates
+  (t = log|z|, phi, theta1, theta2), where the deck map is t -> t + log 2
+  and the Lebesgue measure is e^{4t} cos(phi) sin(phi). Ships
   the cone density r^-4 (trivial character), the Lebesgue density
   (character value 16 = |det of the doubling map|^2) and a deck-invariant
   angular perturbation of r^-4.
@@ -100,6 +102,7 @@ def _plane_domain() -> IntegrationDomain:
         chart_map=chart_map,
         measure_map=measure_map,
         tail_bound=PLANE_TAIL_BOUND,
+        periodic=(False, True),
     )
 
 
@@ -257,21 +260,24 @@ def _cp1_bundle() -> ExampleBundle:
 
 
 def _hopf_domain() -> IntegrationDomain:
+    # t stays on Gauss-Legendre: deck-invariant integrands are periodic in t,
+    # but the Lebesgue factor e^{4t} is not
     def chart_map(pts):
-        s, phi = pts[..., 0], pts[..., 1]
-        z1 = s * np.cos(phi) * np.exp(1j * pts[..., 2])
-        z2 = s * np.sin(phi) * np.exp(1j * pts[..., 3])
+        radius, phi = np.exp(pts[..., 0]), pts[..., 1]
+        z1 = radius * np.cos(phi) * np.exp(1j * pts[..., 2])
+        z2 = radius * np.sin(phi) * np.exp(1j * pts[..., 3])
         return np.stack([z1, z2], axis=-1)
 
     def measure_map(pts):
-        s, phi = pts[..., 0], pts[..., 1]
-        return s ** 3 * np.cos(phi) * np.sin(phi)
+        phi = pts[..., 1]
+        return np.exp(4.0 * pts[..., 0]) * np.cos(phi) * np.sin(phi)
 
     return IntegrationDomain(
-        box=((1.0, math.sqrt(2.0)), (0.0, 0.5 * math.pi),
+        box=((0.0, math.log(2.0)), (0.0, 0.5 * math.pi),
              (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
         chart_map=chart_map,
         measure_map=measure_map,
+        periodic=(False, False, True, True),
     )
 
 
@@ -391,10 +397,16 @@ def _hopf_bundle() -> ExampleBundle:
         fields=fields,
         fixed_point_data=None,
         fixed_point_field=None,
-        default_quadrature=QuadratureSpec(points_per_axis=8, refinement_levels=2),
-        notes=("Hopf surface (C^2 minus 0)/(z -> 2z), integrated over the annulus "
-               "1 <= |z1|^2+|z2|^2 <= 2 through smooth polar coordinates "
-               "(s, phi, theta1, theta2) with Lebesgue factor s^3 cos(phi) sin(phi). "
+        # every registered integrand is invariant under real dilations, so
+        # constant in t; 4 trapezoid nodes per angle integrate every charge
+        # k(2, -1), 0 < |k| <= 3, that r4-bump's integrands carry to zero
+        # exactly
+        default_quadrature=QuadratureSpec(points_per_axis=(2, 12, 4, 4),
+                                          refinement_levels=2),
+        notes=("Hopf surface (C^2 minus 0)/(z -> 2z), integrated over the fundamental "
+               "domain 1 <= |z| <= 2 in log-polar coordinates (t = log|z|, phi, "
+               "theta1, theta2), where the deck map is t -> t + log 2 and the "
+               "Lebesgue factor is e^{4t} cos(phi) sin(phi). "
                "The r^-4 density descends from the cone metric over the round "
                "3-sphere and has everywhere-degenerate Ricci matrix; the Lebesgue "
                "density is automorphic for the character value 16 = |det(2 Id)|^2; "

@@ -271,6 +271,10 @@ def test_check_vaisman_passes(capsys):
     assert code == 0
     report = load_report(out)
     assert all(row["passed"] for row in report["results"])
+    # the quadrature error bar of every invariant row is within its bound
+    rows = [row for row in report["results"] if row["label"].startswith("vaisman:f:")]
+    assert len(rows) == 6
+    assert all(row["error"] <= row["bound"] for row in rows), rows
 
 
 def test_check_convergence_passes(capsys):

@@ -186,7 +186,7 @@ def test_sampling_is_deterministic(hopf):
 def test_sampling_lands_in_annulus(hopf):
     pts = sample_domain_points(hopf.manifold, 500, seed=0)
     r2 = _abs2(pts).sum(-1)
-    assert np.all(r2 >= 1.0 - 1e-12) and np.all(r2 <= 2.0 + 1e-12)
+    assert np.all(r2 >= 1.0 - 1e-12) and np.all(r2 <= 4.0 + 1e-12)
 
 
 def test_sample_count_validation(hopf):

@@ -13,6 +13,8 @@ from holoinv import (
     localization_sum,
     sample_domain_points,
 )
+from holoinv import invariant as invariant_module
+from holoinv.quadrature import integrate
 
 
 def zero_field(chart_id):
@@ -35,6 +37,23 @@ def test_hopf_direct_pointwise_degenerate(hopf):
     res = invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"],
                            q=hopf.default_quadrature)
     assert abs(res.value) <= 1e-6
+
+
+def test_hopf_default_job_node_count(hopf, monkeypatch):
+    # cost guard: levels 1 and 2 of the (2, 12, 4, 4) grid hold 384 and
+    # 6,144 nodes; a grid regression shows here before any benchmark run
+    nodes = []
+
+    def counting_integrate(density, dom, q):
+        def counted(coords):
+            nodes.append(len(coords))
+            return density(coords)
+        return integrate(counted, dom, q)
+
+    monkeypatch.setattr(invariant_module, "integrate", counting_integrate)
+    invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["radial"],
+                     q=hopf.default_quadrature)
+    assert sum(nodes) == 6_528
 
 
 def test_zero_field_gives_exact_zero(cp1, hopf):

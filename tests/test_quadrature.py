@@ -43,10 +43,18 @@ def test_plane_area_benchmark(cp1):
 
 
 def test_hopf_annulus_volume(hopf):
-    # Lebesgue volume of 1 <= |z|^2 <= 2 in R^4: pi^2/2 * (4 - 1)
+    # Lebesgue volume of 1 <= |z| <= 2 in R^4: pi^2/2 * (2^4 - 1)
     res = integrate(ones, hopf.manifold.fundamental_domain,
                     QuadratureSpec(6, 2))
-    assert abs(res.value - 1.5 * math.pi ** 2) < 1e-10
+    assert abs(res.value - 7.5 * math.pi ** 2) < 1e-10
+
+
+def test_hopf_domain_covers_the_quotient_once(hopf):
+    # the deck-invariant volume |z|^-4 dV integrates to 2 pi^2 log 2 over
+    # one period 0 <= t < log 2 of the deck map t -> t + log 2
+    res = integrate(lambda z: _abs2(z).sum(-1) ** -2, hopf.manifold.fundamental_domain,
+                    hopf.default_quadrature)
+    assert abs(res.value - 2.0 * math.pi ** 2 * math.log(2.0)) < 1e-12
 
 
 def test_determinism_across_repeats(hopf):
@@ -162,6 +170,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(points_per_axis=1)
     with pytest.raises(ValueError):
+        QuadratureSpec(points_per_axis=(4, 1))
+    with pytest.raises(ValueError):
         QuadratureSpec(refinement_levels=0)
     QuadratureSpec(points_per_axis=2, refinement_levels=1)  # smallest allowed
 
@@ -171,6 +181,46 @@ def test_domain_validation():
         IntegrationDomain(box=((1.0, 1.0),))
     with pytest.raises(ValueError):
         IntegrationDomain(box=())
+    with pytest.raises(ValueError):
+        IntegrationDomain(box=((0.0, 1.0), (0.0, 1.0)), periodic=(True,))
+
+
+def test_points_tuple_must_match_the_box():
+    with pytest.raises(ValueError, match="3 counts for 2 box axes"):
+        integrate(ones, UNIT_BOX, QuadratureSpec((4, 4, 4), 2))
+
+
+PERIODIC_BOX = IntegrationDomain(box=((0.0, 1.0), (0.0, 2.0 * math.pi)),
+                                 periodic=(False, True))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_trapezoid_axis_integrates_low_modes_to_rounding(k):
+    res = integrate(lambda z: np.cos(k * z[..., 0].imag), PERIODIC_BOX,
+                    QuadratureSpec((2, 4), 2))
+    assert abs(res.value) < 1e-14
+    assert res.error_estimate < 1e-14
+
+
+def test_trapezoid_aliasing_shows_in_the_error_estimate():
+    # 4 nodes alias cos(4 theta) to 1; the 8 nodes of level 2 do not
+    res = integrate(lambda z: np.cos(4.0 * z[..., 0].imag), PERIODIC_BOX,
+                    QuadratureSpec((2, 4), 2))
+    assert abs(res.value) < 1e-14
+    assert abs(res.error_estimate - 2.0 * math.pi) < 1e-12
+
+
+def test_points_tuple_sets_each_axis():
+    # level 1 has 3 x 5 nodes and level 2 has 6 x 10
+    sizes = []
+
+    def counting(z):
+        sizes.append(len(z))
+        return np.ones(z.shape[:-1])
+
+    res = integrate(counting, PERIODIC_BOX, QuadratureSpec((3, 5), 2))
+    assert sizes == [15, 60]
+    assert abs(res.value - 2.0 * math.pi) < 1e-13
 
 
 def test_single_level_reports_unknown_error():
