@@ -12,9 +12,13 @@ Each component contributes the degree-dim coefficient of
 
     (trace + c1|_Z * t)^(n+1) / prod_j (w_j + deg_j * t)
 
-computed in the truncated polynomial ring Q[t]/(t^(dim+1)), and the sum of
-contributions equals (1/2pi)^n (n+1) f(X). All arithmetic here is exact
-rational; floats appear only in the final unnormalization.
+in the truncated polynomial ring Q[t]/(t^(dim+1)), and the sum of
+contributions equals (1/2pi)^n (n+1) f(X). A component is a point or a
+curve, so its numerator and inverted denominator classes have at most two
+terms and are built in closed form. CohomologyClass with class_mul,
+class_pow and class_inverse is the general ring arithmetic; it stays
+public as the reference for that closed form. All arithmetic here is
+exact rational; floats appear only in the final unnormalization.
 
 The sum is linear in the field, as f is. Replacing X by cX scales trace
 and weights by c and fixes the degrees; with t = c*s the numerator gives
@@ -35,6 +39,11 @@ from .errors import NonInvertibleClassError, NonsingularityError
 Rational = Union[Fraction, int]
 
 
+def _exact(value) -> Fraction:
+    # Fraction(x) of a Fraction x builds an equal copy; skip it
+    return value if type(value) is Fraction else Fraction(value)
+
+
 @dataclass(frozen=True)
 class CohomologyClass:
     """Truncated polynomial c0 + c1 t + ... + c_d t^d with exact coefficients."""
@@ -42,7 +51,7 @@ class CohomologyClass:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_exact(c) for c in self.coeffs))
         if not self.coeffs:
             raise ValueError("a class needs at least its degree-zero coefficient")
 
@@ -123,11 +132,11 @@ class ZeroComponent:
     normal_line_degrees: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "trace_L", Fraction(self.trace_L))
+        object.__setattr__(self, "trace_L", _exact(self.trace_L))
         object.__setattr__(self, "normal_weights",
-                           tuple(Fraction(w) for w in self.normal_weights))
-        object.__setattr__(self, "c1_tangent_deg", Fraction(self.c1_tangent_deg))
-        degrees = tuple(Fraction(v) for v in self.normal_line_degrees)
+                           tuple(_exact(w) for w in self.normal_weights))
+        object.__setattr__(self, "c1_tangent_deg", _exact(self.c1_tangent_deg))
+        degrees = tuple(_exact(v) for v in self.normal_line_degrees)
         if not degrees and self.normal_weights:
             # flat normal summands (e.g. isolated points) may omit the degrees
             degrees = (Fraction(0),) * len(self.normal_weights)
@@ -184,19 +193,35 @@ class FixedPointData:
 def component_contribution_parts(c: ZeroComponent, n: int):
     """Numerator class, inverted denominator class and paired value.
 
-    Exposed separately so the intermediate expansion of a residue can be
-    inspected; component_contribution returns just the value.
+    A point or curve component has both classes in closed form. With
+    a = trace_L, c1 = c1_tangent_deg + sum of the normal line degrees, and
+    weights w_j of degrees g_j, truncated at t^dim (a point keeps only the
+    constant terms):
+
+        numerator = (a + c1 t)^(n+1) = a^(n+1) + (n+1) a^n c1 t
+        inverted  = 1 / prod_j (w_j + g_j t) = (1 - sum_j (g_j / w_j) t) / prod_j w_j
+
+    and the value is the t^dim coefficient of their product. class_pow,
+    class_mul and class_inverse give the same classes in the general ring
+    and are the reference for this expansion. Exposed separately so the
+    intermediate expansion of a residue can be inspected;
+    component_contribution returns just the value.
     """
     if n < c.dim:
         raise ValueError(f"ambient dimension {n} below component dimension {c.dim}")
+    a = c.trace_L
+    inv0 = 1 / math.prod(c.normal_weights, start=Fraction(1))
+    if c.dim == 0:
+        num0 = a ** (n + 1)
+        return CohomologyClass((num0,)), CohomologyClass((inv0,)), num0 * inv0
     chern_restricted = c.c1_tangent_deg + sum(c.normal_line_degrees, Fraction(0))
-    numerator = class_pow(CohomologyClass.linear(c.trace_L, chern_restricted, c.dim), n + 1)
-    denominator = CohomologyClass.constant(1, c.dim)
-    for w, deg in zip(c.normal_weights, c.normal_line_degrees):
-        denominator = class_mul(denominator, CohomologyClass.linear(w, deg, c.dim))
-    inverted = class_inverse(denominator)
-    value = class_mul(numerator, inverted).coeffs[c.dim]
-    return numerator, inverted, value
+    drift = sum((g / w for w, g in zip(c.normal_weights, c.normal_line_degrees)),
+                Fraction(0))
+    a_n = a ** n
+    num0, num1 = a_n * a, (n + 1) * a_n * chern_restricted
+    inv1 = -drift * inv0
+    return (CohomologyClass((num0, num1)), CohomologyClass((inv0, inv1)),
+            num0 * inv1 + num1 * inv0)
 
 
 def component_contribution(c: ZeroComponent, n: int) -> Fraction:

@@ -305,16 +305,13 @@ def _lebesgue_exact_ricci(coords):
     return np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
 
 
-def _angular_bump(coords):
-    # deck-invariant (numerator and r^3 both scale by 8 under z -> 2z) but
-    # carries fiber phase weight 1, so its Hessian is not pulled back from
-    # the base and the perturbed Ricci matrix is no longer degenerate
-    r3 = _hopf_r2(coords) ** 1.5
-    return (coords[..., 0] ** 2 * np.conj(coords[..., 1])).real / r3
-
-
 def _r4_bump_log_density(coords):
-    return _angular_bump(coords) - 2.0 * np.log(_hopf_r2(coords))
+    # the bump is deck-invariant (numerator and r^3 both scale by 8 under
+    # z -> 2z) but carries fiber phase weight 1, so its Hessian is not pulled
+    # back from the base and the perturbed Ricci matrix is no longer degenerate
+    r2 = _hopf_r2(coords)
+    bump = (coords[..., 0] ** 2 * np.conj(coords[..., 1])).real / r2 ** 1.5
+    return bump - 2.0 * np.log(r2)
 
 
 @lru_cache(maxsize=None)

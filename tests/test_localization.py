@@ -5,8 +5,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from holoinv import localization
 from holoinv import (
     CohomologyClass,
     FixedPointData,
@@ -136,6 +137,94 @@ def test_ambient_dimension_guard():
     comp = ZeroComponent("curve", 1, Fraction(1), ())
     with pytest.raises(ValueError):
         component_contribution(comp, 0)
+
+
+def _ring_reference_parts(comp, n):
+    """The contribution expanded with the general truncated-ring helpers."""
+    chern = comp.c1_tangent_deg + sum(comp.normal_line_degrees, Fraction(0))
+    numerator = class_pow(CohomologyClass.linear(comp.trace_L, chern, comp.dim), n + 1)
+    denominator = CohomologyClass.constant(1, comp.dim)
+    for w, g in zip(comp.normal_weights, comp.normal_line_degrees):
+        denominator = class_mul(denominator, CohomologyClass.linear(w, g, comp.dim))
+    inverted = class_inverse(denominator)
+    return numerator, inverted, class_mul(numerator, inverted).coeffs[comp.dim]
+
+
+def _ring_helper_called(*args):
+    raise AssertionError("the closed form must not call the truncated-ring helpers")
+
+
+NONZERO = rationals.filter(bool)
+
+
+@st.composite
+def ambient_and_component(draw):
+    n = draw(st.integers(1, 6))
+    dim = draw(st.integers(0, 1))
+    weights = draw(st.lists(NONZERO, min_size=n - dim, max_size=n - dim))
+    if dim == 0:
+        return n, ZeroComponent("p", 0, draw(rationals), tuple(weights))
+    degrees = draw(st.lists(rationals, min_size=n - 1, max_size=n - 1))
+    return n, ZeroComponent("curve", 1, draw(rationals), tuple(weights),
+                            draw(rationals), tuple(degrees))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=ambient_and_component())
+@example(case=(3, ZeroComponent("p", 0, 0, (-2, 3, Fraction(-1, 5)))))
+@example(case=(4, ZeroComponent("curve", 1, 0, (-3, Fraction(1, 2), -1), -2, (1, 0, -4))))
+@example(case=(1, ZeroComponent("curve", 1, Fraction(-3, 2), (), 2)))
+def test_closed_form_contribution_matches_the_ring_reference(case):
+    n, comp = case
+    expected = _ring_reference_parts(comp, n)
+    with pytest.MonkeyPatch.context() as patch:
+        for helper in ("class_mul", "class_pow", "class_inverse"):
+            patch.setattr(localization, helper, _ring_helper_called)
+        parts = component_contribution_parts(comp, n)
+    assert parts == expected
+    numerator, inverted, value = parts
+    assert all(type(x) is Fraction for x in (*numerator.coeffs, *inverted.coeffs, value))
+
+
+# --- toric vertex residues -------------------------------------------------
+
+# Smooth reflexive polygons, vertices in cyclic order. At a vertex v the
+# torus fixed point has weights <xi, e> over the primitive edge vectors e
+# from v to its two neighbours, and trace their sum.
+POLYGONS = {
+    "cp2": ((-1, -1), (2, -1), (-1, 2)),
+    "cp1xcp1": ((-1, -1), (1, -1), (1, 1), (-1, 1)),
+    "f1": ((-1, -1), (2, -1), (0, 1), (-1, 1)),
+    "dp7": ((-1, -1), (1, -1), (1, 0), (0, 1), (-1, 1)),
+    "dp6": ((-1, 0), (0, -1), (1, -1), (1, 0), (0, 1), (-1, 1)),
+}
+XIS = ((2, 3), (-5, 7), (3, -1), (1, 4))
+VERTEX_RESIDUES = {
+    "cp2": (0, 0, 0, 0),
+    "cp1xcp1": (0, 0, 0, 0),
+    "f1": (8, 38, -10, 14),
+    "dp7": (10, 4, 4, 10),
+    "dp6": (0, 0, 0, 0),
+}
+
+
+def _vertex_fixed_point_data(polygon, xi):
+    components = []
+    for k, vertex in enumerate(polygon):
+        weights = []
+        for neighbour in (polygon[k - 1], polygon[(k + 1) % len(polygon)]):
+            edge = (neighbour[0] - vertex[0], neighbour[1] - vertex[1])
+            g = math.gcd(*edge)
+            weights.append(Fraction(xi[0] * edge[0] + xi[1] * edge[1], g))
+        components.append(ZeroComponent(f"vertex {vertex}", 0, sum(weights), tuple(weights)))
+    return FixedPointData(f"polygon, xi = {xi}", 2, tuple(components))
+
+
+@pytest.mark.parametrize("name, xi, expected", [
+    (name, xi, value) for name, values in VERTEX_RESIDUES.items()
+    for xi, value in zip(XIS, values)])
+def test_toric_vertex_residues(name, xi, expected):
+    assert localization_sum(_vertex_fixed_point_data(POLYGONS[name], xi)) == expected
 
 
 # --- fixed point data ------------------------------------------------------
