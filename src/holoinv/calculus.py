@@ -10,15 +10,18 @@ parameter, the step h: a scalar, or an array of per-point steps
 broadcastable to the batch shape. The step is set here and nowhere above
 this layer: the invariant routes take DEFAULT_STEP, shrunk per point by
 chart_step near a chart boundary, and only the convergence suite passes
-other steps. holomorphic_derivative is the one first-derivative operator:
-it differentiates along every complex axis at once, for an evaluator of
-any value shape, so a field's Jacobian is one call and d/dzbar is
-conj(d/dz of the conjugate). The mixed Hessian is read off the real
-2n x 2n Hessian, built in one pass with the nested stencil's weights (129
-evaluations at n = 2), so it is exactly Hermitian. The checks on Ricci
-matrices and determinants of order 1 and 2 work entry by entry, each entry
-a view over the batch, folded elementwise: there are no reductions over
-the short trailing matrix axes.
+other steps. directional_derivative is the one first-derivative core:
+sum_i v^i d/dz^i along a complex direction v (per point or constant), from
+two real stencils, along v/|v| and i v/|v|, so 8 evaluator calls at any n.
+The routes differentiate only along the field X, so X(log a) and X of the
+Ricci ratio are one call each. holomorphic_derivative is that core along
+every unit axis e_j, for an evaluator of any value shape, so a field's
+Jacobian is one call and d/dzbar is conj(d/dz of the conjugate). The
+mixed Hessian is read off the real 2n x 2n Hessian, built in one pass with
+the nested stencil's weights (129 evaluations at n = 2), so it is exactly
+Hermitian. The checks on Ricci matrices and determinants of order 1 and 2
+work entry by entry, each entry a view over the batch, folded elementwise:
+there are no reductions over the short trailing matrix axes.
 
 Conventions
 -----------
@@ -62,21 +65,37 @@ def _shifted(coords, shifts, step):
     return shifted
 
 
-def _real_derivative(fn, coords, axis, direction, step):
-    """Directional central difference along one real coordinate.
+def directional_derivative(fn, coords, direction, step=DEFAULT_STEP):
+    """sum_i v^i d fn / dz^i at each point of `coords`, for v = `direction`.
 
-    direction is 1.0 for the x-part and 1j for the y-part of complex axis
-    `axis`; `step` is a scalar or per-point array as in the module notes.
-    The weight w / step is reshaped to step.shape + (1,) * k for values with
-    k trailing axes beyond the batch, so per-point steps scale each point's
-    whole value instead of broadcasting along a component axis.
+    direction has shape (..., n), or (n,) for one v at every point. With
+    u = v / |v| and D_u the real order-4 central difference along u,
+    sum_i v^i d fn / dz^i = |v| (D_u fn - i D_{iu} fn) / 2: 8 calls of fn
+    at any n, every node within 2h of the base point. |v| is folded into
+    the stencil weights (w / h) |v|, which are reshaped to their batch
+    shape + (1,) * k for values with k trailing axes beyond the batch, so fn
+    may return any value shape (..., *v) and per-point steps and directions
+    scale each point's whole value instead of broadcasting along a
+    component axis. Where v = 0 the weights are 0, and so is the result.
+    Along a unit axis e_j the nodes and weights are bit for bit those of
+    the per-axis central difference.
     """
-    acc = None
-    for o, w in zip(*_STENCIL):
-        values = np.asarray(fn(_shifted(coords, [(axis, direction, o)], step)))
-        weight = np.reshape(w / step, np.shape(step) + (1,) * (values.ndim - np.ndim(step)))
-        acc = weight * values if acc is None else acc + weight * values
-    return acc
+    v = np.asarray(direction)
+    norm = np.sqrt(functools.reduce(np.add, (v[..., i].real ** 2 + v[..., i].imag ** 2
+                                             for i in range(v.shape[-1]))))
+    # h u at full batch shape: broadcasting a short trailing axis against the
+    # batch in each of the 8 node shifts costs more than the shifts themselves
+    hu = np.broadcast_to(v, coords.shape) * (step / np.where(norm > 0.0, norm, 1.0))[..., None]
+    scales = [(w / step) * norm for w in _STENCIL[1]]
+    parts = []
+    for shift in (hu, 1.0j * hu):
+        acc = None
+        for o, scale in zip(_STENCIL[0], scales):
+            values = np.asarray(fn(coords + o * shift))
+            weight = np.reshape(scale, np.shape(scale) + (1,) * (values.ndim - np.ndim(scale)))
+            acc = weight * values if acc is None else acc + weight * values
+        parts.append(acc)
+    return 0.5 * (parts[0] - 1.0j * parts[1])
 
 
 def holomorphic_derivative(fn, coords, step=DEFAULT_STEP):
@@ -84,16 +103,13 @@ def holomorphic_derivative(fn, coords, step=DEFAULT_STEP):
 
     fn maps coordinates (..., n) to values of any shape (..., *v); the result
     has shape (..., *v, n), its last axis indexing j. A scalar evaluator thus
-    gives the gradient (..., n) and a vector one the Jacobian (..., k, n),
-    from 8n calls of fn either way. The antiholomorphic derivative is
+    gives the gradient (..., n) and a vector one the Jacobian (..., k, n):
+    directional_derivative along each unit vector e_j, 8n calls of fn either
+    way. The antiholomorphic derivative is
     d fn / dzbar^j = conj(d conj(fn) / dz^j).
     """
-    parts = []
-    for j in range(coords.shape[-1]):
-        dx = _real_derivative(fn, coords, j, 1.0, step)
-        dy = _real_derivative(fn, coords, j, 1.0j, step)
-        parts.append(0.5 * (dx - 1.0j * dy))
-    return np.stack(parts, axis=-1)
+    axes = np.eye(coords.shape[-1], dtype=complex)
+    return np.stack([directional_derivative(fn, coords, e, step) for e in axes], axis=-1)
 
 
 def mixed_hessian(fn, coords, step=DEFAULT_STEP):
@@ -202,24 +218,28 @@ def ricci_top_field(log_density, coords, step=DEFAULT_STEP, exact=None):
 def divergence_field(components, log_density, coords, step=DEFAULT_STEP):
     """Divergence of a holomorphic field against a volume density.
 
-    Returns sum_i dX^i/dz^i + sum_i X^i * d(log a)/dz^i for the chart
-    evaluators `components` (coords -> (..., n)) and `log_density`
-    (coords -> (...)).
+    Returns sum_i dX^i/dz^i + X(log a) for the chart evaluators
+    `components` (coords -> (..., n)) and `log_density` (coords -> (...)).
+    Each dX^i/dz^i is the derivative of component i alone along e_i, bit for
+    bit the diagonal of holomorphic_derivative's Jacobian without its
+    off-diagonal arithmetic (8n calls of the field); X(log a) is one
+    directional_derivative along X (8 calls of log a).
     """
-    jac = holomorphic_derivative(components, coords, step)
-    holo = functools.reduce(np.add, (jac[..., i, i] for i in range(coords.shape[-1])))
-    grad = holomorphic_derivative(log_density, coords, step)
+    axes = np.eye(coords.shape[-1], dtype=complex)
+    holo = functools.reduce(np.add, (
+        directional_derivative(lambda c, i=i: np.asarray(components(c))[..., i], coords, e, step)
+        for i, e in enumerate(axes)))
     values = np.asarray(components(coords))
-    # einsum, not an np.add fold over the axes: the fold changes the low bits
-    return holo + np.einsum("...i,...i->...", values, grad)
+    return holo + directional_derivative(log_density, coords, values, step)
 
 
 def chart_step(chart, coords):
     """DEFAULT_STEP, shrunk per point so every stencil node stays inside the chart.
 
     The diagonal second-derivative stencil of mixed_hessian reaches 4h from
-    the base point along one real axis; dividing the clearance by 5 (that
-    4h reach plus a margin of h) keeps every node strictly interior. On a
+    the base point along one real axis, and directional_derivative 2h along
+    a unit direction; dividing the clearance by 5 (the 4h reach plus a
+    margin of h) keeps every node of either strictly interior. On a
     chart without a declared boundary clearance DEFAULT_STEP is returned
     unchanged. The invariant routes take their step from here; no caller
     passes one.

@@ -172,8 +172,9 @@ def cmd_invariant(args) -> tuple[Report, int]:
                     f"'{bundle.fixed_point_field}', not '{args.field}'")
             data = bundle.fixed_point_data
             label = f"{args.example}:{bundle.fixed_point_field}"
-        residue_sum = _exact_text(localization.localization_sum(data))
-        value = localization.unnormalized_invariant(data)
+        total = localization.localization_sum(data)
+        residue_sum = _exact_text(total)
+        value = localization._invariant_from_sum(data, total)
         report.results.append(_result_row(
             label, value, "localization", error_estimate=0.0,
             exact_residue_sum=residue_sum))

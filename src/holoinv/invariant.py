@@ -14,7 +14,6 @@ fixed-point data compare against these values through the factor
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -92,10 +91,7 @@ def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSp
 
     def density(coords):
         h = calculus.chart_step(chart, coords)
-        grad = calculus.holomorphic_derivative(ratio, coords, h)
-        values = np.asarray(comps(coords))
-        directional = functools.reduce(np.add, (values[..., i] * grad[..., i]
-                                                for i in range(values.shape[-1])))
+        directional = calculus.directional_derivative(ratio, coords, comps(coords), h)
         weight = np.exp(np.asarray(logd(coords), dtype=float))
         return -directional * weight
 

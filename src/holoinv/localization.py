@@ -245,8 +245,12 @@ def unnormalized_invariant(data: FixedPointData) -> float:
     The exact rational is converted to the nearest binary64 before the
     transcendental factor is applied; a non-finite result raises ValueError.
     """
+    return _invariant_from_sum(data, localization_sum(data))
+
+
+def _invariant_from_sum(data: FixedPointData, total: Fraction) -> float:
+    """unnormalized_invariant(data) from its exact residue sum `total`."""
     n = data.manifold_dim
-    total = localization_sum(data)
     try:
         value = float(total) * (2.0 * math.pi) ** n / (n + 1) if total else 0.0
     except OverflowError:

@@ -290,10 +290,18 @@ def _r4_log_density(coords):
 
 
 def _r4_exact_ricci(coords):
-    r2 = _hopf_r2(coords)
-    outer = np.einsum("...i,...j->...ij", np.conj(coords), coords)
-    eye = np.eye(coords.shape[-1], dtype=complex)
-    return 2.0 * (eye / r2[..., None, None] - outer / (r2 ** 2)[..., None, None])
+    # (2/r^4)(r^2 I - zbar z^T): each diagonal entry r^2 - |z_i|^2 is the
+    # other |z_j|^2, so nothing cancels, and R_10 = conj(R_01) keeps the
+    # matrix exactly Hermitian
+    z1, z2 = coords[..., 0], coords[..., 1]
+    a1, a2 = _abs2(z1), _abs2(z2)
+    scale = 2.0 / (a1 + a2) ** 2
+    ricci = np.empty(coords.shape[:-1] + (2, 2), dtype=complex)
+    ricci[..., 0, 0] = scale * a2
+    ricci[..., 1, 1] = scale * a1
+    ricci[..., 0, 1] = -scale * (np.conj(z1) * z2)
+    ricci[..., 1, 0] = np.conj(ricci[..., 0, 1])
+    return ricci
 
 
 def _lebesgue_log_density(coords):

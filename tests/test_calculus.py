@@ -90,6 +90,107 @@ def test_vector_evaluator_is_called_8n_times(n):
         assert np.array_equal(jac[:, k], alone), k
 
 
+def _per_axis_holomorphic_derivative(fn, coords, step):
+    # reference: real central differences along the x- and y-part of one
+    # complex axis at a time, shifting only that coordinate
+    offsets, weights = ((-2.0, -1.0, 1.0, 2.0),
+                        (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0))
+
+    def real_derivative(axis, direction):
+        acc = None
+        for o, w in zip(offsets, weights):
+            shifted = np.array(coords)
+            shifted[..., axis] = shifted[..., axis] + (o * step) * direction
+            values = np.asarray(fn(shifted))
+            weight = np.reshape(w / step, np.shape(step) + (1,) * (values.ndim - np.ndim(step)))
+            acc = weight * values if acc is None else acc + weight * values
+        return acc
+
+    return np.stack([0.5 * (real_derivative(j, 1.0) - 1.0j * real_derivative(j, 1.0j))
+                     for j in range(coords.shape[-1])], axis=-1)
+
+
+@pytest.mark.parametrize("step", [DEFAULT_STEP, "per-point"])
+def test_holomorphic_derivative_is_bit_equal_to_the_per_axis_loop(hopf, step):
+    rng = np.random.default_rng(5)
+    pts = rng.uniform(1.0, 2.0, (4096, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (4096, 2)))
+    h = np.geomspace(1e-4, 1e-2, len(pts)) if step == "per-point" else step
+    evaluators = [hopf.volumes["r4-bump"].log_density["punctured"],
+                  hopf.fields["x1"].components["punctured"]]
+    for fn in evaluators:
+        new = calculus.holomorphic_derivative(fn, pts, h)
+        assert np.array_equal(new, _per_axis_holomorphic_derivative(fn, pts, h))
+
+
+def _smooth(coords):
+    z = coords
+    return np.log1p(_abs2(z).sum(-1)) + (z[..., 0] ** 2 * np.conj(z[..., -1])).real
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_directional_derivative_is_the_contracted_gradient(n):
+    rng = np.random.default_rng(20 + n)
+    pts = rng.uniform(-1, 1, (64, n)) + 1j * rng.uniform(-1, 1, (64, n))
+    v = rng.uniform(-2, 2, (64, n)) + 1j * rng.uniform(-2, 2, (64, n))
+    grad = calculus.holomorphic_derivative(_smooth, pts)
+    along = calculus.directional_derivative(_smooth, pts, v)
+    assert along.shape == (64,)
+    assert np.max(np.abs(along - np.sum(v * grad, axis=-1))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_directional_derivative_is_exact_on_quartic_polynomials(n):
+    # along a line a polynomial of degree <= 4 in z and zbar is a quartic in
+    # the line parameter, where the order-4 stencil has no truncation error,
+    # so even a coarse step leaves only rounding
+    rng = np.random.default_rng(30 + n)
+    terms = []
+    for _ in range(6):
+        holo, anti = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        while holo.sum() + anti.sum() > 4:
+            holo, anti = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        terms.append((complex(*rng.normal(size=2)), holo, anti))
+
+    def poly(c):
+        return sum(k * np.prod(c ** a * np.conj(c) ** b, axis=-1) for k, a, b in terms)
+
+    def d_poly(c, i):
+        return sum(k * a[i] * np.prod(c ** (a - np.eye(n, dtype=int)[i]) * np.conj(c) ** b,
+                                      axis=-1)
+                   for k, a, b in terms if a[i])
+
+    pts = rng.uniform(-1, 1, (32, n)) + 1j * rng.uniform(-1, 1, (32, n))
+    v = rng.uniform(-1, 1, (32, n)) + 1j * rng.uniform(-1, 1, (32, n))
+    exact = sum(v[..., i] * d_poly(pts, i) for i in range(n))
+    along = calculus.directional_derivative(poly, pts, v, step=0.25)
+    assert np.max(np.abs(along - exact)) < 1e-13
+
+
+def test_directional_derivative_vanishes_where_the_direction_does():
+    rng = np.random.default_rng(3)
+    pts = rng.uniform(-1, 1, (6, 2)) + 1j * rng.uniform(-1, 1, (6, 2))
+    v = rng.uniform(-1, 1, (6, 2)) + 1j * rng.uniform(-1, 1, (6, 2))
+    v[::2] = 0.0
+    along = calculus.directional_derivative(_smooth, pts, v)
+    assert np.all(along[::2] == 0.0)
+    assert np.all(along[1::2] != 0.0)
+    assert np.all(calculus.directional_derivative(_smooth, pts, np.zeros(2)) == 0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_directional_derivative_calls_the_evaluator_8_times(n):
+    rng = np.random.default_rng(n)
+    pts = rng.uniform(-1, 1, (5, n)) + 1j * rng.uniform(-1, 1, (5, n))
+    calls = []
+
+    def counted(c):
+        calls.append(c.shape)
+        return _smooth(c)
+
+    calculus.directional_derivative(counted, pts, np.conj(pts))
+    assert calls == [(5, n)] * 8
+
+
 # --- ricci_from_log_density ------------------------------------------------
 
 
@@ -316,6 +417,20 @@ def test_divergence_hopf_radial_identically_zero(hopf):
         assert abs(val) < 1e-10
 
 
+@pytest.mark.parametrize("step", [DEFAULT_STEP, "per-point"])
+def test_divergence_holomorphic_part_is_the_jacobian_trace(hopf, step):
+    # against a flat density the divergence is sum_i dX^i/dz^i alone, and its
+    # per-component stencils match the diagonal of the full Jacobian exactly
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(1.0, 2.0, (64, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (64, 2)))
+    h = np.geomspace(1e-4, 1e-2, len(pts)) if step == "per-point" else step
+    for name in ("x1", "x2", "radial"):
+        comps = hopf.fields[name].components["punctured"]
+        jac = calculus.holomorphic_derivative(comps, pts, h)
+        div = calculus.divergence_field(comps, flat, pts, h)
+        assert np.array_equal(div, jac[:, 0, 0] + jac[:, 1, 1]), name
+
+
 def test_divergence_additivity(cp1):
     x, y = cp1.fields["z-ddz"], cp1.fields["z2-ddz"]
     combined = VectorFieldSpec("x+y", {
@@ -392,6 +507,8 @@ def test_per_point_steps_match_one_point_calls(hopf):
         "mixed_hessian": lambda c, h: calculus.mixed_hessian(logd, c, h),
         "holomorphic_derivative": lambda c, h: calculus.holomorphic_derivative(logd, c, h),
         "holomorphic_derivative:x1": lambda c, h: calculus.holomorphic_derivative(comps, c, h),
+        "directional_derivative": lambda c, h: calculus.directional_derivative(
+            logd, c, comps(c), h),
         "divergence_field": lambda c, h: calculus.divergence_field(comps, logd, c, h),
         "ricci_top_field": lambda c, h: calculus.ricci_top_field(logd, c, h),
     }

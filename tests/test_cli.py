@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from holoinv import registry_get
+from holoinv import localization, registry_get
 from holoinv.cli import main
 
 
@@ -69,6 +69,25 @@ def test_localization_headline(capsys):
     assert row["exact_residue_sum"] == "-2"
     assert row["value_re"] == pytest.approx(-26.318945069571623, abs=1e-9)
     assert row["value_im"] == 0.0
+
+
+def test_localization_route_sums_the_residues_once(capsys, monkeypatch):
+    # the exact sum feeds both the printed residue sum and f(X)
+    calls = []
+    exact_sum = localization.localization_sum
+
+    def counted(data):
+        calls.append(data.label)
+        return exact_sum(data)
+
+    monkeypatch.setattr(localization, "localization_sum", counted)
+    code, out, _ = run_cli(capsys, "invariant", "--example", "cp1",
+                           "--method", "localization", "--json")
+    assert code == 0
+    assert len(calls) == 1
+    row = load_report(out)["results"][0]
+    assert row["value_re"] == localization.unnormalized_invariant(
+        registry_get("cp1").fixed_point_data)
 
 
 def test_direct_invariant_small(capsys):
@@ -338,6 +357,19 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert "cp1" in proc.stdout
+
+
+def test_package_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "holoinv", "list", "--json"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0
+    report = load_report(proc.stdout)
+    assert report["command"] == "list"
+    assert "cp1" in {entry["name"] for entry in report["results"]}
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

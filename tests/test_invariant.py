@@ -1,5 +1,7 @@
 """The invariant by both routes: vanishing values, agreement, independence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,44 @@ def test_hopf_default_job_node_count(hopf, monkeypatch):
     invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["radial"],
                      q=hopf.default_quadrature)
     assert sum(nodes) == 6_528
+
+
+def _points_per_node(monkeypatch, vol, slot, route, hopf, field):
+    # points handed to one evaluator of `vol` per quadrature node of one job
+    nodes, points = [], []
+
+    def counting_integrate(density, dom, q):
+        def counted(coords):
+            nodes.append(len(coords))
+            return density(coords)
+        return integrate(counted, dom, q)
+
+    def counted_evaluator(fn):
+        def counted(coords):
+            points.append(len(coords))
+            return fn(coords)
+        return counted
+
+    evaluators = getattr(vol, slot)
+    vol = dataclasses.replace(vol, **{slot: {c: counted_evaluator(fn)
+                                             for c, fn in evaluators.items()}})
+    monkeypatch.setattr(invariant_module, "integrate", counting_integrate)
+    route(hopf.manifold, vol, hopf.fields[field], q=hopf.default_quadrature)
+    assert sum(points) % sum(nodes) == 0
+    return sum(points) // sum(nodes)
+
+
+def test_hopf_stencil_direct_job_log_density_calls_per_node(hopf, monkeypatch):
+    # cost guard: 129 for the mixed Hessian plus 8 for X(log a), which is
+    # one directional stencil, not a gradient (8n)
+    assert _points_per_node(monkeypatch, hopf.volumes["r4-bump"], "log_density",
+                            invariant_direct, hopf, "x1") == 137
+
+
+def test_hopf_exact_alternative_job_exact_ricci_calls_per_node(hopf, monkeypatch):
+    # cost guard: X(n! det R / a) is one directional stencil, 8 ratio calls
+    assert _points_per_node(monkeypatch, hopf.volumes["r4"], "exact_ricci",
+                            invariant_alternative, hopf, "radial") == 8
 
 
 def test_zero_field_gives_exact_zero(cp1, hopf):

@@ -69,6 +69,28 @@ def test_exact_ricci_evaluators_match_stencils():
         assert np.max(np.abs(numeric - vol.exact_ricci["punctured"](w))) < 1e-7
 
 
+def test_r4_exact_ricci_is_hermitian_and_cancellation_free(hopf):
+    # the r^-4 Ricci matrix has rank 1, so n! det R is pure rounding noise;
+    # written as (2/r^4)(r^2 I - zbar z^T) with r^2 - |z_i|^2 summed from the
+    # other axis, that noise stays below the bound the form
+    # 2 (I/r^2 - zbar z^T / r^4) exceeds
+    rng = np.random.default_rng(2024)
+    z = rng.normal(size=(8192, 2)) + 1j * rng.normal(size=(8192, 2))
+    z *= (rng.uniform(1.0, 2.0, 8192) / np.linalg.norm(z, axis=-1))[:, None]
+    r2 = np.sum(np.abs(z) ** 2, axis=-1)
+    reference = 2.0 * (np.eye(2) / r2[:, None, None]
+                       - np.einsum("...i,...j->...ij", np.conj(z), z) / (r2 ** 2)[:, None, None])
+    exact = hopf.volumes["r4"].exact_ricci["punctured"]
+    R = exact(z)
+    assert np.all(calculus.hermiticity_residual(R) == 0.0)
+    scale = np.max(np.abs(R), axis=(-2, -1))
+    assert np.max(np.abs(R - reference) / scale[:, None, None]) < 2e-15
+    bound = 2e-15
+    assert np.max(np.abs(calculus.ricci_top_field(None, z, exact=exact) * r2 ** 2)) < bound
+    naive = calculus.ricci_top_field(None, z, exact=lambda c: reference)
+    assert np.max(np.abs(naive * r2 ** 2)) > bound
+
+
 def test_blowup_dataset_reproduces_intermediates(hopf_blowup):
     data = hopf_blowup.fixed_point_data
     isolated, curve = data.components
