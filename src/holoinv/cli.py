@@ -163,9 +163,11 @@ def cmd_invariant(args) -> tuple[Report, int]:
             label = data.label
         else:
             if bundle.fixed_point_data is None:
+                carriers = [name for name in registry_names()
+                            if registry_get(name).fixed_point_data is not None]
                 raise UsageError(
                     f"example '{args.example}' carries no fixed-point data "
-                    "(hint: pass --fixed-point-file or choose cp1 / hopf-blowup)")
+                    f"(hint: pass --fixed-point-file or choose {' / '.join(carriers)})")
             if args.field is not None and args.field != bundle.fixed_point_field:
                 raise UsageError(
                     f"fixed-point data of '{args.example}' describes field "
@@ -263,11 +265,13 @@ def _suite_deformation(bundle, p, samples, seed, q):
 
 def _suite_vaisman(bundle, p, samples, seed, q):
     m = bundle.manifold
-    pts = geometry.sample_domain_points(m, 10_000, seed)
     vol = bundle.volumes[p["volume"]]
-    top = calculus.ricci_top_field(vol.log_density[m.integration_chart], pts,
-                                   exact=vol.exact_ricci[m.integration_chart])
-    max_det = float(np.max(np.abs(top))) / math.factorial(pts.shape[-1])
+    max_det = 0.0
+    for chart, dom in m.fundamental_domain.items():
+        pts = geometry.sample_domain_points(dom, 10_000, seed)
+        top = calculus.ricci_top_field(vol.log_density[chart], pts,
+                                       exact=vol.exact_ricci[chart])
+        max_det = max(max_det, float(np.max(np.abs(top))) / math.factorial(m.dimension))
     rows = [_check_row("vaisman:max|det R|", max_det, p["det_bound"])]
     for vol_name, bound in ((p["volume"], p["bound"]),
                             (p["perturbed"], p["perturbed_bound"])):
@@ -282,7 +286,7 @@ def _suite_convergence(bundle, p, samples, seed, q):
     rng = np.random.default_rng(seed)
     pts = (rng.uniform(-2, 2, (100, 1)) + 1j * rng.uniform(-2, 2, (100, 1)))
     vol = bundle.volumes[p["volume"]]
-    chart = bundle.manifold.integration_chart
+    chart = next(iter(bundle.manifold.fundamental_domain))
     logd = vol.log_density[chart]
     exact = vol.exact_ricci[chart](pts)
 

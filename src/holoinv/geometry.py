@@ -2,10 +2,10 @@
 
 A manifold is presented as a covering space with a chart atlas, a deck
 group acting by explicit holomorphic maps, a positive character of that
-group, and one designated integration chart whose fundamental domain
-covers the quotient up to measure zero. Volume forms are stored through
-their per-chart log-densities so positivity is structural; vector fields
-through their per-chart holomorphic components. Membership contracts
+group, and a fundamental domain cut into pieces, one per chart, that tile
+the quotient and overlap only in measure zero. Volume forms are stored
+through their per-chart log-densities so positivity is structural; vector
+fields through their per-chart holomorphic components. Membership contracts
 (automorphy of a volume form, deck invariance and holomorphy of a field)
 are verified by deterministic sampling rather than symbolically.
 """
@@ -113,22 +113,24 @@ class VectorFieldSpec:
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """Atlas, deck group and fundamental integration domain of one manifold."""
+    """Atlas, deck group, and the fundamental domain's pieces by chart id."""
 
     name: str
     dimension: int
     atlas: tuple[Chart, ...]
     deck_group: DeckGroupSpec
-    fundamental_domain: IntegrationDomain
-    integration_chart: str
+    fundamental_domain: Mapping[str, IntegrationDomain]
     transitions: tuple[Transition, ...] = ()
 
     def __post_init__(self):
         ids = [c.chart_id for c in self.atlas]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate chart ids in atlas: {ids}")
-        if self.integration_chart not in ids:
-            raise ValueError(f"integration chart '{self.integration_chart}' not in atlas")
+        if not self.fundamental_domain:
+            raise ValueError("fundamental domain has no piece")
+        for chart_id in self.fundamental_domain:
+            if chart_id not in ids:
+                raise ValueError(f"domain piece in chart '{chart_id}' not in atlas")
         for c in self.atlas:
             if c.dim != self.dimension:
                 raise ValueError(
@@ -154,11 +156,10 @@ class CheckReport:
     residuals: Mapping[str, float]
 
 
-def sample_domain_points(m: ManifoldSpec, samples: int, seed: int = 0) -> np.ndarray:
-    """Deterministic sample of chart coordinates from the fundamental domain."""
+def sample_domain_points(dom: IntegrationDomain, samples: int, seed: int = 0) -> np.ndarray:
+    """Deterministic sample of chart coordinates from one domain piece."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    dom = m.fundamental_domain
     rng = np.random.default_rng(seed)
     lo = np.array([b[0] for b in dom.box])
     hi = np.array([b[1] for b in dom.box])
@@ -185,6 +186,16 @@ def _worst(values, what) -> float:
 
 def _report(residuals: dict) -> CheckReport:
     return CheckReport(max(residuals.values(), default=0.0), residuals)
+
+
+def _piece_report(m: ManifoldSpec, samples, seed, measure) -> CheckReport:
+    """Worst residual per label of measure(chart, pts) over the domain pieces."""
+    residuals = {}
+    for chart_id, dom in m.fundamental_domain.items():
+        pts = sample_domain_points(dom, samples, seed)
+        for label, value in measure(m.chart(chart_id), pts).items():
+            residuals[label] = max(value, residuals.get(label, value))
+    return _report(residuals)
 
 
 def _cauchy_riemann(fn, pts, scale, what) -> float:
@@ -218,24 +229,25 @@ def verify_automorphic(vol: VolumeFormSpec, m: ManifoldSpec,
     which vanishes exactly when the volume form is automorphic for its
     character.
     """
-    pts = sample_domain_points(m, samples, seed)
-    chart = m.chart(m.integration_chart)
-    _require_in_chart(chart, pts, "sample point")
-    logd = vol.log_density[chart.chart_id]
-    base = np.asarray(logd(pts), dtype=float)
-    _require_finite(base, f"log-density of '{vol.name}'")
-    residuals = {}
-    for g in m.deck_group.generators:
-        image = np.asarray(g.apply(pts))
-        _require_in_chart(chart, image, f"image under '{g.name}'")
-        shifted = np.asarray(logd(image), dtype=float)
-        _require_finite(shifted, f"log-density of '{vol.name}' at deck images")
-        jac = np.asarray(g.jacobian(pts))
-        log_jac2 = 2.0 * np.log(np.abs(np.linalg.det(jac)))
-        residuals[g.name] = _worst(
-            np.abs(shifted + log_jac2 - base - math.log(vol.character.value(g.name))),
-            f"automorphy of '{vol.name}' under '{g.name}'")
-    return _report(residuals)
+    def measure(chart, pts):
+        _require_in_chart(chart, pts, "sample point")
+        logd = vol.log_density[chart.chart_id]
+        base = np.asarray(logd(pts), dtype=float)
+        _require_finite(base, f"log-density of '{vol.name}'")
+        residuals = {}
+        for g in m.deck_group.generators:
+            image = np.asarray(g.apply(pts))
+            _require_in_chart(chart, image, f"image under '{g.name}'")
+            shifted = np.asarray(logd(image), dtype=float)
+            _require_finite(shifted, f"log-density of '{vol.name}' at deck images")
+            jac = np.asarray(g.jacobian(pts))
+            log_jac2 = 2.0 * np.log(np.abs(np.linalg.det(jac)))
+            residuals[g.name] = _worst(
+                np.abs(shifted + log_jac2 - base - math.log(vol.character.value(g.name))),
+                f"automorphy of '{vol.name}' under '{g.name}'")
+        return residuals
+
+    return _piece_report(m, samples, seed, measure)
 
 
 def verify_invariant_field(x: VectorFieldSpec, m: ManifoldSpec,
@@ -245,27 +257,28 @@ def verify_invariant_field(x: VectorFieldSpec, m: ManifoldSpec,
     Holomorphy is measured as the largest antiholomorphic Wirtinger
     derivative of any component along any axis (the Cauchy-Riemann
     residual). Both residuals are taken relative to 1 + |X| at the sample
-    point, so fields of polynomial growth on noncompact integration charts
-    are judged by their local scale.
+    point, so fields of polynomial growth on noncompact charts are judged
+    by their local scale.
     """
-    pts = sample_domain_points(m, samples, seed)
-    chart = m.chart(m.integration_chart)
-    comps = x.components[chart.chart_id]
-    values = np.asarray(comps(pts))
-    _require_finite(values, f"components of '{x.name}'")
-    scale = 1.0 + np.abs(values).max(axis=-1)
+    def measure(chart, pts):
+        comps = x.components[chart.chart_id]
+        values = np.asarray(comps(pts))
+        _require_finite(values, f"components of '{x.name}'")
+        scale = 1.0 + np.abs(values).max(axis=-1)
 
-    invariance = 0.0
-    for g in m.deck_group.generators:
-        image = np.asarray(g.apply(pts))
-        _require_in_chart(chart, image, f"image under '{g.name}'")
-        pushed = np.einsum("...ij,...j->...i", np.asarray(g.jacobian(pts)), values)
-        there = np.asarray(comps(image))
-        gap = np.abs(pushed - there).max(axis=-1) / scale
-        invariance = max(invariance, _worst(
-            gap, f"deck invariance of '{x.name}' under '{g.name}'"))
-    return _report({"deck_invariance": invariance,
-                    "cauchy_riemann": _cauchy_riemann(comps, pts, scale, f"'{x.name}'")})
+        invariance = 0.0
+        for g in m.deck_group.generators:
+            image = np.asarray(g.apply(pts))
+            _require_in_chart(chart, image, f"image under '{g.name}'")
+            pushed = np.einsum("...ij,...j->...i", np.asarray(g.jacobian(pts)), values)
+            there = np.asarray(comps(image))
+            gap = np.abs(pushed - there).max(axis=-1) / scale
+            invariance = max(invariance, _worst(
+                gap, f"deck invariance of '{x.name}' under '{g.name}'"))
+        return {"deck_invariance": invariance,
+                "cauchy_riemann": _cauchy_riemann(comps, pts, scale, f"'{x.name}'")}
+
+    return _piece_report(m, samples, seed, measure)
 
 
 def deck_group_report(m: ManifoldSpec, samples: int = DEFAULT_SAMPLES,
@@ -274,19 +287,21 @@ def deck_group_report(m: ManifoldSpec, samples: int = DEFAULT_SAMPLES,
 
     Residuals are relative to 1 + |p| (resp. 1 + |gamma(p)|) at the sample.
     """
-    pts = sample_domain_points(m, samples, seed)
-    scale = 1.0 + np.abs(pts).max(axis=-1)
-    residuals = {}
-    for g in m.deck_group.generators:
-        image = np.asarray(g.apply(pts))
-        image_scale = 1.0 + np.abs(image).max(axis=-1)
-        round_trip = np.asarray(g.inverse(image))
-        residuals[f"inverse_composition:{g.name}"] = _worst(
-            np.abs(round_trip - pts).max(axis=-1) / scale,
-            f"inverse composition of '{g.name}'")
-        residuals[f"cauchy_riemann:{g.name}"] = _cauchy_riemann(
-            g.apply, pts, image_scale, f"deck map '{g.name}'")
-    return _report(residuals)
+    def measure(chart, pts):
+        scale = 1.0 + np.abs(pts).max(axis=-1)
+        residuals = {}
+        for g in m.deck_group.generators:
+            image = np.asarray(g.apply(pts))
+            image_scale = 1.0 + np.abs(image).max(axis=-1)
+            round_trip = np.asarray(g.inverse(image))
+            residuals[f"inverse_composition:{g.name}"] = _worst(
+                np.abs(round_trip - pts).max(axis=-1) / scale,
+                f"inverse composition of '{g.name}'")
+            residuals[f"cauchy_riemann:{g.name}"] = _cauchy_riemann(
+                g.apply, pts, image_scale, f"deck map '{g.name}'")
+        return residuals
+
+    return _piece_report(m, samples, seed, measure)
 
 
 def verify_volume_transitions(vol: VolumeFormSpec, m: ManifoldSpec,

@@ -14,6 +14,7 @@ fixed-point data compare against these values through the factor
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import calculus
 from .geometry import Character, ManifoldSpec, VectorFieldSpec, VolumeFormSpec
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import IntegrationResult, QuadratureSpec, integrate
 
 NORMALIZATION = ("rho^n density = n!*det(R) against prod_i(i dz^i^dzbar^i); "
                  "i dz^dzbar = 2 dx^dy; residue comparisons scaled by (2pi)^n/(n+1)")
@@ -41,23 +42,24 @@ class InvariantResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def _chart_pieces(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec):
-    chart = m.chart(m.integration_chart)
-    logd = vol.log_density[chart.chart_id]
-    exact = (vol.exact_ricci or {}).get(chart.chart_id)
-    return chart, logd, exact, x.components[chart.chart_id]
+def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
+                     density_for, q: QuadratureSpec, method: str) -> InvariantResult:
+    """2^n times the integral of the route's density over the fundamental domain.
 
-
-def _integrate_route(m: ManifoldSpec, density, q: QuadratureSpec,
-                     method: str) -> InvariantResult:
-    """2^n times the integral of `density` over the fundamental domain.
-
-    The error budget is the refinement estimate plus the domain's declared
-    tail bound.
+    Each piece is integrated in its own chart, with the density that
+    density_for(chart, log-density, exact Ricci or None, field components)
+    builds from that chart's evaluators; values, refinement error estimates
+    and dropped samples add up over the pieces.
     """
     factor = 2.0 ** m.dimension
-    res = integrate(lambda coords: density(coords) * factor, m.fundamental_domain, q)
-    return InvariantResult(res.value, res.error_estimate + res.tail_bound, method)
+    total = None
+    for chart_id, dom in m.fundamental_domain.items():
+        density = density_for(m.chart(chart_id), vol.log_density[chart_id],
+                              (vol.exact_ricci or {}).get(chart_id), x.components[chart_id])
+        res = integrate(lambda coords: density(coords) * factor, dom, q)
+        # summed from the first piece: 0 + (-0.0) would flip the sign of a zero
+        total = res if total is None else IntegrationResult(*map(operator.add, total, res))
+    return InvariantResult(total.value, total.error_estimate, method)
 
 
 def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *,
@@ -68,34 +70,34 @@ def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *
     automorphic, the field deck-invariant and holomorphic); the registry
     bundles satisfy them by construction and the check suites verify them.
     """
-    chart, logd, exact, comps = _chart_pieces(m, vol, x)
+    def density_for(chart, logd, exact, comps):
+        def density(coords):
+            h = calculus.chart_step(chart, coords)
+            div = calculus.divergence_field(comps, logd, coords, h)
+            top = calculus.ricci_top_field(logd, coords, h, exact=exact)
+            return div * top
+        return density
 
-    def density(coords):
-        h = calculus.chart_step(chart, coords)
-        div = calculus.divergence_field(comps, logd, coords, h)
-        top = calculus.ricci_top_field(logd, coords, h, exact=exact)
-        return div * top
-
-    return _integrate_route(m, density, q, "direct")
+    return _integrate_route(m, vol, x, density_for, q, "direct")
 
 
 def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *,
                           q: QuadratureSpec) -> InvariantResult:
     """Invariant as -integral of X(n! det R / a) against the volume form."""
-    chart, logd, exact, comps = _chart_pieces(m, vol, x)
+    def density_for(chart, logd, exact, comps):
+        def ratio(coords):
+            h = calculus.chart_step(chart, coords)
+            top = calculus.ricci_top_field(logd, coords, h, exact=exact)
+            return top * np.exp(-np.asarray(logd(coords), dtype=float))
 
-    def ratio(coords):
-        h = calculus.chart_step(chart, coords)
-        top = calculus.ricci_top_field(logd, coords, h, exact=exact)
-        return top * np.exp(-np.asarray(logd(coords), dtype=float))
+        def density(coords):
+            h = calculus.chart_step(chart, coords)
+            directional = calculus.directional_derivative(ratio, coords, comps(coords), h)
+            weight = np.exp(np.asarray(logd(coords), dtype=float))
+            return -directional * weight
+        return density
 
-    def density(coords):
-        h = calculus.chart_step(chart, coords)
-        directional = calculus.directional_derivative(ratio, coords, comps(coords), h)
-        weight = np.exp(np.asarray(logd(coords), dtype=float))
-        return -directional * weight
-
-    return _integrate_route(m, density, q, "alternative")
+    return _integrate_route(m, vol, x, density_for, q, "alternative")
 
 
 def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,

@@ -41,8 +41,6 @@ class IntegrationDomain:
     chart_map: box points (m, 2n) -> chart coordinates (m, n) complex.
         Defaults to pairing consecutive reals as (x + i y).
     measure_map: box points -> positive Jacobian weight of the substitution.
-    tail_bound: declared bound on the mass outside a truncated box, carried
-        into downstream error budgets.
     periodic: one bool per box axis, True where the integrand (density
         times measure) is periodic along that axis with period hi - lo, so
         the axis spans exactly one period and takes the trapezoid rule.
@@ -52,7 +50,6 @@ class IntegrationDomain:
     box: tuple[tuple[float, float], ...]
     chart_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
     measure_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    tail_bound: float = 0.0
     periodic: tuple[bool, ...] = ()
 
     def __post_init__(self):
@@ -96,7 +93,6 @@ class QuadratureSpec:
 class IntegrationResult(NamedTuple):
     value: complex
     error_estimate: float
-    tail_bound: float
     dropped_samples: int
 
 
@@ -200,8 +196,8 @@ def integrate(density, dom: IntegrationDomain,
     -------
     IntegrationResult
         value, |value_L - value_{L-1}| as error_estimate (inf when only one
-        level was requested), the domain's declared tail bound, and the
-        count of dropped samples at the finest level.
+        level was requested), and the count of dropped samples at the
+        finest level.
     """
     values = []
     dropped = 0
@@ -212,4 +208,4 @@ def integrate(density, dom: IntegrationDomain,
         error = abs(values[-1] - values[-2])
     else:
         error = math.inf
-    return IntegrationResult(values[-1], error, dom.tail_bound, dropped)
+    return IntegrationResult(values[-1], error, dropped)

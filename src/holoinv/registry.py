@@ -2,7 +2,8 @@
 
 Four bundles ship with the package:
 
-* ``cp1``  - the projective line through its two affine charts. The
+* ``cp1``  - the projective line through its two affine charts, integrated
+  over the closed unit disc of each chart in polar coordinates. The
   rotation-invariant density 1/(1+|z|^2)^2 and a bump-perturbed variant,
   with the three global holomorphic fields.
 * ``hopf`` - the Hopf surface (C^2 minus 0) / (z -> 2z), integration over
@@ -46,11 +47,6 @@ from .geometry import (
 from .localization import FixedPointData, ZeroComponent
 from .quadrature import IntegrationDomain, QuadratureSpec
 
-RADIAL_CUTOFF = 1.0e4
-# FS-type integrands decay like |z|^-4, so the mass beyond the cutoff is
-# bounded by C / cutoff^2 with C below 4*pi for every registered density.
-PLANE_TAIL_BOUND = 2.0e-7
-
 # Sampled membership checks of every example with a chart atlas; residuals
 # across chart transitions are held to their own, tighter bound.
 _MEMBERSHIP_SUITES = {
@@ -86,22 +82,15 @@ def _abs2(z):
 # ---------------------------------------------------------------------------
 
 
-def _plane_domain() -> IntegrationDomain:
-    u_max = math.atan(RADIAL_CUTOFF)
-
+def _disc_domain() -> IntegrationDomain:
+    """The closed unit disc in polar coordinates (r, theta)."""
     def chart_map(pts):
-        radius = np.tan(pts[..., 0])
-        return (radius * np.exp(1j * pts[..., 1]))[..., None]
-
-    def measure_map(pts):
-        t = np.tan(pts[..., 0])
-        return t * (1.0 + t * t)
+        return (pts[..., 0] * np.exp(1j * pts[..., 1]))[..., None]
 
     return IntegrationDomain(
-        box=((0.0, u_max), (0.0, 2.0 * math.pi)),
+        box=((0.0, 1.0), (0.0, 2.0 * math.pi)),
         chart_map=chart_map,
-        measure_map=measure_map,
-        tail_bound=PLANE_TAIL_BOUND,
+        measure_map=lambda pts: pts[..., 0],
         periodic=(False, True),
     )
 
@@ -143,6 +132,16 @@ def _fs_bump_exact_ricci(coords):
     return r[..., None, None].astype(complex)
 
 
+def _fs_bump_exact_ricci_inf(coords):
+    # the Ricci form is a global (1,1)-form, so R_inf(w) = R_aff(1/w) / |w|^4;
+    # the bump term vanishes to all orders at w = 0, where R_inf = 2
+    w = coords[..., 0]
+    safe = np.where(w == 0, 1.0, w)
+    r = (_bump_at_inverse(w) * (1.0 - _abs2(1.0 / safe - 1.0)) / _abs2(safe) ** 2
+         + 2.0 / (1.0 + _abs2(w)) ** 2)
+    return r[..., None, None].astype(complex)
+
+
 def _inversion_overlap(rng, samples):
     radius = rng.uniform(0.3, 3.0, samples)
     angle = rng.uniform(0.0, 2.0 * math.pi, samples)
@@ -168,13 +167,13 @@ def _cp1_bundle() -> ExampleBundle:
         Transition("affine-inf", "affine", invert, invert_jacobian, _inversion_overlap),
     )
 
+    disc = _disc_domain()
     manifold = ManifoldSpec(
         name="cp1",
         dimension=1,
         atlas=(affine, affine_inf),
         deck_group=DeckGroupSpec(),
-        fundamental_domain=_plane_domain(),
-        integration_chart="affine",
+        fundamental_domain={"affine": disc, "affine-inf": disc},
         transitions=transitions,
     )
 
@@ -190,35 +189,19 @@ def _cp1_bundle() -> ExampleBundle:
             log_density={"affine": _fs_bump_log_density_affine,
                          "affine-inf": _fs_bump_log_density_inf},
             character=TRIVIAL_CHARACTER,
-            exact_ricci={"affine": _fs_bump_exact_ricci},
+            exact_ricci={"affine": _fs_bump_exact_ricci,
+                         "affine-inf": _fs_bump_exact_ricci_inf},
         ),
     }
 
-    def linear_field(coords):
-        return coords
-
-    def constant_field(coords):
-        return np.ones_like(coords)
-
-    def quadratic_field(coords):
-        return coords ** 2
-
-    def minus_linear(coords):
-        return -coords
-
-    def minus_quadratic(coords):
-        return -coords ** 2
-
-    def minus_constant(coords):
-        return -np.ones_like(coords)
-
+    # in w = 1/z, d/dz = -w^2 d/dw, so z^k d/dz reads -w^(2-k) d/dw
     fields = {
-        "z-ddz": VectorFieldSpec("z-ddz", {"affine": linear_field,
-                                           "affine-inf": minus_linear}),
-        "ddz": VectorFieldSpec("ddz", {"affine": constant_field,
-                                       "affine-inf": minus_quadratic}),
-        "z2-ddz": VectorFieldSpec("z2-ddz", {"affine": quadratic_field,
-                                             "affine-inf": minus_constant}),
+        "z-ddz": VectorFieldSpec("z-ddz", {"affine": lambda c: c,
+                                           "affine-inf": lambda c: -c}),
+        "ddz": VectorFieldSpec("ddz", {"affine": np.ones_like,
+                                       "affine-inf": lambda c: -c ** 2}),
+        "z2-ddz": VectorFieldSpec("z2-ddz", {"affine": lambda c: c ** 2,
+                                             "affine-inf": lambda c: -np.ones_like(c)}),
     }
 
     fixed_points = FixedPointData(
@@ -237,10 +220,11 @@ def _cp1_bundle() -> ExampleBundle:
         fields=fields,
         fixed_point_data=fixed_points,
         fixed_point_field="z-ddz",
-        default_quadrature=QuadratureSpec(points_per_axis=16, refinement_levels=3),
-        notes=("Projective line via the affine chart, compactified by the polar "
-               "substitution z = tan(u) e^{i theta} with radial cutoff "
-               f"|z| <= {RADIAL_CUTOFF:g} (declared tail bound {PLANE_TAIL_BOUND:g}). "
+        # 3,200 nodes per job; (16, 16) x 2 leaves fs-bump z2-ddz alt at +-3.5e-2
+        default_quadrature=QuadratureSpec(points_per_axis=(20, 16), refinement_levels=2),
+        notes=("Projective line as two closed unit discs, |z| <= 1 in the affine "
+               "chart and |w| <= 1 in the chart at infinity (w = 1/z), each in "
+               "polar coordinates r e^{i theta}; they meet only on the unit circle. "
                "Both densities are smooth positive representatives of the same "
                "curvature class; the three fields span the global holomorphic "
                "fields of the line."),
@@ -352,8 +336,7 @@ def _hopf_bundle() -> ExampleBundle:
         dimension=2,
         atlas=(chart,),
         deck_group=deck,
-        fundamental_domain=_hopf_domain(),
-        integration_chart="punctured",
+        fundamental_domain={"punctured": _hopf_domain()},
     )
 
     volumes = {

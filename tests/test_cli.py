@@ -187,6 +187,16 @@ def test_usage_error_carries_hint(capsys):
     assert "localization" in err
 
 
+def test_localization_hint_names_every_example_with_fixed_point_data(capsys):
+    code, out, err = run_cli(capsys, "invariant", "--example", "hopf",
+                             "--method", "localization")
+    assert code == 2
+    assert out == ""
+    for name in ("cp1", "hopf-blowup", "blcp2"):
+        assert registry_get(name).fixed_point_data is not None
+        assert name in err.split("choose", 1)[1]
+
+
 # --- fixed point files --------------------------------------------------------
 
 

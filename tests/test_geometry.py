@@ -99,6 +99,13 @@ def test_antiholomorphic_component_fails(hopf):
     assert rep.residuals["cauchy_riemann"] > 1e-2
 
 
+def test_field_residuals_cover_every_piece(cp1):
+    # antiholomorphic only in the chart at infinity: only that piece sees it
+    comps = {**cp1.fields["z-ddz"].components, "affine-inf": lambda c: np.conj(c)}
+    rep = verify_invariant_field(VectorFieldSpec("zbar-at-infinity", comps), cp1.manifold)
+    assert rep.residuals["cauchy_riemann"] > 1e-2
+
+
 # --- character -------------------------------------------------------------
 
 
@@ -176,22 +183,23 @@ def test_nan_residual_raises(measure, hopf, cp1):
 
 
 def test_sampling_is_deterministic(hopf):
-    a = sample_domain_points(hopf.manifold, 100, seed=3)
-    b = sample_domain_points(hopf.manifold, 100, seed=3)
+    dom = hopf.manifold.fundamental_domain["punctured"]
+    a = sample_domain_points(dom, 100, seed=3)
+    b = sample_domain_points(dom, 100, seed=3)
     assert np.array_equal(a, b)
-    c = sample_domain_points(hopf.manifold, 100, seed=4)
+    c = sample_domain_points(dom, 100, seed=4)
     assert not np.array_equal(a, c)
 
 
 def test_sampling_lands_in_annulus(hopf):
-    pts = sample_domain_points(hopf.manifold, 500, seed=0)
+    pts = sample_domain_points(hopf.manifold.fundamental_domain["punctured"], 500, seed=0)
     r2 = _abs2(pts).sum(-1)
     assert np.all(r2 >= 1.0 - 1e-12) and np.all(r2 <= 4.0 + 1e-12)
 
 
 def test_sample_count_validation(hopf):
     with pytest.raises(ValueError):
-        sample_domain_points(hopf.manifold, 0)
+        sample_domain_points(hopf.manifold.fundamental_domain["punctured"], 0)
 
 
 def test_domain_error_when_generator_leaves_chart():
@@ -207,8 +215,7 @@ def test_domain_error_when_generator_leaves_chart():
         dimension=1,
         atlas=(disc,),
         deck_group=DeckGroupSpec((shift,)),
-        fundamental_domain=IntegrationDomain(box=((-0.5, 0.5), (-0.5, 0.5))),
-        integration_chart="disc",
+        fundamental_domain={"disc": IntegrationDomain(box=((-0.5, 0.5), (-0.5, 0.5)))},
     )
     flat = VolumeFormSpec("flat", {"disc": lambda c: np.zeros(c.shape[:-1])},
                           Character({"shift": 1.0}))
@@ -218,12 +225,20 @@ def test_domain_error_when_generator_leaves_chart():
 
 def test_manifold_validation():
     disc = Chart("disc", 1, lambda c: np.abs(c[..., 0]) < 1.0)
-    with pytest.raises(ValueError):
-        ManifoldSpec("bad", 1, (disc,), DeckGroupSpec(),
-                     IntegrationDomain(box=((0, 1), (0, 1))),
-                     integration_chart="elsewhere")
+    square = IntegrationDomain(box=((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="not in atlas"):
+        ManifoldSpec("bad", 1, (disc,), DeckGroupSpec(), {"elsewhere": square})
     wrong_dim = Chart("disc2", 2, lambda c: np.abs(c[..., 0]) < 1.0)
     with pytest.raises(ValueError):
-        ManifoldSpec("bad2", 1, (disc, wrong_dim), DeckGroupSpec(),
-                     IntegrationDomain(box=((0, 1), (0, 1))),
-                     integration_chart="disc")
+        ManifoldSpec("bad2", 1, (disc, wrong_dim), DeckGroupSpec(), {"disc": square})
+
+
+def test_manifold_rejects_bad_piece_mappings():
+    disc = Chart("disc", 1, lambda c: np.abs(c[..., 0]) < 1.0)
+    square = IntegrationDomain(box=((0, 1), (0, 1)))
+    with pytest.raises(ValueError, match="no piece"):
+        ManifoldSpec("empty", 1, (disc,), DeckGroupSpec(), {})
+    # one good piece does not excuse a second one off the atlas
+    with pytest.raises(ValueError, match="'elsewhere' not in atlas"):
+        ManifoldSpec("stray", 1, (disc,), DeckGroupSpec(),
+                     {"disc": square, "elsewhere": square})

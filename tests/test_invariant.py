@@ -1,6 +1,7 @@
 """The invariant by both routes: vanishing values, agreement, independence."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,11 +17,11 @@ from holoinv import (
     sample_domain_points,
 )
 from holoinv import invariant as invariant_module
-from holoinv.quadrature import integrate
+from holoinv.quadrature import IntegrationResult, integrate
 
 
-def zero_field(chart_id):
-    return VectorFieldSpec("zero", {chart_id: lambda c: np.zeros_like(c)})
+def zero_field(*chart_ids):
+    return VectorFieldSpec("zero", {chart: lambda c: np.zeros_like(c) for chart in chart_ids})
 
 
 # --- direct route ----------------------------------------------------------
@@ -56,6 +57,33 @@ def test_hopf_default_job_node_count(hopf, monkeypatch):
     invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["radial"],
                      q=hopf.default_quadrature)
     assert sum(nodes) == 6_528
+
+
+def test_cp1_default_job_node_count(cp1, monkeypatch):
+    # cost guard: each unit disc takes 20 x 16 nodes at level 1 and 40 x 32
+    # at level 2, and a job integrates both discs
+    nodes = []
+
+    def counting_integrate(density, dom, q):
+        def counted(coords):
+            nodes.append(len(coords))
+            return density(coords)
+        return integrate(counted, dom, q)
+
+    monkeypatch.setattr(invariant_module, "integrate", counting_integrate)
+    invariant_direct(cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"],
+                     q=cp1.default_quadrature)
+    assert sum(nodes) == 3_200
+
+
+def test_one_piece_result_is_the_piece_integral(hopf, monkeypatch):
+    # the sum over pieces starts from the first piece, so a one-piece
+    # manifold reports its integral as it is, signed zeros included
+    piece = IntegrationResult(complex(-0.0, -0.0), 0.0, 0)
+    monkeypatch.setattr(invariant_module, "integrate", lambda density, dom, q: piece)
+    res = invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"],
+                           q=hopf.default_quadrature)
+    assert math.copysign(1.0, res.value.real) == math.copysign(1.0, res.value.imag) == -1.0
 
 
 def _points_per_node(monkeypatch, vol, slot, route, hopf, field):
@@ -97,8 +125,8 @@ def test_hopf_exact_alternative_job_exact_ricci_calls_per_node(hopf, monkeypatch
 
 
 def test_zero_field_gives_exact_zero(cp1, hopf):
-    res = invariant_direct(cp1.manifold, cp1.volumes["fs"], zero_field("affine"),
-                           q=cp1.default_quadrature)
+    res = invariant_direct(cp1.manifold, cp1.volumes["fs"],
+                           zero_field("affine", "affine-inf"), q=cp1.default_quadrature)
     assert res.value == 0.0
     res2 = invariant_direct(hopf.manifold, hopf.volumes["r4-bump"],
                             zero_field("punctured"), q=hopf.default_quadrature)
@@ -129,7 +157,8 @@ def test_cp1_alternative_agrees_with_direct(cp1):
 
 def test_alternative_zero_field_exact(cp1):
     res = invariant_alternative(cp1.manifold, cp1.volumes["fs"],
-                                zero_field("affine"), q=cp1.default_quadrature)
+                                zero_field("affine", "affine-inf"),
+                                q=cp1.default_quadrature)
     assert res.value == 0.0
 
 
@@ -160,7 +189,9 @@ def test_linearity_in_the_field(cp1):
     a, b = 0.7 - 1.3j, -0.4 + 2.1j
     x, y = cp1.fields["z-ddz"], cp1.fields["z2-ddz"]
     combo = VectorFieldSpec("combo", {
-        "affine": lambda c: a * x.components["affine"](c) + b * y.components["affine"](c)})
+        chart: lambda c, chart=chart: (a * x.components[chart](c)
+                                       + b * y.components[chart](c))
+        for chart in ("affine", "affine-inf")})
     vol = cp1.volumes["fs-bump"]
     q = cp1.default_quadrature
     fx = invariant_direct(cp1.manifold, vol, x, q=q)
@@ -201,7 +232,7 @@ def test_choice_independence_hopf(hopf):
 
 
 def test_vaisman_pointwise_determinant(hopf):
-    pts = sample_domain_points(hopf.manifold, 10_000, seed=0)
+    pts = sample_domain_points(hopf.manifold.fundamental_domain["punctured"], 10_000, seed=0)
     ricci = hopf.volumes["r4"].exact_ricci["punctured"](pts)
     assert float(np.max(np.abs(np.linalg.det(ricci)))) <= 1e-8
 
@@ -209,7 +240,7 @@ def test_vaisman_pointwise_determinant(hopf):
 def test_perturbed_density_is_not_degenerate_pointwise(hopf):
     from holoinv import calculus
 
-    pts = sample_domain_points(hopf.manifold, 200, seed=1)
+    pts = sample_domain_points(hopf.manifold.fundamental_domain["punctured"], 200, seed=1)
     ricci = calculus.ricci_from_log_density(
         hopf.volumes["r4-bump"].log_density["punctured"], pts)
     assert float(np.max(np.abs(np.linalg.det(ricci)))) > 1e-3

@@ -58,8 +58,9 @@ def test_exact_ricci_evaluators_match_stencils():
     z = rng.uniform(-2, 2, (40, 1)) + 1j * rng.uniform(-2, 2, (40, 1))
     for name in ("fs", "fs-bump"):
         vol = cp1.volumes[name]
-        numeric = calculus.ricci_from_log_density(vol.log_density["affine"], z)
-        assert np.max(np.abs(numeric - vol.exact_ricci["affine"](z))) < 1e-7
+        for chart, exact in vol.exact_ricci.items():
+            numeric = calculus.ricci_from_log_density(vol.log_density[chart], z)
+            assert np.max(np.abs(numeric - exact(z))) < 1e-7, (name, chart)
 
     hopf = registry_get("hopf")
     w = rng.uniform(0.8, 1.4, (40, 2)) * np.exp(1j * rng.uniform(0, 6.28, (40, 2)))
@@ -67,6 +68,18 @@ def test_exact_ricci_evaluators_match_stencils():
         vol = hopf.volumes[name]
         numeric = calculus.ricci_from_log_density(vol.log_density["punctured"], w)
         assert np.max(np.abs(numeric - vol.exact_ricci["punctured"](w))) < 1e-7
+
+
+def test_fs_bump_ricci_at_infinity_is_the_pulled_back_form(cp1):
+    # the Ricci form is a global (1,1)-form: R_inf(w) = R_aff(1/w) / |w|^4,
+    # and the bump term vanishes to all orders at w = 0, where R_inf = 2
+    exact = cp1.volumes["fs-bump"].exact_ricci
+    rng = np.random.default_rng(5)
+    w = (rng.uniform(0.05, 1.0, 512) * np.exp(1j * rng.uniform(0, 2 * np.pi, 512)))[:, None]
+    at_inf = exact["affine-inf"](w)[:, 0, 0]
+    pulled = exact["affine"](1.0 / w)[:, 0, 0] / np.abs(w[:, 0]) ** 4
+    assert np.max(np.abs(at_inf - pulled)) < 1e-14 * np.max(np.abs(pulled))
+    assert exact["affine-inf"](np.zeros((1, 1), dtype=complex))[0, 0, 0] == 2.0
 
 
 def test_r4_exact_ricci_is_hermitian_and_cancellation_free(hopf):
@@ -141,14 +154,15 @@ def test_curvature_mass_independent_of_density(cp1):
     for name in ("fs", "fs-bump"):
         vol = cp1.volumes[name]
 
-        def density(z, _vol=vol):
+        def density(z, chart, _vol=vol):
             return 2.0 * calculus.ricci_top_field(
-                _vol.log_density["affine"], z,
-                exact=(_vol.exact_ricci or {}).get("affine"))
+                _vol.log_density[chart], z,
+                exact=(_vol.exact_ricci or {}).get(chart))
 
-        res = integrate(density, cp1.manifold.fundamental_domain,
-                        QuadratureSpec(16, 3))
-        assert abs(res.value - 4.0 * math.pi) < 1e-4, name
+        total = sum(integrate(lambda z, c=chart: density(z, c), dom,
+                              QuadratureSpec(16, 3)).value
+                    for chart, dom in cp1.manifold.fundamental_domain.items())
+        assert abs(total - 4.0 * math.pi) < 1e-9, name
 
 
 def test_hopf_curvature_mass_vanishes(hopf):
@@ -162,7 +176,7 @@ def test_hopf_curvature_mass_vanishes(hopf):
                 _vol.log_density["punctured"], z,
                 exact=(_vol.exact_ricci or {}).get("punctured"))
 
-        res = integrate(density, hopf.manifold.fundamental_domain,
+        res = integrate(density, hopf.manifold.fundamental_domain["punctured"],
                         hopf.default_quadrature)
         assert abs(res.value) < 1e-6, name
 
