@@ -210,9 +210,10 @@ def cmd_invariant(args) -> tuple[Report, int]:
 
 
 def _check_row(label, value, bound, error=0.0, passed=None):
-    """One check row; unless `passed` is given, it passes when |value| <= bound."""
+    """One check row; unless `passed` is given, it passes when
+    |value| + error <= bound."""
     if passed is None:
-        passed = abs(complex(value)) <= bound
+        passed = abs(complex(value)) + error <= bound
     return _result_row(label, value, "check", bound=float(bound), error=float(error),
                        passed=bool(passed))
 
@@ -256,10 +257,7 @@ def _suite_deformation(bundle, p, samples, seed, q):
         values = [r.value for _, r in curve]
         spread = max(abs(a - b) for a in values for b in values)
         error = max(r.error_estimate for _, r in curve)
-        # no declared bound: the spread is held to twice the curve's largest
-        # quadrature error estimate
-        bound = 2.0 * error if p["bound"] is None else p["bound"]
-        rows.append(_check_row(f"deformation:{name}", spread, bound, error))
+        rows.append(_check_row(f"deformation:{name}", spread, p["bound"], error))
     return rows
 
 

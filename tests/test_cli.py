@@ -345,7 +345,7 @@ def test_check_rows_pass_by_their_own_bound(capsys, example):
             if row["label"] == "convergence:order":  # a lower bound
                 continue
             value = complex(row["value_re"], row["value_im"])
-            assert row["passed"] == (abs(value) <= row["bound"]), row
+            assert row["passed"] == (abs(value) + row["error"] <= row["bound"]), row
 
 
 def test_failing_check_exits_one(capsys, monkeypatch):

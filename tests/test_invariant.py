@@ -182,6 +182,17 @@ def test_method_agreement_on_cp1_examples(cp1):
             assert abs(direct.value - alt.value) <= 1e-4, (vol_name, field_name)
 
 
+@pytest.mark.parametrize("route", [invariant_direct, invariant_alternative])
+@pytest.mark.parametrize("field_name", ["z-ddz", "ddz", "z2-ddz"])
+def test_fs_bump_vanishes_within_its_bar(cp1, route, field_name):
+    # the bump is real-analytic on both charts, so the stencils see no flat
+    # point and every fs-bump value lands at rounding level with a bar that
+    # bounds it
+    res = route(cp1.manifold, cp1.volumes["fs-bump"], cp1.fields[field_name],
+                q=cp1.default_quadrature)
+    assert abs(res.value) + res.error_estimate <= 1e-9
+
+
 # --- linearity -------------------------------------------------------------
 
 

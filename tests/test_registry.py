@@ -51,6 +51,16 @@ def test_every_field_is_invariant_and_holomorphic(name):
         assert rep.max_residual <= 1e-8, (name, fld.name, rep.residuals)
 
 
+@pytest.mark.parametrize("name", registry_names())
+def test_declared_suite_bounds_are_positive_numbers(name):
+    # every tolerance is declared on the bundle; no suite derives its own
+    for suite, params in registry_get(name).suites.items():
+        for key, value in params.items():
+            if key.endswith("bound"):
+                assert isinstance(value, (int, float)) and 0 < value < math.inf, \
+                    (suite, key, value)
+
+
 def test_exact_ricci_evaluators_match_stencils():
     # guards the closed forms shipped with the bundles
     cp1 = registry_get("cp1")
@@ -71,15 +81,16 @@ def test_exact_ricci_evaluators_match_stencils():
 
 
 def test_fs_bump_ricci_at_infinity_is_the_pulled_back_form(cp1):
-    # the Ricci form is a global (1,1)-form: R_inf(w) = R_aff(1/w) / |w|^4,
-    # and the bump term vanishes to all orders at w = 0, where R_inf = 2
+    # the Ricci form is a global (1,1)-form: R_inf(w) = R_aff(1/w) / |w|^4;
+    # the bump is exp(-1) at infinity, where R_inf = 2 - exp(-1)
     exact = cp1.volumes["fs-bump"].exact_ricci
     rng = np.random.default_rng(5)
     w = (rng.uniform(0.05, 1.0, 512) * np.exp(1j * rng.uniform(0, 2 * np.pi, 512)))[:, None]
     at_inf = exact["affine-inf"](w)[:, 0, 0]
     pulled = exact["affine"](1.0 / w)[:, 0, 0] / np.abs(w[:, 0]) ** 4
     assert np.max(np.abs(at_inf - pulled)) < 1e-14 * np.max(np.abs(pulled))
-    assert exact["affine-inf"](np.zeros((1, 1), dtype=complex))[0, 0, 0] == 2.0
+    at_zero = exact["affine-inf"](np.zeros((1, 1), dtype=complex))[0, 0, 0]
+    assert at_zero == pytest.approx(2.0 - math.exp(-1.0), rel=1e-15)
 
 
 def test_r4_exact_ricci_is_hermitian_and_cancellation_free(hopf):
