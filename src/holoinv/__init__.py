@@ -28,6 +28,7 @@ from .geometry import (
     sample_domain_points,
     verify_automorphic,
     verify_field_transitions,
+    verify_invariant_axes,
     verify_invariant_field,
     verify_volume_transitions,
 )

@@ -23,9 +23,11 @@ from . import __version__, calculus, geometry, localization
 from .errors import HoloinvError, NonsingularityError
 from .invariant import (
     NORMALIZATION,
+    ROUTE_DENSITIES,
     deformation_invariant_curve,
     invariant_alternative,
     invariant_direct,
+    piece_density,
 )
 from .quadrature import QuadratureSpec
 from .registry import registry_get, registry_names
@@ -243,9 +245,24 @@ def _suite_automorphy(bundle, p, samples, seed, q):
 
 
 def _suite_invariance(bundle, p, samples, seed, q):
-    return _membership_rows("invariance", bundle.fields, geometry.verify_invariant_field,
-                            geometry.verify_field_transitions, bundle.manifold, p,
-                            samples, seed)
+    m = bundle.manifold
+    rows = _membership_rows("invariance", bundle.fields, geometry.verify_invariant_field,
+                            geometry.verify_field_transitions, m, p, samples, seed)
+    if not any("invariant" in dom.rules for dom in m.fundamental_domain.values()):
+        return rows
+    # an invariant axis gets one quadrature node, so every route's density
+    # times the measure must be constant along it: one row per volume, field
+    # and route
+    for vol_name in sorted(bundle.volumes):
+        for field_name in sorted(bundle.fields):
+            vol, x = bundle.volumes[vol_name], bundle.fields[field_name]
+            for route, density_for in ROUTE_DENSITIES.items():
+                rep = geometry.verify_invariant_axes(
+                    lambda chart_id: piece_density(m, vol, x, chart_id, density_for),
+                    m, samples, seed=seed)
+                rows += _report_rows(f"axis:{vol_name}:{field_name}:{route}", rep,
+                                     p["axis_bound"])
+    return rows
 
 
 def _suite_deformation(bundle, p, samples, seed, q):

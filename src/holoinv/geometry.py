@@ -156,14 +156,17 @@ class CheckReport:
     residuals: Mapping[str, float]
 
 
-def sample_domain_points(dom: IntegrationDomain, samples: int, seed: int = 0) -> np.ndarray:
-    """Deterministic sample of chart coordinates from one domain piece."""
+def _sample_box(dom: IntegrationDomain, samples: int, rng) -> np.ndarray:
+    """Uniform box points (samples, axes) of one domain piece."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    lo = np.array([b[0] for b in dom.box])
-    hi = np.array([b[1] for b in dom.box])
-    return dom.to_chart(rng.uniform(lo, hi, size=(samples, len(dom.box))))
+    lo, hi = np.array(dom.box).T
+    return rng.uniform(lo, hi, size=(samples, len(dom.box)))
+
+
+def sample_domain_points(dom: IntegrationDomain, samples: int, seed: int = 0) -> np.ndarray:
+    """Deterministic sample of chart coordinates from one domain piece."""
+    return dom.to_chart(_sample_box(dom, samples, np.random.default_rng(seed)))
 
 
 def _require_finite(values, what):
@@ -333,3 +336,40 @@ def verify_field_transitions(x: VectorFieldSpec, m: ManifoldSpec,
         return np.abs(pushed - tgt)
 
     return _transition_report(m, x.components, samples, seed, residual)
+
+
+def verify_invariant_axes(density_for: Callable[[str], Callable], m: ManifoldSpec,
+                          samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
+    """Check that a density times the measure is constant along each piece's
+    invariant axes.
+
+    Quadrature takes one node on an axis the piece declares "invariant", and
+    its refinement gap cannot see that axis, so this check is the only guard
+    of the declaration. On each such piece, g is density_for(chart_id) at
+    the chart point times the piece's measure, the function quadrature sums;
+    box points p are drawn as sample_domain_points draws them, p' is p with
+    its invariant coordinates redrawn uniformly, and the residual, keyed by
+    chart id, is max |g(p) - g(p')|. Pieces without an invariant axis are
+    not measured.
+    """
+    residuals = {}
+    for chart_id, dom in m.fundamental_domain.items():
+        axes = [i for i, rule in enumerate(dom.rules) if rule == "invariant"]
+        if not axes:
+            continue
+        rng = np.random.default_rng(seed)
+        pts = _sample_box(dom, samples, rng)
+        moved = pts.copy()
+        lo, hi = np.array(dom.box)[axes].T
+        moved[:, axes] = rng.uniform(lo, hi, size=(samples, len(axes)))
+        density = density_for(chart_id)
+
+        def g(box_pts):
+            values = np.asarray(density(dom.to_chart(box_pts)))
+            if dom.measure_map is None:
+                return values
+            return values * np.asarray(dom.measure_map(box_pts), dtype=float)
+
+        residuals[chart_id] = _worst(np.abs(g(pts) - g(moved)),
+                                     f"invariant axes of piece '{chart_id}'")
+    return _report(residuals)

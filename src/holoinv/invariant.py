@@ -42,20 +42,55 @@ class InvariantResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
+def direct_density(chart, logd, exact, comps):
+    """div X times the top Ricci density, from one chart's evaluators: the
+    log-density, the closed-form Ricci matrix or None, the field components."""
+    def density(coords):
+        h = calculus.chart_step(chart, coords)
+        div = calculus.divergence_field(comps, logd, coords, h)
+        top = calculus.ricci_top_field(logd, coords, h, exact=exact)
+        return div * top
+    return density
+
+
+def alternative_density(chart, logd, exact, comps):
+    """-X(n! det R / a) times a, from the same evaluators as direct_density."""
+    def ratio(coords):
+        h = calculus.chart_step(chart, coords)
+        top = calculus.ricci_top_field(logd, coords, h, exact=exact)
+        return top * np.exp(-np.asarray(logd(coords), dtype=float))
+
+    def density(coords):
+        h = calculus.chart_step(chart, coords)
+        directional = calculus.directional_derivative(ratio, coords, comps(coords), h)
+        weight = np.exp(np.asarray(logd(coords), dtype=float))
+        return -directional * weight
+    return density
+
+
+# route name, as `holoinv invariant --method` spells it -> density builder
+ROUTE_DENSITIES = {"direct": direct_density, "alt": alternative_density}
+
+
+def piece_density(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
+                  chart_id: str, density_for):
+    """A route's density on the piece in chart `chart_id`: density_for(chart,
+    log-density, exact Ricci or None, field components) of that chart."""
+    return density_for(m.chart(chart_id), vol.log_density[chart_id],
+                       (vol.exact_ricci or {}).get(chart_id), x.components[chart_id])
+
+
 def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
                      density_for, q: QuadratureSpec, method: str) -> InvariantResult:
     """2^n times the integral of the route's density over the fundamental domain.
 
-    Each piece is integrated in its own chart, with the density that
-    density_for(chart, log-density, exact Ricci or None, field components)
-    builds from that chart's evaluators; values, refinement error estimates
-    and dropped samples add up over the pieces.
+    Each piece is integrated in its own chart, with piece_density; values,
+    refinement error estimates and dropped samples add up over the pieces.
     """
     factor = 2.0 ** m.dimension
     total = None
     for chart_id, dom in m.fundamental_domain.items():
-        density = density_for(m.chart(chart_id), vol.log_density[chart_id],
-                              (vol.exact_ricci or {}).get(chart_id), x.components[chart_id])
+        density = piece_density(m, vol, x, chart_id, density_for)
         res = integrate(lambda coords: density(coords) * factor, dom, q)
         # summed from the first piece: 0 + (-0.0) would flip the sign of a zero
         total = res if total is None else IntegrationResult(*map(operator.add, total, res))
@@ -70,34 +105,13 @@ def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *
     automorphic, the field deck-invariant and holomorphic); the registry
     bundles satisfy them by construction and the check suites verify them.
     """
-    def density_for(chart, logd, exact, comps):
-        def density(coords):
-            h = calculus.chart_step(chart, coords)
-            div = calculus.divergence_field(comps, logd, coords, h)
-            top = calculus.ricci_top_field(logd, coords, h, exact=exact)
-            return div * top
-        return density
-
-    return _integrate_route(m, vol, x, density_for, q, "direct")
+    return _integrate_route(m, vol, x, direct_density, q, "direct")
 
 
 def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *,
                           q: QuadratureSpec) -> InvariantResult:
     """Invariant as -integral of X(n! det R / a) against the volume form."""
-    def density_for(chart, logd, exact, comps):
-        def ratio(coords):
-            h = calculus.chart_step(chart, coords)
-            top = calculus.ricci_top_field(logd, coords, h, exact=exact)
-            return top * np.exp(-np.asarray(logd(coords), dtype=float))
-
-        def density(coords):
-            h = calculus.chart_step(chart, coords)
-            directional = calculus.directional_derivative(ratio, coords, comps(coords), h)
-            weight = np.exp(np.asarray(logd(coords), dtype=float))
-            return -directional * weight
-        return density
-
-    return _integrate_route(m, vol, x, density_for, q, "alternative")
+    return _integrate_route(m, vol, x, alternative_density, q, "alternative")
 
 
 def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,

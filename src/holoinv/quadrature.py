@@ -2,12 +2,20 @@
 
 A domain is a real coordinate box together with an optional map into chart
 coordinates (used for polar-type substitutions), the matching measure
-weight, and the axes on which every integrand is periodic. At level L an
-ordinary axis with p points gets 2^(L-1) Gauss-Legendre panels of p nodes
-each; a periodic axis gets the trapezoid rule with p * 2^(L-1) equispaced
-nodes, which converges exponentially in the node count for smooth periodic
-integrands. The point count p may differ per axis. The difference between
-the last two refinement levels is reported as the error estimate.
+weight, and one quadrature rule per box axis, which the domain's author
+declares from what every integrand on that domain does along the axis:
+
+* "gauss": at level L, 2^(L-1) Gauss-Legendre panels of p nodes each;
+* "periodic": every integrand is periodic with period hi - lo, so the
+  trapezoid rule with p * 2^(L-1) equispaced nodes, which converges
+  exponentially in the node count for smooth periodic integrands;
+* "invariant": every integrand (density times measure) is constant along
+  the axis, so one node at lo weighted hi - lo, at every level; p is unused.
+
+The point count p may differ per axis. The difference between the last two
+refinement levels is reported as the error estimate; it says nothing about
+an invariant axis, whose declaration only a sampled check can test (the
+`invariance` suite's `axis:` rows).
 
 Determinism and memory: each level's nodes are generated in a fixed order
 and handed to the density in contiguous blocks of at most _CELL_NODES
@@ -30,6 +38,7 @@ from .errors import IllPosedIntegrandError
 
 _CELL_NODES = 8192  # nodes per density call: bounds peak memory, not tuned for speed
 _NONFINITE_FRACTION = 0.01
+RULES = ("gauss", "periodic", "invariant")
 
 
 @dataclass(frozen=True)
@@ -41,16 +50,15 @@ class IntegrationDomain:
     chart_map: box points (m, 2n) -> chart coordinates (m, n) complex.
         Defaults to pairing consecutive reals as (x + i y).
     measure_map: box points -> positive Jacobian weight of the substitution.
-    periodic: one bool per box axis, True where the integrand (density
-        times measure) is periodic along that axis with period hi - lo, so
-        the axis spans exactly one period and takes the trapezoid rule.
-        Empty means no periodic axis.
+    rules: one of RULES per box axis, stating what every integrand (density
+        times measure) does along that axis: "periodic" with period hi - lo,
+        "invariant" (constant), or neither ("gauss"). Empty means all "gauss".
     """
 
     box: tuple[tuple[float, float], ...]
     chart_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
     measure_map: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    periodic: tuple[bool, ...] = ()
+    rules: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.box:
@@ -58,9 +66,13 @@ class IntegrationDomain:
         for lo, hi in self.box:
             if not hi > lo:
                 raise ValueError(f"box axis ({lo}, {hi}) has nonpositive extent")
-        if self.periodic and len(self.periodic) != len(self.box):
-            raise ValueError(f"periodic has {len(self.periodic)} entries "
+        if self.rules and len(self.rules) != len(self.box):
+            raise ValueError(f"rules has {len(self.rules)} entries "
                              f"for {len(self.box)} box axes")
+        for rule in self.rules:
+            if rule not in RULES:
+                raise ValueError(f"unknown axis rule {rule!r}; known rules: "
+                                 f"{', '.join(RULES)}")
 
     def to_chart(self, pts: np.ndarray) -> np.ndarray:
         if self.chart_map is not None:
@@ -75,8 +87,9 @@ class QuadratureSpec:
     """Level-1 points per axis, and refinement levels.
 
     points_per_axis: one count for every axis, or a tuple with one count
-        per box axis. On an ordinary axis it is the Gauss-Legendre points
-        per panel; on a periodic axis, the trapezoid nodes at level 1.
+        per box axis. On a "gauss" axis it is the Gauss-Legendre points per
+        panel, on a "periodic" axis the trapezoid nodes at level 1; an
+        "invariant" axis ignores it.
     """
 
     points_per_axis: Union[int, tuple[int, ...]] = 8
@@ -113,8 +126,10 @@ def _axis_points(q: QuadratureSpec, axes: int) -> tuple[int, ...]:
     return counts
 
 
-def _axis_nodes(lo: float, hi: float, panels: int, points: int, periodic: bool):
-    if periodic:
+def _axis_nodes(lo: float, hi: float, panels: int, points: int, rule: str):
+    if rule == "invariant":
+        return np.array([lo]), np.array([hi - lo])
+    if rule == "periodic":
         count = points * panels
         return lo + (hi - lo) * np.arange(count) / count, np.full(count, (hi - lo) / count)
     ref_x, ref_w = _reference_nodes(points)
@@ -128,9 +143,9 @@ def _axis_nodes(lo: float, hi: float, panels: int, points: int, periodic: bool):
 def _level_grid(dom: IntegrationDomain, q: QuadratureSpec, level: int):
     panels = 2 ** (level - 1)
     points = _axis_points(q, len(dom.box))
-    periodic = dom.periodic or (False,) * len(dom.box)
-    per_axis = [_axis_nodes(lo, hi, panels, p, per)
-                for (lo, hi), p, per in zip(dom.box, points, periodic)]
+    rules = dom.rules or ("gauss",) * len(dom.box)
+    per_axis = [_axis_nodes(lo, hi, panels, p, rule)
+                for (lo, hi), p, rule in zip(dom.box, points, rules)]
     mesh = np.meshgrid(*[n for n, _ in per_axis], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     wmesh = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
@@ -182,11 +197,12 @@ def integrate(density, dom: IntegrationDomain,
         than 1% of them raises IllPosedIntegrandError.
     dom : IntegrationDomain
     q : QuadratureSpec
-        Tensor-product rule; at level k an ordinary axis with p points gets
-        2^(k-1) Gauss-Legendre panels of p nodes, and a periodic axis the
-        trapezoid rule with p * 2^(k-1) nodes starting at its low end.
-        A per-axis points tuple must have one count per box axis, or
-        ValueError is raised.
+        Tensor-product rule; at level k a "gauss" axis with p points gets
+        2^(k-1) Gauss-Legendre panels of p nodes, a "periodic" axis the
+        trapezoid rule with p * 2^(k-1) nodes starting at its low end, and
+        an "invariant" axis one node at its low end weighted hi - lo at
+        every level, whatever its p. A per-axis points tuple must have one
+        count per box axis, or ValueError is raised.
 
     Each level calls `density` once per block of at most 8192 nodes, in a
     fixed order, and sums with math.fsum, so the result is deterministic
@@ -197,7 +213,9 @@ def integrate(density, dom: IntegrationDomain,
     IntegrationResult
         value, |value_L - value_{L-1}| as error_estimate (inf when only one
         level was requested), and the count of dropped samples at the
-        finest level.
+        finest level. The estimate does not see an invariant axis: if the
+        integrand does vary along it, the value is wrong and the gap can
+        still be small.
     """
     values = []
     dropped = 0

@@ -14,7 +14,10 @@ Four bundles ship with the package:
   and the Lebesgue measure is e^{4t} cos(phi) sin(phi). Ships
   the cone density r^-4 (trivial character), the Lebesgue density
   (character value 16 = |det of the doubling map|^2) and a deck-invariant
-  angular perturbation of r^-4.
+  angular perturbation of r^-4. Every registered integrand is invariant
+  under all real dilations z -> lambda z, not only under the deck map, so
+  the domain declares t an invariant axis: one node, weighted log 2. The
+  `invariance` suite's `axis:` rows test that declaration by sampling.
 * ``hopf-blowup`` - fixed-point data only: the Hopf surface blown up at an
   interior point, for the lift of z1 d/dz1. Its zero set is one isolated
   nondegenerate point on the exceptional curve (linearization weights 1
@@ -93,7 +96,7 @@ def _disc_domain() -> IntegrationDomain:
         box=((0.0, 1.0), (0.0, 2.0 * math.pi)),
         chart_map=chart_map,
         measure_map=lambda pts: pts[..., 0],
-        periodic=(False, True),
+        rules=("gauss", "periodic"),
     )
 
 
@@ -227,8 +230,10 @@ def _cp1_bundle() -> ExampleBundle:
 
 
 def _hopf_domain() -> IntegrationDomain:
-    # t stays on Gauss-Legendre: deck-invariant integrands are periodic in t,
-    # but the Lebesgue factor e^{4t} is not
+    # every registered integrand is dilation-invariant: each log-density
+    # shifts by a constant under z -> lambda z and each field is linear, so
+    # div X and n! det R e^{4t} have degree 0 and density times measure is
+    # constant in t; the invariance suite's axis rows check this by sampling
     def chart_map(pts):
         radius, phi = np.exp(pts[..., 0]), pts[..., 1]
         z1 = radius * np.cos(phi) * np.exp(1j * pts[..., 2])
@@ -244,7 +249,7 @@ def _hopf_domain() -> IntegrationDomain:
              (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
         chart_map=chart_map,
         measure_map=measure_map,
-        periodic=(False, False, True, True),
+        rules=("invariant", "gauss", "periodic", "periodic"),
     )
 
 
@@ -368,10 +373,10 @@ def _hopf_bundle() -> ExampleBundle:
         fields=fields,
         fixed_point_data=None,
         fixed_point_field=None,
-        # every registered integrand is invariant under real dilations, so
-        # constant in t; 4 trapezoid nodes per angle integrate every charge
-        # k(2, -1), 0 < |k| <= 3, that r4-bump's integrands carry to zero
-        # exactly
+        # the t entry is unused: t is an invariant axis, one node at every
+        # level, so a job takes 1 x 12 x 4 x 4 + 1 x 24 x 8 x 8 = 1,728 nodes;
+        # 4 trapezoid nodes per angle integrate every charge k(2, -1),
+        # 0 < |k| <= 3, that r4-bump's integrands carry to zero exactly
         default_quadrature=QuadratureSpec(points_per_axis=(2, 12, 4, 4),
                                           refinement_levels=2),
         notes=("Hopf surface (C^2 minus 0)/(z -> 2z), integrated over the fundamental "
@@ -384,6 +389,9 @@ def _hopf_bundle() -> ExampleBundle:
                "the angular perturbation Re(z1^2 conj(z2))/r^3 is deck-invariant."),
         suites={
             **_MEMBERSHIP_SUITES,
+            # axis rows: each route's integrand, times the measure, is
+            # constant along the invariant t axis to within axis_bound
+            "invariance": {**_MEMBERSHIP_SUITES["invariance"], "axis_bound": 1e-5},
             "deformation": {"volumes": ("r4", "lebesgue"), "fields": ("radial", "x1", "x2"),
                             "t_grid": (0.0, 1.0), "bound": 1e-6},
             # f vanishes both for `volume`, whose Ricci matrix is degenerate

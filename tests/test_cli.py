@@ -358,6 +358,46 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+def test_hopf_invariance_checks_the_t_axis_on_every_route(capsys):
+    # t is hopf's invariant axis: one axis row per volume, field and route,
+    # each held to the declared 1e-5; cp1 declares no invariant axis
+    code, out, _ = run_cli(capsys, "check", "--example", "hopf", "--suite", "invariance",
+                           "--json")
+    assert code == 0
+    rows = {row["label"]: row for row in load_report(out)["results"]
+            if row["label"].startswith("axis:")}
+    assert set(rows) == {f"axis:{v}:{f}:{r}" for v in ("r4", "lebesgue", "r4-bump")
+                         for f in ("x1", "x2", "radial") for r in ("direct", "alt")}
+    assert all(row["bound"] == 1e-5 and row["passed"] for row in rows.values())
+    code, out, _ = run_cli(capsys, "check", "--example", "cp1", "--suite", "invariance",
+                           "--json")
+    assert code == 0
+    assert not [row for row in load_report(out)["results"]
+                if row["label"].startswith("axis:")]
+
+
+def test_false_invariant_axis_fails_the_check(capsys, monkeypatch):
+    # declaring cp1's radius invariant is wrong: every route's density
+    # depends on |z|, so the axis rows fail and the suite exits 1
+    cp1 = registry_get("cp1")
+    pieces = {chart: dataclasses.replace(dom, rules=("invariant", "periodic"))
+              for chart, dom in cp1.manifold.fundamental_domain.items()}
+    wrong = dataclasses.replace(
+        cp1, manifold=dataclasses.replace(cp1.manifold, fundamental_domain=pieces),
+        suites={**cp1.suites,
+                "invariance": {**cp1.suites["invariance"], "axis_bound": 1e-5}})
+    monkeypatch.setattr("holoinv.cli.registry_get", lambda name: wrong)
+    code, out, _ = run_cli(capsys, "check", "--example", "cp1", "--suite", "invariance",
+                           "--json")
+    assert code == 1
+    rows = [row for row in load_report(out)["results"] if row["label"].startswith("axis:")]
+    assert len(rows) == 2 * 3 * 2
+    failed = [row for row in rows if not row["passed"]]
+    assert failed and all(row["value_re"] > row["bound"] for row in failed)
+    assert all(row["passed"] for row in load_report(out)["results"]
+               if not row["label"].startswith("axis:"))
+
+
 def test_module_entry_point():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -21,6 +21,7 @@ from holoinv import (
     sample_domain_points,
     verify_automorphic,
     verify_field_transitions,
+    verify_invariant_axes,
     verify_invariant_field,
     verify_volume_transitions,
 )
@@ -170,13 +171,41 @@ def _field_nan_at_infinity(hopf, cp1):
                                     cp1.manifold)
 
 
+def _density_nan_along_t(hopf, cp1):
+    def density(coords):
+        return np.where(_abs2(coords).sum(-1) > 2.0, np.nan, 1.0)
+
+    return verify_invariant_axes(lambda chart_id: density, hopf.manifold)
+
+
 @pytest.mark.parametrize("measure", [_field_nan_at_deck_images, _deck_inverse_nan,
-                                     _field_nan_at_infinity],
-                         ids=["deck-invariance", "deck-inverse", "field-transition"])
+                                     _field_nan_at_infinity, _density_nan_along_t],
+                         ids=["deck-invariance", "deck-inverse", "field-transition",
+                              "invariant-axis"])
 def test_nan_residual_raises(measure, hopf, cp1):
     # max(0.0, nan) is 0.0, so an unchecked NaN residual would read as a pass
     with pytest.raises(EvaluationError, match="non-finite"):
         measure(hopf, cp1)
+
+
+# --- invariant axes --------------------------------------------------------
+
+
+def test_invariant_axis_residual_tells_invariant_densities_apart(hopf, cp1):
+    # r^-4 times the measure e^{4t} cos sin is constant in t = log|z|; the
+    # Lebesgue density 1 is not, and its residual is of order one
+    def cone(coords):
+        return _abs2(coords).sum(-1) ** -2
+
+    def ones(coords):
+        return np.ones(coords.shape[:-1])
+
+    rep = verify_invariant_axes(lambda chart_id: cone, hopf.manifold)
+    assert set(rep.residuals) == {"punctured"}
+    assert rep.max_residual < 1e-12
+    assert verify_invariant_axes(lambda chart_id: ones, hopf.manifold).max_residual > 1.0
+    # cp1's discs declare no invariant axis, so nothing is measured
+    assert verify_invariant_axes(lambda chart_id: ones, cp1.manifold).residuals == {}
 
 
 # --- sampling and domains --------------------------------------------------

@@ -43,20 +43,24 @@ def test_hopf_direct_pointwise_degenerate(hopf):
 
 
 def test_hopf_default_job_node_count(hopf, monkeypatch):
-    # cost guard: levels 1 and 2 of the (2, 12, 4, 4) grid hold 384 and
-    # 6,144 nodes; a grid regression shows here before any benchmark run
-    nodes = []
+    # cost guard: t = log|z| is an invariant axis, so levels 1 and 2 of the
+    # (2, 12, 4, 4) grid hold 1 x 12 x 4 x 4 and 1 x 24 x 8 x 8 nodes, all on
+    # the sphere |z| = 1; a grid regression shows here before any benchmark run
+    nodes, radii = [], set()
 
     def counting_integrate(density, dom, q):
         def counted(coords):
             nodes.append(len(coords))
+            radii.update(np.round(np.linalg.norm(coords, axis=-1), 12))
             return density(coords)
         return integrate(counted, dom, q)
 
     monkeypatch.setattr(invariant_module, "integrate", counting_integrate)
     invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["radial"],
                      q=hopf.default_quadrature)
-    assert sum(nodes) == 6_528
+    assert nodes == [1 * 12 * 4 * 4, 1 * 24 * 8 * 8]
+    assert sum(nodes) == 1_728
+    assert radii == {1.0}
 
 
 def test_cp1_default_job_node_count(cp1, monkeypatch):
@@ -143,6 +147,16 @@ def test_hopf_stencil_error_bar_bounds_the_value(hopf, field):
 
 
 # --- alternative route -----------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["x1", "x2", "radial"])
+def test_hopf_stencil_alternative_error_bar_bounds_the_value(hopf, field):
+    # the alternative route's third derivatives make it the noisier one;
+    # its bar must still bound |value| (true value 0) up to the benchmark's
+    # 1e-12 rounding floor
+    res = invariant_alternative(hopf.manifold, hopf.volumes["r4-bump"], hopf.fields[field],
+                                q=hopf.default_quadrature)
+    assert abs(res.value) <= res.error_estimate + 1e-12
 
 
 def test_cp1_alternative_agrees_with_direct(cp1):

@@ -1,5 +1,6 @@
 """Tensor-product quadrature: benchmarks, determinism, error estimates."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,9 +56,12 @@ def test_cp1_pieces_cover_the_line_once(cp1):
 
 
 def test_hopf_annulus_volume(hopf):
-    # Lebesgue volume of 1 <= |z| <= 2 in R^4: pi^2/2 * (2^4 - 1)
-    res = integrate(ones, hopf.manifold.fundamental_domain["punctured"],
-                    QuadratureSpec(6, 2))
+    # Lebesgue volume of 1 <= |z| <= 2 in R^4: pi^2/2 * (2^4 - 1); the
+    # Lebesgue density is not dilation-invariant, so t goes back on
+    # Gauss-Legendre to check the chart and measure maps
+    dom = dataclasses.replace(hopf.manifold.fundamental_domain["punctured"],
+                              rules=("gauss", "gauss", "periodic", "periodic"))
+    res = integrate(ones, dom, QuadratureSpec(6, 2))
     assert abs(res.value - 7.5 * math.pi ** 2) < 1e-10
 
 
@@ -198,8 +202,10 @@ def test_domain_validation():
         IntegrationDomain(box=((1.0, 1.0),))
     with pytest.raises(ValueError):
         IntegrationDomain(box=())
-    with pytest.raises(ValueError):
-        IntegrationDomain(box=((0.0, 1.0), (0.0, 1.0)), periodic=(True,))
+    with pytest.raises(ValueError, match="rules has 1 entries for 2 box axes"):
+        IntegrationDomain(box=((0.0, 1.0), (0.0, 1.0)), rules=("periodic",))
+    with pytest.raises(ValueError, match="unknown axis rule 'constant'"):
+        IntegrationDomain(box=((0.0, 1.0), (0.0, 1.0)), rules=("gauss", "constant"))
 
 
 def test_points_tuple_must_match_the_box():
@@ -208,7 +214,7 @@ def test_points_tuple_must_match_the_box():
 
 
 PERIODIC_BOX = IntegrationDomain(box=((0.0, 1.0), (0.0, 2.0 * math.pi)),
-                                 periodic=(False, True))
+                                 rules=("gauss", "periodic"))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -238,6 +244,36 @@ def test_points_tuple_sets_each_axis():
     res = integrate(counting, PERIODIC_BOX, QuadratureSpec((3, 5), 2))
     assert sizes == [15, 60]
     assert abs(res.value - 2.0 * math.pi) < 1e-13
+
+
+INVARIANT_BOX = IntegrationDomain(box=((0.5, 3.0), (-1.0, 1.0)),
+                                  rules=("invariant", "gauss"))
+
+
+@pytest.mark.parametrize("levels", [1, 2, 3])
+@pytest.mark.parametrize("points", [2, 7])
+def test_invariant_axis_takes_one_node_at_lo(levels, points):
+    # at every level the invariant axis holds one node at lo weighted
+    # hi - lo, whatever its point count; the other axis refines as usual
+    seen = []
+
+    def recording(z):
+        seen.append(z[..., 0].copy())
+        return np.ones(z.shape[:-1])
+
+    res = integrate(recording, INVARIANT_BOX, QuadratureSpec((points, 4), levels))
+    assert [len(z) for z in seen] == [4 * 2 ** k for k in range(levels)]
+    assert all(np.all(z.real == 0.5) for z in seen)
+    assert abs(res.value - 2.5 * 2.0) < 1e-14
+    if levels > 1:
+        assert res.error_estimate < 1e-14
+
+
+def test_invariant_axis_weight_is_its_length():
+    # a density that varies along the invariant axis is read at lo only
+    res = integrate(lambda z: z[..., 0].real ** 2, INVARIANT_BOX, QuadratureSpec(4, 2))
+    assert abs(res.value - 0.25 * 2.5 * 2.0) < 1e-14
+    assert res.error_estimate == 0.0
 
 
 def test_single_level_reports_unknown_error():

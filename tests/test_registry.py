@@ -61,6 +61,17 @@ def test_declared_suite_bounds_are_positive_numbers(name):
                     (suite, key, value)
 
 
+@pytest.mark.parametrize("name", ["cp1", "hopf"])
+def test_invariant_axes_are_declared_with_their_check(name):
+    # an invariant axis gets one quadrature node; only the invariance
+    # suite's axis rows test that declaration, so they must have a bound
+    bundle = registry_get(name)
+    declares = any("invariant" in dom.rules
+                   for dom in bundle.manifold.fundamental_domain.values())
+    assert declares == (name == "hopf")
+    assert ("axis_bound" in bundle.suites["invariance"]) == declares
+
+
 def test_exact_ricci_evaluators_match_stencils():
     # guards the closed forms shipped with the bundles
     cp1 = registry_get("cp1")
