@@ -6,13 +6,13 @@ than holomorphic, so complex-step differentiation does not apply. Every
 operator accepts batched coordinate arrays of shape (..., n) and calls the
 evaluator once per distinct stencil node, vectorized over the whole batch.
 There is one stencil, the order-4 central first difference, and one
-parameter, the step h: a scalar, or an array of per-point steps
-broadcastable to the batch shape. The step is set here and nowhere above
-this layer: the invariant routes take DEFAULT_STEP, shrunk per point by
-chart_step near a chart boundary, and only the convergence suite passes
-other steps. directional_derivative is the one first-derivative core:
-sum_i v^i d/dz^i along a complex direction v (per point or constant), from
-two real stencils, along v/|v| and i v/|v|, so 8 evaluator calls at any n.
+parameter, the step h: one scalar for the whole batch, DEFAULT_STEP
+unless a caller passes another. The composite operators ricci_top_field
+and divergence_field always take DEFAULT_STEP; only the convergence suite
+passes other steps, to the primitives. directional_derivative is the one
+first-derivative core: sum_i v^i d/dz^i along a complex direction v (per
+point or constant), from two real stencils, along v/|v| and i v/|v|, so 8
+evaluator calls at any n.
 The routes differentiate only along the field X, so X(log a) and X of the
 Ricci ratio are one call each. holomorphic_derivative is that core along
 every unit axis e_j, for an evaluator of any value shape, so a field's
@@ -74,9 +74,10 @@ def directional_derivative(fn, coords, direction, step=DEFAULT_STEP):
     at any n, every node within 2h of the base point. |v| is folded into
     the stencil weights (w / h) |v|, which are reshaped to their batch
     shape + (1,) * k for values with k trailing axes beyond the batch, so fn
-    may return any value shape (..., *v) and per-point steps and directions
-    scale each point's whole value instead of broadcasting along a
-    component axis. Where v = 0 the weights are 0, and so is the result.
+    may return any value shape (..., *v) and per-point directions scale
+    each point's whole value instead of broadcasting along a component
+    axis. The step h is a scalar. Where v = 0 the weights are 0, and so
+    is the result.
     Along a unit axis e_j the nodes and weights are bit for bit those of
     the per-axis central difference.
     """
@@ -168,7 +169,7 @@ def hermiticity_residual(matrix):
                                          for i in range(n) for j in range(i, n)))
 
 
-def ricci_top_field(log_density, coords, step=DEFAULT_STEP, exact=None):
+def ricci_top_field(log_density, coords, exact=None):
     """Top-degree Ricci density n! * det(R) as a real batch.
 
     An exact closed-form Ricci evaluator short-circuits the stencils. The
@@ -186,7 +187,7 @@ def ricci_top_field(log_density, coords, step=DEFAULT_STEP, exact=None):
     if exact is not None:
         R = np.asarray(exact(coords))
     else:
-        R = ricci_from_log_density(log_density, coords, step)
+        R = ricci_from_log_density(log_density, coords)
     n = R.shape[-1]
     entry = [[R[..., i, j] for j in range(n)] for i in range(n)]
     res = hermiticity_residual(R)
@@ -215,7 +216,7 @@ def ricci_top_field(log_density, coords, step=DEFAULT_STEP, exact=None):
     return math.factorial(n) * det.real
 
 
-def divergence_field(components, log_density, coords, step=DEFAULT_STEP):
+def divergence_field(components, log_density, coords):
     """Divergence of a holomorphic field against a volume density.
 
     Returns sum_i dX^i/dz^i + X(log a) for the chart evaluators
@@ -227,24 +228,8 @@ def divergence_field(components, log_density, coords, step=DEFAULT_STEP):
     """
     axes = np.eye(coords.shape[-1], dtype=complex)
     holo = functools.reduce(np.add, (
-        directional_derivative(lambda c, i=i: np.asarray(components(c))[..., i], coords, e, step)
+        directional_derivative(lambda c, i=i: np.asarray(components(c))[..., i], coords, e)
         for i, e in enumerate(axes)))
     values = np.asarray(components(coords))
-    return holo + directional_derivative(log_density, coords, values, step)
+    return holo + directional_derivative(log_density, coords, values)
 
-
-def chart_step(chart, coords):
-    """DEFAULT_STEP, shrunk per point so every stencil node stays inside the chart.
-
-    The diagonal second-derivative stencil of mixed_hessian reaches 4h from
-    the base point along one real axis, and directional_derivative 2h along
-    a unit direction; dividing the clearance by 5 (the 4h reach plus a
-    margin of h) keeps every node of either strictly interior. On a
-    chart without a declared boundary clearance DEFAULT_STEP is returned
-    unchanged. The invariant routes take their step from here; no caller
-    passes one.
-    """
-    if chart.boundary_clearance is None:
-        return DEFAULT_STEP
-    clearance = np.asarray(chart.boundary_clearance(coords), dtype=float)
-    return np.minimum(DEFAULT_STEP, clearance / 5.0)

@@ -258,7 +258,7 @@ def _suite_invariance(bundle, p, samples, seed, q):
             vol, x = bundle.volumes[vol_name], bundle.fields[field_name]
             for route, density_for in ROUTE_DENSITIES.items():
                 rep = geometry.verify_invariant_axes(
-                    lambda chart_id: piece_density(m, vol, x, chart_id, density_for),
+                    lambda chart_id: piece_density(vol, x, chart_id, density_for),
                     m, samples, seed=seed)
                 rows += _report_rows(f"axis:{vol_name}:{field_name}:{route}", rep,
                                      p["axis_bound"])

@@ -29,15 +29,16 @@ DEFAULT_SAMPLES = 256
 class Chart:
     """One coordinate chart: a containment predicate over C^n coordinates.
 
-    `boundary_clearance`, when present, returns the per-point distance to
-    the chart boundary; calculus.chart_step reads it to shrink the stencil
-    step near that boundary, so no stencil node leaves the chart.
+    The routes' stencils take one constant step h = calculus.DEFAULT_STEP
+    and sample at most 6h from a quadrature node (the alternative route's
+    2h directional stencil around the 4h Hessian stencil), so each piece
+    must lie that far inside its chart. Every registered piece does: cp1's
+    charts are all of C, and hopf's piece keeps |z| >= 1.
     """
 
     chart_id: str
     dim: int
     contains: Callable[[np.ndarray], np.ndarray]
-    boundary_clearance: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 @dataclass(frozen=True)

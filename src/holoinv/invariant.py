@@ -42,27 +42,24 @@ class InvariantResult:
             raise ValueError("error_estimate must be nonnegative")
 
 
-def direct_density(chart, logd, exact, comps):
+def direct_density(logd, exact, comps):
     """div X times the top Ricci density, from one chart's evaluators: the
-    log-density, the closed-form Ricci matrix or None, the field components."""
+    log-density, the closed-form Ricci matrix or None, the field components.
+    Every stencil takes calculus.DEFAULT_STEP."""
     def density(coords):
-        h = calculus.chart_step(chart, coords)
-        div = calculus.divergence_field(comps, logd, coords, h)
-        top = calculus.ricci_top_field(logd, coords, h, exact=exact)
-        return div * top
+        div = calculus.divergence_field(comps, logd, coords)
+        return div * calculus.ricci_top_field(logd, coords, exact=exact)
     return density
 
 
-def alternative_density(chart, logd, exact, comps):
+def alternative_density(logd, exact, comps):
     """-X(n! det R / a) times a, from the same evaluators as direct_density."""
     def ratio(coords):
-        h = calculus.chart_step(chart, coords)
-        top = calculus.ricci_top_field(logd, coords, h, exact=exact)
+        top = calculus.ricci_top_field(logd, coords, exact=exact)
         return top * np.exp(-np.asarray(logd(coords), dtype=float))
 
     def density(coords):
-        h = calculus.chart_step(chart, coords)
-        directional = calculus.directional_derivative(ratio, coords, comps(coords), h)
+        directional = calculus.directional_derivative(ratio, coords, comps(coords))
         weight = np.exp(np.asarray(logd(coords), dtype=float))
         return -directional * weight
     return density
@@ -72,12 +69,11 @@ def alternative_density(chart, logd, exact, comps):
 ROUTE_DENSITIES = {"direct": direct_density, "alt": alternative_density}
 
 
-def piece_density(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
-                  chart_id: str, density_for):
-    """A route's density on the piece in chart `chart_id`: density_for(chart,
-    log-density, exact Ricci or None, field components) of that chart."""
-    return density_for(m.chart(chart_id), vol.log_density[chart_id],
-                       (vol.exact_ricci or {}).get(chart_id), x.components[chart_id])
+def piece_density(vol: VolumeFormSpec, x: VectorFieldSpec, chart_id: str, density_for):
+    """A route's density on the piece in chart `chart_id`: density_for(log-density,
+    exact Ricci or None, field components) of that chart."""
+    return density_for(vol.log_density[chart_id], (vol.exact_ricci or {}).get(chart_id),
+                       x.components[chart_id])
 
 
 def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
@@ -90,7 +86,7 @@ def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
     factor = 2.0 ** m.dimension
     total = None
     for chart_id, dom in m.fundamental_domain.items():
-        density = piece_density(m, vol, x, chart_id, density_for)
+        density = piece_density(vol, x, chart_id, density_for)
         res = integrate(lambda coords: density(coords) * factor, dom, q)
         # summed from the first piece: 0 + (-0.0) would flip the sign of a zero
         total = res if total is None else IntegrationResult(*map(operator.add, total, res))

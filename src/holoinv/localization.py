@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -289,10 +290,23 @@ def rescale_field(data: FixedPointData, c: Rational) -> FixedPointData:
 # ---------------------------------------------------------------------------
 
 
+# Fraction("1e<k>") builds 10**k as a full integer, which Python's digit
+# limit on int parsing does not guard: "1e1000000000" alone would parse for
+# hours. Decimal exponents beyond this bound in absolute value are rejected.
+MAX_DECIMAL_EXPONENT = 10_000
+_DECIMAL_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
 def _parse_rational(value, where: str) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(
             f"{where}: rationals must be integers or 'p/q' strings, got {value!r}")
+    exponent = _DECIMAL_EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"{where}: decimal exponent of {value!r} exceeds "
+                             f"{MAX_DECIMAL_EXPONENT} in absolute value")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:

@@ -299,10 +299,7 @@ def _hopf_bundle() -> ExampleBundle:
     def punctured_contains(coords):
         return _hopf_r2(coords) > 0.0
 
-    def clearance(coords):
-        return np.sqrt(_hopf_r2(coords))
-
-    chart = Chart("punctured", 2, punctured_contains, boundary_clearance=clearance)
+    chart = Chart("punctured", 2, punctured_contains)
 
     def double(coords):
         return 2.0 * coords

@@ -6,7 +6,6 @@ shows the same outcomes per test. Each gate pins its tolerance inline; gates
 differs from the pinned one.
 """
 
-import math
 import random
 import time
 from fractions import Fraction

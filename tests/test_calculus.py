@@ -110,16 +110,15 @@ def _per_axis_holomorphic_derivative(fn, coords, step):
                      for j in range(coords.shape[-1])], axis=-1)
 
 
-@pytest.mark.parametrize("step", [DEFAULT_STEP, "per-point"])
+@pytest.mark.parametrize("step", [DEFAULT_STEP])
 def test_holomorphic_derivative_is_bit_equal_to_the_per_axis_loop(hopf, step):
     rng = np.random.default_rng(5)
     pts = rng.uniform(1.0, 2.0, (4096, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (4096, 2)))
-    h = np.geomspace(1e-4, 1e-2, len(pts)) if step == "per-point" else step
     evaluators = [hopf.volumes["r4-bump"].log_density["punctured"],
                   hopf.fields["x1"].components["punctured"]]
     for fn in evaluators:
-        new = calculus.holomorphic_derivative(fn, pts, h)
-        assert np.array_equal(new, _per_axis_holomorphic_derivative(fn, pts, h))
+        new = calculus.holomorphic_derivative(fn, pts, step)
+        assert np.array_equal(new, _per_axis_holomorphic_derivative(fn, pts, step))
 
 
 def _smooth(coords):
@@ -230,9 +229,12 @@ def test_hopf_numeric_matches_hand_formula(hopf):
 
 
 def test_exact_ricci_short_circuits_scheme(cp1):
-    # a nonsense step must not matter when the closed form is registered
+    # with a closed form registered the stencil never calls the log-density
+    def untouchable(coords):
+        raise AssertionError("log-density evaluated despite the closed form")
+
     vol = cp1.volumes["fs"]
-    top = calculus.ricci_top_field(vol.log_density["affine"], point(1.0), step=1e3,
+    top = calculus.ricci_top_field(untouchable, point(1.0),
                                    exact=vol.exact_ricci["affine"])[0]
     assert abs(top - 0.5) < 1e-14  # 1! * 2/(1+1)^2
 
@@ -417,17 +419,16 @@ def test_divergence_hopf_radial_identically_zero(hopf):
         assert abs(val) < 1e-10
 
 
-@pytest.mark.parametrize("step", [DEFAULT_STEP, "per-point"])
+@pytest.mark.parametrize("step", [DEFAULT_STEP])
 def test_divergence_holomorphic_part_is_the_jacobian_trace(hopf, step):
     # against a flat density the divergence is sum_i dX^i/dz^i alone, and its
     # per-component stencils match the diagonal of the full Jacobian exactly
     rng = np.random.default_rng(8)
     pts = rng.uniform(1.0, 2.0, (64, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (64, 2)))
-    h = np.geomspace(1e-4, 1e-2, len(pts)) if step == "per-point" else step
     for name in ("x1", "x2", "radial"):
         comps = hopf.fields[name].components["punctured"]
-        jac = calculus.holomorphic_derivative(comps, pts, h)
-        div = calculus.divergence_field(comps, flat, pts, h)
+        jac = calculus.holomorphic_derivative(comps, pts, step)
+        div = calculus.divergence_field(comps, flat, pts)
         assert np.array_equal(div, jac[:, 0, 0] + jac[:, 1, 1]), name
 
 
@@ -478,44 +479,28 @@ def test_top_density_flat_zero():
     assert abs(calculus.ricci_top_field(flat, point(1.0))[0]) < 1e-10
 
 
-# --- step ------------------------------------------------------------------
+# --- batches ---------------------------------------------------------------
 
 
-def test_chart_step_shrinks_near_the_chart_boundary(cp1, hopf):
-    # the diagonal second-derivative stencil reaches 4h, so the step is at
-    # most |z|/5 on the punctured chart and DEFAULT_STEP away from the
-    # puncture or on a chart without a boundary
-    chart = hopf.manifold.chart("punctured")
-    near = point(3e-3, 2e-3j)
-    step = calculus.chart_step(chart, near)
-    assert step[0] == pytest.approx(np.linalg.norm(near[0]) / 5.0, rel=1e-12)
-    assert step[0] < DEFAULT_STEP
-    far = calculus.chart_step(chart, point(0.9, 0.7j))
-    assert far[0] == DEFAULT_STEP
-    assert calculus.chart_step(cp1.manifold.chart("affine"), point(1e-9)) == DEFAULT_STEP
-
-
-def test_per_point_steps_match_one_point_calls(hopf):
-    # |z| >= 1 on the hopf domain, so chart_step never shrinks a step there;
-    # unequal steps within one batch come only from the caller
+def test_batched_operators_match_one_point_calls(hopf):
+    # every operator is elementwise over the batch: a batch equals its points
+    # one at a time, bit for bit, at the one scalar step
     logd = hopf.volumes["r4-bump"].log_density["punctured"]
     comps = hopf.fields["x1"].components["punctured"]
     rng = np.random.default_rng(9)
     pts = rng.uniform(0.8, 1.4, (9, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (9, 2)))
-    steps = np.geomspace(1e-4, 1e-2, 9)
     operators = {
-        "mixed_hessian": lambda c, h: calculus.mixed_hessian(logd, c, h),
-        "holomorphic_derivative": lambda c, h: calculus.holomorphic_derivative(logd, c, h),
-        "holomorphic_derivative:x1": lambda c, h: calculus.holomorphic_derivative(comps, c, h),
-        "directional_derivative": lambda c, h: calculus.directional_derivative(
-            logd, c, comps(c), h),
-        "divergence_field": lambda c, h: calculus.divergence_field(comps, logd, c, h),
-        "ricci_top_field": lambda c, h: calculus.ricci_top_field(logd, c, h),
+        "mixed_hessian": lambda c: calculus.mixed_hessian(logd, c),
+        "holomorphic_derivative": lambda c: calculus.holomorphic_derivative(logd, c),
+        "holomorphic_derivative:x1": lambda c: calculus.holomorphic_derivative(comps, c),
+        "directional_derivative": lambda c: calculus.directional_derivative(logd, c, comps(c)),
+        "divergence_field": lambda c: calculus.divergence_field(comps, logd, c),
+        "ricci_top_field": lambda c: calculus.ricci_top_field(logd, c),
     }
-    # a 2-point batch of 2-component values: per-point steps that broadcast
-    # along the component axis would go unnoticed there without a shape error
+    # a 2-point batch of 2-component values: per-point directions that
+    # broadcast along the component axis would go unnoticed there without a
+    # shape error
     for batch in (2, 9):
         for name, op in operators.items():
-            one_point = np.concatenate([op(pts[k:k + 1], float(h))
-                                        for k, h in enumerate(steps[:batch])])
-            assert np.array_equal(op(pts[:batch], steps[:batch]), one_point), (batch, name)
+            one_point = np.concatenate([op(pts[k:k + 1]) for k in range(batch)])
+            assert np.array_equal(op(pts[:batch]), one_point), (batch, name)

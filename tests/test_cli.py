@@ -7,6 +7,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -280,6 +281,31 @@ def test_malformed_fixed_point_file_exits_two(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("holoinv: ValueError:")
+
+
+@pytest.mark.parametrize("trace, weight, code", [
+    ("1e1000000000", "1", 2),
+    ("1", "-1E-1_000_000_000", 2),
+    ("1", "1e10001", 2),
+    # the bound itself still parses: (10^5000)^2 / 10^10000 = 1
+    ("1e5000", "1e10000", 0),
+], ids=["trace-1e1000000000", "weight-underscored", "just-past-the-bound", "at-the-bound"])
+def test_decimal_exponent_is_bounded(capsys, tmp_path, trace, weight, code):
+    # Fraction("1e1000000000") alone would build a billion-digit integer
+    path = tmp_path / "exponent.json"
+    path.write_text(_fixed_point_text([{"name": "p", "dim": 0, "trace_L": trace,
+                                        "normal_weights": [weight]}]))
+    start = time.perf_counter()
+    got, out, err = run_cli(capsys, "invariant", "--example", "cp1",
+                            "--method", "localization",
+                            "--fixed-point-file", str(path), "--json")
+    assert time.perf_counter() - start < 1.0
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err.startswith("holoinv: ValueError: component 'p': decimal exponent")
+    else:
+        assert load_report(out)["results"][0]["exact_residue_sum"] == "1"
 
 
 def test_fixed_point_file_requires_localization(capsys, tmp_path):

@@ -17,6 +17,7 @@ from holoinv import (
     sample_domain_points,
 )
 from holoinv import invariant as invariant_module
+from holoinv.calculus import DEFAULT_STEP
 from holoinv.quadrature import IntegrationResult, integrate
 
 
@@ -126,6 +127,28 @@ def test_hopf_exact_alternative_job_exact_ricci_calls_per_node(hopf, monkeypatch
     # cost guard: X(n! det R / a) is one directional stencil, 8 ratio calls
     assert _points_per_node(monkeypatch, hopf.volumes["r4"], "exact_ricci",
                             invariant_alternative, hopf, "radial") == 8
+
+
+@pytest.mark.parametrize("route", [invariant_direct, invariant_alternative])
+def test_hopf_stencil_nodes_stay_in_the_chart(hopf, route):
+    # every route takes the constant DEFAULT_STEP, so no stencil node may
+    # leave the punctured chart: the piece keeps |z| >= 1, and the nested
+    # stencils of the alternative route reach at most 6h from a node
+    chart = hopf.manifold.chart("punctured")
+    radii = []
+
+    def guarded(fn):
+        def inside(coords):
+            assert np.all(chart.contains(coords))
+            radii.append(np.min(np.linalg.norm(coords, axis=-1)))
+            return fn(coords)
+        return inside
+
+    logd = hopf.volumes["r4-bump"].log_density["punctured"]
+    vol = dataclasses.replace(hopf.volumes["r4-bump"], log_density={"punctured": guarded(logd)})
+    x = VectorFieldSpec("x1", {"punctured": guarded(hopf.fields["x1"].components["punctured"])})
+    route(hopf.manifold, vol, x, q=hopf.default_quadrature)
+    assert radii and min(radii) >= 1.0 - 6.0 * DEFAULT_STEP
 
 
 def test_zero_field_gives_exact_zero(cp1, hopf):
