@@ -163,7 +163,10 @@ def _block_sum(density, chart_pts, weights):
     if dropped:
         values = np.where(finite, values, 0.0)
     contrib = weights * values
-    return math.fsum(np.real(contrib)), math.fsum(np.imag(contrib)), dropped
+    # fsum is exactly rounded, so summing Python floats gives the same bits as
+    # iterating the array, without a numpy scalar per node
+    return (math.fsum(np.real(contrib).tolist()), math.fsum(np.imag(contrib).tolist()),
+            dropped)
 
 
 def _evaluate_level(density, dom, q, level):

@@ -273,9 +273,11 @@ def test_hermiticity_of_builtin_densities(cp1, hopf):
         assert np.max(calculus.hermiticity_residual(R)) < 1e-8
 
 
-@pytest.mark.parametrize("n, evaluations", [(1, 33), (2, 129)])
+@pytest.mark.parametrize("n, evaluations", [(1, 17), (2, 97), (3, 241)])
 def test_mixed_hessian_evaluates_each_node_once(n, evaluations):
     # order 4: the base point, 8 more nodes per real axis, 16 per real pair
+    # (x_j, x_i), (y_j, y_i), (y_j, x_i), (x_j, y_i) for each i < j; the
+    # in-plane pairs (x_i, y_i) cancel out of H and are not evaluated
     pts = np.full((7, n), 0.9 + 0.3j)
     shapes = []
 
@@ -285,6 +287,76 @@ def test_mixed_hessian_evaluates_each_node_once(n, evaluations):
 
     calculus.mixed_hessian(counted, pts)
     assert shapes == [(7, n)] * evaluations
+
+
+def _real_table_mixed_hessian(fn, coords, step):
+    # reference: the full real 2n x 2n Hessian, every real pair including the
+    # in-plane (x_i, y_i) products, and H read off its rows
+    n = coords.shape[-1]
+    offsets, weights = calculus._STENCIL
+    real_axes = [(axis, direction) for axis in range(n) for direction in (1.0, 1.0j)]
+
+    def at(*shifts):
+        return np.asarray(fn(calculus._shifted(
+            coords, [(*real_axes[a], o) for a, o in shifts], step)))
+
+    inv_h2 = 1.0 / (step * step)
+    base = at()
+    real = [[None] * (2 * n) for _ in range(2 * n)]
+    for a in range(2 * n):
+        real[a][a] = inv_h2 * sum(w * (base if o == 0.0 else at((a, o)))
+                                  for o, w in zip(*calculus._DIAGONAL_STENCIL))
+        for b in range(a):
+            real[a][b] = real[b][a] = inv_h2 * sum(
+                (wa * wb) * at((a, oa), (b, ob))
+                for oa, wa in zip(offsets, weights) for ob, wb in zip(offsets, weights))
+    rows = []
+    for i in range(n):
+        xi, yi = real[2 * i], real[2 * i + 1]
+        rows.append(np.stack([
+            0.25 * ((xi[2 * j] + yi[2 * j + 1]) + 1.0j * (xi[2 * j + 1] - yi[2 * j]))
+            for j in range(n)], axis=-1))
+    return np.stack(rows, axis=-2)
+
+
+def _log_one_plus_norm(coords):
+    return np.log1p(_abs2(coords).sum(axis=-1))
+
+
+@pytest.mark.parametrize("step", [DEFAULT_STEP, 3e-3])
+def test_mixed_hessian_is_bit_equal_to_the_real_table(cp1, hopf, step):
+    rng = np.random.default_rng(12)
+    m = 600
+    hopf_pts = rng.uniform(1.0, 2.0, (m, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, 2)))
+    cp1_pts = rng.uniform(-1, 1, (m, 1)) + 1j * rng.uniform(-1, 1, (m, 1))
+    c3_pts = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+    # at the origin f_xiyj == f_yixj exactly: the mirror entry keeps its +0
+    # imaginary part, which conj(H_ij) would turn into -0
+    c3_pts[0] = 0.0
+    cases = [(hopf.volumes["r4-bump"].log_density["punctured"], hopf_pts),
+             (cp1.volumes["fs-bump"].log_density["affine"], cp1_pts),
+             (_log_one_plus_norm, c3_pts)]
+    for fn, pts in cases:
+        new = calculus.mixed_hessian(fn, pts, step)
+        ref = _real_table_mixed_hessian(fn, pts, step)
+        assert np.array_equal(new, ref)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(new)), np.signbit(part(ref)))
+
+
+def test_stencil_ricci_at_n3_matches_the_closed_form():
+    # log(1 + |z|^2) on C^3: H_ij = (S delta_ij - zbar_i z_j) / S^2, S = 1 + |z|^2
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(-1, 1, (200, 3)) + 1j * rng.uniform(-1, 1, (200, 3))
+    s = 1.0 + _abs2(pts).sum(axis=-1)
+    closed = ((s[:, None, None] * np.eye(3) - np.conj(pts)[:, :, None] * pts[:, None, :])
+              / (s ** 2)[:, None, None])
+    H = calculus.mixed_hessian(_log_one_plus_norm, pts)
+    assert np.max(np.abs(H - closed)) <= 1e-7
+    assert np.all(calculus.hermiticity_residual(H) == 0.0)
+    top = calculus.ricci_top_field(_log_one_plus_norm, pts)
+    exact = 6.0 * np.linalg.det(-closed).real
+    assert np.max(np.abs(top - exact) / np.abs(exact)) <= 1e-6
 
 
 def test_stencil_hessian_is_exactly_hermitian(hopf):

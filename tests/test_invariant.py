@@ -117,10 +117,18 @@ def _points_per_node(monkeypatch, vol, slot, route, hopf, field):
 
 
 def test_hopf_stencil_direct_job_log_density_calls_per_node(hopf, monkeypatch):
-    # cost guard: 129 for the mixed Hessian plus 8 for X(log a), which is
+    # cost guard: 97 for the mixed Hessian plus 8 for X(log a), which is
     # one directional stencil, not a gradient (8n)
     assert _points_per_node(monkeypatch, hopf.volumes["r4-bump"], "log_density",
-                            invariant_direct, hopf, "x1") == 137
+                            invariant_direct, hopf, "x1") == 105
+
+
+def test_hopf_stencil_alternative_job_log_density_calls_per_node(hopf, monkeypatch):
+    # cost guard: X(n! det R / a) is 8 ratio calls, each a 97-call mixed
+    # Hessian and one log-density for 1 / a, and the weight a is one more:
+    # 8 x 98 + 1
+    assert _points_per_node(monkeypatch, hopf.volumes["r4-bump"], "log_density",
+                            invariant_alternative, hopf, "x1") == 785
 
 
 def test_hopf_exact_alternative_job_exact_ricci_calls_per_node(hopf, monkeypatch):

@@ -1,7 +1,9 @@
 """Tensor-product quadrature: benchmarks, determinism, error estimates."""
 
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from holoinv import (
     QuadratureSpec,
     integrate,
 )
-from holoinv import calculus
+from holoinv import calculus, quadrature
 
 
 def _abs2(z):
@@ -142,6 +144,19 @@ def test_sparse_nonfinite_samples_dropped_and_counted():
     res = integrate(thin_sliver, UNIT_BOX, QuadratureSpec(32, 3))
     assert res.dropped_samples == 128
     assert abs(res.value - 1.0) < 1e-2
+
+
+def test_block_sum_is_the_exact_fsum_of_the_block():
+    # heavy cancellation: a naive or pairwise sum loses the small terms
+    big = np.array([1e16, 1.0, -1e16, 3.0, 1e-3, -2.5e15, 2.5e15, -0.0] * 40)
+    values = big * (1.0 - 0.5j) + 1j * big[::-1]
+    weights = np.linspace(0.5, 2.0, len(values))
+    real, imag, dropped = quadrature._block_sum(lambda pts: values, None, weights)
+    contrib = weights * values
+    assert dropped == 0
+    assert real.hex() == math.fsum(np.real(contrib)).hex()
+    assert imag.hex() == math.fsum(np.imag(contrib)).hex()
+    assert real != functools.reduce(operator.add, np.real(contrib).tolist())
 
 
 def test_invariant_density_wrapper_hopf_degenerate(hopf):
