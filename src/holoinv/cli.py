@@ -405,9 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parse_args returns a fresh Namespace on every call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return exc.code
     logging.basicConfig(stream=sys.stderr,

@@ -17,16 +17,25 @@ refinement levels is reported as the error estimate; it says nothing about
 an invariant axis, whose declaration only a sampled check can test (the
 `invariance` suite's `axis:` rows).
 
-Determinism and memory: each level's nodes are generated in a fixed order
-and handed to the density in contiguous blocks of at most _CELL_NODES
-nodes, so the stencil temporaries of one density call stay bounded however
-fine the level. Every block sum is exactly rounded (math.fsum), and the
-block partials are combined with math.fsum in block order, so repeated
-runs give bit-identical results.
+Cost: the nodes, weights and chart points of every level depend only on
+the domain and the spec, so they are built once per (domain, spec) pair,
+kept in a small cache, and marked read-only. The pieces of a manifold that
+share one domain share one node set. The density is called on all levels'
+nodes at once, concatenated in level order, so the coarse levels cost no
+call of their own.
+
+Determinism and memory: the concatenated nodes are handed to the density
+in contiguous blocks of at most _CELL_NODES nodes, so the stencil
+temporaries of one density call stay bounded however fine the grid. Each
+level is summed on its own, over blocks of at most _CELL_NODES nodes from
+the level's first node: every block sum is exactly rounded (math.fsum),
+and the block partials are combined with math.fsum in block order, so
+repeated runs give bit-identical results.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,7 +45,10 @@ import numpy as np
 
 from .errors import IllPosedIntegrandError
 
-_CELL_NODES = 8192  # nodes per density call: bounds peak memory, not tuned for speed
+# nodes per density call and per fsum block: bounds peak memory, not tuned
+# for speed; one call may hold nodes of several levels
+_CELL_NODES = 8192
+_NODE_SETS = 8  # cached (domain, spec) node sets; a job uses one per distinct piece
 _NONFINITE_FRACTION = 0.01
 RULES = ("gauss", "periodic", "invariant")
 
@@ -109,9 +121,8 @@ class IntegrationResult(NamedTuple):
     dropped_samples: int
 
 
-@lru_cache(maxsize=32)
-def _reference_nodes(points: int):
-    """Gauss-Legendre nodes and weights on [0, 1]; cached, treat as read-only."""
+def _gauss_legendre(points: int):
+    """Gauss-Legendre nodes and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(points)
     return 0.5 * (x + 1.0), 0.5 * w
 
@@ -126,13 +137,13 @@ def _axis_points(q: QuadratureSpec, axes: int) -> tuple[int, ...]:
     return counts
 
 
-def _axis_nodes(lo: float, hi: float, panels: int, points: int, rule: str):
+def _axis_nodes(lo: float, hi: float, panels: int, points: int, rule: str, reference):
     if rule == "invariant":
         return np.array([lo]), np.array([hi - lo])
     if rule == "periodic":
         count = points * panels
         return lo + (hi - lo) * np.arange(count) / count, np.full(count, (hi - lo) / count)
-    ref_x, ref_w = _reference_nodes(points)
+    ref_x, ref_w = reference
     edges = np.linspace(lo, hi, panels + 1)
     widths = np.diff(edges)
     nodes = (edges[:-1, None] + widths[:, None] * ref_x[None, :]).ravel()
@@ -140,12 +151,11 @@ def _axis_nodes(lo: float, hi: float, panels: int, points: int, rule: str):
     return nodes, weights
 
 
-def _level_grid(dom: IntegrationDomain, q: QuadratureSpec, level: int):
+def _level_grid(axes, level: int):
+    """Box points and rule weights of one level; `axes` holds one
+    (lo, hi, points, rule, Gauss-Legendre reference) per box axis."""
     panels = 2 ** (level - 1)
-    points = _axis_points(q, len(dom.box))
-    rules = dom.rules or ("gauss",) * len(dom.box)
-    per_axis = [_axis_nodes(lo, hi, panels, p, rule)
-                for (lo, hi), p, rule in zip(dom.box, points, rules)]
+    per_axis = [_axis_nodes(lo, hi, panels, p, rule, ref) for lo, hi, p, rule, ref in axes]
     mesh = np.meshgrid(*[n for n, _ in per_axis], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     wmesh = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
@@ -155,9 +165,41 @@ def _level_grid(dom: IntegrationDomain, q: QuadratureSpec, level: int):
     return pts, weights
 
 
-def _block_sum(density, chart_pts, weights):
+class _NodeSet(NamedTuple):
+    """Every level's nodes of one domain and spec, concatenated in level order."""
+
+    chart_pts: np.ndarray  # (N, n) complex chart coordinates
+    weights: np.ndarray  # (N,) rule weights times measure_map
+    starts: tuple[int, ...]  # offset of each level's first node, then N
+
+
+@lru_cache(maxsize=_NODE_SETS)
+def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
+    """The nodes and weights of all levels, built once per (domain, spec).
+
+    Each axis's Gauss-Legendre reference rule is computed once for all
+    levels, and the chart and measure maps run once on all levels' box
+    points. The arrays are shared by every later call, so they are read-only.
+    """
+    points = _axis_points(q, len(dom.box))
+    rules = dom.rules or ("gauss",) * len(dom.box)
+    references = {p: _gauss_legendre(p) for p, rule in zip(points, rules) if rule == "gauss"}
+    axes = [(lo, hi, p, rule, references.get(p))
+            for (lo, hi), p, rule in zip(dom.box, points, rules)]
+    grids = [_level_grid(axes, level) for level in range(1, q.refinement_levels + 1)]
+    pts = np.concatenate([p for p, _ in grids])
+    weights = np.concatenate([w for _, w in grids])
+    chart_pts = dom.to_chart(pts)
+    if dom.measure_map is not None:
+        weights = weights * np.asarray(dom.measure_map(pts), dtype=float)
+    chart_pts.setflags(write=False)
+    weights.setflags(write=False)
+    starts = tuple(itertools.accumulate((len(w) for _, w in grids), initial=0))
+    return _NodeSet(chart_pts, weights, starts)
+
+
+def _block_sum(values, weights):
     """Weighted sum over one node block: (real, imag, dropped)."""
-    values = np.asarray(density(chart_pts))
     finite = np.isfinite(values)  # complex: False where either part is non-finite
     dropped = int(len(weights) - finite.sum())
     if dropped:
@@ -169,16 +211,12 @@ def _block_sum(density, chart_pts, weights):
             dropped)
 
 
-def _evaluate_level(density, dom, q, level):
-    pts, weights = _level_grid(dom, q, level)
-    chart_pts = dom.to_chart(pts)
-    if dom.measure_map is not None:
-        weights = weights * np.asarray(dom.measure_map(pts), dtype=float)
-    partials = []
-    for start in range(0, len(weights), _CELL_NODES):
-        sl = slice(start, start + _CELL_NODES)
-        partials.append(_block_sum(density, chart_pts[sl], weights[sl]))
-
+def _level_sum(values, weights, level: int):
+    """One level's weighted sum and dropped count: fsum of each block of at
+    most _CELL_NODES nodes, then fsum of the block partials in block order."""
+    partials = [_block_sum(values[start:start + _CELL_NODES],
+                           weights[start:start + _CELL_NODES])
+                for start in range(0, len(weights), _CELL_NODES)]
     total = complex(math.fsum(p[0] for p in partials),
                     math.fsum(p[1] for p in partials))
     dropped = sum(p[2] for p in partials)
@@ -207,9 +245,12 @@ def integrate(density, dom: IntegrationDomain,
         every level, whatever its p. A per-axis points tuple must have one
         count per box axis, or ValueError is raised.
 
-    Each level calls `density` once per block of at most 8192 nodes, in a
-    fixed order, and sums with math.fsum, so the result is deterministic
-    and the memory of one call is bounded.
+    The nodes of all levels, built once per (domain, spec) and cached, go
+    to `density` in one fixed order: level 1 first, in blocks of at most
+    _CELL_NODES (8,192) nodes, so the memory of one call is bounded. Each
+    level is then summed on its own with math.fsum, and checked for dropped
+    samples in level order, so the result is deterministic. The coordinates
+    handed to `density` are read-only views of the cached nodes.
 
     Returns
     -------
@@ -220,13 +261,18 @@ def integrate(density, dom: IntegrationDomain,
         integrand does vary along it, the value is wrong and the gap can
         still be small.
     """
-    values = []
-    dropped = 0
-    for level in range(1, q.refinement_levels + 1):
-        total, dropped = _evaluate_level(density, dom, q, level)
-        values.append(total)
-    if len(values) >= 2:
-        error = abs(values[-1] - values[-2])
+    nodes = _node_set(dom, q)
+    values = np.concatenate([np.asarray(density(nodes.chart_pts[start:start + _CELL_NODES]))
+                             for start in range(0, len(nodes.weights), _CELL_NODES)])
+    if values.shape != nodes.weights.shape:
+        raise ValueError(f"density returned shape {values.shape} "
+                         f"for {len(nodes.weights)} nodes")
+    levels = []
+    for level, (lo, hi) in enumerate(zip(nodes.starts, nodes.starts[1:]), start=1):
+        total, dropped = _level_sum(values[lo:hi], nodes.weights[lo:hi], level)
+        levels.append(total)
+    if len(levels) >= 2:
+        error = abs(levels[-1] - levels[-2])
     else:
         error = math.inf
-    return IntegrationResult(values[-1], error, dropped)
+    return IntegrationResult(levels[-1], error, dropped)

@@ -1,5 +1,6 @@
 """Command-line behaviour: output schema, exit codes, determinism."""
 
+import argparse
 import dataclasses
 import importlib
 import json
@@ -165,6 +166,49 @@ def test_help_exits_zero(capsys):
     assert code == 0
     assert "usage: holoinv invariant" in out
     assert err == ""
+
+
+# --- one parser per process ----------------------------------------------------
+
+
+CP1_JOB = ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
+           "--method", "direct", "--json")
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(capsys, *CP1_JOB)[0] == 0
+    assert run_cli(capsys, "list")[0] == 0
+    assert built == []
+
+
+def test_options_do_not_carry_over_between_calls(capsys):
+    _, first, _ = run_cli(capsys, *CP1_JOB)
+    code, coarse, _ = run_cli(capsys, *CP1_JOB, "--points", "4")
+    assert code == 0
+    assert load_report(coarse)["inputs"]["points"] == 4
+    _, again, _ = run_cli(capsys, *CP1_JOB)
+    assert load_report(again)["inputs"]["points"] is None
+    assert again == first != coarse
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("invariant", "--example", "cp1", "--method", "sideways"), 2),
+    (("check", "--help"), 0),
+])
+def test_parser_survives_early_exits(capsys, argv, expected):
+    _, first, _ = run_cli(capsys, *CP1_JOB)
+    assert run_cli(capsys, *argv)[0] == expected
+    code, again, err = run_cli(capsys, *CP1_JOB)
+    assert (code, err) == (0, "")
+    assert again == first
 
 
 def test_refine_below_two_rejected(capsys):

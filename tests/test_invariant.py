@@ -16,9 +16,11 @@ from holoinv import (
     localization_sum,
     sample_domain_points,
 )
+from holoinv import cli
 from holoinv import invariant as invariant_module
+from holoinv import quadrature
 from holoinv.calculus import DEFAULT_STEP
-from holoinv.quadrature import IntegrationResult, integrate
+from holoinv.quadrature import IntegrationResult, QuadratureSpec, integrate
 
 
 def zero_field(*chart_ids):
@@ -46,7 +48,8 @@ def test_hopf_direct_pointwise_degenerate(hopf):
 def test_hopf_default_job_node_count(hopf, monkeypatch):
     # cost guard: t = log|z| is an invariant axis, so levels 1 and 2 of the
     # (2, 12, 4, 4) grid hold 1 x 12 x 4 x 4 and 1 x 24 x 8 x 8 nodes, all on
-    # the sphere |z| = 1; a grid regression shows here before any benchmark run
+    # the sphere |z| = 1, and both levels go to the density in one call; a
+    # grid regression shows here before any benchmark run
     nodes, radii = [], set()
 
     def counting_integrate(density, dom, q):
@@ -59,8 +62,10 @@ def test_hopf_default_job_node_count(hopf, monkeypatch):
     monkeypatch.setattr(invariant_module, "integrate", counting_integrate)
     invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["radial"],
                      q=hopf.default_quadrature)
-    assert nodes == [1 * 12 * 4 * 4, 1 * 24 * 8 * 8]
-    assert sum(nodes) == 1_728
+    dom = hopf.manifold.fundamental_domain["punctured"]
+    starts = quadrature._node_set(dom, hopf.default_quadrature).starts
+    assert starts == (0, 1 * 12 * 4 * 4, 1 * 12 * 4 * 4 + 1 * 24 * 8 * 8)
+    assert nodes == [1_728]
     assert radii == {1.0}
 
 
@@ -79,6 +84,86 @@ def test_cp1_default_job_node_count(cp1, monkeypatch):
     invariant_direct(cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"],
                      q=cp1.default_quadrature)
     assert sum(nodes) == 3_200
+
+
+def _density_calls(monkeypatch, job):
+    # node counts of each density call made while `job` runs
+    calls = []
+
+    def counting_integrate(density, dom, q):
+        def counted(coords):
+            calls.append(len(coords))
+            return density(coords)
+        return integrate(counted, dom, q)
+
+    monkeypatch.setattr(invariant_module, "integrate", counting_integrate)
+    job()
+    return calls
+
+
+def test_cp1_default_job_calls_the_density_once_per_piece(cp1, monkeypatch):
+    # cost guard: both levels of a piece, 320 + 1,280 nodes, go in one call
+    calls = _density_calls(monkeypatch, lambda: invariant_direct(
+        cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"], q=cp1.default_quadrature))
+    assert calls == [1_600, 1_600]
+
+
+def test_hopf_default_job_calls_the_density_once(hopf, monkeypatch):
+    calls = _density_calls(monkeypatch, lambda: invariant_alternative(
+        hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"], q=hopf.default_quadrature))
+    assert calls == [1_728]
+
+
+def test_cp1_deformation_suite_density_calls(cp1, monkeypatch, capsys):
+    # five t values, one field, two pieces: one call each
+    calls = _density_calls(monkeypatch, lambda: cli.main(
+        ["check", "--example", "cp1", "--suite", "deformation"]))
+    assert "suite deformation on cp1: pass" in capsys.readouterr().out
+    assert len(calls) == 10
+
+
+def test_grid_beyond_one_block_is_cut_into_bounded_calls(hopf, monkeypatch):
+    # levels of 192 + 1,536 + 12,288 nodes: no call holds more than _CELL_NODES
+    q = QuadratureSpec((2, 12, 4, 4), 3)
+    calls = _density_calls(monkeypatch, lambda: invariant_direct(
+        hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"], q=q))
+    assert sum(calls) == 192 + 1_536 + 12_288
+    assert len(calls) > 1
+    assert max(calls) <= quadrature._CELL_NODES
+
+
+def _chart_map_counted(m):
+    # the manifold with each distinct piece's chart map counting its calls;
+    # pieces that shared a domain still share one
+    calls = []
+    replaced = {}
+
+    def counted(chart_map):
+        def chart(pts):
+            calls.append(len(pts))
+            return chart_map(pts)
+        return chart
+
+    for dom in m.fundamental_domain.values():
+        if id(dom) not in replaced:
+            replaced[id(dom)] = dataclasses.replace(dom, chart_map=counted(dom.chart_map))
+    domains = {c: replaced[id(dom)] for c, dom in m.fundamental_domain.items()}
+    return dataclasses.replace(m, fundamental_domain=domains), calls
+
+
+def test_cp1_job_maps_its_nodes_to_the_chart_once(cp1):
+    # cost guard: both pieces are the unit disc, so one node set serves both
+    m, calls = _chart_map_counted(cp1.manifold)
+    invariant_direct(m, cp1.volumes["fs"], cp1.fields["z-ddz"], q=cp1.default_quadrature)
+    assert calls == [1_600]
+
+
+def test_deformation_suite_maps_its_nodes_to_the_chart_once(cp1):
+    m, calls = _chart_map_counted(cp1.manifold)
+    rows, ok = cli.run_suite(dataclasses.replace(cp1, manifold=m), "deformation",
+                             samples=0, seed=0, q=cp1.default_quadrature)
+    assert ok and rows
+    assert calls == [1_600]
 
 
 def test_one_piece_result_is_the_piece_integral(hopf, monkeypatch):

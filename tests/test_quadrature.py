@@ -151,7 +151,7 @@ def test_block_sum_is_the_exact_fsum_of_the_block():
     big = np.array([1e16, 1.0, -1e16, 3.0, 1e-3, -2.5e15, 2.5e15, -0.0] * 40)
     values = big * (1.0 - 0.5j) + 1j * big[::-1]
     weights = np.linspace(0.5, 2.0, len(values))
-    real, imag, dropped = quadrature._block_sum(lambda pts: values, None, weights)
+    real, imag, dropped = quadrature._block_sum(values, weights)
     contrib = weights * values
     assert dropped == 0
     assert real.hex() == math.fsum(np.real(contrib)).hex()
@@ -250,14 +250,18 @@ def test_trapezoid_aliasing_shows_in_the_error_estimate():
 
 def test_points_tuple_sets_each_axis():
     # level 1 has 3 x 5 nodes and level 2 has 6 x 10
-    sizes = []
+    seen = []
 
-    def counting(z):
-        sizes.append(len(z))
+    def recording(z):
+        seen.append(z[..., 0].copy())
         return np.ones(z.shape[:-1])
 
-    res = integrate(counting, PERIODIC_BOX, QuadratureSpec((3, 5), 2))
-    assert sizes == [15, 60]
+    res = integrate(recording, PERIODIC_BOX, QuadratureSpec((3, 5), 2))
+    z = np.concatenate(seen)
+    assert len(z) == 15 + 60
+    level1, level2 = z[:15], z[15:]
+    assert (len(set(level1.real)), len(set(level1.imag))) == (3, 5)
+    assert (len(set(level2.real)), len(set(level2.imag))) == (6, 10)
     assert abs(res.value - 2.0 * math.pi) < 1e-13
 
 
@@ -276,9 +280,16 @@ def test_invariant_axis_takes_one_node_at_lo(levels, points):
         seen.append(z[..., 0].copy())
         return np.ones(z.shape[:-1])
 
-    res = integrate(recording, INVARIANT_BOX, QuadratureSpec((points, 4), levels))
-    assert [len(z) for z in seen] == [4 * 2 ** k for k in range(levels)]
-    assert all(np.all(z.real == 0.5) for z in seen)
+    q = QuadratureSpec((points, 4), levels)
+    res = integrate(recording, INVARIANT_BOX, q)
+    z = np.concatenate(seen)
+    counts = [4 * 2 ** k for k in range(levels)]
+    starts = quadrature._node_set(INVARIANT_BOX, q).starts
+    assert [hi - lo for lo, hi in zip(starts, starts[1:])] == counts
+    assert len(z) == sum(counts)
+    for lo, hi, count in zip(starts, starts[1:], counts):
+        assert len(set(z[lo:hi].imag)) == count
+    assert np.all(z.real == 0.5)
     assert abs(res.value - 2.5 * 2.0) < 1e-14
     if levels > 1:
         assert res.error_estimate < 1e-14
@@ -294,3 +305,131 @@ def test_invariant_axis_weight_is_its_length():
 def test_single_level_reports_unknown_error():
     res = integrate(ones, UNIT_BOX, QuadratureSpec(4, 1))
     assert res.error_estimate == math.inf
+
+
+# --- one node set and one density call per block, across levels --------------
+
+
+def _per_level_integrate(density, dom, q):
+    """Frozen reference: every level built and integrated on its own, one
+    density call per block of at most 8,192 nodes of that level."""
+    counts = q.points_per_axis
+    points = counts if isinstance(counts, tuple) else (counts,) * len(dom.box)
+    rules = dom.rules or ("gauss",) * len(dom.box)
+
+    def axis_nodes(lo, hi, panels, p, rule):
+        if rule == "invariant":
+            return np.array([lo]), np.array([hi - lo])
+        if rule == "periodic":
+            count = p * panels
+            return lo + (hi - lo) * np.arange(count) / count, np.full(count, (hi - lo) / count)
+        x, w = np.polynomial.legendre.leggauss(p)
+        ref_x, ref_w = 0.5 * (x + 1.0), 0.5 * w
+        edges = np.linspace(lo, hi, panels + 1)
+        widths = np.diff(edges)
+        return ((edges[:-1, None] + widths[:, None] * ref_x[None, :]).ravel(),
+                (widths[:, None] * ref_w[None, :]).ravel())
+
+    def evaluate_level(level):
+        per_axis = [axis_nodes(lo, hi, 2 ** (level - 1), p, rule)
+                    for (lo, hi), p, rule in zip(dom.box, points, rules)]
+        mesh = np.meshgrid(*[n for n, _ in per_axis], indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        weights = np.ones(pts.shape[0])
+        for w in np.meshgrid(*[w for _, w in per_axis], indexing="ij"):
+            weights = weights * w.ravel()
+        chart_pts = dom.to_chart(pts)
+        if dom.measure_map is not None:
+            weights = weights * np.asarray(dom.measure_map(pts), dtype=float)
+        partials = []
+        for start in range(0, len(weights), 8192):
+            sl = slice(start, start + 8192)
+            values = np.asarray(density(chart_pts[sl]))
+            finite = np.isfinite(values)
+            dropped = int(len(weights[sl]) - finite.sum())
+            if dropped:
+                values = np.where(finite, values, 0.0)
+            contrib = weights[sl] * values
+            partials.append((math.fsum(np.real(contrib).tolist()),
+                             math.fsum(np.imag(contrib).tolist()), dropped))
+        dropped = sum(p[2] for p in partials)
+        if dropped > 0.01 * len(weights):
+            raise IllPosedIntegrandError(
+                f"{dropped} of {len(weights)} samples non-finite at level {level}")
+        return complex(math.fsum(p[0] for p in partials),
+                       math.fsum(p[1] for p in partials)), dropped
+
+    levels = [evaluate_level(level) for level in range(1, q.refinement_levels + 1)]
+    error = abs(levels[-1][0] - levels[-2][0]) if len(levels) >= 2 else math.inf
+    return levels[-1][0], error, levels[-1][1]
+
+
+def _bits(res):
+    value, error, dropped = res
+    value = complex(value)
+    return value.real.hex(), value.imag.hex(), float(error).hex(), dropped
+
+
+def _thin_sliver(z):
+    out = np.ones(z.shape[:-1])
+    out[z[..., 0].real < 5e-4] = np.nan
+    return out
+
+
+def _hopf_wave(z):
+    # complex-valued, with a chart map, a measure map and all three rules
+    return np.exp(1j * z[..., 0].real) * _abs2(z).sum(-1) ** -2 + z[..., 1].imag
+
+
+@pytest.mark.parametrize("case", ["multi-block", "sparse-nan", "complex"])
+def test_integrate_matches_the_per_level_reference_bit_for_bit(case, hopf, cp1):
+    if case == "multi-block":
+        # levels of 192, 1,536 and 12,288 nodes: the finest spans two blocks
+        density, dom, q = (_hopf_wave, hopf.manifold.fundamental_domain["punctured"],
+                           QuadratureSpec((2, 12, 4, 4), 3))
+    elif case == "sparse-nan":
+        density, dom, q = _thin_sliver, UNIT_BOX, QuadratureSpec(32, 3)
+    else:
+        density, dom, q = (lambda z: (1.0 + 2.0j * z[..., 0]) / (1.0 + _abs2(z[..., 0])) ** 2,
+                           cp1.manifold.fundamental_domain["affine"], QuadratureSpec(64, 3))
+    expected = _per_level_integrate(density, dom, q)
+    assert _bits(integrate(density, dom, q)) == _bits(expected)
+    if case == "sparse-nan":
+        assert expected[2] == 128
+
+
+def test_ill_posed_level_one_is_named():
+    # non-finite on the 8 x 8 Gauss-Legendre nodes of level 1, which no node
+    # of level 2 meets, and on level 2's first node column (16 of 256); both
+    # levels are ill-posed, and level 1 is checked first
+    x, _ = np.polynomial.legendre.leggauss(8)
+    level_one = 0.5 * (x + 1.0)
+
+    def level_one_nan(z):
+        out = np.ones(z.shape[:-1])
+        out[np.isin(z[..., 0].real, level_one) | (z[..., 0].real < 0.015)] = np.nan
+        return out
+
+    with pytest.raises(IllPosedIntegrandError, match="64 of 64 samples non-finite at level 1"):
+        integrate(level_one_nan, UNIT_BOX, QuadratureSpec(8, 2))
+
+
+def test_cached_nodes_are_read_only_and_stay_intact():
+    q = QuadratureSpec(7, 2)
+
+    def writer(z):
+        z[...] = 0.0
+        return np.ones(z.shape[:-1])
+
+    def density(z):
+        return np.cos(z[..., 0].real) * z[..., 0].imag
+
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(writer, UNIT_BOX, q)
+    assert _bits(integrate(density, UNIT_BOX, q)) == _bits(
+        _per_level_integrate(density, UNIT_BOX, q))
+
+
+def test_density_of_the_wrong_shape_is_refused():
+    with pytest.raises(ValueError, match=r"shape \(16, 1\) for 16 nodes"):
+        integrate(lambda z: np.ones(z.shape), UNIT_BOX, QuadratureSpec(4, 1))
