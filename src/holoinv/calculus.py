@@ -196,8 +196,8 @@ def ricci_top_field(log_density, coords, exact=None):
     elementwise: numpy reductions over a trailing axis of length n cost far
     more than the arithmetic on such small matrices. Only LAPACK (n >= 3)
     gets a stacked matrix.
-    Non-finite points propagate as NaN (the quadrature layer decides
-    whether to drop them).
+    Non-finite points propagate as NaN, which the quadrature layer
+    refuses with IllPosedIntegrandError.
     """
     if exact is not None:
         R = np.asarray(exact(coords))

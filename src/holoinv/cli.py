@@ -273,7 +273,8 @@ def _suite_deformation(bundle, p, samples, seed, q):
                                             bundle.fields[name], p["t_grid"], q=q)
         values = [r.value for _, r in curve]
         spread = max(abs(a - b) for a in values for b in values)
-        error = max(r.error_estimate for _, r in curve)
+        # a difference f(s) - f(t) carries both bars: bound it by the two largest
+        error = sum(sorted(r.error_estimate for _, r in curve)[-2:])
         rows.append(_check_row(f"deformation:{name}", spread, p["bound"], error))
     return rows
 

@@ -14,7 +14,7 @@ class EvaluationError(HoloinvError):
 
 
 class IllPosedIntegrandError(HoloinvError):
-    """More than the tolerated fraction of quadrature samples were non-finite."""
+    """A quadrature integrand returned a non-finite value at some node."""
 
 
 class DifferentiationQualityError(HoloinvError):

@@ -80,8 +80,8 @@ def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
                      density_for, q: QuadratureSpec, method: str) -> InvariantResult:
     """2^n times the integral of the route's density over the fundamental domain.
 
-    Each piece is integrated in its own chart, with piece_density; values,
-    refinement error estimates and dropped samples add up over the pieces.
+    Each piece is integrated in its own chart, with piece_density; values
+    and refinement error estimates add up over the pieces.
     """
     factor = 2.0 ** m.dimension
     total = None

@@ -31,6 +31,10 @@ level is summed on its own, over blocks of at most _CELL_NODES nodes from
 the level's first node: every block sum is exactly rounded (math.fsum),
 and the block partials are combined with math.fsum in block order, so
 repeated runs give bit-identical results.
+
+Finiteness is a precondition: a non-finite density value at any node
+raises IllPosedIntegrandError, since neither the value nor its error
+estimate could account for it.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ from .errors import IllPosedIntegrandError
 # for speed; one call may hold nodes of several levels
 _CELL_NODES = 8192
 _NODE_SETS = 8  # cached (domain, spec) node sets; a job uses one per distinct piece
-_NONFINITE_FRACTION = 0.01
 RULES = ("gauss", "periodic", "invariant")
 
 
@@ -118,7 +121,6 @@ class QuadratureSpec:
 class IntegrationResult(NamedTuple):
     value: complex
     error_estimate: float
-    dropped_samples: int
 
 
 def _gauss_legendre(points: int):
@@ -198,32 +200,16 @@ def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
     return _NodeSet(chart_pts, weights, starts)
 
 
-def _block_sum(values, weights):
-    """Weighted sum over one node block: (real, imag, dropped)."""
-    finite = np.isfinite(values)  # complex: False where either part is non-finite
-    dropped = int(len(weights) - finite.sum())
-    if dropped:
-        values = np.where(finite, values, 0.0)
+def _level_sum(values, weights):
+    """One level's weighted sum: math.fsum over each block of at most
+    _CELL_NODES nodes from the level's first node, then math.fsum of the
+    block partials in block order."""
     contrib = weights * values
+    blocks = [contrib[start:start + _CELL_NODES] for start in range(0, len(contrib), _CELL_NODES)]
     # fsum is exactly rounded, so summing Python floats gives the same bits as
     # iterating the array, without a numpy scalar per node
-    return (math.fsum(np.real(contrib).tolist()), math.fsum(np.imag(contrib).tolist()),
-            dropped)
-
-
-def _level_sum(values, weights, level: int):
-    """One level's weighted sum and dropped count: fsum of each block of at
-    most _CELL_NODES nodes, then fsum of the block partials in block order."""
-    partials = [_block_sum(values[start:start + _CELL_NODES],
-                           weights[start:start + _CELL_NODES])
-                for start in range(0, len(weights), _CELL_NODES)]
-    total = complex(math.fsum(p[0] for p in partials),
-                    math.fsum(p[1] for p in partials))
-    dropped = sum(p[2] for p in partials)
-    if dropped > _NONFINITE_FRACTION * len(weights):
-        raise IllPosedIntegrandError(
-            f"{dropped} of {len(weights)} samples non-finite at level {level}")
-    return total, dropped
+    return complex(math.fsum([math.fsum(np.real(b).tolist()) for b in blocks]),
+                   math.fsum([math.fsum(np.imag(b).tolist()) for b in blocks]))
 
 
 def integrate(density, dom: IntegrationDomain,
@@ -234,8 +220,9 @@ def integrate(density, dom: IntegrationDomain,
     ----------
     density : callable
         Chart coordinates (m, n) complex -> (m,) real or complex values.
-        Must be pure; non-finite values are dropped and counted, and more
-        than 1% of them raises IllPosedIntegrandError.
+        Must be pure and finite at every node: any non-finite value raises
+        IllPosedIntegrandError, naming the first level that has one and its
+        count there.
     dom : IntegrationDomain
     q : QuadratureSpec
         Tensor-product rule; at level k a "gauss" axis with p points gets
@@ -248,18 +235,17 @@ def integrate(density, dom: IntegrationDomain,
     The nodes of all levels, built once per (domain, spec) and cached, go
     to `density` in one fixed order: level 1 first, in blocks of at most
     _CELL_NODES (8,192) nodes, so the memory of one call is bounded. Each
-    level is then summed on its own with math.fsum, and checked for dropped
-    samples in level order, so the result is deterministic. The coordinates
-    handed to `density` are read-only views of the cached nodes.
+    level is then summed on its own with math.fsum in block order, so the
+    result is deterministic. The coordinates handed to `density` are
+    read-only views of the cached nodes.
 
     Returns
     -------
     IntegrationResult
-        value, |value_L - value_{L-1}| as error_estimate (inf when only one
-        level was requested), and the count of dropped samples at the
-        finest level. The estimate does not see an invariant axis: if the
-        integrand does vary along it, the value is wrong and the gap can
-        still be small.
+        value and |value_L - value_{L-1}| as error_estimate (inf when only
+        one level was requested). The estimate does not see an invariant
+        axis: if the integrand does vary along it, the value is wrong and
+        the gap can still be small.
     """
     nodes = _node_set(dom, q)
     values = np.concatenate([np.asarray(density(nodes.chart_pts[start:start + _CELL_NODES]))
@@ -267,12 +253,16 @@ def integrate(density, dom: IntegrationDomain,
     if values.shape != nodes.weights.shape:
         raise ValueError(f"density returned shape {values.shape} "
                          f"for {len(nodes.weights)} nodes")
-    levels = []
-    for level, (lo, hi) in enumerate(zip(nodes.starts, nodes.starts[1:]), start=1):
-        total, dropped = _level_sum(values[lo:hi], nodes.weights[lo:hi], level)
-        levels.append(total)
+    finite = np.isfinite(values)  # complex: False where either part is non-finite
+    spans = list(zip(nodes.starts, nodes.starts[1:]))
+    for level, (lo, hi) in enumerate(spans, start=1):
+        bad = hi - lo - np.count_nonzero(finite[lo:hi])
+        if bad:
+            raise IllPosedIntegrandError(
+                f"{bad} of {hi - lo} samples non-finite at level {level}")
+    levels = [_level_sum(values[lo:hi], nodes.weights[lo:hi]) for lo, hi in spans]
     if len(levels) >= 2:
         error = abs(levels[-1] - levels[-2])
     else:
         error = math.inf
-    return IntegrationResult(levels[-1], error, dropped)
+    return IntegrationResult(levels[-1], error)

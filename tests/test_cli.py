@@ -12,9 +12,10 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from holoinv import localization, registry_get
+from holoinv import localization, quadrature, registry_get
 from holoinv.cli import main
 
 
@@ -426,6 +427,35 @@ def test_failing_check_exits_one(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "check", "--example", "hopf", "--suite", "automorphy")
     assert code == 1
     assert "FAIL" in out
+
+
+def test_nonfinite_density_exits_two_naming_the_level(capsys, monkeypatch):
+    # the log-density is NaN at one node of level 1 (the first node of the
+    # affine piece), where the alternative route weighs by exp(log a), so the
+    # integrand is refused there: a typed error on stderr, exit 2, no report
+    # and no traceback
+    cp1 = registry_get("cp1")
+    dom = cp1.manifold.fundamental_domain["affine"]
+    nodes = quadrature._node_set(dom, cp1.default_quadrature)
+    node = nodes.chart_pts[0]
+    fs = cp1.volumes["fs"]
+    logd = fs.log_density["affine"]
+
+    def nan_at_node(coords):
+        out = np.array(logd(coords), dtype=float)
+        out[np.all(coords == node, axis=-1)] = np.nan
+        return out
+
+    broken = dataclasses.replace(cp1, volumes={**cp1.volumes, "fs": dataclasses.replace(
+        fs, log_density={**fs.log_density, "affine": nan_at_node})})
+    monkeypatch.setattr("holoinv.cli.registry_get", lambda name: broken)
+    code, out, err = run_cli(capsys, "invariant", "--example", "cp1", "--volume", "fs",
+                             "--field", "z-ddz", "--method", "alt", "--json")
+    assert code == 2
+    assert out == ""
+    assert err == (f"holoinv: IllPosedIntegrandError: 1 of {nodes.starts[1]} "
+                   "samples non-finite at level 1\n")
+    assert "Traceback" not in err
 
 
 def test_hopf_invariance_checks_the_t_axis_on_every_route(capsys):

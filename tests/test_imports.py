@@ -1,8 +1,15 @@
-"""Every imported name is used: a dead import fails here, as a linter would.
+"""Every imported name and every private helper is used: dead code fails
+here, as a linter would.
 
-The package's __init__.py is left out, because its imports are the public
-API. A name counts as used when it appears anywhere in the module as a
-name, the root of an attribute chain included.
+The package's __init__.py is left out of the import check, because its
+imports are the public API. A name counts as used when it appears anywhere
+in the module as a name, the root of an attribute chain included.
+
+A private helper is a module-level function, class or assigned constant of
+the package whose name starts with one underscore. It counts as used when
+some package module reads it beyond its definition: as a name, as an
+attribute, or in an import. Tests do not count, since a helper only tests
+reach is dead code.
 """
 
 import ast
@@ -11,7 +18,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "holoinv").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src" / "holoinv").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 MODULES += sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -41,3 +49,57 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_found():
     source = "import math\nimport os.path\nfrom a import b as c, d\nprint(os.path.sep, d)\n"
     assert unused_imports(source) == ["math (line 1)", "c (line 3)"]
+
+
+def private_definitions(tree):
+    """(name, line) for each module-level private function, class or constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
+
+
+def read_names(tree):
+    """Every name the module reads: bare names, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def dead_private_helpers(sources):
+    """`module: name (line n)` for each private helper that no module of
+    `sources` (module name -> source text) reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {name for tree in trees.values() for name in read_names(tree)}
+    return [f"{module}: {name} (line {line})" for module, tree in trees.items()
+            for name, line in private_definitions(tree) if name not in read]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert dead_private_helpers(sources) == []
+
+
+def test_a_dead_private_helper_is_found():
+    sources = {
+        "a": "_LIMIT = 3\n_SPARE: int = 4\n__all__ = []\n"
+             "def _used():\n    return _LIMIT\n"
+             "def _dead():\n    return 1\n"
+             "class _Dead:\n    pass\n"
+             "def public():\n    return _used()\n",
+        "b": "from a import _SPARE\n",
+    }
+    assert dead_private_helpers(sources) == [
+        "a: _dead (line 6)", "a: _Dead (line 8)"]

@@ -169,7 +169,7 @@ def test_deformation_suite_maps_its_nodes_to_the_chart_once(cp1):
 def test_one_piece_result_is_the_piece_integral(hopf, monkeypatch):
     # the sum over pieces starts from the first piece, so a one-piece
     # manifold reports its integral as it is, signed zeros included
-    piece = IntegrationResult(complex(-0.0, -0.0), 0.0, 0)
+    piece = IntegrationResult(complex(-0.0, -0.0), 0.0)
     monkeypatch.setattr(invariant_module, "integrate", lambda density, dom, q: piece)
     res = invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"],
                            q=hopf.default_quadrature)
@@ -397,6 +397,20 @@ def test_deformation_curve_spread_cp1(cp1):
     values = [r.value for _, r in curve]
     spread = max(abs(u - v) for u in values for v in values)
     assert spread <= 2.0 * max(r.error_estimate for _, r in curve)
+
+
+def test_deformation_row_bar_sums_the_two_largest_bars(cp1):
+    # the row's value is a difference f(s) - f(t), whose error can reach
+    # err_s + err_t, so one bar alone does not bound it
+    p = cp1.suites["deformation"]
+    (row,), ok = cli.run_suite(cp1, "deformation", samples=0, seed=0,
+                               q=cp1.default_quadrature)
+    curve = deformation_invariant_curve(
+        cp1.manifold, *(cp1.volumes[v] for v in p["volumes"]),
+        cp1.fields["z-ddz"], p["t_grid"], q=cp1.default_quadrature)
+    largest, second = sorted((r.error_estimate for _, r in curve), reverse=True)[:2]
+    assert ok and second > 0.0
+    assert row["error"] == largest + second
 
 
 def test_deformation_trivial_family_is_constant(cp1):
