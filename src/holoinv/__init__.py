@@ -16,10 +16,7 @@ from .errors import (
 )
 from .geometry import (
     Character,
-    Chart,
-    CheckReport,
     DeckGenerator,
-    DeckGroupSpec,
     ManifoldSpec,
     Transition,
     VectorFieldSpec,

@@ -212,7 +212,8 @@ def ricci_top_field(log_density, coords, exact=None):
         worst = float(np.nanmax(np.where(bad, res, 0.0)))
         raise DifferentiationQualityError(
             f"Ricci matrix Hermiticity residual {worst:.3e} exceeds tolerance "
-            f"{HERMITICITY_TOL:.1e}; refine the stencil step"
+            f"{HERMITICITY_TOL:.1e}; the stencil Hessian is exactly Hermitian, so the "
+            f"closed-form exact_ricci evaluator returned a non-Hermitian matrix"
         )
     sym = [[0.5 * (entry[i][j] + np.conj(entry[j][i])) for j in range(n)] for i in range(n)]
     if n == 1:

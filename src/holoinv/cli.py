@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class Report:
     })
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
+        return json.dumps(vars(self), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _result_row(label, value, method, **extra):
@@ -220,9 +220,9 @@ def _check_row(label, value, bound, error=0.0, passed=None):
                        passed=bool(passed))
 
 
-def _report_rows(label, rep, bound):
-    """The check row of a verifier's report; none if it measured nothing."""
-    return [_check_row(label, rep.max_residual, bound)] if rep.residuals else []
+def _report_rows(label, residuals, bound):
+    """The check row of a verifier's worst residual; none if it measured nothing."""
+    return [_check_row(label, max(residuals.values()), bound)] if residuals else []
 
 
 def _membership_rows(kind, specs, verify, verify_transitions, m, p, samples, seed):

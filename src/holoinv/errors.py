@@ -18,8 +18,10 @@ class IllPosedIntegrandError(HoloinvError):
 
 
 class DifferentiationQualityError(HoloinvError):
-    """A numerically differentiated matrix violated its structural property
-    (e.g. Hermiticity) beyond tolerance, indicating an unreliable stencil."""
+    """A Ricci matrix or its determinant violated a structural property beyond
+    tolerance. The stencil Hessian is exactly Hermitian, so the Hermiticity
+    gate fires only on a closed-form exact_ricci evaluator that returned a
+    non-Hermitian matrix."""
 
 
 class NonInvertibleClassError(HoloinvError):

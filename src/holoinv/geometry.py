@@ -8,13 +8,18 @@ through their per-chart log-densities so positivity is structural; vector
 fields through their per-chart holomorphic components. Membership contracts
 (automorphy of a volume form, deck invariance and holomorphy of a field)
 are verified by deterministic sampling rather than symbolically.
+
+Verifiers only measure: each returns its {label: residual} mapping, and the
+check suites declared on the example bundles judge the largest residual
+against their bounds. An empty mapping measured nothing (no deck generator,
+no shared chart).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -23,22 +28,6 @@ from .errors import DomainError, EvaluationError
 from .quadrature import IntegrationDomain
 
 DEFAULT_SAMPLES = 256
-
-
-@dataclass(frozen=True)
-class Chart:
-    """One coordinate chart: a containment predicate over C^n coordinates.
-
-    The routes' stencils take one constant step h = calculus.DEFAULT_STEP
-    and sample at most 6h from a quadrature node (the alternative route's
-    2h directional stencil around the 4h Hessian stencil), so each piece
-    must lie that far inside its chart. Every registered piece does: cp1's
-    charts are all of C, and hopf's piece keeps |z| >= 1.
-    """
-
-    chart_id: str
-    dim: int
-    contains: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -60,11 +49,6 @@ class DeckGenerator:
     apply: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class DeckGroupSpec:
-    generators: tuple[DeckGenerator, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -93,15 +77,15 @@ TRIVIAL_CHARACTER = Character({})
 class VolumeFormSpec:
     """An automorphic volume form given by per-chart log-densities.
 
-    `exact_ricci` optionally maps chart ids to closed-form evaluators of
-    the Ricci coefficient matrix; charts without an entry fall back to
-    numerical differentiation.
+    `exact_ricci` maps chart ids to closed-form evaluators of the Ricci
+    coefficient matrix; charts without an entry fall back to numerical
+    differentiation.
     """
 
     name: str
     log_density: Mapping[str, Callable[[np.ndarray], np.ndarray]]
     character: Character = TRIVIAL_CHARACTER
-    exact_ricci: Optional[Mapping[str, Callable[[np.ndarray], np.ndarray]]] = None
+    exact_ricci: Mapping[str, Callable[[np.ndarray], np.ndarray]] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -114,47 +98,30 @@ class VectorFieldSpec:
 
 @dataclass(frozen=True)
 class ManifoldSpec:
-    """Atlas, deck group, and the fundamental domain's pieces by chart id."""
+    """Atlas, deck group, and the fundamental domain's pieces by chart id.
+
+    `atlas` maps each chart id to its containment predicate over C^n
+    coordinates. The routes' stencils take one constant step
+    h = calculus.DEFAULT_STEP and sample at most 6h from a quadrature node
+    (the alternative route's 2h directional stencil around the 4h Hessian
+    stencil), so each piece must lie that far inside its chart. Every
+    registered piece does: cp1's charts are all of C, and hopf's piece
+    keeps |z| >= 1.
+    """
 
     name: str
     dimension: int
-    atlas: tuple[Chart, ...]
-    deck_group: DeckGroupSpec
+    atlas: Mapping[str, Callable[[np.ndarray], np.ndarray]]
+    deck_group: tuple[DeckGenerator, ...]
     fundamental_domain: Mapping[str, IntegrationDomain]
     transitions: tuple[Transition, ...] = ()
 
     def __post_init__(self):
-        ids = [c.chart_id for c in self.atlas]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate chart ids in atlas: {ids}")
         if not self.fundamental_domain:
             raise ValueError("fundamental domain has no piece")
         for chart_id in self.fundamental_domain:
-            if chart_id not in ids:
+            if chart_id not in self.atlas:
                 raise ValueError(f"domain piece in chart '{chart_id}' not in atlas")
-        for c in self.atlas:
-            if c.dim != self.dimension:
-                raise ValueError(
-                    f"chart '{c.chart_id}' has dimension {c.dim}, expected {self.dimension}")
-
-    def chart(self, chart_id: str) -> Chart:
-        for c in self.atlas:
-            if c.chart_id == chart_id:
-                return c
-        raise KeyError(f"no chart '{chart_id}' on manifold '{self.name}'")
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Measured residuals of a sampled verification and the worst of them.
-
-    Verifiers only measure: the check suites declared on the example
-    bundles judge `max_residual` against their bounds. A report with no
-    residuals measured nothing (no deck generator, no shared chart).
-    """
-
-    max_residual: float
-    residuals: Mapping[str, float]
 
 
 def _sample_box(dom: IntegrationDomain, samples: int, rng) -> np.ndarray:
@@ -175,10 +142,10 @@ def _require_finite(values, what):
         raise EvaluationError(f"non-finite {what}")
 
 
-def _require_in_chart(chart: Chart, coords, what):
-    inside = np.asarray(chart.contains(coords), dtype=bool)
+def _require_in_chart(m: ManifoldSpec, chart_id, coords, what):
+    inside = np.asarray(m.atlas[chart_id](coords), dtype=bool)
     if not np.all(inside):
-        raise DomainError(f"{what} outside chart '{chart.chart_id}'")
+        raise DomainError(f"{what} outside chart '{chart_id}'")
 
 
 def _worst(values, what) -> float:
@@ -188,18 +155,14 @@ def _worst(values, what) -> float:
     return worst
 
 
-def _report(residuals: dict) -> CheckReport:
-    return CheckReport(max(residuals.values(), default=0.0), residuals)
-
-
-def _piece_report(m: ManifoldSpec, samples, seed, measure) -> CheckReport:
-    """Worst residual per label of measure(chart, pts) over the domain pieces."""
+def _piece_residuals(m: ManifoldSpec, samples, seed, measure) -> dict[str, float]:
+    """Worst residual per label of measure(chart_id, pts) over the domain pieces."""
     residuals = {}
     for chart_id, dom in m.fundamental_domain.items():
         pts = sample_domain_points(dom, samples, seed)
-        for label, value in measure(m.chart(chart_id), pts).items():
+        for label, value in measure(chart_id, pts).items():
             residuals[label] = max(value, residuals.get(label, value))
-    return _report(residuals)
+    return residuals
 
 
 def _cauchy_riemann(fn, pts, scale, what) -> float:
@@ -208,7 +171,8 @@ def _cauchy_riemann(fn, pts, scale, what) -> float:
     return _worst(np.abs(dbar) / scale[..., None, None], f"Cauchy-Riemann stencil of {what}")
 
 
-def _transition_report(m: ManifoldSpec, charts, samples, seed, residual) -> CheckReport:
+def _transition_residuals(m: ManifoldSpec, charts, samples, seed,
+                          residual) -> dict[str, float]:
     """Worst residual(tr, pts) per `source->target` on the sampled overlaps.
 
     Transitions whose charts are not both in `charts` are skipped.
@@ -221,11 +185,11 @@ def _transition_report(m: ManifoldSpec, charts, samples, seed, residual) -> Chec
         label = f"{tr.source}->{tr.target}"
         residuals[label] = _worst(residual(tr, tr.sample_overlap(rng, samples)),
                                   f"transition {label}")
-    return _report(residuals)
+    return residuals
 
 
 def verify_automorphic(vol: VolumeFormSpec, m: ManifoldSpec,
-                       samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
+                       samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict[str, float]:
     """Check gamma*Omega = chi(gamma) Omega on sampled points.
 
     For each deck generator the residual is
@@ -233,15 +197,15 @@ def verify_automorphic(vol: VolumeFormSpec, m: ManifoldSpec,
     which vanishes exactly when the volume form is automorphic for its
     character.
     """
-    def measure(chart, pts):
-        _require_in_chart(chart, pts, "sample point")
-        logd = vol.log_density[chart.chart_id]
+    def measure(chart_id, pts):
+        _require_in_chart(m, chart_id, pts, "sample point")
+        logd = vol.log_density[chart_id]
         base = np.asarray(logd(pts), dtype=float)
         _require_finite(base, f"log-density of '{vol.name}'")
         residuals = {}
-        for g in m.deck_group.generators:
+        for g in m.deck_group:
             image = np.asarray(g.apply(pts))
-            _require_in_chart(chart, image, f"image under '{g.name}'")
+            _require_in_chart(m, chart_id, image, f"image under '{g.name}'")
             shifted = np.asarray(logd(image), dtype=float)
             _require_finite(shifted, f"log-density of '{vol.name}' at deck images")
             jac = np.asarray(g.jacobian(pts))
@@ -251,11 +215,11 @@ def verify_automorphic(vol: VolumeFormSpec, m: ManifoldSpec,
                 f"automorphy of '{vol.name}' under '{g.name}'")
         return residuals
 
-    return _piece_report(m, samples, seed, measure)
+    return _piece_residuals(m, samples, seed, measure)
 
 
 def verify_invariant_field(x: VectorFieldSpec, m: ManifoldSpec,
-                           samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
+                           samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict[str, float]:
     """Check deck invariance d gamma(X(p)) = X(gamma p) and holomorphy of X.
 
     Holomorphy is measured as the largest antiholomorphic Wirtinger
@@ -264,16 +228,16 @@ def verify_invariant_field(x: VectorFieldSpec, m: ManifoldSpec,
     point, so fields of polynomial growth on noncompact charts are judged
     by their local scale.
     """
-    def measure(chart, pts):
-        comps = x.components[chart.chart_id]
+    def measure(chart_id, pts):
+        comps = x.components[chart_id]
         values = np.asarray(comps(pts))
         _require_finite(values, f"components of '{x.name}'")
         scale = 1.0 + np.abs(values).max(axis=-1)
 
         invariance = 0.0
-        for g in m.deck_group.generators:
+        for g in m.deck_group:
             image = np.asarray(g.apply(pts))
-            _require_in_chart(chart, image, f"image under '{g.name}'")
+            _require_in_chart(m, chart_id, image, f"image under '{g.name}'")
             pushed = np.einsum("...ij,...j->...i", np.asarray(g.jacobian(pts)), values)
             there = np.asarray(comps(image))
             gap = np.abs(pushed - there).max(axis=-1) / scale
@@ -282,19 +246,19 @@ def verify_invariant_field(x: VectorFieldSpec, m: ManifoldSpec,
         return {"deck_invariance": invariance,
                 "cauchy_riemann": _cauchy_riemann(comps, pts, scale, f"'{x.name}'")}
 
-    return _piece_report(m, samples, seed, measure)
+    return _piece_residuals(m, samples, seed, measure)
 
 
 def deck_group_report(m: ManifoldSpec, samples: int = DEFAULT_SAMPLES,
-                      seed: int = 0) -> CheckReport:
+                      seed: int = 0) -> dict[str, float]:
     """Check generator/inverse composition and holomorphy of the deck maps.
 
     Residuals are relative to 1 + |p| (resp. 1 + |gamma(p)|) at the sample.
     """
-    def measure(chart, pts):
+    def measure(chart_id, pts):
         scale = 1.0 + np.abs(pts).max(axis=-1)
         residuals = {}
-        for g in m.deck_group.generators:
+        for g in m.deck_group:
             image = np.asarray(g.apply(pts))
             image_scale = 1.0 + np.abs(image).max(axis=-1)
             round_trip = np.asarray(g.inverse(image))
@@ -305,11 +269,11 @@ def deck_group_report(m: ManifoldSpec, samples: int = DEFAULT_SAMPLES,
                 g.apply, pts, image_scale, f"deck map '{g.name}'")
         return residuals
 
-    return _piece_report(m, samples, seed, measure)
+    return _piece_residuals(m, samples, seed, measure)
 
 
 def verify_volume_transitions(vol: VolumeFormSpec, m: ManifoldSpec,
-                              samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
+                              samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict[str, float]:
     """Check that per-chart log-densities describe one global volume form.
 
     On an overlap, a_source(z) = a_target(T(z)) * |det dT(z)|^2.
@@ -324,11 +288,11 @@ def verify_volume_transitions(vol: VolumeFormSpec, m: ManifoldSpec,
         _require_finite(tgt, "target log-density")
         return np.abs(src - tgt - log_jac2)
 
-    return _transition_report(m, vol.log_density, samples, seed, residual)
+    return _transition_residuals(m, vol.log_density, samples, seed, residual)
 
 
 def verify_field_transitions(x: VectorFieldSpec, m: ManifoldSpec,
-                             samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
+                             samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict[str, float]:
     """Check components transform by the transition Jacobian across overlaps."""
     def residual(tr, pts):
         src = np.asarray(x.components[tr.source](pts))
@@ -336,11 +300,11 @@ def verify_field_transitions(x: VectorFieldSpec, m: ManifoldSpec,
         tgt = np.asarray(x.components[tr.target](np.asarray(tr.apply(pts))))
         return np.abs(pushed - tgt)
 
-    return _transition_report(m, x.components, samples, seed, residual)
+    return _transition_residuals(m, x.components, samples, seed, residual)
 
 
 def verify_invariant_axes(density_for: Callable[[str], Callable], m: ManifoldSpec,
-                          samples: int = DEFAULT_SAMPLES, seed: int = 0) -> CheckReport:
+                          samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict[str, float]:
     """Check that a density times the measure is constant along each piece's
     invariant axes.
 
@@ -373,4 +337,4 @@ def verify_invariant_axes(density_for: Callable[[str], Callable], m: ManifoldSpe
 
         residuals[chart_id] = _worst(np.abs(g(pts) - g(moved)),
                                      f"invariant axes of piece '{chart_id}'")
-    return _report(residuals)
+    return residuals

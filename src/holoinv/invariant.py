@@ -72,7 +72,7 @@ ROUTE_DENSITIES = {"direct": direct_density, "alt": alternative_density}
 def piece_density(vol: VolumeFormSpec, x: VectorFieldSpec, chart_id: str, density_for):
     """A route's density on the piece in chart `chart_id`: density_for(log-density,
     exact Ricci or None, field components) of that chart."""
-    return density_for(vol.log_density[chart_id], (vol.exact_ricci or {}).get(chart_id),
+    return density_for(vol.log_density[chart_id], vol.exact_ricci.get(chart_id),
                        x.components[chart_id])
 
 
@@ -135,18 +135,14 @@ def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,
     def blend(a0, a1):
         return lambda coords: (1.0 - t) * np.asarray(a0(coords)) + t * np.asarray(a1(coords))
 
-    exact_ricci = None
-    if vol0.exact_ricci and vol1.exact_ricci:
-        shared = [c for c in charts if c in vol0.exact_ricci and c in vol1.exact_ricci]
-        if shared:
-            # the Ricci matrix is linear in the log-density
-            exact_ricci = {c: blend(vol0.exact_ricci[c], vol1.exact_ricci[c]) for c in shared}
     return VolumeFormSpec(
         name=f"{vol0.name}~{vol1.name}@t={t:g}",
         log_density={c: blend(vol0.log_density[c], vol1.log_density[c]) for c in charts},
         character=Character({name: chi0[name] ** (1.0 - t) * chi1[name] ** t
                              for name in chi0}),
-        exact_ricci=exact_ricci,
+        # the Ricci matrix is linear in the log-density
+        exact_ricci={c: blend(vol0.exact_ricci[c], vol1.exact_ricci[c]) for c in charts
+                     if c in vol0.exact_ricci and c in vol1.exact_ricci},
     )
 
 

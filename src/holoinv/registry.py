@@ -40,9 +40,7 @@ import numpy as np
 
 from .geometry import (
     Character,
-    Chart,
     DeckGenerator,
-    DeckGroupSpec,
     ManifoldSpec,
     Transition,
     TRIVIAL_CHARACTER,
@@ -136,9 +134,6 @@ def _cp1_bundle() -> ExampleBundle:
     def everywhere(coords):
         return np.ones(coords.shape[:-1], dtype=bool)
 
-    affine = Chart("affine", 1, everywhere)
-    affine_inf = Chart("affine-inf", 1, everywhere)
-
     def invert(coords):
         return 1.0 / coords
 
@@ -154,8 +149,8 @@ def _cp1_bundle() -> ExampleBundle:
     manifold = ManifoldSpec(
         name="cp1",
         dimension=1,
-        atlas=(affine, affine_inf),
-        deck_group=DeckGroupSpec(),
+        atlas={"affine": everywhere, "affine-inf": everywhere},
+        deck_group=(),
         fundamental_domain={"affine": disc, "affine-inf": disc},
         transitions=transitions,
     )
@@ -299,8 +294,6 @@ def _hopf_bundle() -> ExampleBundle:
     def punctured_contains(coords):
         return _hopf_r2(coords) > 0.0
 
-    chart = Chart("punctured", 2, punctured_contains)
-
     def double(coords):
         return 2.0 * coords
 
@@ -311,16 +304,12 @@ def _hopf_bundle() -> ExampleBundle:
         eye = np.eye(2, dtype=complex)
         return np.broadcast_to(eye, coords.shape[:-1] + (2, 2))
 
-    deck = DeckGroupSpec(
-        generators=(DeckGenerator("double", double, halve,
-                                  lambda c: 2.0 * double_jacobian(c)),),
-    )
-
     manifold = ManifoldSpec(
         name="hopf",
         dimension=2,
-        atlas=(chart,),
-        deck_group=deck,
+        atlas={"punctured": punctured_contains},
+        deck_group=(DeckGenerator("double", double, halve,
+                                  lambda c: 2.0 * double_jacobian(c)),),
         fundamental_domain={"punctured": _hopf_domain()},
     )
 

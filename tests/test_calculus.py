@@ -36,7 +36,7 @@ def point(*coords):
 
 def top_density_at(vol, chart_id, *coords):
     """n! det(R) at one point, from the closed form when one is registered."""
-    exact = (vol.exact_ricci or {}).get(chart_id)
+    exact = vol.exact_ricci.get(chart_id)
     return calculus.ricci_top_field(vol.log_density[chart_id], point(*coords),
                                     exact=exact)[0]
 
@@ -417,7 +417,8 @@ def test_hermiticity_gate_raises():
         return np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
                                c.shape[:-1] + (2, 2))
 
-    with pytest.raises(DifferentiationQualityError):
+    with pytest.raises(DifferentiationQualityError,
+                       match="closed-form exact_ricci evaluator returned a non-Hermitian"):
         calculus.ricci_top_field(flat, point(0.0, 0.0), exact=skew)
 
 
