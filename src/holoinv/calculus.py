@@ -1,30 +1,37 @@
 """Batched complex-differential operators on chart evaluators.
 
-Wirtinger derivatives are assembled from real central differences on the
-underlying (x, y) coordinate pairs: log-densities are real-valued rather
-than holomorphic, so complex-step differentiation does not apply. Every
-operator accepts batched coordinate arrays of shape (..., n) and calls the
-evaluator once per distinct stencil node, vectorized over the whole batch.
-There is one stencil, the order-4 central first difference, and one
-parameter, the step h: one scalar for the whole batch, DEFAULT_STEP
-unless a caller passes another. The composite operators ricci_top_field
-and divergence_field always take DEFAULT_STEP; only the convergence suite
-passes other steps, to the primitives. directional_derivative is the one
-first-derivative core: sum_i v^i d/dz^i along a complex direction v (per
-point or constant), from two real stencils, along v/|v| and i v/|v|, so 8
-evaluator calls at any n.
-The routes differentiate only along the field X, so X(log a) and X of the
-Ricci ratio are one call each. holomorphic_derivative is that core along
-every unit axis e_j, for an evaluator of any value shape, so a field's
-Jacobian is one call and d/dzbar is conj(d/dz of the conjugate). The
-mixed Hessian takes only the real second derivatives its complex entries
-use, with the nested stencil's weights: the pure ones along every real
-axis and the four cross products of each pair of complex axes, not the
-in-plane products that cancel (97 evaluations at n = 2). Its lower
-triangle mirrors the upper one, so it is exactly Hermitian. The checks on
-Ricci matrices and determinants of order 1 and 2 work entry by entry,
-each entry a view over the batch, folded elementwise: there are no
-reductions over the short trailing matrix axes.
+The routes differentiate by jets (holoinv.jets): one call of an evaluator
+on the coordinates' jet gives its Wirtinger derivatives exactly, to
+rounding, with no step. ricci_top_field without a closed form takes
+R = -d dbar log a from one order-2 jet of the log-density; divergence_field
+takes sum_i dX^i/dz^i from one order-1 jet of the field and X(log a) from
+the log-density jet's d. Both accept the log-density jet itself in place
+of the evaluator, so a caller that needs both shares one call.
+
+The stencil primitives are the step-based reference: the convergence
+suite and the Cauchy-Riemann checks use them, and the alternative route
+takes X(n! det R / a), a third derivative of log a, with
+directional_derivative. They assemble
+Wirtinger derivatives from real central differences on the underlying
+(x, y) coordinate pairs: log-densities are real-valued rather than
+holomorphic, so complex-step differentiation does not apply. Each accepts
+batched coordinate arrays of shape (..., n) and calls the evaluator once
+per distinct stencil node, vectorized over the whole batch. There is one
+stencil, the order-4 central first difference, and one parameter, the step
+h: one scalar for the whole batch, DEFAULT_STEP unless a caller passes
+another. directional_derivative is the one first-derivative core:
+sum_i v^i d/dz^i along a complex direction v (per point or constant), from
+two real stencils, along v/|v| and i v/|v|, so 8 evaluator calls at any n.
+holomorphic_derivative is that core along every unit axis e_j, for an
+evaluator of any value shape, so a field's Jacobian is one call and
+d/dzbar is conj(d/dz of the conjugate). The mixed Hessian takes only the
+real second derivatives its complex entries use, with the nested stencil's
+weights: the pure ones along every real axis and the four cross products
+of each pair of complex axes, not the in-plane products that cancel (97
+evaluations at n = 2). Its lower triangle mirrors the upper one, so it is
+exactly Hermitian. The checks on Ricci matrices and determinants of order
+1 and 2 work entry by entry, each entry a view over the batch, folded
+elementwise: there are no reductions over the short trailing matrix axes.
 
 Conventions
 -----------
@@ -44,6 +51,7 @@ import math
 
 import numpy as np
 
+from . import jets
 from .errors import DifferentiationQualityError
 
 # order-4 central first-derivative stencil: (offsets in units of h, weights in 1/h)
@@ -180,18 +188,41 @@ def hermiticity_residual(matrix):
     """
     m = np.asarray(matrix)
     n = m.shape[-1]
-    return functools.reduce(np.maximum, (np.abs(m[..., i, j] - np.conj(m[..., j, i]))
+    return _entry_residual([[m[..., i, j] for j in range(n)] for i in range(n)])
+
+
+def _entry_residual(entry):
+    n = len(entry)
+    return functools.reduce(np.maximum, (np.abs(entry[i][j] - np.conj(entry[j][i]))
                                          for i in range(n) for j in range(i, n)))
+
+
+def _batch(part, shape):
+    """A jet part at the batch shape; an exact zero (None) becomes 0."""
+    return np.zeros(shape) if part is None else np.broadcast_to(part, shape)
+
+
+def _log_density_jet(log_density, coords, order):
+    """The log-density's jet of at least `order` at coords: a jet passed in is used as it is."""
+    if isinstance(log_density, jets.Jet):
+        if order == 2 and log_density.dd is None:
+            raise ValueError("the Ricci matrix needs an order-2 log-density jet")
+        return log_density
+    return jets.evaluate(log_density, coords, order)
 
 
 def ricci_top_field(log_density, coords, exact=None):
     """Top-degree Ricci density n! * det(R) as a real batch.
 
-    An exact closed-form Ricci evaluator short-circuits the stencils. The
-    raw matrix must be Hermitian within HERMITICITY_TOL wherever it is
-    finite; it is then symmetrized before the determinant (closed form for
-    n <= 2, LAPACK beyond) so the result is real up to rounding, and its
-    imaginary part must stay within IMAG_TOL.
+    log_density is the chart evaluator or its order-2 jet at coords. An
+    exact closed-form Ricci evaluator is used in place of it when given;
+    otherwise R = -d dbar log a is the jet's mixed second derivative, exact
+    to rounding. The raw matrix must be Hermitian within HERMITICITY_TOL
+    wherever it is finite: a closed form must return a Hermitian matrix,
+    and the jet Hessian of a real log-density is Hermitian to rounding. It
+    is then symmetrized before the determinant (closed form for n <= 2,
+    LAPACK beyond) so the result is real up to rounding, and its imaginary
+    part must stay within IMAG_TOL.
     Every check works on the n x n entries as views over the batch, folded
     elementwise: numpy reductions over a trailing axis of length n cost far
     more than the arithmetic on such small matrices. Only LAPACK (n >= 3)
@@ -201,19 +232,21 @@ def ricci_top_field(log_density, coords, exact=None):
     """
     if exact is not None:
         R = np.asarray(exact(coords))
+        entry = [[R[..., i, j] for j in range(R.shape[-1])] for i in range(R.shape[-1])]
+        culprit = "the closed-form exact_ricci evaluator returned a non-Hermitian matrix"
     else:
-        R = ricci_from_log_density(log_density, coords)
-    n = R.shape[-1]
-    entry = [[R[..., i, j] for j in range(n)] for i in range(n)]
-    res = hermiticity_residual(R)
+        entry = [[-_batch(h, coords.shape[:-1]) for h in row]
+                 for row in _log_density_jet(log_density, coords, 2).dd]
+        culprit = "the log-density is not real-valued"
+    n = len(entry)
+    res = _entry_residual(entry)
     scale = functools.reduce(np.maximum, (np.abs(e) for row in entry for e in row))
     bad = res > HERMITICITY_TOL * np.maximum(1.0, scale)
     if np.any(bad):
         worst = float(np.nanmax(np.where(bad, res, 0.0)))
         raise DifferentiationQualityError(
             f"Ricci matrix Hermiticity residual {worst:.3e} exceeds tolerance "
-            f"{HERMITICITY_TOL:.1e}; the stencil Hessian is exactly Hermitian, so the "
-            f"closed-form exact_ricci evaluator returned a non-Hermitian matrix"
+            f"{HERMITICITY_TOL:.1e}; {culprit}"
         )
     sym = [[0.5 * (entry[i][j] + np.conj(entry[j][i])) for j in range(n)] for i in range(n)]
     if n == 1:
@@ -236,16 +269,17 @@ def divergence_field(components, log_density, coords):
     """Divergence of a holomorphic field against a volume density.
 
     Returns sum_i dX^i/dz^i + X(log a) for the chart evaluators
-    `components` (coords -> (..., n)) and `log_density` (coords -> (...)).
-    Each dX^i/dz^i is the derivative of component i alone along e_i, bit for
-    bit the diagonal of holomorphic_derivative's Jacobian without its
-    off-diagonal arithmetic (8n calls of the field); X(log a) is one
-    directional_derivative along X (8 calls of log a).
+    `components` (coords -> (..., n)) and `log_density` (coords -> (...)),
+    or the log-density's jet at coords in place of its evaluator. One
+    order-1 jet call of the field gives both its values X^i and the
+    diagonal of its Jacobian, dX^i/dz^i; X(log a) is sum_i X^i d log a/dz^i
+    from the log-density jet's d. Both are exact to rounding.
     """
-    axes = np.eye(coords.shape[-1], dtype=complex)
-    holo = functools.reduce(np.add, (
-        directional_derivative(lambda c, i=i: np.asarray(components(c))[..., i], coords, e)
-        for i, e in enumerate(axes)))
-    values = np.asarray(components(coords))
-    return holo + directional_derivative(log_density, coords, values)
-
+    shape, n = coords.shape[:-1], coords.shape[-1]
+    field = jets.evaluate(components, coords, 1)
+    values = _batch(field.value, coords.shape)
+    logd = _log_density_jet(log_density, coords, 1)
+    terms = ([field[..., i].d[i] for i in range(n)]
+             + [values[..., i] * p for i, p in enumerate(logd.d) if p is not None])
+    return functools.reduce(np.add, (t for t in terms if t is not None),
+                            np.zeros(shape, dtype=complex))

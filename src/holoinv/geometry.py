@@ -101,10 +101,12 @@ class ManifoldSpec:
     """Atlas, deck group, and the fundamental domain's pieces by chart id.
 
     `atlas` maps each chart id to its containment predicate over C^n
-    coordinates. The routes' stencils take one constant step
-    h = calculus.DEFAULT_STEP and sample at most 6h from a quadrature node
-    (the alternative route's 2h directional stencil around the 4h Hessian
-    stencil), so each piece must lie that far inside its chart. Every
+    coordinates. The direct route evaluates at the quadrature nodes only:
+    its derivatives come from jets, which take no step. The stencils take
+    one constant step h = calculus.DEFAULT_STEP: the alternative route's
+    directional stencil along X samples at most 2h from a node, so each
+    piece must lie that far inside its chart, and the stencil primitives
+    reach 4h (the mixed Hessian) from the points they are given. Every
     registered piece does: cp1's charts are all of C, and hopf's piece
     keeps |z| >= 1.
     """

@@ -20,7 +20,7 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from . import calculus
+from . import calculus, jets
 from .geometry import Character, ManifoldSpec, VectorFieldSpec, VolumeFormSpec
 from .quadrature import IntegrationResult, QuadratureSpec, integrate
 
@@ -45,18 +45,32 @@ class InvariantResult:
 def direct_density(logd, exact, comps):
     """div X times the top Ricci density, from one chart's evaluators: the
     log-density, the closed-form Ricci matrix or None, the field components.
-    Every stencil takes calculus.DEFAULT_STEP."""
+    One log-density jet per block serves both factors: order 2, whose mixed
+    second derivatives give the Ricci matrix, or order 1 beside a closed
+    form. No step is taken: the log-density and the field are evaluated at
+    the nodes only."""
+    order = 2 if exact is None else 1
+
     def density(coords):
-        div = calculus.divergence_field(comps, logd, coords)
-        return div * calculus.ricci_top_field(logd, coords, exact=exact)
+        log_a = jets.evaluate(logd, coords, order)
+        div = calculus.divergence_field(comps, log_a, coords)
+        return div * calculus.ricci_top_field(log_a, coords, exact=exact)
     return density
 
 
 def alternative_density(logd, exact, comps):
-    """-X(n! det R / a) times a, from the same evaluators as direct_density."""
+    """-X(n! det R / a) times a, from the same evaluators as direct_density.
+
+    X(.) is the directional stencil over the ratio n! det R / a, whose
+    derivatives would need third-order jets. Without a closed form, one
+    order-2 log-density jet per stencil node gives both R and 1 / a."""
     def ratio(coords):
-        top = calculus.ricci_top_field(logd, coords, exact=exact)
-        return top * np.exp(-np.asarray(logd(coords), dtype=float))
+        if exact is None:
+            jet = jets.evaluate(logd, coords, 2)
+            top, log_a = calculus.ricci_top_field(jet, coords), jet.value
+        else:
+            top, log_a = calculus.ricci_top_field(logd, coords, exact=exact), logd(coords)
+        return top * np.exp(-np.asarray(log_a, dtype=float))
 
     def density(coords):
         directional = calculus.directional_derivative(ratio, coords, comps(coords))
@@ -132,8 +146,9 @@ def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,
     if not charts:
         raise ValueError("endpoint volume forms share no chart")
 
+    # no np.asarray: a log-density evaluated on a jet returns a jet
     def blend(a0, a1):
-        return lambda coords: (1.0 - t) * np.asarray(a0(coords)) + t * np.asarray(a1(coords))
+        return lambda coords: (1.0 - t) * a0(coords) + t * a1(coords)
 
     return VolumeFormSpec(
         name=f"{vol0.name}~{vol1.name}@t={t:g}",

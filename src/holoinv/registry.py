@@ -333,15 +333,12 @@ def _hopf_bundle() -> ExampleBundle:
         ),
     }
 
+    # coordinate masks rather than item assignment, which jets do not support
     def x1(coords):
-        out = np.zeros_like(coords)
-        out[..., 0] = coords[..., 0]
-        return out
+        return coords * np.array([1.0, 0.0])
 
     def x2(coords):
-        out = np.zeros_like(coords)
-        out[..., 1] = coords[..., 1]
-        return out
+        return coords * np.array([0.0, 1.0])
 
     def radial(coords):
         return coords

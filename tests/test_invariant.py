@@ -16,7 +16,7 @@ from holoinv import (
     localization_sum,
     sample_domain_points,
 )
-from holoinv import cli
+from holoinv import cli, jets
 from holoinv import invariant as invariant_module
 from holoinv import quadrature
 from holoinv.calculus import DEFAULT_STEP
@@ -202,18 +202,16 @@ def _points_per_node(monkeypatch, vol, slot, route, hopf, field):
 
 
 def test_hopf_stencil_direct_job_log_density_calls_per_node(hopf, monkeypatch):
-    # cost guard: 97 for the mixed Hessian plus 8 for X(log a), which is
-    # one directional stencil, not a gradient (8n)
+    # cost guard: one order-2 jet call gives the Ricci matrix and X(log a)
     assert _points_per_node(monkeypatch, hopf.volumes["r4-bump"], "log_density",
-                            invariant_direct, hopf, "x1") == 105
+                            invariant_direct, hopf, "x1") == 1
 
 
 def test_hopf_stencil_alternative_job_log_density_calls_per_node(hopf, monkeypatch):
-    # cost guard: X(n! det R / a) is 8 ratio calls, each a 97-call mixed
-    # Hessian and one log-density for 1 / a, and the weight a is one more:
-    # 8 x 98 + 1
+    # cost guard: X(n! det R / a) is 8 ratio calls, each one order-2 jet that
+    # gives both R and 1 / a, and the weight a is one more: 8 + 1
     assert _points_per_node(monkeypatch, hopf.volumes["r4-bump"], "log_density",
-                            invariant_alternative, hopf, "x1") == 785
+                            invariant_alternative, hopf, "x1") == 9
 
 
 def test_hopf_exact_alternative_job_exact_ricci_calls_per_node(hopf, monkeypatch):
@@ -222,26 +220,38 @@ def test_hopf_exact_alternative_job_exact_ricci_calls_per_node(hopf, monkeypatch
                             invariant_alternative, hopf, "radial") == 8
 
 
-@pytest.mark.parametrize("route", [invariant_direct, invariant_alternative])
-def test_hopf_stencil_nodes_stay_in_the_chart(hopf, route):
-    # every route takes the constant DEFAULT_STEP, so no stencil node may
-    # leave the punctured chart: the piece keeps |z| >= 1, and the nested
-    # stencils of the alternative route reach at most 6h from a node
+@pytest.mark.parametrize("route, reach", [(invariant_direct, 0.0),
+                                          (invariant_alternative, 2.0 * DEFAULT_STEP)],
+                         ids=["invariant_direct", "invariant_alternative"])
+def test_hopf_stencil_nodes_stay_in_the_chart(hopf, route, reach):
+    # the direct route takes no step: every evaluator call gets exactly the
+    # nodes of the density call it serves. The alternative route's one
+    # stencil, the directional one along X, moves at most 2h from a node, so
+    # no evaluation may leave the punctured chart: the piece keeps |z| >= 1
     contains = hopf.manifold.atlas["punctured"]
-    radii = []
+    block, moves = [], []
+
+    def counting_integrate(density, dom, q):
+        def tracked(coords):
+            block[:] = [coords]
+            return density(coords)
+        return integrate(tracked, dom, q)
 
     def guarded(fn):
         def inside(coords):
-            assert np.all(contains(coords))
-            radii.append(np.min(np.linalg.norm(coords, axis=-1)))
+            points = np.asarray(getattr(coords, "value", coords))
+            assert np.all(contains(points))
+            moves.append(np.max(np.linalg.norm(points - block[0], axis=-1)))
             return fn(coords)
         return inside
 
     logd = hopf.volumes["r4-bump"].log_density["punctured"]
     vol = dataclasses.replace(hopf.volumes["r4-bump"], log_density={"punctured": guarded(logd)})
     x = VectorFieldSpec("x1", {"punctured": guarded(hopf.fields["x1"].components["punctured"])})
-    route(hopf.manifold, vol, x, q=hopf.default_quadrature)
-    assert radii and min(radii) >= 1.0 - 6.0 * DEFAULT_STEP
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(invariant_module, "integrate", counting_integrate)
+        route(hopf.manifold, vol, x, q=hopf.default_quadrature)
+    assert moves and max(moves) <= reach * (1.0 + 1e-12)
 
 
 def test_zero_field_gives_exact_zero(cp1, hopf):
@@ -421,6 +431,19 @@ def test_deformation_trivial_family_is_constant(cp1):
     assert values[0] == values[1] == values[2]
     fs = cp1.volumes["fs"]
     assert interpolated_volume(fs, fs, 0.3) is fs
+
+
+def test_blended_log_density_jet_is_the_blended_ricci(cp1):
+    # blend passes the endpoints' jets through, so the blended log-density's
+    # jet Hessian is the blend of the closed-form Ricci matrices
+    vol = interpolated_volume(cp1.volumes["fs"], cp1.volumes["fs-bump"], 0.25)
+    rng = np.random.default_rng(17)
+    pts = rng.uniform(-2, 2, (200, 1)) + 1j * rng.uniform(-2, 2, (200, 1))
+    for chart in ("affine", "affine-inf"):
+        jet = jets.evaluate(vol.log_density[chart], pts, 2)
+        assert isinstance(jet, jets.Jet)
+        blended = vol.exact_ricci[chart](pts)[:, 0, 0]
+        assert np.max(np.abs(-jet.dd[0][0] - blended) / np.abs(blended)) <= 1e-13, chart
 
 
 def test_deformation_hopf_cross_character(hopf):

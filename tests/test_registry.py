@@ -14,11 +14,12 @@ from holoinv import (
     localization_sum,
     registry_get,
     registry_names,
+    sample_domain_points,
     unnormalized_invariant,
     verify_automorphic,
     verify_invariant_field,
 )
-from holoinv import calculus
+from holoinv import calculus, jets
 
 
 def test_names():
@@ -90,6 +91,36 @@ def test_every_named_chart_is_in_the_atlas(name):
               for chart in (tr.source, tr.target)}
     named |= {("domain piece", chart) for chart in m.fundamental_domain}
     assert {(what, chart) for what, chart in named if chart not in m.atlas} == set()
+
+
+def _evaluators(bundle):
+    for name, vol in bundle.volumes.items():
+        for chart, fn in vol.log_density.items():
+            yield f"log-density {name}@{chart}", chart, fn
+    for name, fld in bundle.fields.items():
+        for chart, fn in fld.components.items():
+            yield f"field {name}@{chart}", chart, fn
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_every_evaluator_is_jet_safe(name):
+    # the routes call every log-density and field on jets: each must return a
+    # jet whose value is the plain evaluation bit for bit, or a plain numeric
+    # array that is really constant (zero stencil derivative), never an
+    # object array that would drop the derivatives
+    bundle = registry_get(name)
+    if bundle.manifold is None:
+        return
+    for label, chart, fn in _evaluators(bundle):
+        pts = sample_domain_points(bundle.manifold.fundamental_domain[chart], 32, seed=3)
+        plain = np.asarray(fn(pts))
+        out = fn(jets.variables(pts, 2))
+        if isinstance(out, jets.Jet):
+            assert np.array_equal(out.value, plain), label
+        else:
+            assert isinstance(out, np.ndarray) and out.dtype != object, label
+            assert np.array_equal(out, plain), label
+            assert np.max(np.abs(calculus.holomorphic_derivative(fn, pts))) <= 1e-10, label
 
 
 def test_exact_ricci_evaluators_match_stencils():
@@ -182,7 +213,7 @@ def test_blcp2_stretch_dataset():
 
 
 def test_hopf_radial_divergence_free(hopf):
-    from holoinv import calculus
+    from holoinv import calculus, jets
 
     val = calculus.divergence_field(hopf.fields["radial"].components["punctured"],
                                     hopf.volumes["r4"].log_density["punctured"],
