@@ -16,22 +16,19 @@ Wirtinger derivatives from real central differences on the underlying
 (x, y) coordinate pairs: log-densities are real-valued rather than
 holomorphic, so complex-step differentiation does not apply. Each accepts
 batched coordinate arrays of shape (..., n) and calls the evaluator once
-per distinct stencil node, vectorized over the whole batch. There is one
-stencil, the order-4 central first difference, and one parameter, the step
-h: one scalar for the whole batch, DEFAULT_STEP unless a caller passes
-another. directional_derivative is the one first-derivative core:
-sum_i v^i d/dz^i along a complex direction v (per point or constant), from
-two real stencils, along v/|v| and i v/|v|, so 8 evaluator calls at any n.
+per stencil node, vectorized over the whole batch. There is one stencil,
+the order-4 central first difference, and one parameter, the step h: one
+scalar for the whole batch, DEFAULT_STEP unless a caller passes another.
+directional_derivative is the one stencil core: sum_i v^i d/dz^i along a
+complex direction v (per point or constant), from two real stencils,
+along v/|v| and i v/|v|, so 8 evaluator calls at any n.
 holomorphic_derivative is that core along every unit axis e_j, for an
 evaluator of any value shape, so a field's Jacobian is one call and
-d/dzbar is conj(d/dz of the conjugate). The mixed Hessian takes only the
-real second derivatives its complex entries use, with the nested stencil's
-weights: the pure ones along every real axis and the four cross products
-of each pair of complex axes, not the in-plane products that cancel (97
-evaluations at n = 2). Its lower triangle mirrors the upper one, so it is
-exactly Hermitian. The checks on Ricci matrices and determinants of order
-1 and 2 work entry by entry, each entry a view over the batch, folded
-elementwise: there are no reductions over the short trailing matrix axes.
+d/dzbar is conj(d/dz of the conjugate). mixed_hessian nests it: d/dz of
+the conjugated gradient. The checks on Ricci matrices and determinants of
+order 1 and 2 work entry by entry, each entry a view over the batch,
+folded elementwise: there are no reductions over the short trailing
+matrix axes.
 
 Conventions
 -----------
@@ -57,23 +54,9 @@ from .errors import DifferentiationQualityError
 # order-4 central first-derivative stencil: (offsets in units of h, weights in 1/h)
 _STENCIL = ((-2.0, -1.0, 1.0, 2.0), (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0))
 
-# second derivative along one real axis: the first-derivative stencil applied
-# to itself, its nodes merged by offset (offsets in units of h, weights in 1/h^2)
-_DIAGONAL_STENCIL = ((-4.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 4.0),
-                     tuple(w / 144.0 for w in (1.0, -16.0, 64.0, 16.0, -130.0,
-                                               16.0, 64.0, -16.0, 1.0)))
-
 DEFAULT_STEP = 1e-3
 HERMITICITY_TOL = 1e-6
 IMAG_TOL = 1e-6
-
-
-def _shifted(coords, shifts, step):
-    """Copy of `coords` moved by o * step * direction for each (axis, direction, o)."""
-    shifted = np.array(coords)
-    for axis, direction, o in shifts:
-        shifted[..., axis] = shifted[..., axis] + (o * step) * direction
-    return shifted
 
 
 def directional_derivative(fn, coords, direction, step=DEFAULT_STEP):
@@ -125,53 +108,19 @@ def holomorphic_derivative(fn, coords, step=DEFAULT_STEP):
 
 
 def mixed_hessian(fn, coords, step=DEFAULT_STEP):
-    """H[..., i, j] = d^2 fn / dz^i dzbar^j from the real second derivatives it uses.
+    """H[..., i, j] = d^2 fn / dz^i dzbar^j for a real-valued fn, shape (..., n, n).
 
-    Real coordinate a is the x-part (a even) or y-part (a odd) of complex
-    axis a // 2. For real fn,
-    H_ij = [(f_xixj + f_yiyj) + i (f_xiyj - f_yixj)] / 4, so H_ii is
-    (f_xixi + f_yiyi) / 4: the in-plane products f_xiyi would enter it only
-    as f_xiyi - f_yixi, which is exactly 0, and are not evaluated. Each
-    real second derivative is that of the nested first-derivative stencil,
-    every distinct node evaluated once: f_aa by the merged
-    _DIAGONAL_STENCIL (the base point shared by all axes), and for i < j
-    the four products (x_j, x_i), (y_j, y_i), (y_j, x_i) and (x_j, y_i) by
-    the 16-node product stencil. That is 1 + 16n + 32n(n - 1) calls of fn:
-    17, 97 and 241 at n = 1, 2 and 3. H_ji takes the mirrored formula
-    [(f_xixj + f_yiyj) + i (f_yixj - f_xiyj)] / 4, which is conj(H_ij) bit
-    for bit except that an exactly zero imaginary part stays +0 (np.conj
-    would give -0), so H is exactly Hermitian.
+    The nested first-derivative stencil: for real fn, d fn / dzbar^j is
+    conj(d fn / dz^j), and H_ij is d/dz^i of that, so H is
+    holomorphic_derivative applied to the conjugated gradient, 64 n^2 calls
+    of fn, every node within 4h of the base point along one real axis. It
+    is returned as (H + H^H) / 2, which is exactly Hermitian.
     """
-    n = coords.shape[-1]
-    offsets, weights = _STENCIL
-    real_axes = [(axis, direction) for axis in range(n) for direction in (1.0, 1.0j)]
+    def dbar(c):
+        return np.conj(holomorphic_derivative(fn, c, step))
 
-    def at(*shifts):
-        return np.asarray(fn(_shifted(coords, [(*real_axes[a], o) for a, o in shifts], step)))
-
-    inv_h2 = 1.0 / (step * step)
-    base = at()
-
-    def pure(a):
-        return inv_h2 * sum(w * (base if o == 0.0 else at((a, o)))
-                            for o, w in zip(*_DIAGONAL_STENCIL))
-
-    def product(a, b):
-        # a > b: the shift along a is applied first
-        return inv_h2 * sum((wa * wb) * at((a, oa), (b, ob))
-                            for oa, wa in zip(offsets, weights) for ob, wb in zip(offsets, weights))
-
-    H = np.empty(base.shape + (n, n), dtype=complex)
-    for i in range(n):
-        xi, yi = 2 * i, 2 * i + 1
-        H[..., i, i] = 0.25 * (pure(xi) + pure(yi))
-        for j in range(i + 1, n):
-            xj, yj = 2 * j, 2 * j + 1
-            same = product(xj, xi) + product(yj, yi)
-            xy, yx = product(yj, xi), product(xj, yi)
-            H[..., i, j] = 0.25 * (same + 1.0j * (xy - yx))
-            H[..., j, i] = 0.25 * (same + 1.0j * (yx - xy))
-    return H
+    H = np.swapaxes(holomorphic_derivative(dbar, coords, step), -1, -2)
+    return 0.5 * (H + np.conj(np.swapaxes(H, -1, -2)))
 
 
 def ricci_from_log_density(log_density, coords, step=DEFAULT_STEP):

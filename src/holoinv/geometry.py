@@ -78,8 +78,8 @@ class VolumeFormSpec:
     """An automorphic volume form given by per-chart log-densities.
 
     `exact_ricci` maps chart ids to closed-form evaluators of the Ricci
-    coefficient matrix; charts without an entry fall back to numerical
-    differentiation.
+    coefficient matrix; charts without an entry take it from an order-2 jet
+    of their log-density.
     """
 
     name: str

@@ -9,7 +9,7 @@ from holoinv import (
     DifferentiationQualityError,
     VectorFieldSpec,
 )
-from holoinv import calculus
+from holoinv import calculus, jets
 from holoinv.calculus import DEFAULT_STEP
 
 
@@ -273,11 +273,10 @@ def test_hermiticity_of_builtin_densities(cp1, hopf):
         assert np.max(calculus.hermiticity_residual(R)) < 1e-8
 
 
-@pytest.mark.parametrize("n, evaluations", [(1, 17), (2, 97), (3, 241)])
-def test_mixed_hessian_evaluates_each_node_once(n, evaluations):
-    # order 4: the base point, 8 more nodes per real axis, 16 per real pair
-    # (x_j, x_i), (y_j, y_i), (y_j, x_i), (x_j, y_i) for each i < j; the
-    # in-plane pairs (x_i, y_i) cancel out of H and are not evaluated
+@pytest.mark.parametrize("n, calls", [(1, 64), (2, 256), (3, 576)])
+def test_mixed_hessian_calls_the_nested_stencil(n, calls):
+    # holomorphic_derivative of the conjugated gradient: 8n outer nodes, each
+    # an inner gradient of 8n calls, every call on the batch shape
     pts = np.full((7, n), 0.9 + 0.3j)
     shapes = []
 
@@ -286,62 +285,34 @@ def test_mixed_hessian_evaluates_each_node_once(n, evaluations):
         return np.log1p(_abs2(c).sum(axis=-1))
 
     calculus.mixed_hessian(counted, pts)
-    assert shapes == [(7, n)] * evaluations
-
-
-def _real_table_mixed_hessian(fn, coords, step):
-    # reference: the full real 2n x 2n Hessian, every real pair including the
-    # in-plane (x_i, y_i) products, and H read off its rows
-    n = coords.shape[-1]
-    offsets, weights = calculus._STENCIL
-    real_axes = [(axis, direction) for axis in range(n) for direction in (1.0, 1.0j)]
-
-    def at(*shifts):
-        return np.asarray(fn(calculus._shifted(
-            coords, [(*real_axes[a], o) for a, o in shifts], step)))
-
-    inv_h2 = 1.0 / (step * step)
-    base = at()
-    real = [[None] * (2 * n) for _ in range(2 * n)]
-    for a in range(2 * n):
-        real[a][a] = inv_h2 * sum(w * (base if o == 0.0 else at((a, o)))
-                                  for o, w in zip(*calculus._DIAGONAL_STENCIL))
-        for b in range(a):
-            real[a][b] = real[b][a] = inv_h2 * sum(
-                (wa * wb) * at((a, oa), (b, ob))
-                for oa, wa in zip(offsets, weights) for ob, wb in zip(offsets, weights))
-    rows = []
-    for i in range(n):
-        xi, yi = real[2 * i], real[2 * i + 1]
-        rows.append(np.stack([
-            0.25 * ((xi[2 * j] + yi[2 * j + 1]) + 1.0j * (xi[2 * j + 1] - yi[2 * j]))
-            for j in range(n)], axis=-1))
-    return np.stack(rows, axis=-2)
+    assert shapes == [(7, n)] * calls
 
 
 def _log_one_plus_norm(coords):
     return np.log1p(sum(_abs2(coords[..., k]) for k in range(coords.shape[-1])))
 
 
-@pytest.mark.parametrize("step", [DEFAULT_STEP, 3e-3])
-def test_mixed_hessian_is_bit_equal_to_the_real_table(cp1, hopf, step):
-    rng = np.random.default_rng(12)
-    m = 600
-    hopf_pts = rng.uniform(1.0, 2.0, (m, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (m, 2)))
-    cp1_pts = rng.uniform(-1, 1, (m, 1)) + 1j * rng.uniform(-1, 1, (m, 1))
-    c3_pts = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
-    # at the origin f_xiyj == f_yixj exactly: the mirror entry keeps its +0
-    # imaginary part, which conj(H_ij) would turn into -0
-    c3_pts[0] = 0.0
-    cases = [(hopf.volumes["r4-bump"].log_density["punctured"], hopf_pts),
-             (cp1.volumes["fs-bump"].log_density["affine"], cp1_pts),
-             (_log_one_plus_norm, c3_pts)]
-    for fn, pts in cases:
-        new = calculus.mixed_hessian(fn, pts, step)
-        ref = _real_table_mixed_hessian(fn, pts, step)
-        assert np.array_equal(new, ref)
-        for part in (np.real, np.imag):
-            assert np.array_equal(np.signbit(part(new)), np.signbit(part(ref)))
+def _real_quartic(coords):
+    # |z1|^4 + sum_k Re(z1^2 zbar_k) + |z1|^2 |z_k|^2: real, degree 4
+    z1 = coords[..., 0]
+    total = _abs2(z1) * _abs2(z1)
+    for k in range(coords.shape[-1]):
+        zk = coords[..., k]
+        total = total + (z1 * z1 * np.conj(zk)).real + _abs2(z1) * _abs2(zk)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_hessian_is_exact_on_a_real_quartic(n):
+    # the order-4 stencil, nested, is exact on polynomials of degree 4 even
+    # at a coarse step: only rounding separates it from the jet Hessian
+    rng = np.random.default_rng(14)
+    pts = rng.uniform(-1, 1, (50, n)) + 1j * rng.uniform(-1, 1, (50, n))
+    H = calculus.mixed_hessian(_real_quartic, pts, 0.25)
+    dd = jets.evaluate(_real_quartic, pts, 2).dd
+    exact = np.stack([np.stack([calculus._batch(h, pts.shape[:-1]) for h in row], axis=-1)
+                      for row in dd], axis=-2)
+    assert np.max(np.abs(H - exact)) <= 1e-12
 
 
 def test_stencil_ricci_at_n3_matches_the_closed_form():
@@ -363,20 +334,11 @@ def test_stencil_hessian_is_exactly_hermitian(hopf):
     assert np.all(calculus.hermiticity_residual(H) == 0.0)
 
 
-@pytest.mark.parametrize("order", [4])
-def test_diagonal_stencil_is_the_first_derivative_stencil_squared(order):
+def test_first_derivative_stencil_is_exact_through_degree_4():
     offsets, weights = calculus._STENCIL
-    # exact on polynomials of degree <= order: sum w o^k is 1 for k = 1, else 0
+    # exact on polynomials of degree <= 4: sum w o^k is 1 for k = 1, else 0
     assert [math.fsum(w * o ** k for o, w in zip(offsets, weights))
-            for k in range(order + 1)] == [float(k == 1) for k in range(order + 1)]
-    merged = {}
-    for oa, wa in zip(offsets, weights):
-        for ob, wb in zip(offsets, weights):
-            merged[oa + ob] = merged.get(oa + ob, 0.0) + wa * wb
-    diag_offsets, diag_weights = calculus._DIAGONAL_STENCIL
-    assert list(diag_offsets) == sorted(merged)
-    assert list(diag_weights) == pytest.approx([merged[o] for o in diag_offsets],
-                                               rel=1e-15, abs=1e-17)
+            for k in range(5)] == [float(k == 1) for k in range(5)]
 
 
 def _random_hermitian(rng, points, n):

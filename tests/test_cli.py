@@ -377,6 +377,21 @@ def test_check_vaisman_passes(capsys):
     assert all(row["error"] <= row["bound"] for row in rows), rows
 
 
+def test_check_vaisman_without_exact_ricci_uses_jets(capsys, monkeypatch):
+    # a declared volume with no closed form takes the jet Ricci, as every
+    # route does, instead of failing on the missing entry
+    hopf = registry_get("hopf")
+    r4 = dataclasses.replace(hopf.volumes["r4"], exact_ricci={})
+    jets_only = dataclasses.replace(hopf, volumes={**hopf.volumes, "r4": r4})
+    monkeypatch.setattr("holoinv.cli.registry_get", lambda name: jets_only)
+    code, out, _ = run_cli(capsys, "check", "--example", "hopf", "--suite", "vaisman",
+                           "--json")
+    assert code == 0
+    rows = {row["label"]: row for row in load_report(out)["results"]}
+    assert rows["vaisman:max|det R|"]["value_re"] <= 1e-8
+    assert all(row["passed"] for row in rows.values())
+
+
 def test_check_convergence_passes(capsys):
     code, out, _ = run_cli(capsys, "check", "--example", "cp1",
                            "--suite", "convergence")
