@@ -31,7 +31,6 @@ from .geometry import (
 )
 from .invariant import (
     NORMALIZATION,
-    InvariantResult,
     deformation_invariant_curve,
     interpolated_volume,
     invariant_alternative,

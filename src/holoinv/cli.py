@@ -116,20 +116,16 @@ def cmd_list(args) -> tuple[Report, int]:
             "volumes": sorted(bundle.volumes),
             "fields": sorted(bundle.fields),
             "suites": sorted(bundle.suites),
-            "has_fixed_point_data": bundle.fixed_point_data is not None,
-            "fixed_point_field": bundle.fixed_point_field,
+            "fixed_points": {fld: localization.fixed_point_data_to_dict(data)
+                             for fld, data in bundle.fixed_points.items()},
             "notes": bundle.notes,
         }
-        if bundle.fixed_point_data is not None:
-            entry["fixed_point_data"] = localization.fixed_point_data_to_dict(
-                bundle.fixed_point_data)
         report.results.append(entry)
+        carried = ", ".join(sorted(bundle.fixed_points))
         if bundle.manifold is None:
-            lines.append(f"{name} (localization only): fixed-point data for "
-                         f"{bundle.fixed_point_field}")
+            lines.append(f"{name} (localization only): fixed-point data for {carried}")
         else:
-            tail = (f"; fixed-point data for {bundle.fixed_point_field}"
-                    if bundle.fixed_point_data is not None else "")
+            tail = f"; fixed-point data for {carried}" if carried else ""
             lines.append(f"{name}: volumes [{', '.join(sorted(bundle.volumes))}]; "
                          f"fields [{', '.join(sorted(bundle.fields))}]; "
                          f"suites [{', '.join(sorted(bundle.suites))}]{tail}")
@@ -164,18 +160,17 @@ def cmd_invariant(args) -> tuple[Report, int]:
             data = localization.load_fixed_point_data(args.fixed_point_file)
             label = data.label
         else:
-            if bundle.fixed_point_data is None:
+            if not bundle.fixed_points:
                 carriers = [name for name in registry_names()
-                            if registry_get(name).fixed_point_data is not None]
+                            if registry_get(name).fixed_points]
                 raise UsageError(
                     f"example '{args.example}' carries no fixed-point data "
                     f"(hint: pass --fixed-point-file or choose {' / '.join(carriers)})")
-            if args.field is not None and args.field != bundle.fixed_point_field:
-                raise UsageError(
-                    f"fixed-point data of '{args.example}' describes field "
-                    f"'{bundle.fixed_point_field}', not '{args.field}'")
-            data = bundle.fixed_point_data
-            label = f"{args.example}:{bundle.fixed_point_field}"
+            name = args.field
+            if name is None and len(bundle.fixed_points) == 1:
+                (name,) = bundle.fixed_points
+            data = _pick(bundle.fixed_points, name, "field", args.example)
+            label = f"{args.example}:{name}"
         total = localization.localization_sum(data)
         residue_sum = _exact_text(total)
         value = localization._invariant_from_sum(data, total)
@@ -199,9 +194,9 @@ def cmd_invariant(args) -> tuple[Report, int]:
     log.info("%s invariant on %s took %.2fs", args.method, args.example, elapsed)
     label = f"{args.example}:{args.volume}:{args.field}"
     report.results.append(_result_row(
-        label, result.value, result.method, error_estimate=float(result.error_estimate)))
+        label, result.value, args.method, error_estimate=float(result.error_estimate)))
     if not args.json:
-        print(f"{label} ({result.method}): f = {result.value:.6e} "
+        print(f"{label} ({args.method}): f = {result.value:.6e} "
               f"+/- {result.error_estimate:.2e}")
     return report, 0
 
@@ -300,7 +295,8 @@ def _suite_vaisman(bundle, p, samples, seed, q):
 
 def _suite_convergence(bundle, p, samples, seed, q):
     rng = np.random.default_rng(seed)
-    pts = (rng.uniform(-2, 2, (100, 1)) + 1j * rng.uniform(-2, 2, (100, 1)))
+    shape = (100, bundle.manifold.dimension)
+    pts = rng.uniform(-2, 2, shape) + 1j * rng.uniform(-2, 2, shape)
     vol = bundle.volumes[p["volume"]]
     chart = next(iter(bundle.manifold.fundamental_domain))
     logd = vol.log_density[chart]

@@ -79,7 +79,8 @@ class VolumeFormSpec:
 
     `exact_ricci` maps chart ids to closed-form evaluators of the Ricci
     coefficient matrix; charts without an entry take it from an order-2 jet
-    of their log-density.
+    of their log-density. Register a closed form only where it is measured
+    faster than that jet.
     """
 
     name: str

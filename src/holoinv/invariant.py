@@ -15,8 +15,7 @@ fixed-point data compare against these values through the factor
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,20 +25,6 @@ from .quadrature import IntegrationResult, QuadratureSpec, integrate
 
 NORMALIZATION = ("rho^n density = n!*det(R) against prod_i(i dz^i^dzbar^i); "
                  "i dz^dzbar = 2 dx^dy; residue comparisons scaled by (2pi)^n/(n+1)")
-
-
-@dataclass(frozen=True)
-class InvariantResult:
-    """Value of the invariant with its error budget and conventions."""
-
-    value: complex
-    error_estimate: float
-    method: str
-    normalization: ClassVar[str] = NORMALIZATION
-
-    def __post_init__(self):
-        if not self.error_estimate >= 0:
-            raise ValueError("error_estimate must be nonnegative")
 
 
 def direct_density(logd, exact, comps):
@@ -91,7 +76,7 @@ def piece_density(vol: VolumeFormSpec, x: VectorFieldSpec, chart_id: str, densit
 
 
 def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
-                     density_for, q: QuadratureSpec, method: str) -> InvariantResult:
+                     density_for, q: QuadratureSpec) -> IntegrationResult:
     """2^n times the integral of the route's density over the fundamental domain.
 
     Each piece is integrated in its own chart, with piece_density; values
@@ -104,24 +89,24 @@ def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
         res = integrate(lambda coords: density(coords) * factor, dom, q)
         # summed from the first piece: 0 + (-0.0) would flip the sign of a zero
         total = res if total is None else IntegrationResult(*map(operator.add, total, res))
-    return InvariantResult(total.value, total.error_estimate, method)
+    return total
 
 
 def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *,
-                     q: QuadratureSpec) -> InvariantResult:
+                     q: QuadratureSpec) -> IntegrationResult:
     """Invariant by direct quadrature of div X times the top Ricci density.
 
     Callers are responsible for the membership contracts (the volume form
     automorphic, the field deck-invariant and holomorphic); the registry
     bundles satisfy them by construction and the check suites verify them.
     """
-    return _integrate_route(m, vol, x, direct_density, q, "direct")
+    return _integrate_route(m, vol, x, direct_density, q)
 
 
 def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *,
-                          q: QuadratureSpec) -> InvariantResult:
+                          q: QuadratureSpec) -> IntegrationResult:
     """Invariant as -integral of X(n! det R / a) against the volume form."""
-    return _integrate_route(m, vol, x, alternative_density, q, "alternative")
+    return _integrate_route(m, vol, x, alternative_density, q)
 
 
 def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,

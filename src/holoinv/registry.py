@@ -66,8 +66,8 @@ class ExampleBundle:
     manifold: Optional[ManifoldSpec]
     volumes: Mapping[str, VolumeFormSpec]
     fields: Mapping[str, VectorFieldSpec]
-    fixed_point_data: Optional[FixedPointData]
-    fixed_point_field: Optional[str]
+    # field name -> zero-set data of that field; empty when there is none
+    fixed_points: Mapping[str, FixedPointData]
     default_quadrature: Optional[QuadratureSpec]
     notes: str
     # suite name -> parameters of a `holoinv check` suite: volume and field
@@ -182,7 +182,7 @@ def _cp1_bundle() -> ExampleBundle:
                                              "affine-inf": lambda c: -np.ones_like(c)}),
     }
 
-    fixed_points = FixedPointData(
+    z_ddz_zeros = FixedPointData(
         label="projective line, field z d/dz",
         manifold_dim=1,
         components=(
@@ -196,8 +196,7 @@ def _cp1_bundle() -> ExampleBundle:
         manifold=manifold,
         volumes=volumes,
         fields=fields,
-        fixed_point_data=fixed_points,
-        fixed_point_field="z-ddz",
+        fixed_points={"z-ddz": z_ddz_zeros},
         # 3,200 nodes per job; every registered job's bar is <= 4.6e-11 here,
         # and (16, 16) x 2 gives bars no larger
         default_quadrature=QuadratureSpec(points_per_axis=(20, 16), refinement_levels=2),
@@ -275,11 +274,6 @@ def _lebesgue_log_density(coords):
     return np.zeros(coords.shape[:-1])
 
 
-def _lebesgue_exact_ricci(coords):
-    n = coords.shape[-1]
-    return np.zeros(coords.shape[:-1] + (n, n), dtype=complex)
-
-
 def _r4_bump_log_density(coords):
     # the bump is deck-invariant (numerator and r^3 both scale by 8 under
     # z -> 2z) but carries fiber phase weight 1, so its Hessian is not pulled
@@ -324,7 +318,6 @@ def _hopf_bundle() -> ExampleBundle:
             name="lebesgue",
             log_density={"punctured": _lebesgue_log_density},
             character=Character({"double": 16.0}),
-            exact_ricci={"punctured": _lebesgue_exact_ricci},
         ),
         "r4-bump": VolumeFormSpec(
             name="r4-bump",
@@ -354,8 +347,7 @@ def _hopf_bundle() -> ExampleBundle:
         manifold=manifold,
         volumes=volumes,
         fields=fields,
-        fixed_point_data=None,
-        fixed_point_field=None,
+        fixed_points={},
         # the t entry is unused: t is an invariant axis, one node at every
         # level, so a job takes 1 x 12 x 4 x 4 + 1 x 24 x 8 x 8 = 1,728 nodes;
         # 4 trapezoid nodes per angle integrate every charge k(2, -1),
@@ -409,8 +401,7 @@ def _hopf_blowup_bundle() -> ExampleBundle:
         manifold=None,
         volumes={},
         fields={},
-        fixed_point_data=data,
-        fixed_point_field="x1",
+        fixed_points={"x1": data},
         default_quadrature=None,
         notes=("Blow-up of the Hopf surface at an interior point on the z1 = 0 "
                "locus, with the lift of x1 = z1 d/dz1. Around the isolated zero "
@@ -442,8 +433,7 @@ def _blcp2_bundle() -> ExampleBundle:
         manifold=None,
         volumes={},
         fields={},
-        fixed_point_data=data,
-        fixed_point_field="z1-ddz1",
+        fixed_points={"z1-ddz1": data},
         default_quadrature=None,
         notes=("Stretch example, derived from localization only: blow up the "
                "projective plane at the fixed point where the circle action "

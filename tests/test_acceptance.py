@@ -34,7 +34,7 @@ def _report(criterion, passed, detail=""):
 
 def test_criterion_1_headline_residue(hopf_blowup):
     started = time.perf_counter()
-    data = hopf_blowup.fixed_point_data
+    data = hopf_blowup.fixed_points["x1"]
     isolated, curve = data.components
     iso_value = component_contribution_parts(isolated, 2)[2]
     numerator, inverted, curve_value = component_contribution_parts(curve, 2)
@@ -52,7 +52,7 @@ def test_criterion_1_headline_residue(hopf_blowup):
 
 
 def test_criterion_2_cross_method_consistency(cp1):
-    exact = localization_sum(cp1.fixed_point_data)
+    exact = localization_sum(cp1.fixed_points["z-ddz"])
     q3 = QuadratureSpec(points_per_axis=16, refinement_levels=3)
     started = time.perf_counter()
     direct = invariant_direct(cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"], q=q3)
@@ -157,8 +157,8 @@ def test_criterion_6b_weight_rescaling_power_law(cp1, hopf_blowup):
     # with t^(d-i), by c^((n+1) - (n-d) - d) = c.
     # So the residue sum is degree-one homogeneous: sum(cX) = c sum(X), as
     # f is linear in X. All checks are exact rational equalities.
-    datasets = (cp1.fixed_point_data, hopf_blowup.fixed_point_data,
-                registry_get("blcp2").fixed_point_data)
+    datasets = (cp1.fixed_points["z-ddz"], hopf_blowup.fixed_points["x1"],
+                registry_get("blcp2").fixed_points["z1-ddz1"])
     assert any(localization_sum(data) != 0 for data in datasets)
     mismatches = []
     for data in datasets:

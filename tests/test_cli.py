@@ -52,12 +52,23 @@ def test_list_json_round_trips(capsys):
     names = {entry["name"] for entry in report["results"]}
     assert {"cp1", "hopf", "hopf-blowup"} <= names
     blowup = next(e for e in report["results"] if e["name"] == "hopf-blowup")
-    assert blowup["fixed_point_data"]["manifold_dim"] == 2
+    assert blowup["fixed_points"]["x1"]["manifold_dim"] == 2
     assert blowup["suites"] == []
     cp1 = next(e for e in report["results"] if e["name"] == "cp1")
     assert cp1["suites"] == ["automorphy", "convergence", "deformation", "invariance"]
     assert report["environment"]["version"]
     assert report["environment"]["normalization"]
+
+
+def test_list_json_keys_residue_data_by_field(capsys):
+    code, out, _ = run_cli(capsys, "list", "--json")
+    assert code == 0
+    fixed_points = {e["name"]: e["fixed_points"] for e in load_report(out)["results"]}
+    assert fixed_points["hopf"] == {}
+    assert {name: list(data) for name, data in fixed_points.items() if data} == {
+        "cp1": ["z-ddz"], "hopf-blowup": ["x1"], "blcp2": ["z1-ddz1"]}
+    assert fixed_points["cp1"]["z-ddz"] == localization.fixed_point_data_to_dict(
+        registry_get("cp1").fixed_points["z-ddz"])
 
 
 # --- invariant ---------------------------------------------------------------
@@ -90,7 +101,7 @@ def test_localization_route_sums_the_residues_once(capsys, monkeypatch):
     assert len(calls) == 1
     row = load_report(out)["results"][0]
     assert row["value_re"] == localization.unnormalized_invariant(
-        registry_get("cp1").fixed_point_data)
+        registry_get("cp1").fixed_points["z-ddz"])
 
 
 def test_direct_invariant_small(capsys):
@@ -110,7 +121,7 @@ def test_alt_method(capsys):
     assert code == 0
     row = load_report(out)["results"][0]
     assert abs(complex(row["value_re"], row["value_im"])) < 1e-6
-    assert row["method"] == "alternative"
+    assert row["method"] == "alt"
 
 
 def test_invariant_determinism(capsys):
@@ -239,8 +250,47 @@ def test_localization_hint_names_every_example_with_fixed_point_data(capsys):
     assert code == 2
     assert out == ""
     for name in ("cp1", "hopf-blowup", "blcp2"):
-        assert registry_get(name).fixed_point_data is not None
+        assert registry_get(name).fixed_points
         assert name in err.split("choose", 1)[1]
+
+
+@pytest.fixture
+def cp1_two_residue_fields(monkeypatch):
+    # cp1 with a second residue entry; the lookup only reads the mapping, so
+    # hopf-blowup's data (sum -2, where z-ddz sums to 0) stands in for z2-ddz
+    cp1 = registry_get("cp1")
+    bundle = dataclasses.replace(cp1, fixed_points={
+        **cp1.fixed_points, "z2-ddz": registry_get("hopf-blowup").fixed_points["x1"]})
+    monkeypatch.setattr("holoinv.cli.registry_get", lambda name: bundle)
+    return bundle
+
+
+def test_localization_with_two_fields_needs_field(capsys, cp1_two_residue_fields):
+    code, out, err = run_cli(capsys, "invariant", "--example", "cp1",
+                             "--method", "localization")
+    assert code == 2
+    assert out == ""
+    assert "--field" in err and "z-ddz" in err and "z2-ddz" in err
+
+
+def test_localization_field_picks_its_entry(capsys, cp1_two_residue_fields):
+    for name in ("z-ddz", "z2-ddz"):
+        code, out, _ = run_cli(capsys, "invariant", "--example", "cp1", "--field", name,
+                               "--method", "localization", "--json")
+        assert code == 0
+        row = load_report(out)["results"][0]
+        assert row["label"] == f"cp1:{name}"
+        assert row["value_re"] == localization.unnormalized_invariant(
+            cp1_two_residue_fields.fixed_points[name])
+
+
+def test_localization_field_without_data_lists_the_fields(capsys,
+                                                           cp1_two_residue_fields):
+    code, out, err = run_cli(capsys, "invariant", "--example", "cp1", "--field", "ddz",
+                             "--method", "localization")
+    assert code == 2
+    assert out == ""
+    assert "'ddz'" in err and "available: z-ddz, z2-ddz" in err
 
 
 # --- fixed point files --------------------------------------------------------
@@ -397,6 +447,21 @@ def test_check_convergence_passes(capsys):
                            "--suite", "convergence")
     assert code == 0
     assert "pass" in out
+
+
+def test_check_convergence_runs_in_two_dimensions(capsys, monkeypatch):
+    # the sample points take the manifold's dimension: a hopf copy that
+    # declares the suite on r4 checks its stencil against the closed form
+    hopf = registry_get("hopf")
+    declared = dataclasses.replace(hopf, suites={
+        **hopf.suites, "convergence": {"volume": "r4", "bound": 1e-7, "order_floor": 3.5}})
+    monkeypatch.setattr("holoinv.cli.registry_get", lambda name: declared)
+    code, out, _ = run_cli(capsys, "check", "--example", "hopf", "--suite", "convergence",
+                           "--json")
+    assert code == 0
+    rows = {row["label"]: row for row in load_report(out)["results"]}
+    assert rows["convergence:order"]["value_re"] >= 3.5
+    assert rows["convergence:match@1e-3"]["value_re"] <= 1e-7
 
 
 def test_check_deformation_passes(capsys):

@@ -231,12 +231,12 @@ def test_toric_vertex_residues(name, xi, expected):
 
 
 def test_blowup_dataset_headline(hopf_blowup):
-    assert localization_sum(hopf_blowup.fixed_point_data) == -2
+    assert localization_sum(hopf_blowup.fixed_points["x1"]) == -2
 
 
 def test_unnormalized_value(hopf_blowup):
     expected = -2.0 * (2.0 * math.pi) ** 2 / 3.0
-    assert unnormalized_invariant(hopf_blowup.fixed_point_data) == pytest.approx(
+    assert unnormalized_invariant(hopf_blowup.fixed_points["x1"]) == pytest.approx(
         expected, abs=1e-12)
 
 
@@ -259,7 +259,7 @@ def test_unnormalized_zero_sum_is_zero_beyond_float_range():
 
 
 def test_projective_line_dataset_cancels(cp1):
-    assert localization_sum(cp1.fixed_point_data) == 0
+    assert localization_sum(cp1.fixed_points["z-ddz"]) == 0
 
 
 def test_unblown_plane_dataset_cancels():
@@ -279,7 +279,7 @@ def test_residue_sum_is_linear_in_the_field(hopf_blowup, cp1):
     # scaling the field scales traces and normal weights; the residue sum
     # is degree-one homogeneous (numerator degree n+1 minus n-d from the
     # denominator minus d from the pairing)
-    for data in (hopf_blowup.fixed_point_data, cp1.fixed_point_data):
+    for data in (hopf_blowup.fixed_points["x1"], cp1.fixed_points["z-ddz"]):
         base = localization_sum(data)
         for c in (Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(-5, 7)):
             assert localization_sum(rescale_field(data, c)) == c * base
@@ -328,10 +328,10 @@ def test_empty_components_rejected():
 
 
 def test_json_round_trip(hopf_blowup):
-    payload = fixed_point_data_to_dict(hopf_blowup.fixed_point_data)
+    payload = fixed_point_data_to_dict(hopf_blowup.fixed_points["x1"])
     text = json.dumps(payload)
     back = fixed_point_data_from_dict(json.loads(text))
-    assert back == hopf_blowup.fixed_point_data
+    assert back == hopf_blowup.fixed_points["x1"]
     assert localization_sum(back) == -2
 
 
@@ -407,5 +407,5 @@ def test_json_parse_raises_only_typed_errors(payload):
 
 def test_load_from_file(tmp_path, hopf_blowup):
     path = tmp_path / "data.json"
-    path.write_text(json.dumps(fixed_point_data_to_dict(hopf_blowup.fixed_point_data)))
+    path.write_text(json.dumps(fixed_point_data_to_dict(hopf_blowup.fixed_points["x1"])))
     assert localization_sum(load_fixed_point_data(path)) == -2

@@ -136,10 +136,9 @@ def test_exact_ricci_evaluators_match_stencils():
 
     hopf = registry_get("hopf")
     w = rng.uniform(0.8, 1.4, (40, 2)) * np.exp(1j * rng.uniform(0, 6.28, (40, 2)))
-    for name in ("r4", "lebesgue"):
-        vol = hopf.volumes[name]
-        numeric = calculus.ricci_from_log_density(vol.log_density["punctured"], w)
-        assert np.max(np.abs(numeric - vol.exact_ricci["punctured"](w))) < 1e-7
+    r4 = hopf.volumes["r4"]
+    numeric = calculus.ricci_from_log_density(r4.log_density["punctured"], w)
+    assert np.max(np.abs(numeric - r4.exact_ricci["punctured"](w))) < 1e-7
 
 
 def test_fs_bump_ricci_at_infinity_is_the_pulled_back_form(cp1):
@@ -178,7 +177,7 @@ def test_r4_exact_ricci_is_hermitian_and_cancellation_free(hopf):
 
 
 def test_blowup_dataset_reproduces_intermediates(hopf_blowup):
-    data = hopf_blowup.fixed_point_data
+    data = hopf_blowup.fixed_points["x1"]
     isolated, curve = data.components
     assert component_contribution_parts(isolated, 2)[2] == 0
     numerator, inverted, value = component_contribution_parts(curve, 2)
@@ -191,7 +190,7 @@ def test_blowup_dataset_reproduces_intermediates(hopf_blowup):
 
 
 def test_blowup_dataset_exports_to_wire_format(hopf_blowup):
-    payload = fixed_point_data_to_dict(hopf_blowup.fixed_point_data)
+    payload = fixed_point_data_to_dict(hopf_blowup.fixed_points["x1"])
     assert payload["manifold_dim"] == 2
     assert localization_sum(fixed_point_data_from_dict(payload)) == -2
 
@@ -199,9 +198,9 @@ def test_blowup_dataset_exports_to_wire_format(hopf_blowup):
 def test_cp1_localization_matches_direct(cp1):
     from holoinv import invariant_direct
 
-    assert localization_sum(cp1.fixed_point_data) == 0
-    res = invariant_direct(cp1.manifold, cp1.volumes["fs"],
-                           cp1.fields[cp1.fixed_point_field],
+    (name, data), = cp1.fixed_points.items()
+    assert localization_sum(data) == 0
+    res = invariant_direct(cp1.manifold, cp1.volumes["fs"], cp1.fields[name],
                            q=cp1.default_quadrature)
     assert abs(res.value) <= max(1e-6, res.error_estimate)
 
@@ -209,7 +208,7 @@ def test_cp1_localization_matches_direct(cp1):
 def test_blcp2_stretch_dataset():
     bundle = registry_get("blcp2")
     assert bundle.manifold is None
-    assert localization_sum(bundle.fixed_point_data) == 4
+    assert localization_sum(bundle.fixed_points["z1-ddz1"]) == 4
 
 
 def test_hopf_radial_divergence_free(hopf):
@@ -258,7 +257,7 @@ def test_localization_only_bundles_have_no_atlas(hopf_blowup):
     assert hopf_blowup.manifold is None
     assert hopf_blowup.volumes == {}
     assert hopf_blowup.fields == {}
-    assert hopf_blowup.fixed_point_field == "x1"
+    assert list(hopf_blowup.fixed_points) == ["x1"]
 
 
 def test_notes_present():
