@@ -1,22 +1,22 @@
 """Batched complex-differential operators on chart evaluators.
 
-The routes differentiate by jets (holoinv.jets): one call of an evaluator
-on the coordinates' jet gives its Wirtinger derivatives exactly, to
-rounding, with no step. ricci_top_field without a closed form takes
-R = -d dbar log a from one order-2 jet of the log-density; divergence_field
-takes sum_i dX^i/dz^i from one order-1 jet of the field and X(log a) from
-the log-density jet's d. Both accept the log-density jet itself in place
-of the evaluator, so a caller that needs both shares one call.
+The routes differentiate by jets (holoinv.jets) alone: one call of an
+evaluator on the coordinates' jet gives its Wirtinger derivatives exactly,
+to rounding, with no step. ricci_top_field takes R = -d dbar log a from one
+order-2 jet of the log-density; divergence_field takes sum_i dX^i/dz^i from
+one order-1 jet of the field and X(log a) from the log-density jet's d.
+Both accept the log-density jet itself in place of the evaluator, so a
+caller that needs both shares one call. On the alternative route's nested
+jet ricci_top_field returns n! det R as an order-1 jet along X. One
+cofactor determinant serves every n, on plain batches and jets alike, and
+the checks on R work entry by entry, each a view over the batch, folded
+elementwise: no reductions over the short trailing matrix axes.
 
-The stencil primitives are the step-based reference: the convergence
-suite and the Cauchy-Riemann checks use them, and the alternative route
-takes X(n! det R / a), a third derivative of log a, with
-directional_derivative. They assemble
-Wirtinger derivatives from real central differences on the underlying
-(x, y) coordinate pairs: log-densities are real-valued rather than
-holomorphic, so complex-step differentiation does not apply. Each accepts
-batched coordinate arrays of shape (..., n) and calls the evaluator once
-per stencil node, vectorized over the whole batch. There is one stencil,
+The stencil primitives are the step-based reference that only the
+convergence suite and the Cauchy-Riemann checks use: Wirtinger derivatives
+from real central differences on the (x, y) coordinate pairs (complex-step
+differentiation does not apply to real log-densities), the evaluator called
+once per stencil node on the whole batch (..., n). There is one stencil,
 the order-4 central first difference, and one parameter, the step h: one
 scalar for the whole batch, DEFAULT_STEP unless a caller passes another.
 directional_derivative is the one stencil core: sum_i v^i d/dz^i along a
@@ -25,10 +25,7 @@ along v/|v| and i v/|v|, so 8 evaluator calls at any n.
 holomorphic_derivative is that core along every unit axis e_j, for an
 evaluator of any value shape, so a field's Jacobian is one call and
 d/dzbar is conj(d/dz of the conjugate). mixed_hessian nests it: d/dz of
-the conjugated gradient. The checks on Ricci matrices and determinants of
-order 1 and 2 work entry by entry, each entry a view over the batch,
-folded elementwise: there are no reductions over the short trailing
-matrix axes.
+the conjugated gradient.
 
 Conventions
 -----------
@@ -128,27 +125,38 @@ def ricci_from_log_density(log_density, coords, step=DEFAULT_STEP):
     return -mixed_hessian(log_density, coords, step)
 
 
-def hermiticity_residual(matrix):
-    """Per-point max-entry deviation of a matrix batch from Hermiticity.
-
-    |M_ij - conj(M_ji)| and |M_ji - conj(M_ij)| are equal bit for bit, so
-    only the pairs i <= j are formed, each a view over the whole batch, and
-    they are folded by np.maximum (NaN propagates as in a max reduction).
-    """
-    m = np.asarray(matrix)
-    n = m.shape[-1]
-    return _entry_residual([[m[..., i, j] for j in range(n)] for i in range(n)])
-
-
 def _entry_residual(entry):
+    """Per-point max-entry deviation |M_ij - conj(M_ji)| of an n x n table of
+    batches from Hermiticity. |M_ij - conj(M_ji)| and |M_ji - conj(M_ij)| are
+    equal bit for bit, so only the pairs i <= j are formed, and they are
+    folded by np.maximum (NaN propagates as in a max reduction)."""
     n = len(entry)
     return functools.reduce(np.maximum, (np.abs(entry[i][j] - np.conj(entry[j][i]))
                                          for i in range(n) for j in range(i, n)))
 
 
 def _batch(part, shape):
-    """A jet part at the batch shape; an exact zero (None) becomes 0."""
+    """A jet part at the batch shape; an exact zero (None) becomes 0, and a
+    nested jet's part, itself a jet, is kept as it is."""
+    if isinstance(part, jets.Jet):
+        return part
     return np.zeros(shape) if part is None else np.broadcast_to(part, shape)
+
+
+def _value(x):
+    return x.value if isinstance(x, jets.Jet) else x
+
+
+def _det(m):
+    """Cofactor determinant of a square table of entries, along the first row:
+    the arithmetic is elementwise, so plain batches and order-1 jets alike."""
+    if len(m) == 1:
+        return m[0][0]
+    total = None
+    for j, lead in enumerate(m[0]):
+        term = lead * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        total = term if total is None else total - term if j % 2 else total + term
+    return total
 
 
 def _log_density_jet(log_density, coords, order):
@@ -160,54 +168,40 @@ def _log_density_jet(log_density, coords, order):
     return jets.evaluate(log_density, coords, order)
 
 
-def ricci_top_field(log_density, coords, exact=None):
+def ricci_top_field(log_density, coords):
     """Top-degree Ricci density n! * det(R) as a real batch.
 
-    log_density is the chart evaluator or its order-2 jet at coords. An
-    exact closed-form Ricci evaluator is used in place of it when given;
-    otherwise R = -d dbar log a is the jet's mixed second derivative, exact
-    to rounding. The raw matrix must be Hermitian within HERMITICITY_TOL
-    wherever it is finite: a closed form must return a Hermitian matrix,
-    and the jet Hessian of a real log-density is Hermitian to rounding. It
-    is then symmetrized before the determinant (closed form for n <= 2,
-    LAPACK beyond) so the result is real up to rounding, and its imaginary
-    part must stay within IMAG_TOL.
-    Every check works on the n x n entries as views over the batch, folded
-    elementwise: numpy reductions over a trailing axis of length n cost far
-    more than the arithmetic on such small matrices. Only LAPACK (n >= 3)
-    gets a stacked matrix.
-    Non-finite points propagate as NaN, which the quadrature layer
-    refuses with IllPosedIntegrandError.
+    log_density is the chart evaluator or its order-2 jet at coords; R =
+    -d dbar log a is the jet's mixed second derivative, exact to rounding.
+    On the order-2 jet over an order-1 jet along X (jets.along) the entries
+    of R are order-1 jets, and so is the result: its d is X(n! det R).
+    The values of R must be Hermitian within HERMITICITY_TOL wherever they
+    are finite, as the jet Hessian of a real log-density is to rounding.
+    R is then symmetrized and its determinant taken by cofactors, so the
+    result is real up to rounding; the imaginary part of its value must
+    stay within IMAG_TOL. Non-finite points propagate as NaN, which the
+    quadrature layer refuses with IllPosedIntegrandError.
     """
-    if exact is not None:
-        R = np.asarray(exact(coords))
-        entry = [[R[..., i, j] for j in range(R.shape[-1])] for i in range(R.shape[-1])]
-        culprit = "the closed-form exact_ricci evaluator returned a non-Hermitian matrix"
-    else:
-        entry = [[-_batch(h, coords.shape[:-1]) for h in row]
-                 for row in _log_density_jet(log_density, coords, 2).dd]
-        culprit = "the log-density is not real-valued"
+    shape = coords.shape[:-1]
+    entry = [[-_batch(h, shape) for h in row]
+             for row in _log_density_jet(log_density, coords, 2).dd]
     n = len(entry)
-    res = _entry_residual(entry)
-    scale = functools.reduce(np.maximum, (np.abs(e) for row in entry for e in row))
+    values = [[_value(e) for e in row] for row in entry]
+    res = _entry_residual(values)
+    scale = functools.reduce(np.maximum, (np.abs(e) for row in values for e in row))
     bad = res > HERMITICITY_TOL * np.maximum(1.0, scale)
     if np.any(bad):
         worst = float(np.nanmax(np.where(bad, res, 0.0)))
         raise DifferentiationQualityError(
             f"Ricci matrix Hermiticity residual {worst:.3e} exceeds tolerance "
-            f"{HERMITICITY_TOL:.1e}; {culprit}"
+            f"{HERMITICITY_TOL:.1e}; the log-density is not real-valued"
         )
-    sym = [[0.5 * (entry[i][j] + np.conj(entry[j][i])) for j in range(n)] for i in range(n)]
-    if n == 1:
-        det = sym[0][0]
-    elif n == 2:
-        det = sym[0][0] * sym[1][1] - sym[0][1] * sym[1][0]
-    else:
-        det = np.linalg.det(np.stack([np.stack(row, axis=-1) for row in sym], axis=-2))
-    det_scale = np.maximum(1.0, np.abs(det))
-    stray = np.abs(det.imag) > IMAG_TOL * det_scale
+    det = _det([[0.5 * (entry[i][j] + np.conj(entry[j][i])) for j in range(n)]
+                for i in range(n)])
+    det_value = _value(det)
+    stray = np.abs(det_value.imag) > IMAG_TOL * np.maximum(1.0, np.abs(det_value))
     if np.any(stray):
-        worst = float(np.nanmax(np.where(stray, np.abs(det.imag), 0.0)))
+        worst = float(np.nanmax(np.where(stray, np.abs(det_value.imag), 0.0)))
         raise DifferentiationQualityError(
             f"determinant of symmetrized Ricci matrix has imaginary part {worst:.3e}"
         )

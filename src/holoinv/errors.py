@@ -19,9 +19,8 @@ class IllPosedIntegrandError(HoloinvError):
 
 class DifferentiationQualityError(HoloinvError):
     """A Ricci matrix or its determinant violated a structural property beyond
-    tolerance. The Hermiticity gate fires on a closed-form exact_ricci
-    evaluator that returned a non-Hermitian matrix, or on a log-density that
-    is not real-valued, whose jet Hessian is then not Hermitian."""
+    tolerance. The Hermiticity gate fires on a log-density that is not
+    real-valued, whose jet Hessian is then not Hermitian."""
 
 
 class NonInvertibleClassError(HoloinvError):

@@ -78,9 +78,9 @@ class VolumeFormSpec:
     """An automorphic volume form given by per-chart log-densities.
 
     `exact_ricci` maps chart ids to closed-form evaluators of the Ricci
-    coefficient matrix; charts without an entry take it from an order-2 jet
-    of their log-density. Register a closed form only where it is measured
-    faster than that jet.
+    coefficient matrix, kept as references for checks (the convergence
+    suite) only: no route reads them, every route takes R from jets of the
+    log-density.
     """
 
     name: str
@@ -102,14 +102,10 @@ class ManifoldSpec:
     """Atlas, deck group, and the fundamental domain's pieces by chart id.
 
     `atlas` maps each chart id to its containment predicate over C^n
-    coordinates. The direct route evaluates at the quadrature nodes only:
-    its derivatives come from jets, which take no step. The stencils take
-    one constant step h = calculus.DEFAULT_STEP: the alternative route's
-    directional stencil along X samples at most 2h from a node, so each
-    piece must lie that far inside its chart, and the stencil primitives
-    reach 4h (the mixed Hessian) from the points they are given. Every
-    registered piece does: cp1's charts are all of C, and hopf's piece
-    keeps |z| >= 1.
+    coordinates. No route leaves the quadrature nodes: both take their
+    derivatives from jets, which take no step. Only the stencil checks
+    (convergence, Cauchy-Riemann) step, by h = calculus.DEFAULT_STEP, and
+    reach 4h (the mixed Hessian) from the points they are given.
     """
 
     name: str

@@ -2,8 +2,9 @@
 
 Two equivalent routes are implemented. The direct form integrates
 div X * (top-degree Ricci density) over the fundamental domain; the
-alternative form integrates -X(n! det R / a) * a and probes third
-derivatives of the log-density, so it is noisier by construction.
+alternative form integrates -X(n! det R / a) * a, a third derivative of
+the log-density. Both take their derivatives from jets, exact to
+rounding, and evaluate only at the quadrature nodes.
 
 Normalization is fixed once: the top power of the Ricci form has density
 n! * det(R) against prod_i (i dz^i ^ dzbar^i), and each factor
@@ -27,40 +28,39 @@ NORMALIZATION = ("rho^n density = n!*det(R) against prod_i(i dz^i^dzbar^i); "
                  "i dz^dzbar = 2 dx^dy; residue comparisons scaled by (2pi)^n/(n+1)")
 
 
-def direct_density(logd, exact, comps):
+def direct_density(logd, comps):
     """div X times the top Ricci density, from one chart's evaluators: the
-    log-density, the closed-form Ricci matrix or None, the field components.
-    One log-density jet per block serves both factors: order 2, whose mixed
-    second derivatives give the Ricci matrix, or order 1 beside a closed
-    form. No step is taken: the log-density and the field are evaluated at
-    the nodes only."""
-    order = 2 if exact is None else 1
-
+    log-density and the field components. One order-2 log-density jet per
+    block serves both factors: its mixed second derivatives give the Ricci
+    matrix, its first derivatives X(log a). No step is taken: the
+    log-density and the field are evaluated at the nodes only."""
     def density(coords):
-        log_a = jets.evaluate(logd, coords, order)
+        log_a = jets.evaluate(logd, coords, 2)
         div = calculus.divergence_field(comps, log_a, coords)
-        return div * calculus.ricci_top_field(log_a, coords, exact=exact)
+        return div * calculus.ricci_top_field(log_a, coords)
     return density
 
 
-def alternative_density(logd, exact, comps):
+def _along_x(g, shape):
+    """X(g) as a batch: the d of g's order-1 jet along X; 0 where g has none."""
+    part = g.d[0] if isinstance(g, jets.Jet) else None
+    return np.zeros(shape) if part is None else part
+
+
+def alternative_density(logd, comps):
     """-X(n! det R / a) times a, from the same evaluators as direct_density.
 
-    X(.) is the directional stencil over the ratio n! det R / a, whose
-    derivatives would need third-order jets. Without a closed form, one
-    order-2 log-density jet per stencil node gives both R and 1 / a."""
-    def ratio(coords):
-        if exact is None:
-            jet = jets.evaluate(logd, coords, 2)
-            top, log_a = calculus.ricci_top_field(jet, coords), jet.value
-        else:
-            top, log_a = calculus.ricci_top_field(logd, coords, exact=exact), logd(coords)
-        return top * np.exp(-np.asarray(log_a, dtype=float))
-
+    That is -(X(n! det R) - n! det R X(log a)), a third derivative of log a,
+    taken by nested jets with no step: the log-density is evaluated once
+    per node on the order-2 jet over the coordinates' order-1 jet along X
+    (jets.along), so its value and its Ricci density carry X(.) in their d.
+    The Ricci density's gates read the values of R."""
     def density(coords):
-        directional = calculus.directional_derivative(ratio, coords, comps(coords))
-        weight = np.exp(np.asarray(logd(coords), dtype=float))
-        return -directional * weight
+        shape = coords.shape[:-1]
+        log_a = jets.evaluate(logd, jets.along(coords, comps(coords)), 2)
+        top = calculus.ricci_top_field(log_a, coords)
+        top_value = top.value if isinstance(top, jets.Jet) else top
+        return -(_along_x(top, shape) - top_value * _along_x(log_a.value, shape))
     return density
 
 
@@ -70,9 +70,8 @@ ROUTE_DENSITIES = {"direct": direct_density, "alt": alternative_density}
 
 def piece_density(vol: VolumeFormSpec, x: VectorFieldSpec, chart_id: str, density_for):
     """A route's density on the piece in chart `chart_id`: density_for(log-density,
-    exact Ricci or None, field components) of that chart."""
-    return density_for(vol.log_density[chart_id], vol.exact_ricci.get(chart_id),
-                       x.components[chart_id])
+    field components) of that chart."""
+    return density_for(vol.log_density[chart_id], x.components[chart_id])
 
 
 def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
@@ -140,9 +139,6 @@ def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,
         log_density={c: blend(vol0.log_density[c], vol1.log_density[c]) for c in charts},
         character=Character({name: chi0[name] ** (1.0 - t) * chi1[name] ** t
                              for name in chi0}),
-        # the Ricci matrix is linear in the log-density
-        exact_ricci={c: blend(vol0.exact_ricci[c], vol1.exact_ricci[c]) for c in charts
-                     if c in vol0.exact_ricci and c in vol1.exact_ricci},
     )
 
 

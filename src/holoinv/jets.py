@@ -14,7 +14,11 @@ Derivatives*, 2nd ed., SIAM 2008, ch. 13) in Wirtinger form. Every part is
 an array that broadcasts against the value, or None where it is exactly
 zero: the coordinates' derivatives are the unit vectors, and a holomorphic
 expression never carries dbar. Parts are never written in place, so jets
-share them freely.
+share them freely. Jets nest with no rule of their own: on
+``variables(along(coords, v), 2)`` the value and every part are order-1
+jets whose d is sum_i v^i d/dz^i of them, so dd carries third derivatives.
+``shape``, ``ndim`` and ``dtype`` (and np.shape, np.ndim and
+np.result_type) read through to the coordinates.
 
 The numpy ufuncs the registry's evaluators use are dispatched through
 ``__array_ufunc__``: add, subtract, multiply, divide, negative, positive,
@@ -22,10 +26,11 @@ power with a constant exponent, log, log1p, exp, sqrt and conjugate. The
 set is closed: a holomorphic g composes by
 (g o f)_{i jbar} = g''(f) f_i f_jbar + g'(f) f_{i jbar} (log and log1p in
 the quotient form (b_{i jbar} - b_i b_jbar / b) / b of their base b), and
-conj swaps d and dbar. ``.real``, ``.imag``, ``.shape`` and indexing on
-the last axis are supported, and ``np.zeros_like`` / ``np.ones_like`` give
-plain constant arrays. Anything else raises TypeError rather than silently
-dropping the derivatives: a jet has no plain-array form.
+conj swaps d and dbar. A plain operand of the four arithmetic rules is a
+constant that shifts or scales the jet. ``.real``, ``.imag`` and indexing
+on the last axis are supported, and ``np.zeros_like`` / ``np.ones_like``
+give plain constant arrays. Anything else raises TypeError rather than
+silently dropping the derivatives: a jet has no plain-array form.
 """
 
 from __future__ import annotations
@@ -69,6 +74,10 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
         return np.shape(self.value)
 
     @property
+    def ndim(self):
+        return len(self.shape)
+
+    @property
     def dtype(self):
         return np.result_type(self.value)
 
@@ -80,6 +89,9 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
                         "derivatives; write the evaluator with numpy ufuncs")
 
     def __array_function__(self, func, types, args, kwargs):
+        read = _READ.get(func)
+        if read is not None and len(args) == 1 and not kwargs:
+            return read(self)
         make = _LIKE.get(func)
         if make is None or len(args) != 1 or set(kwargs) - {"dtype"}:
             return NotImplemented
@@ -113,24 +125,21 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     @property
     def real(self):
         """Re f = (f + conj f) / 2."""
-        def half(p, q):
-            return _mul(0.5, _add(p, _conj(q)))
-        dd = None if self.dd is None else _table(
-            (half(self.dd[i][j], self.dd[j][i]) for j in range(len(self.d)))
-            for i in range(len(self.d)))
-        return Jet(self.value.real, map(half, self.d, self.dbar),
-                   map(half, self.dbar, self.d), dd)
+        return self._half(self.value.real, 0.5, _add)
 
     @property
     def imag(self):
         """Im f = (f - conj f) / 2i."""
+        return self._half(self.value.imag, -0.5j, _sub)
+
+    def _half(self, value, factor, combine):
+        """`value` with the parts factor * (f combine conj f)."""
         def half(p, q):
-            return _mul(-0.5j, _sub(p, _conj(q)))
+            return _mul(factor, combine(p, _conj(q)))
+        n = len(self.d)
         dd = None if self.dd is None else _table(
-            (half(self.dd[i][j], self.dd[j][i]) for j in range(len(self.d)))
-            for i in range(len(self.d)))
-        return Jet(self.value.imag, map(half, self.d, self.dbar),
-                   map(half, self.dbar, self.d), dd)
+            (half(self.dd[i][j], self.dd[j][i]) for j in range(n)) for i in range(n))
+        return Jet(value, map(half, self.d, self.dbar), map(half, self.dbar, self.d), dd)
 
 
 def variables(coords, order: int) -> Jet:
@@ -140,6 +149,13 @@ def variables(coords, order: int) -> Jet:
     n = coords.shape[-1]
     none = (None,) * n
     return Jet(coords, np.eye(n), none, _table([none] * n) if order == 2 else None)
+
+
+def along(coords, direction) -> Jet:
+    """The coordinates (..., n) as an order-1 jet along one holomorphic
+    direction v (..., n): its one part d[0] is v, so a function g evaluated
+    on it carries d[0] = sum_i v^i dg/dz^i."""
+    return Jet(coords, (direction,), (None,))
 
 
 def evaluate(fn, coords, order: int) -> Jet:
@@ -156,33 +172,40 @@ def _constant(value, n, second):
     return Jet(value, none, none, _table([none] * n) if second else None)
 
 
-def _lift(x, like: Jet) -> Jet:
-    """x as a jet beside `like`: a jet as it is, anything else a constant of like's order."""
-    return x if isinstance(x, Jet) else _constant(x, len(like.d), like.dd is not None)
-
-
-def _pair(a, b):
-    return (a, _lift(b, a)) if isinstance(a, Jet) else (_lift(a, b), b)
-
-
 def _both_second(a, b):
     return a.dd is not None and b.dd is not None
 
 
+def _scaled(u: Jet, c, value) -> Jet:
+    """`value` with u's parts times the plain c: u times, or divided by, a constant."""
+    dd = None if u.dd is None else _table((_mul(h, c) for h in row) for row in u.dd)
+    return Jet(value, (_mul(p, c) for p in u.d), (_mul(p, c) for p in u.dbar), dd)
+
+
 def _add_jets(a, b):
-    a, b = _pair(a, b)
+    # a plain operand is a constant: it moves the value and no part
+    if not isinstance(b, Jet):
+        return Jet(a.value + b, a.d, a.dbar, a.dd)
+    if not isinstance(a, Jet):
+        return Jet(a + b.value, b.d, b.dbar, b.dd)
     dd = _table(map(_add, ra, rb) for ra, rb in zip(a.dd, b.dd)) if _both_second(a, b) else None
     return Jet(a.value + b.value, map(_add, a.d, b.d), map(_add, a.dbar, b.dbar), dd)
 
 
 def _subtract_jets(a, b):
-    a, b = _pair(a, b)
+    if not isinstance(b, Jet):
+        return Jet(a.value - b, a.d, a.dbar, a.dd)
+    if not isinstance(a, Jet):
+        return _add_jets(a, _negative(b))
     dd = _table(map(_sub, ra, rb) for ra, rb in zip(a.dd, b.dd)) if _both_second(a, b) else None
     return Jet(a.value - b.value, map(_sub, a.d, b.d), map(_sub, a.dbar, b.dbar), dd)
 
 
 def _multiply_jets(a, b):
-    a, b = _pair(a, b)
+    if not isinstance(b, Jet):
+        return _scaled(a, b, a.value * b)
+    if not isinstance(a, Jet):
+        return _scaled(b, a, a * b.value)
     av, bv = a.value, b.value
 
     def first(p, q):
@@ -200,7 +223,10 @@ def _multiply_jets(a, b):
 
 
 def _divide_jets(a, b):
-    a, b = _pair(a, b)
+    if not isinstance(b, Jet):
+        return _scaled(a, 1.0 / b, a.value / b)
+    if not isinstance(a, Jet):
+        a = _constant(a, len(b.d), b.dd is not None)
     q = a.value / b.value
     inv = 1.0 / b.value
     # q_i = (a_i - q b_i) / b, and q_{i jbar} = (a_{i jbar} - (q_i b_jbar + q_jbar b_i)
@@ -227,8 +253,7 @@ def _compose(u: Jet, value, first, second):
 
 
 def _negative(u):
-    dd = None if u.dd is None else _table((_mul(-1.0, h) for h in row) for row in u.dd)
-    return Jet(-u.value, (_mul(-1.0, p) for p in u.d), (_mul(-1.0, p) for p in u.dbar), dd)
+    return _scaled(u, -1.0, -u.value)
 
 
 def _power(u, p):
@@ -292,3 +317,16 @@ _UFUNCS = {
 }
 
 _LIKE = {np.zeros_like: np.zeros, np.ones_like: np.ones}
+
+# a nested jet's value is itself a jet: these read through to the innermost array
+_READ = {np.shape: lambda u: u.shape, np.ndim: lambda u: u.ndim,
+         np.result_type: lambda u: u.dtype}
+
+
+# the arithmetic operators call their rules directly, ahead of numpy's ufunc
+# dispatch; NDArrayOperatorsMixin supplies the rest
+for _op, _rule in (("add", _add_jets), ("sub", _subtract_jets),
+                   ("mul", _multiply_jets), ("truediv", _divide_jets)):
+    setattr(Jet, f"__{_op}__", _rule)
+    setattr(Jet, f"__r{_op}__", lambda a, b, rule=_rule: rule(b, a))
+Jet.__neg__ = _negative

@@ -25,10 +25,10 @@ nodes at once, concatenated in level order, so the coarse levels cost no
 call of their own.
 
 Determinism and memory: the concatenated nodes are handed to the density
-in contiguous blocks of at most _CELL_NODES nodes, so the jet and stencil
-temporaries of one density call stay bounded however fine the grid. Each
-level is summed on its own, over blocks of at most _CELL_NODES nodes from
-the level's first node: every block sum is exactly rounded (math.fsum),
+in contiguous blocks of at most _CELL_NODES nodes, so the jet temporaries
+of one density call stay bounded however fine the grid. Each level is
+summed on its own, over blocks of at most _CELL_NODES nodes from the
+level's first node: every block sum is exactly rounded (math.fsum),
 and the block partials are combined with math.fsum in block order, so
 repeated runs give bit-identical results.
 

@@ -77,7 +77,9 @@ class ExampleBundle:
 
 
 def _abs2(z):
-    return z.real * z.real + z.imag * z.imag
+    # one holomorphic times one antiholomorphic factor: on a jet its mixed
+    # second derivative is the constant 1, far less arithmetic than Re^2 + Im^2
+    return (z * np.conj(z)).real
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +115,6 @@ def _fs_bump_log_density(coords):
     z = coords[..., 0]
     r2 = _abs2(z)
     return np.exp(2.0 * z.real / (1.0 + r2) - 1.0) - 2.0 * np.log1p(r2)
-
-
-def _fs_bump_exact_ricci(coords):
-    z = coords[..., 0]
-    s = 1.0 + _abs2(z)
-    bump = np.exp(2.0 * z.real / s - 1.0)
-    r = 2.0 / s ** 2 - bump * (_abs2(1.0 - z * z) / s ** 4 - 4.0 * z.real / s ** 3)
-    return r[..., None, None].astype(complex)
 
 
 def _inversion_overlap(rng, samples):
@@ -160,6 +154,7 @@ def _cp1_bundle() -> ExampleBundle:
             name="fs",
             log_density={"affine": _fs_log_density, "affine-inf": _fs_log_density},
             character=TRIVIAL_CHARACTER,
+            # the convergence suite's reference; no route reads it
             exact_ricci={"affine": _fs_exact_ricci, "affine-inf": _fs_exact_ricci},
         ),
         "fs-bump": VolumeFormSpec(
@@ -167,8 +162,6 @@ def _cp1_bundle() -> ExampleBundle:
             log_density={"affine": _fs_bump_log_density,
                          "affine-inf": _fs_bump_log_density},
             character=TRIVIAL_CHARACTER,
-            exact_ricci={"affine": _fs_bump_exact_ricci,
-                         "affine-inf": _fs_bump_exact_ricci},
         ),
     }
 
@@ -255,21 +248,6 @@ def _r4_log_density(coords):
     return -2.0 * np.log(_hopf_r2(coords))
 
 
-def _r4_exact_ricci(coords):
-    # (2/r^4)(r^2 I - zbar z^T): each diagonal entry r^2 - |z_i|^2 is the
-    # other |z_j|^2, so nothing cancels, and R_10 = conj(R_01) keeps the
-    # matrix exactly Hermitian
-    z1, z2 = coords[..., 0], coords[..., 1]
-    a1, a2 = _abs2(z1), _abs2(z2)
-    scale = 2.0 / (a1 + a2) ** 2
-    ricci = np.empty(coords.shape[:-1] + (2, 2), dtype=complex)
-    ricci[..., 0, 0] = scale * a2
-    ricci[..., 1, 1] = scale * a1
-    ricci[..., 0, 1] = -scale * (np.conj(z1) * z2)
-    ricci[..., 1, 0] = np.conj(ricci[..., 0, 1])
-    return ricci
-
-
 def _lebesgue_log_density(coords):
     return np.zeros(coords.shape[:-1])
 
@@ -312,7 +290,6 @@ def _hopf_bundle() -> ExampleBundle:
             name="r4",
             log_density={"punctured": _r4_log_density},
             character=Character({"double": 1.0}),
-            exact_ricci={"punctured": _r4_exact_ricci},
         ),
         "lebesgue": VolumeFormSpec(
             name="lebesgue",

@@ -35,10 +35,25 @@ def point(*coords):
 
 
 def top_density_at(vol, chart_id, *coords):
-    """n! det(R) at one point, from the closed form when one is registered."""
-    exact = vol.exact_ricci.get(chart_id)
-    return calculus.ricci_top_field(vol.log_density[chart_id], point(*coords),
-                                    exact=exact)[0]
+    """n! det(R) at one point, from the log-density's jet."""
+    return calculus.ricci_top_field(vol.log_density[chart_id], point(*coords))[0]
+
+
+def hermiticity_residual(matrix):
+    """Per-point max-entry deviation |M_ij - conj(M_ji)| of a matrix batch."""
+    return np.abs(matrix - np.conj(np.swapaxes(matrix, -1, -2))).max(axis=(-2, -1))
+
+
+def with_ricci(R):
+    """A function whose jet Ricci matrix is R (m, n, n), entry for entry, at
+    any m points: -sum_ij R_ij z^i zbar^j, whose mixed second derivatives
+    are the products R_ij * 1, exact."""
+    n = R.shape[-1]
+
+    def fn(coords):
+        return -sum(R[..., i, j] * coords[..., i] * np.conj(coords[..., j])
+                    for i in range(n) for j in range(n))
+    return fn
 
 
 def divergence_at(fld, vol, chart_id, *coords):
@@ -198,7 +213,7 @@ def test_fs_ricci_at_origin(cp1):
     R = calculus.ricci_from_log_density(cp1.volumes["fs"].log_density["affine"], point(0.0))
     assert R.shape == (1, 1, 1)
     assert abs(R[0, 0, 0] - 2.0) < 1e-9
-    assert calculus.hermiticity_residual(R)[0] < 1e-10
+    assert hermiticity_residual(R)[0] < 1e-10
 
 
 def test_flat_density_has_zero_ricci():
@@ -228,17 +243,6 @@ def test_hopf_numeric_matches_hand_formula(hopf):
     assert np.max(np.abs(numeric - hand)) < 1e-8
 
 
-def test_exact_ricci_short_circuits_scheme(cp1):
-    # with a closed form registered the stencil never calls the log-density
-    def untouchable(coords):
-        raise AssertionError("log-density evaluated despite the closed form")
-
-    vol = cp1.volumes["fs"]
-    top = calculus.ricci_top_field(untouchable, point(1.0),
-                                   exact=vol.exact_ricci["affine"])[0]
-    assert abs(top - 0.5) < 1e-14  # 1! * 2/(1+1)^2
-
-
 def test_numeric_matches_exact_fs(cp1):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-2, 2, (100, 1)) + 1j * rng.uniform(-2, 2, (100, 1))
@@ -266,11 +270,11 @@ def test_hermiticity_of_builtin_densities(cp1, hopf):
     z = rng.uniform(-2, 2, (50, 1)) + 1j * rng.uniform(-2, 2, (50, 1))
     for name in ("fs", "fs-bump"):
         R = calculus.ricci_from_log_density(cp1.volumes[name].log_density["affine"], z)
-        assert np.max(calculus.hermiticity_residual(R)) < 1e-8
+        assert np.max(hermiticity_residual(R)) < 1e-8
     w = rng.uniform(0.8, 1.4, (50, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (50, 2)))
     for name in ("r4", "r4-bump"):
         R = calculus.ricci_from_log_density(hopf.volumes[name].log_density["punctured"], w)
-        assert np.max(calculus.hermiticity_residual(R)) < 1e-8
+        assert np.max(hermiticity_residual(R)) < 1e-8
 
 
 @pytest.mark.parametrize("n, calls", [(1, 64), (2, 256), (3, 576)])
@@ -324,14 +328,14 @@ def test_stencil_ricci_at_n3_matches_the_closed_form():
               / (s ** 2)[:, None, None])
     H = calculus.mixed_hessian(_log_one_plus_norm, pts)
     assert np.max(np.abs(H - closed)) <= 1e-7
-    assert np.all(calculus.hermiticity_residual(H) == 0.0)
+    assert np.all(hermiticity_residual(H) == 0.0)
 
 
 def test_stencil_hessian_is_exactly_hermitian(hopf):
     rng = np.random.default_rng(8)
     w = rng.uniform(0.8, 1.4, (50, 2)) * np.exp(1j * rng.uniform(0, 2 * np.pi, (50, 2)))
     H = calculus.mixed_hessian(hopf.volumes["r4-bump"].log_density["punctured"], w)
-    assert np.all(calculus.hermiticity_residual(H) == 0.0)
+    assert np.all(hermiticity_residual(H) == 0.0)
 
 
 def test_first_derivative_stencil_is_exact_through_degree_4():
@@ -346,10 +350,10 @@ def _random_hermitian(rng, points, n):
     return a @ np.conj(np.swapaxes(a, -1, -2)) + np.eye(n)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in det")
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_top_density_determinant(monkeypatch, n):
-    # closed form for n <= 2, LAPACK beyond; a NaN entry gives NaN, no error
+    # one cofactor determinant for every n, never LAPACK; a NaN entry gives
+    # NaN, no error
     rng = np.random.default_rng(9)
     R = _random_hermitian(rng, 200, n)
     lapack_det = np.linalg.det
@@ -362,28 +366,26 @@ def test_top_density_determinant(monkeypatch, n):
 
     monkeypatch.setattr(np.linalg, "det", det)
     coords = np.zeros((200, n), dtype=complex)
-    top = calculus.ricci_top_field(flat, coords, exact=lambda c: R)
+    top = calculus.ricci_top_field(with_ricci(R), coords)
     assert np.max(np.abs(top - lapack) / np.abs(lapack)) < 1e-13
-    assert len(lapack_calls) == (n >= 3)
+    assert lapack_calls == []
     R[3, 0, n - 1] = np.nan
-    top = calculus.ricci_top_field(flat, coords, exact=lambda c: R)
+    top = calculus.ricci_top_field(with_ricci(R), coords)
     assert np.isnan(top[3])
     assert np.all(np.isfinite(np.delete(top, 3)))
 
 
 def test_hermiticity_gate_raises():
-    def skew(c):
-        return np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
-                               c.shape[:-1] + (2, 2))
-
+    skew = np.broadcast_to(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), (1, 2, 2))
     with pytest.raises(DifferentiationQualityError,
-                       match="closed-form exact_ricci evaluator returned a non-Hermitian"):
-        calculus.ricci_top_field(flat, point(0.0, 0.0), exact=skew)
+                       match="Hermiticity residual 1.000e.00 .*log-density is not real-valued"):
+        calculus.ricci_top_field(with_ricci(skew), point(0.0, 0.0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_hermiticity_residual_matches_the_reference_reduction(n):
-    # the entrywise fold is bit-equal to the trailing-axis max, NaN and inf included
+    # the entrywise fold the gate uses is bit-equal to the trailing-axis max,
+    # NaN and inf included
     rng = np.random.default_rng(11 + n)
     M = rng.normal(size=(64, n, n)) + 1j * rng.normal(size=(64, n, n))
     M[1, 0, n - 1] = np.nan
@@ -392,36 +394,32 @@ def test_hermiticity_residual_matches_the_reference_reduction(n):
     M[4, n - 1, n - 1] = complex(1.0, np.nan)
     M[5] = _random_hermitian(rng, 1, n)[0]
     with np.errstate(invalid="ignore"):
-        reference = np.abs(M - np.conj(np.swapaxes(M, -1, -2))).max(axis=(-2, -1))
-        residual = calculus.hermiticity_residual(M)
+        reference = hermiticity_residual(M)
+        residual = calculus._entry_residual([[M[..., i, j] for j in range(n)]
+                                             for i in range(n)])
     assert residual.tobytes() == reference.tobytes()
     assert np.isnan(residual[1]) and np.isnan(residual[4])
 
 
 def test_hermiticity_tolerance_scales_with_the_largest_entry():
     # residual 1 against entries near 1e8 is a relative residual of 5e-9
-    def near_hermitian(c):
-        R = np.array([[1e8, 2e7 + 1.0], [2e7, 1e8]], dtype=complex)
-        return np.broadcast_to(R, c.shape[:-1] + (2, 2))
-
-    top = calculus.ricci_top_field(flat, point(0.0, 0.0), exact=near_hermitian)
+    R = np.array([[[1e8, 2e7 + 1.0], [2e7, 1e8]]], dtype=complex)
+    top = calculus.ricci_top_field(with_ricci(R), point(0.0, 0.0))
     assert np.all(np.isfinite(top))
 
 
 def test_hermiticity_gate_names_the_finite_point_beside_a_nan_point():
     def batch(skew):
-        def exact(c):
-            R = np.zeros(c.shape[:-1] + (2, 2), dtype=complex)
-            R[..., 0, 0] = R[..., 1, 1] = 1.0
-            R[0, 0, 1] = np.nan
-            R[1, 0, 1] = skew
-            return R
-        return exact
+        R = np.zeros((3, 2, 2), dtype=complex)
+        R[..., 0, 0] = R[..., 1, 1] = 1.0
+        R[0, 0, 1] = np.nan
+        R[1, 0, 1] = skew
+        return with_ricci(R)
 
     coords = np.zeros((3, 2), dtype=complex)
     with pytest.raises(DifferentiationQualityError, match="residual 2.500e-01"):
-        calculus.ricci_top_field(flat, coords, exact=batch(0.25))
-    top = calculus.ricci_top_field(flat, coords, exact=batch(0.0))
+        calculus.ricci_top_field(batch(0.25), coords)
+    top = calculus.ricci_top_field(batch(0.0), coords)
     assert np.isnan(top[0])
     assert np.all(top[1:] == 2.0)
 

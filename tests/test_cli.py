@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoinv import localization, quadrature, registry_get
+from holoinv import jets, localization, quadrature, registry_get
 from holoinv.cli import main
+from references import r4_ricci
 
 
 def run_cli(capsys, *argv):
@@ -451,9 +452,11 @@ def test_check_convergence_passes(capsys):
 
 def test_check_convergence_runs_in_two_dimensions(capsys, monkeypatch):
     # the sample points take the manifold's dimension: a hopf copy that
-    # declares the suite on r4 checks its stencil against the closed form
+    # declares the suite on r4, with r4's closed form as its reference,
+    # checks its stencil against it
     hopf = registry_get("hopf")
-    declared = dataclasses.replace(hopf, suites={
+    r4 = dataclasses.replace(hopf.volumes["r4"], exact_ricci={"punctured": r4_ricci})
+    declared = dataclasses.replace(hopf, volumes={**hopf.volumes, "r4": r4}, suites={
         **hopf.suites, "convergence": {"volume": "r4", "bound": 1e-7, "order_floor": 3.5}})
     monkeypatch.setattr("holoinv.cli.registry_get", lambda name: declared)
     code, out, _ = run_cli(capsys, "check", "--example", "hopf", "--suite", "convergence",
@@ -510,10 +513,10 @@ def test_failing_check_exits_one(capsys, monkeypatch):
 
 
 def test_nonfinite_density_exits_two_naming_the_level(capsys, monkeypatch):
-    # the log-density is NaN at one node of level 1 (the first node of the
-    # affine piece), where the alternative route weighs by exp(log a), so the
-    # integrand is refused there: a typed error on stderr, exit 2, no report
-    # and no traceback
+    # the log-density and its derivatives are NaN at one node of level 1 (the
+    # first node of the affine piece), so the alternative route's integrand
+    # is refused there: a typed error on stderr, exit 2, no report and no
+    # traceback
     cp1 = registry_get("cp1")
     dom = cp1.manifold.fundamental_domain["affine"]
     nodes = quadrature._node_set(dom, cp1.default_quadrature)
@@ -522,9 +525,12 @@ def test_nonfinite_density_exits_two_naming_the_level(capsys, monkeypatch):
     logd = fs.log_density["affine"]
 
     def nan_at_node(coords):
-        out = np.array(logd(coords), dtype=float)
-        out[np.all(coords == node, axis=-1)] = np.nan
-        return out
+        # a plain factor, so the evaluator stays jet-safe: on a (nested) jet
+        # it scales the value and every derivative at that node by NaN
+        points = coords
+        while isinstance(points, jets.Jet):
+            points = points.value
+        return logd(coords) * np.where(np.all(points == node, axis=-1), np.nan, 1.0)
 
     broken = dataclasses.replace(cp1, volumes={**cp1.volumes, "fs": dataclasses.replace(
         fs, log_density={**fs.log_density, "affine": nan_at_node})})

@@ -1,5 +1,5 @@
-"""Every imported name and every private helper is used: dead code fails
-here, as a linter would.
+"""Every imported name, every private helper and every public function or
+class is used: dead code fails here, as a linter would.
 
 The package's __init__.py is left out of the import check, because its
 imports are the public API. A name counts as used when it appears anywhere
@@ -9,7 +9,9 @@ A private helper is a module-level function, class or assigned constant of
 the package whose name starts with one underscore. It counts as used when
 some package module reads it beyond its definition: as a name, as an
 attribute, or in an import. Tests do not count, since a helper only tests
-reach is dead code.
+reach is dead code. A public module-level function or class is held to the
+same rule, with the package's __init__.py counted as a reader: a name the
+public API exports is used.
 """
 
 import ast
@@ -78,18 +80,43 @@ def read_names(tree):
             yield from (alias.name for alias in node.names)
 
 
-def dead_private_helpers(sources):
-    """`module: name (line n)` for each private helper that no module of
-    `sources` (module name -> source text) reads."""
+def public_definitions(tree):
+    """(name, line) for each module-level public function or class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.lineno
+
+
+def dead_definitions(sources, definitions=private_definitions):
+    """`module: name (line n)` for each of the `definitions` that no module
+    of `sources` (module name -> source text) reads."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = {name for tree in trees.values() for name in read_names(tree)}
     return [f"{module}: {name} (line {line})" for module, tree in trees.items()
-            for name, line in private_definitions(tree) if name not in read]
+            for name, line in definitions(tree) if name not in read]
 
 
 def test_no_dead_private_helpers():
     sources = {p.stem: p.read_text() for p in PACKAGE}
-    assert dead_private_helpers(sources) == []
+    assert dead_definitions(sources) == []
+
+
+def test_no_dead_public_functions_or_classes():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert dead_definitions(sources, public_definitions) == []
+
+
+def test_a_dead_public_function_is_found():
+    sources = {
+        "a": "def exported():\n    return 1\n"
+             "def called():\n    return 2\n"
+             "def dead():\n    return called()\n"
+             "class Dead:\n    pass\n",
+        "__init__": "from .a import exported\n",
+    }
+    assert dead_definitions(sources, public_definitions) == [
+        "a: dead (line 5)", "a: Dead (line 7)"]
 
 
 def test_a_dead_private_helper_is_found():
@@ -101,5 +128,5 @@ def test_a_dead_private_helper_is_found():
              "def public():\n    return _used()\n",
         "b": "from a import _SPARE\n",
     }
-    assert dead_private_helpers(sources) == [
+    assert dead_definitions(sources) == [
         "a: _dead (line 6)", "a: _Dead (line 8)"]

@@ -16,11 +16,11 @@ from holoinv import (
     localization_sum,
     sample_domain_points,
 )
-from holoinv import cli, jets
+from holoinv import calculus, cli, jets
 from holoinv import invariant as invariant_module
 from holoinv import quadrature
-from holoinv.calculus import DEFAULT_STEP
 from holoinv.quadrature import IntegrationResult, QuadratureSpec, integrate
+from references import fs_bump_ricci, r4_ricci
 
 
 def zero_field(*chart_ids):
@@ -208,26 +208,32 @@ def test_hopf_stencil_direct_job_log_density_calls_per_node(hopf, monkeypatch):
 
 
 def test_hopf_stencil_alternative_job_log_density_calls_per_node(hopf, monkeypatch):
-    # cost guard: X(n! det R / a) is 8 ratio calls, each one order-2 jet that
-    # gives both R and 1 / a, and the weight a is one more: 8 + 1
+    # cost guard: one nested jet call per node gives R, X(R) and X(log a)
     assert _points_per_node(monkeypatch, hopf.volumes["r4-bump"], "log_density",
-                            invariant_alternative, hopf, "x1") == 9
+                            invariant_alternative, hopf, "x1") == 1
 
 
 def test_hopf_exact_alternative_job_exact_ricci_calls_per_node(hopf, monkeypatch):
-    # cost guard: X(n! det R / a) is one directional stencil, 8 ratio calls
-    assert _points_per_node(monkeypatch, hopf.volumes["r4"], "exact_ricci",
-                            invariant_alternative, hopf, "radial") == 8
+    # cost guard: no route calls a closed-form Ricci evaluator, even where a
+    # volume declares one
+    declared = dataclasses.replace(hopf.volumes["r4"], exact_ricci={"punctured": r4_ricci})
+    for route in (invariant_direct, invariant_alternative):
+        assert _points_per_node(monkeypatch, declared, "exact_ricci", route, hopf,
+                                "radial") == 0
 
 
-@pytest.mark.parametrize("route, reach", [(invariant_direct, 0.0),
-                                          (invariant_alternative, 2.0 * DEFAULT_STEP)],
+def _innermost(coords):
+    while isinstance(coords, jets.Jet):
+        coords = coords.value
+    return coords
+
+
+@pytest.mark.parametrize("route", [invariant_direct, invariant_alternative],
                          ids=["invariant_direct", "invariant_alternative"])
-def test_hopf_stencil_nodes_stay_in_the_chart(hopf, route, reach):
-    # the direct route takes no step: every evaluator call gets exactly the
-    # nodes of the density call it serves. The alternative route's one
-    # stencil, the directional one along X, moves at most 2h from a node, so
-    # no evaluation may leave the punctured chart: the piece keeps |z| >= 1
+def test_hopf_stencil_nodes_stay_in_the_chart(hopf, route):
+    # neither route takes a step: every evaluator call, on a jet or a nested
+    # jet, gets exactly the nodes of the density call it serves, so no
+    # evaluation can leave the punctured chart
     contains = hopf.manifold.atlas["punctured"]
     block, moves = [], []
 
@@ -239,7 +245,7 @@ def test_hopf_stencil_nodes_stay_in_the_chart(hopf, route, reach):
 
     def guarded(fn):
         def inside(coords):
-            points = np.asarray(getattr(coords, "value", coords))
+            points = _innermost(coords)
             assert np.all(contains(points))
             moves.append(np.max(np.linalg.norm(points - block[0], axis=-1)))
             return fn(coords)
@@ -251,7 +257,7 @@ def test_hopf_stencil_nodes_stay_in_the_chart(hopf, route, reach):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(invariant_module, "integrate", counting_integrate)
         route(hopf.manifold, vol, x, q=hopf.default_quadrature)
-    assert moves and max(moves) <= reach * (1.0 + 1e-12)
+    assert moves and max(moves) == 0.0
 
 
 def test_zero_field_gives_exact_zero(cp1, hopf):
@@ -277,12 +283,39 @@ def test_hopf_stencil_error_bar_bounds_the_value(hopf, field):
 
 @pytest.mark.parametrize("field", ["x1", "x2", "radial"])
 def test_hopf_stencil_alternative_error_bar_bounds_the_value(hopf, field):
-    # the alternative route's third derivatives make it the noisier one;
-    # its bar must still bound |value| (true value 0) up to the benchmark's
-    # 1e-12 rounding floor
+    # the bar of the alternative route must bound |value| (true value 0) up
+    # to the benchmark's 1e-12 rounding floor
     res = invariant_alternative(hopf.manifold, hopf.volumes["r4-bump"], hopf.fields[field],
                                 q=hopf.default_quadrature)
     assert abs(res.value) <= res.error_estimate + 1e-12
+
+
+@pytest.mark.parametrize("field", ["ddz", "z2-ddz"])
+def test_cp1_fs_alternative_error_bar_bounds_the_value_with_no_floor(cp1, field):
+    # for fs the ratio n! det R / a is the constant 2, so the integrand is
+    # rounding alone: the nested jet keeps it below the bar, with no floor
+    res = invariant_alternative(cp1.manifold, cp1.volumes["fs"], cp1.fields[field],
+                                q=cp1.default_quadrature)
+    assert abs(res.value) <= res.error_estimate
+
+
+def test_no_route_reaches_a_stencil_or_a_closed_form(cp1, hopf, monkeypatch):
+    # every registered job of both routes completes with the stencil core
+    # and every closed-form Ricci evaluator raising
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route reached a stencil or a closed form")
+
+    monkeypatch.setattr(calculus, "directional_derivative", refuse)
+    jobs = 0
+    for bundle in (cp1, hopf):
+        for vol in bundle.volumes.values():
+            vol = dataclasses.replace(vol, exact_ricci={c: refuse for c in vol.log_density})
+            for x in bundle.fields.values():
+                for route in (invariant_direct, invariant_alternative):
+                    res = route(bundle.manifold, vol, x, q=bundle.default_quadrature)
+                    assert np.isfinite(res.value), (vol.name, x.name, route.__name__)
+                    jobs += 1
+    assert jobs == 30
 
 
 def test_cp1_alternative_agrees_with_direct(cp1):
@@ -383,8 +416,10 @@ def test_choice_independence_hopf(hopf):
 
 def test_vaisman_pointwise_determinant(hopf):
     pts = sample_domain_points(hopf.manifold.fundamental_domain["punctured"], 10_000, seed=0)
-    ricci = hopf.volumes["r4"].exact_ricci["punctured"](pts)
-    assert float(np.max(np.abs(np.linalg.det(ricci)))) <= 1e-8
+    # the jet's n! det R, as the routes take it, against the closed form's
+    top = calculus.ricci_top_field(hopf.volumes["r4"].log_density["punctured"], pts)
+    assert float(np.max(np.abs(top))) / 2.0 <= 1e-8
+    assert float(np.max(np.abs(np.linalg.det(r4_ricci(pts))))) <= 1e-8
 
 
 def test_perturbed_density_is_not_degenerate_pointwise(hopf):
@@ -435,13 +470,15 @@ def test_deformation_trivial_family_is_constant(cp1):
 def test_blended_log_density_jet_is_the_blended_ricci(cp1):
     # blend passes the endpoints' jets through, so the blended log-density's
     # jet Hessian is the blend of the closed-form Ricci matrices
-    vol = interpolated_volume(cp1.volumes["fs"], cp1.volumes["fs-bump"], 0.25)
+    fs = cp1.volumes["fs"]
+    vol = interpolated_volume(fs, cp1.volumes["fs-bump"], 0.25)
+    assert vol.exact_ricci == {}
     rng = np.random.default_rng(17)
     pts = rng.uniform(-2, 2, (200, 1)) + 1j * rng.uniform(-2, 2, (200, 1))
     for chart in ("affine", "affine-inf"):
         jet = jets.evaluate(vol.log_density[chart], pts, 2)
         assert isinstance(jet, jets.Jet)
-        blended = vol.exact_ricci[chart](pts)[:, 0, 0]
+        blended = (0.75 * fs.exact_ricci[chart](pts) + 0.25 * fs_bump_ricci(pts))[:, 0, 0]
         assert np.max(np.abs(-jet.dd[0][0] - blended) / np.abs(blended)) <= 1e-13, chart
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from holoinv import DifferentiationQualityError, registry_get
 from holoinv import calculus, jets
+from holoinv.invariant import alternative_density
+from references import closed_form_ricci
 
 
 def _abs2(z):
@@ -44,7 +46,8 @@ def test_jet_ricci_matches_the_closed_form(example, volume, chart):
     rng = np.random.default_rng(21)
     pts = (_hopf_points(rng, 400) if example == "hopf"
            else _plane_points(rng, 400, 1))
-    gap = _relative_gap(jet_ricci(vol.log_density[chart], pts), vol.exact_ricci[chart](pts))
+    exact = closed_form_ricci(bundle, volume, chart)
+    gap = _relative_gap(jet_ricci(vol.log_density[chart], pts), exact(pts))
     assert np.max(gap) <= 1e-13
 
 
@@ -52,26 +55,51 @@ def _log_one_plus_norm(coords):
     return np.log1p(sum(_abs2(coords[..., k]) for k in range(coords.shape[-1])))
 
 
-def test_jet_ricci_at_n3_goes_through_lapack(monkeypatch):
+def test_jet_top_density_at_n3_matches_the_closed_form():
     # log(1 + |z|^2) on C^3: H_ij = (S delta_ij - zbar_i z_j) / S^2, S = 1 + |z|^2,
-    # and 3! det(-H) = -6 / S^4
+    # and 3! det(-H) = -6 / S^4, through the cofactor determinant
     rng = np.random.default_rng(13)
     pts = rng.uniform(-1, 1, (200, 3)) + 1j * rng.uniform(-1, 1, (200, 3))
     s = 1.0 + _abs2(pts).sum(axis=-1)
     closed = ((s[:, None, None] * np.eye(3) - np.conj(pts)[:, :, None] * pts[:, None, :])
               / (s ** 2)[:, None, None])
     assert np.max(_relative_gap(jet_ricci(_log_one_plus_norm, pts), -closed)) <= 1e-13
-    lapack_det = np.linalg.det
-    lapack_calls = []
-
-    def det(m):
-        lapack_calls.append(m.shape)
-        return lapack_det(m)
-
-    monkeypatch.setattr(np.linalg, "det", det)
     top = calculus.ricci_top_field(_log_one_plus_norm, pts)
-    assert lapack_calls == [(200, 3, 3)]
     assert np.max(np.abs(top * s ** 4 + 6.0)) <= 1e-13 * 6.0
+
+
+def test_alternative_density_at_n3_matches_a_stencil_of_its_jet_ratio():
+    # the nested jet's X(n! det R / a) a against the order-4 stencil along X
+    # of the ratio that order-2 jets give, on log(1 + |z|^2) over C^3
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(-1, 1, (200, 3)) + 1j * rng.uniform(-1, 1, (200, 3))
+
+    def field(coords):
+        return coords * np.array([1.0, -2.0j, 0.5]) + np.array([0.3, 0.0, -1.0j])
+
+    def ratio(coords):
+        return calculus.ricci_top_field(_log_one_plus_norm, coords) * np.exp(
+            -_log_one_plus_norm(coords))
+
+    stencil = -calculus.directional_derivative(ratio, pts, field(pts)) * np.exp(
+        _log_one_plus_norm(pts))
+    nested = alternative_density(_log_one_plus_norm, field)(pts)
+    assert np.max(np.abs(nested - stencil)) <= 1e-8
+
+
+def test_nested_jets_read_through_to_the_coordinates():
+    # shape, ndim and dtype of the order-2 jet over an order-1 jet are the
+    # coordinates', also through np.shape and np.ndim, so plain constants
+    # built from them keep their form
+    pts = _hopf_points(np.random.default_rng(5), 7)
+    nested = jets.variables(jets.along(pts, np.conj(pts)), 2)
+    assert isinstance(nested.value, jets.Jet)
+    assert nested.shape == np.shape(nested) == pts.shape
+    assert nested.ndim == np.ndim(nested) == 2
+    assert nested.dtype == pts.dtype
+    flat = jets.evaluate(lambda c: np.zeros(c.shape[:-1]), jets.along(pts, pts), 2)
+    assert type(flat.value) is np.ndarray and flat.value.shape == (7,)
+    assert all(h is None for row in flat.dd for h in row)
 
 
 def _log_densities():
@@ -216,15 +244,15 @@ def test_non_real_log_density_trips_the_hermiticity_gate():
 
 
 def test_jet_top_density_is_the_closed_form_one():
-    # the direct route's Ricci density without exact_ricci, against the one
-    # from the closed form, on hopf r4 (degenerate) and cp1 fs-bump
+    # the Ricci density from the jet against n! det of the closed form, on
+    # hopf r4 (degenerate) and cp1 fs-bump
     rng = np.random.default_rng(12)
     hopf, cp1 = registry_get("hopf"), registry_get("cp1")
-    for vol, chart, pts in ((hopf.volumes["r4"], "punctured", _hopf_points(rng, 100)),
-                            (cp1.volumes["fs-bump"], "affine", _plane_points(rng, 100, 1))):
+    for bundle, volume, chart, pts in ((hopf, "r4", "punctured", _hopf_points(rng, 100)),
+                                       (cp1, "fs-bump", "affine", _plane_points(rng, 100, 1))):
         n = pts.shape[-1]
-        jet_top = calculus.ricci_top_field(vol.log_density[chart], pts)
-        exact_top = calculus.ricci_top_field(None, pts, exact=vol.exact_ricci[chart])
-        scale = math.factorial(n) * np.max(np.abs(vol.exact_ricci[chart](pts)),
-                                            axis=(-2, -1)) ** n
+        jet_top = calculus.ricci_top_field(bundle.volumes[volume].log_density[chart], pts)
+        exact = closed_form_ricci(bundle, volume, chart)(pts)
+        exact_top = math.factorial(n) * np.linalg.det(exact).real
+        scale = math.factorial(n) * np.max(np.abs(exact), axis=(-2, -1)) ** n
         assert np.max(np.abs(jet_top - exact_top) / scale) <= 1e-13

@@ -162,8 +162,7 @@ def test_invariant_density_wrapper_hopf_degenerate(hopf):
     vol = hopf.volumes["r4"]
 
     def density(z):
-        return calculus.ricci_top_field(vol.log_density["punctured"], z,
-                                        exact=vol.exact_ricci["punctured"])
+        return calculus.ricci_top_field(vol.log_density["punctured"], z)
 
     res = integrate(density, hopf.manifold.fundamental_domain["punctured"],
                     QuadratureSpec(5, 2))
@@ -182,8 +181,7 @@ def test_invariant_density_wrapper_cp1_odd_integrand(cp1):
             def density(z, chart=chart):
                 div = calculus.divergence_field(fld.components[chart],
                                                 vol.log_density[chart], z)
-                top = calculus.ricci_top_field(vol.log_density[chart], z,
-                                               exact=vol.exact_ricci[chart])
+                top = calculus.ricci_top_field(vol.log_density[chart], z)
                 return div * top
             results.append(integrate(density, dom, q))
         return sum(r.value for r in results), sum(r.error_estimate for r in results)

@@ -20,6 +20,7 @@ from holoinv import (
     verify_invariant_field,
 )
 from holoinv import calculus, jets
+from references import closed_form_ricci, r4_ricci
 
 
 def test_names():
@@ -104,47 +105,56 @@ def _evaluators(bundle):
 
 @pytest.mark.parametrize("name", registry_names())
 def test_every_evaluator_is_jet_safe(name):
-    # the routes call every log-density and field on jets: each must return a
-    # jet whose value is the plain evaluation bit for bit, or a plain numeric
-    # array that is really constant (zero stencil derivative), never an
-    # object array that would drop the derivatives
+    # the routes call every log-density and field on jets, and every
+    # log-density also on the alternative route's nested jet (order 2 over
+    # an order-1 jet along a field): each must return a jet whose innermost
+    # value is the plain evaluation bit for bit, or a plain numeric array
+    # that is really constant (zero stencil derivative), never an object
+    # array that would drop the derivatives
     bundle = registry_get(name)
     if bundle.manifold is None:
         return
     for label, chart, fn in _evaluators(bundle):
         pts = sample_domain_points(bundle.manifold.fundamental_domain[chart], 32, seed=3)
         plain = np.asarray(fn(pts))
-        out = fn(jets.variables(pts, 2))
-        if isinstance(out, jets.Jet):
-            assert np.array_equal(out.value, plain), label
-        else:
+        jet_coords = [jets.variables(pts, 2)]
+        if label.startswith("log-density"):
+            jet_coords.append(jets.variables(jets.along(pts, np.conj(pts)), 2))
+        for coords in jet_coords:
+            out = fn(coords)
+            while isinstance(out, jets.Jet):
+                out = out.value
             assert isinstance(out, np.ndarray) and out.dtype != object, label
             assert np.array_equal(out, plain), label
+        if not isinstance(fn(jet_coords[0]), jets.Jet):
             assert np.max(np.abs(calculus.holomorphic_derivative(fn, pts))) <= 1e-10, label
 
 
 def test_exact_ricci_evaluators_match_stencils():
-    # guards the closed forms shipped with the bundles
+    # guards the closed forms: fs's, shipped as the convergence suite's
+    # reference, and the test references of fs-bump and r4
     cp1 = registry_get("cp1")
     rng = np.random.default_rng(11)
     z = rng.uniform(-2, 2, (40, 1)) + 1j * rng.uniform(-2, 2, (40, 1))
     for name in ("fs", "fs-bump"):
         vol = cp1.volumes[name]
-        for chart, exact in vol.exact_ricci.items():
+        for chart in vol.log_density:
             numeric = calculus.ricci_from_log_density(vol.log_density[chart], z)
+            exact = closed_form_ricci(cp1, name, chart)
             assert np.max(np.abs(numeric - exact(z))) < 1e-7, (name, chart)
 
     hopf = registry_get("hopf")
     w = rng.uniform(0.8, 1.4, (40, 2)) * np.exp(1j * rng.uniform(0, 6.28, (40, 2)))
     r4 = hopf.volumes["r4"]
     numeric = calculus.ricci_from_log_density(r4.log_density["punctured"], w)
-    assert np.max(np.abs(numeric - r4.exact_ricci["punctured"](w))) < 1e-7
+    assert np.max(np.abs(numeric - r4_ricci(w))) < 1e-7
 
 
 def test_fs_bump_ricci_at_infinity_is_the_pulled_back_form(cp1):
     # the Ricci form is a global (1,1)-form: R_inf(w) = R_aff(1/w) / |w|^4;
     # the bump is exp(-1) at infinity, where R_inf = 2 - exp(-1)
-    exact = cp1.volumes["fs-bump"].exact_ricci
+    exact = {chart: closed_form_ricci(cp1, "fs-bump", chart)
+             for chart in ("affine", "affine-inf")}
     rng = np.random.default_rng(5)
     w = (rng.uniform(0.05, 1.0, 512) * np.exp(1j * rng.uniform(0, 2 * np.pi, 512)))[:, None]
     at_inf = exact["affine-inf"](w)[:, 0, 0]
@@ -165,15 +175,17 @@ def test_r4_exact_ricci_is_hermitian_and_cancellation_free(hopf):
     r2 = np.sum(np.abs(z) ** 2, axis=-1)
     reference = 2.0 * (np.eye(2) / r2[:, None, None]
                        - np.einsum("...i,...j->...ij", np.conj(z), z) / (r2 ** 2)[:, None, None])
-    exact = hopf.volumes["r4"].exact_ricci["punctured"]
-    R = exact(z)
-    assert np.all(calculus.hermiticity_residual(R) == 0.0)
+    R = r4_ricci(z)
+    assert np.all(R[:, 0, 1] == np.conj(R[:, 1, 0]))
     scale = np.max(np.abs(R), axis=(-2, -1))
     assert np.max(np.abs(R - reference) / scale[:, None, None]) < 2e-15
+
+    def top(M):
+        return 2.0 * (M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]).real
+
     bound = 2e-15
-    assert np.max(np.abs(calculus.ricci_top_field(None, z, exact=exact) * r2 ** 2)) < bound
-    naive = calculus.ricci_top_field(None, z, exact=lambda c: reference)
-    assert np.max(np.abs(naive * r2 ** 2)) > bound
+    assert np.max(np.abs(top(R) * r2 ** 2)) < bound
+    assert np.max(np.abs(top(reference) * r2 ** 2)) > bound
 
 
 def test_blowup_dataset_reproduces_intermediates(hopf_blowup):
@@ -227,9 +239,7 @@ def test_curvature_mass_independent_of_density(cp1):
         vol = cp1.volumes[name]
 
         def density(z, chart, _vol=vol):
-            return 2.0 * calculus.ricci_top_field(
-                _vol.log_density[chart], z,
-                exact=_vol.exact_ricci.get(chart))
+            return 2.0 * calculus.ricci_top_field(_vol.log_density[chart], z)
 
         total = sum(integrate(lambda z, c=chart: density(z, c), dom,
                               QuadratureSpec(16, 3)).value
@@ -244,9 +254,7 @@ def test_hopf_curvature_mass_vanishes(hopf):
         vol = hopf.volumes[name]
 
         def density(z, _vol=vol):
-            return 4.0 * calculus.ricci_top_field(
-                _vol.log_density["punctured"], z,
-                exact=_vol.exact_ricci.get("punctured"))
+            return 4.0 * calculus.ricci_top_field(_vol.log_density["punctured"], z)
 
         res = integrate(density, hopf.manifold.fundamental_domain["punctured"],
                         hopf.default_quadrature)
