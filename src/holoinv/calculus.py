@@ -12,20 +12,16 @@ cofactor determinant serves every n, on plain batches and jets alike, and
 the checks on R work entry by entry, each a view over the batch, folded
 elementwise: no reductions over the short trailing matrix axes.
 
-The stencil primitives are the step-based reference that only the
-convergence suite and the Cauchy-Riemann checks use: Wirtinger derivatives
-from real central differences on the (x, y) coordinate pairs (complex-step
-differentiation does not apply to real log-densities), the evaluator called
-once per stencil node on the whole batch (..., n). There is one stencil,
-the order-4 central first difference, and one parameter, the step h: one
-scalar for the whole batch, DEFAULT_STEP unless a caller passes another.
-directional_derivative is the one stencil core: sum_i v^i d/dz^i along a
-complex direction v (per point or constant), from two real stencils,
-along v/|v| and i v/|v|, so 8 evaluator calls at any n.
-holomorphic_derivative is that core along every unit axis e_j, for an
-evaluator of any value shape, so a field's Jacobian is one call and
-d/dzbar is conj(d/dz of the conjugate). mixed_hessian nests it: d/dz of
-the conjugated gradient.
+The stencil primitives are the step-based reference for the convergence
+suite and the tests; no route or membership check calls them. They take
+Wirtinger derivatives from real order-4 central differences on the (x, y)
+coordinate pairs (complex-step differentiation does not apply to real
+log-densities), with one scalar step h, DEFAULT_STEP unless a caller passes
+another, and call the evaluator once per stencil node on the whole batch
+(..., n). directional_derivative is the one core: sum_i v^i d/dz^i along a
+complex direction v, 8 evaluator calls at any n. holomorphic_derivative is
+that core along every unit axis, and d/dzbar is conj(d/dz of the
+conjugate); mixed_hessian nests it.
 
 Conventions
 -----------

@@ -27,7 +27,6 @@ from .invariant import (
     deformation_invariant_curve,
     invariant_alternative,
     invariant_direct,
-    piece_density,
 )
 from .quadrature import QuadratureSpec
 from .registry import registry_get, registry_names
@@ -253,7 +252,8 @@ def _suite_invariance(bundle, p, samples, seed, q):
             vol, x = bundle.volumes[vol_name], bundle.fields[field_name]
             for route, density_for in ROUTE_DENSITIES.items():
                 rep = geometry.verify_invariant_axes(
-                    lambda chart_id: piece_density(vol, x, chart_id, density_for),
+                    lambda chart_id: density_for(vol.log_density[chart_id],
+                                                 x.components[chart_id]),
                     m, samples, seed=seed)
                 rows += _report_rows(f"axis:{vol_name}:{field_name}:{route}", rep,
                                      p["axis_bound"])

@@ -7,7 +7,10 @@ the quotient and overlap only in measure zero. Volume forms are stored
 through their per-chart log-densities so positivity is structural; vector
 fields through their per-chart holomorphic components. Membership contracts
 (automorphy of a volume form, deck invariance and holomorphy of a field)
-are verified by deterministic sampling rather than symbolically.
+are verified by deterministic sampling rather than symbolically. No
+Jacobian is declared: the checks derive those of deck maps and chart
+transitions, and every Cauchy-Riemann residual, from one order-1 jet call
+(holoinv.jets) of the map or field, which must therefore be jet-safe.
 
 Verifiers only measure: each returns its {label: residual} mapping, and the
 check suites declared on the example bundles judge the largest residual
@@ -23,7 +26,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import calculus
+from . import jets
 from .errors import DomainError, EvaluationError
 from .quadrature import IntegrationDomain
 
@@ -32,23 +35,21 @@ DEFAULT_SAMPLES = 256
 
 @dataclass(frozen=True)
 class Transition:
-    """Holomorphic coordinate change between two overlapping charts."""
+    """Holomorphic coordinate change between two overlapping charts; `apply` is jet-safe."""
 
     source: str
     target: str
     apply: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
     sample_overlap: Callable[[np.random.Generator, int], np.ndarray]
 
 
 @dataclass(frozen=True)
 class DeckGenerator:
-    """A deck transformation with its explicit inverse and Jacobian."""
+    """A deck transformation with its explicit inverse; `apply` is jet-safe."""
 
     name: str
     apply: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,10 @@ class ManifoldSpec:
     """Atlas, deck group, and the fundamental domain's pieces by chart id.
 
     `atlas` maps each chart id to its containment predicate over C^n
-    coordinates. No route leaves the quadrature nodes: both take their
-    derivatives from jets, which take no step. Only the stencil checks
-    (convergence, Cauchy-Riemann) step, by h = calculus.DEFAULT_STEP, and
-    reach 4h (the mixed Hessian) from the points they are given.
+    coordinates. No route or membership check leaves the points it
+    evaluates: they take their derivatives from jets, which take no step.
+    Only the convergence suite steps, by h = calculus.DEFAULT_STEP, and
+    reaches 4h (the mixed Hessian) from the points it is given.
     """
 
     name: str
@@ -164,17 +165,46 @@ def _piece_residuals(m: ManifoldSpec, samples, seed, measure) -> dict[str, float
     return residuals
 
 
-def _cauchy_riemann(fn, pts, scale, what) -> float:
+def _wirtinger(fn, pts):
+    """fn's value (..., n) at pts with its Wirtinger Jacobians d fn_i / dz^j
+    and d fn_i / dzbar^j, each (..., n, n), from one call of fn on the order-1
+    jet of the coordinates: exact to rounding, with no step."""
+    out = jets.evaluate(fn, pts, 1)
+
+    def table(parts):
+        return np.stack([np.broadcast_to(0.0 if p is None else p, pts.shape)
+                         for p in parts], axis=-1)
+
+    return np.asarray(out.value), table(out.d), table(out.dbar)
+
+
+def _cauchy_riemann(dbar, scale, what) -> float:
     """Largest |d fn_i / dzbar^j| / scale over components i and axes j."""
-    dbar = np.conj(calculus.holomorphic_derivative(lambda c: np.conj(fn(c)), pts))
-    return _worst(np.abs(dbar) / scale[..., None, None], f"Cauchy-Riemann stencil of {what}")
+    return _worst(np.abs(dbar) / scale[..., None, None], f"Cauchy-Riemann residual of {what}")
+
+
+def _volume_gap(vol: VolumeFormSpec, source, target, pts, image, jac, log_chi=0.0):
+    """|log a(image) + log|det jac|^2 - log a(pts) - log chi| per point, the
+    densities read in charts `target` and `source`: the pull-back gap of a
+    map T with T(pts) = image and dT = jac, zero where T*Omega = chi Omega."""
+    here = np.asarray(vol.log_density[source](pts), dtype=float)
+    _require_finite(here, f"log-density of '{vol.name}' in chart '{source}'")
+    there = np.asarray(vol.log_density[target](image), dtype=float)
+    _require_finite(there, f"log-density of '{vol.name}' at images in chart '{target}'")
+    return np.abs(there + 2.0 * np.log(np.abs(np.linalg.det(jac))) - here - log_chi)
+
+
+def _push_gap(x: VectorFieldSpec, target, values, image, jac):
+    """max_i |(jac . values)_i - X_i(image)| per point, X read in chart
+    `target`: the push-forward gap, zero where dT X = X o T."""
+    pushed = np.einsum("...ij,...j->...i", jac, values)
+    return np.abs(pushed - np.asarray(x.components[target](image))).max(axis=-1)
 
 
 def _transition_residuals(m: ManifoldSpec, charts, samples, seed,
                           residual) -> dict[str, float]:
-    """Worst residual(tr, pts) per `source->target` on the sampled overlaps.
-
-    Transitions whose charts are not both in `charts` are skipped.
+    """Worst residual(tr, pts, T(pts), dT(pts)) per `source->target` on the
+    sampled overlaps; transitions whose charts are not both in `charts` are skipped.
     """
     rng = np.random.default_rng(seed)
     residuals = {}
@@ -182,8 +212,9 @@ def _transition_residuals(m: ManifoldSpec, charts, samples, seed,
         if tr.source not in charts or tr.target not in charts:
             continue
         label = f"{tr.source}->{tr.target}"
-        residuals[label] = _worst(residual(tr, tr.sample_overlap(rng, samples)),
-                                  f"transition {label}")
+        pts = tr.sample_overlap(rng, samples)
+        image, jac, _ = _wirtinger(tr.apply, pts)
+        residuals[label] = _worst(residual(tr, pts, image, jac), f"transition {label}")
     return residuals
 
 
@@ -198,20 +229,13 @@ def verify_automorphic(vol: VolumeFormSpec, m: ManifoldSpec,
     """
     def measure(chart_id, pts):
         _require_in_chart(m, chart_id, pts, "sample point")
-        logd = vol.log_density[chart_id]
-        base = np.asarray(logd(pts), dtype=float)
-        _require_finite(base, f"log-density of '{vol.name}'")
         residuals = {}
         for g in m.deck_group:
-            image = np.asarray(g.apply(pts))
+            image, jac, _ = _wirtinger(g.apply, pts)
             _require_in_chart(m, chart_id, image, f"image under '{g.name}'")
-            shifted = np.asarray(logd(image), dtype=float)
-            _require_finite(shifted, f"log-density of '{vol.name}' at deck images")
-            jac = np.asarray(g.jacobian(pts))
-            log_jac2 = 2.0 * np.log(np.abs(np.linalg.det(jac)))
-            residuals[g.name] = _worst(
-                np.abs(shifted + log_jac2 - base - math.log(vol.character.value(g.name))),
-                f"automorphy of '{vol.name}' under '{g.name}'")
+            gap = _volume_gap(vol, chart_id, chart_id, pts, image, jac,
+                              math.log(vol.character.value(g.name)))
+            residuals[g.name] = _worst(gap, f"automorphy of '{vol.name}' under '{g.name}'")
         return residuals
 
     return _piece_residuals(m, samples, seed, measure)
@@ -228,22 +252,19 @@ def verify_invariant_field(x: VectorFieldSpec, m: ManifoldSpec,
     by their local scale.
     """
     def measure(chart_id, pts):
-        comps = x.components[chart_id]
-        values = np.asarray(comps(pts))
+        values, _, dbar = _wirtinger(x.components[chart_id], pts)
         _require_finite(values, f"components of '{x.name}'")
         scale = 1.0 + np.abs(values).max(axis=-1)
 
         invariance = 0.0
         for g in m.deck_group:
-            image = np.asarray(g.apply(pts))
+            image, jac, _ = _wirtinger(g.apply, pts)
             _require_in_chart(m, chart_id, image, f"image under '{g.name}'")
-            pushed = np.einsum("...ij,...j->...i", np.asarray(g.jacobian(pts)), values)
-            there = np.asarray(comps(image))
-            gap = np.abs(pushed - there).max(axis=-1) / scale
+            gap = _push_gap(x, chart_id, values, image, jac) / scale
             invariance = max(invariance, _worst(
                 gap, f"deck invariance of '{x.name}' under '{g.name}'"))
         return {"deck_invariance": invariance,
-                "cauchy_riemann": _cauchy_riemann(comps, pts, scale, f"'{x.name}'")}
+                "cauchy_riemann": _cauchy_riemann(dbar, scale, f"'{x.name}'")}
 
     return _piece_residuals(m, samples, seed, measure)
 
@@ -258,14 +279,14 @@ def deck_group_report(m: ManifoldSpec, samples: int = DEFAULT_SAMPLES,
         scale = 1.0 + np.abs(pts).max(axis=-1)
         residuals = {}
         for g in m.deck_group:
-            image = np.asarray(g.apply(pts))
+            image, _, dbar = _wirtinger(g.apply, pts)
             image_scale = 1.0 + np.abs(image).max(axis=-1)
             round_trip = np.asarray(g.inverse(image))
             residuals[f"inverse_composition:{g.name}"] = _worst(
                 np.abs(round_trip - pts).max(axis=-1) / scale,
                 f"inverse composition of '{g.name}'")
             residuals[f"cauchy_riemann:{g.name}"] = _cauchy_riemann(
-                g.apply, pts, image_scale, f"deck map '{g.name}'")
+                dbar, image_scale, f"deck map '{g.name}'")
         return residuals
 
     return _piece_residuals(m, samples, seed, measure)
@@ -278,14 +299,8 @@ def verify_volume_transitions(vol: VolumeFormSpec, m: ManifoldSpec,
     On an overlap, a_source(z) = a_target(T(z)) * |det dT(z)|^2.
     Transitions whose charts lack a registered density are skipped.
     """
-    def residual(tr, pts):
-        src = np.asarray(vol.log_density[tr.source](pts), dtype=float)
-        mapped = np.asarray(tr.apply(pts))
-        tgt = np.asarray(vol.log_density[tr.target](mapped), dtype=float)
-        log_jac2 = 2.0 * np.log(np.abs(np.linalg.det(np.asarray(tr.jacobian(pts)))))
-        _require_finite(src, "source log-density")
-        _require_finite(tgt, "target log-density")
-        return np.abs(src - tgt - log_jac2)
+    def residual(tr, pts, image, jac):
+        return _volume_gap(vol, tr.source, tr.target, pts, image, jac)
 
     return _transition_residuals(m, vol.log_density, samples, seed, residual)
 
@@ -293,11 +308,9 @@ def verify_volume_transitions(vol: VolumeFormSpec, m: ManifoldSpec,
 def verify_field_transitions(x: VectorFieldSpec, m: ManifoldSpec,
                              samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict[str, float]:
     """Check components transform by the transition Jacobian across overlaps."""
-    def residual(tr, pts):
-        src = np.asarray(x.components[tr.source](pts))
-        pushed = np.einsum("...ij,...j->...i", np.asarray(tr.jacobian(pts)), src)
-        tgt = np.asarray(x.components[tr.target](np.asarray(tr.apply(pts))))
-        return np.abs(pushed - tgt)
+    def residual(tr, pts, image, jac):
+        values = np.asarray(x.components[tr.source](pts))
+        return _push_gap(x, tr.target, values, image, jac)
 
     return _transition_residuals(m, x.components, samples, seed, residual)
 

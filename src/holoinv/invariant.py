@@ -68,23 +68,18 @@ def alternative_density(logd, comps):
 ROUTE_DENSITIES = {"direct": direct_density, "alt": alternative_density}
 
 
-def piece_density(vol: VolumeFormSpec, x: VectorFieldSpec, chart_id: str, density_for):
-    """A route's density on the piece in chart `chart_id`: density_for(log-density,
-    field components) of that chart."""
-    return density_for(vol.log_density[chart_id], x.components[chart_id])
-
-
 def _integrate_route(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec,
                      density_for, q: QuadratureSpec) -> IntegrationResult:
     """2^n times the integral of the route's density over the fundamental domain.
 
-    Each piece is integrated in its own chart, with piece_density; values
-    and refinement error estimates add up over the pieces.
+    Each piece is integrated in its own chart, with the route's density
+    built from that chart's log-density and field components; values and
+    refinement error estimates add up over the pieces.
     """
     factor = 2.0 ** m.dimension
     total = None
     for chart_id, dom in m.fundamental_domain.items():
-        density = piece_density(vol, x, chart_id, density_for)
+        density = density_for(vol.log_density[chart_id], x.components[chart_id])
         res = integrate(lambda coords: density(coords) * factor, dom, q)
         # summed from the first piece: 0 + (-0.0) would flip the sign of a zero
         total = res if total is None else IntegrationResult(*map(operator.add, total, res))

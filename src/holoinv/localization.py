@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
@@ -272,14 +272,8 @@ def rescale_field(data: FixedPointData, c: Rational) -> FixedPointData:
     if factor == 0:
         raise ValueError("rescaling factor must be nonzero")
     components = tuple(
-        ZeroComponent(
-            name=z.name,
-            dim=z.dim,
-            trace_L=factor * z.trace_L,
-            normal_weights=tuple(factor * w for w in z.normal_weights),
-            c1_tangent_deg=z.c1_tangent_deg,
-            normal_line_degrees=z.normal_line_degrees,
-        )
+        replace(z, trace_L=factor * z.trace_L,
+                normal_weights=tuple(factor * w for w in z.normal_weights))
         for z in data.components
     )
     return FixedPointData(data.label, data.manifold_dim, components)

@@ -53,6 +53,7 @@ from .errors import IllPosedIntegrandError
 # for speed; one call may hold nodes of several levels
 _CELL_NODES = 8192
 _NODE_SETS = 8  # cached (domain, spec) node sets; a job uses one per distinct piece
+_MAX_NODES = 2 ** 22  # nodes of all levels of one node set: 1,300x the largest registered job
 RULES = ("gauss", "periodic", "invariant")
 
 
@@ -182,9 +183,16 @@ def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
     Each axis's Gauss-Legendre reference rule is computed once for all
     levels, and the chart and measure maps run once on all levels' box
     points. The arrays are shared by every later call, so they are read-only.
+    A grid of more than _MAX_NODES nodes raises ValueError before any is built.
     """
     points = _axis_points(q, len(dom.box))
     rules = dom.rules or ("gauss",) * len(dom.box)
+    count = sum(math.prod(1 if rule == "invariant" else p * 2 ** level
+                          for p, rule in zip(points, rules))
+                for level in range(q.refinement_levels))
+    if count > _MAX_NODES:
+        raise ValueError(f"the quadrature grid has {count} nodes over its levels, more than "
+                         f"{_MAX_NODES}; lower the points per axis or the refinement levels")
     references = {p: _gauss_legendre(p) for p, rule in zip(points, rules) if rule == "gauss"}
     axes = [(lo, hi, p, rule, references.get(p))
             for (lo, hi), p, rule in zip(dom.box, points, rules)]

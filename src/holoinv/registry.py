@@ -131,12 +131,9 @@ def _cp1_bundle() -> ExampleBundle:
     def invert(coords):
         return 1.0 / coords
 
-    def invert_jacobian(coords):
-        return (-1.0 / coords[..., 0] ** 2)[..., None, None]
-
     transitions = (
-        Transition("affine", "affine-inf", invert, invert_jacobian, _inversion_overlap),
-        Transition("affine-inf", "affine", invert, invert_jacobian, _inversion_overlap),
+        Transition("affine", "affine-inf", invert, _inversion_overlap),
+        Transition("affine-inf", "affine", invert, _inversion_overlap),
     )
 
     disc = _disc_domain()
@@ -272,16 +269,11 @@ def _hopf_bundle() -> ExampleBundle:
     def halve(coords):
         return 0.5 * coords
 
-    def double_jacobian(coords):
-        eye = np.eye(2, dtype=complex)
-        return np.broadcast_to(eye, coords.shape[:-1] + (2, 2))
-
     manifold = ManifoldSpec(
         name="hopf",
         dimension=2,
         atlas={"punctured": punctured_contains},
-        deck_group=(DeckGenerator("double", double, halve,
-                                  lambda c: 2.0 * double_jacobian(c)),),
+        deck_group=(DeckGenerator("double", double, halve),),
         fundamental_domain={"punctured": _hopf_domain()},
     )
 

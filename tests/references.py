@@ -1,9 +1,11 @@
-"""Closed-form Ricci matrices of registered volume forms, kept as test references.
+"""Closed forms of derivatives the package takes from jets, kept as test references.
 
 No route reads a closed form: R = -d dbar log a comes from jets of the
-registered log-densities. These hand-derived matrices are what the jets
-are checked against. cp1 `fs` keeps its closed form in the registry as the
-convergence suite's reference; `fs-bump` and hopf `r4` have theirs here.
+registered log-densities, and the checks take the Jacobians of deck maps
+and chart transitions from jets of the maps. These hand-derived matrices
+are what the jets are checked against. cp1 `fs` keeps its closed-form
+Ricci matrix in the registry as the convergence suite's reference;
+`fs-bump` and hopf `r4` have theirs here.
 """
 
 import numpy as np
@@ -44,3 +46,13 @@ def closed_form_ricci(bundle, volume, chart):
     where it declares one, else the test reference above."""
     registered = bundle.volumes[volume].exact_ricci.get(chart)
     return registered or {"fs-bump": fs_bump_ricci, "r4": r4_ricci}[volume]
+
+
+def inversion_jacobian(coords):
+    """cp1 chart transition w = 1/z: dw/dz = -1/z^2, shape (..., 1, 1)."""
+    return (-1.0 / coords[..., 0] ** 2)[..., None, None]
+
+
+def doubling_jacobian(coords):
+    """hopf deck map z -> 2z: 2 I, shape (..., 2, 2)."""
+    return np.broadcast_to(2.0 * np.eye(2), coords.shape[:-1] + (2, 2))

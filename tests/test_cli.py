@@ -174,6 +174,28 @@ def test_usage_errors_exit_two(capsys, argv):
         assert "unrecognized arguments" in err
 
 
+@pytest.mark.parametrize("extra, limit", [
+    # 10^8 points per axis: unguarded, the first array (hopf's 10^8 x 10^8
+    # Gauss-Legendre companion matrix) cannot even be allocated
+    (("--points", "100000000"), None),
+    # the default hopf job has 1,728 nodes and --refine 3 has 14,016: under a
+    # limit of 2,000, refinement alone crosses it
+    (("--refine", "3"), 2000),
+], ids=["points", "refine"])
+def test_oversized_grid_exits_two(capsys, monkeypatch, extra, limit):
+    if limit is not None:
+        monkeypatch.setattr(quadrature, "_MAX_NODES", limit)
+    quadrature._node_set.cache_clear()
+    job = ("invariant", "--example", "hopf", "--volume", "r4", "--field", "x1",
+           "--method", "direct")
+    code, out, err = run_cli(capsys, *job, *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("holoinv: ValueError: the quadrature grid has")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if limit is not None:
+        assert run_cli(capsys, *job)[0] == 0
+
+
 def test_help_exits_zero(capsys):
     code, out, err = run_cli(capsys, "invariant", "--help")
     assert code == 0

@@ -23,6 +23,7 @@ from holoinv import (
     verify_invariant_field,
     verify_volume_transitions,
 )
+from holoinv import jets
 
 
 def _abs2(z):
@@ -92,9 +93,8 @@ def test_zero_field_passes_exactly(hopf):
 
 def test_antiholomorphic_component_fails(hopf):
     def bad(coords):
-        out = np.zeros_like(coords)
-        out[..., 0] = np.conj(coords[..., 0])
-        return out
+        # conj(z1) d/dz1, written with a coordinate mask as jets require
+        return np.conj(coords) * np.array([1.0, 0.0])
 
     rep = verify_invariant_field(VectorFieldSpec("zbar", {"punctured": bad}),
                                  hopf.manifold)
@@ -148,12 +148,13 @@ def _nan(coords):
 
 
 def _field_nan_at_deck_images(hopf, cp1):
+    # samples have 1 <= |z|^2 <= 4 and their images under the doubling
+    # |z|^2 >= 4, so only the deck-invariance residual reads a NaN
     x1 = hopf.fields["x1"].components["punctured"]
 
     def comps(coords):
-        out = np.array(x1(coords), dtype=complex)
-        out[_abs2(coords).sum(-1) > 3.0] = np.nan  # samples have |z|^2 <= 2
-        return out
+        pts = coords.value if isinstance(coords, jets.Jet) else coords
+        return x1(coords) * np.where(_abs2(pts).sum(-1) > 4.0, np.nan, 1.0)[..., None]
 
     return verify_invariant_field(VectorFieldSpec("nan-at-images", {"punctured": comps}),
                                   hopf.manifold)
@@ -161,7 +162,7 @@ def _field_nan_at_deck_images(hopf, cp1):
 
 def _deck_inverse_nan(hopf, cp1):
     g = hopf.manifold.deck_group[0]
-    bad = DeckGenerator(g.name, g.apply, _nan, g.jacobian)
+    bad = DeckGenerator(g.name, g.apply, _nan)
     return deck_group_report(dataclasses.replace(hopf.manifold,
                                                  deck_group=(bad,)))
 
@@ -179,13 +180,13 @@ def _density_nan_along_t(hopf, cp1):
     return verify_invariant_axes(lambda chart_id: density, hopf.manifold)
 
 
-@pytest.mark.parametrize("measure", [_field_nan_at_deck_images, _deck_inverse_nan,
-                                     _field_nan_at_infinity, _density_nan_along_t],
-                         ids=["deck-invariance", "deck-inverse", "field-transition",
-                              "invariant-axis"])
-def test_nan_residual_raises(measure, hopf, cp1):
+@pytest.mark.parametrize("measure, what", [
+    (_field_nan_at_deck_images, "deck invariance"), (_deck_inverse_nan, "inverse composition"),
+    (_field_nan_at_infinity, "transition"), (_density_nan_along_t, "invariant axes")],
+    ids=["deck-invariance", "deck-inverse", "field-transition", "invariant-axis"])
+def test_nan_residual_raises(measure, what, hopf, cp1):
     # max(0.0, nan) is 0.0, so an unchecked NaN residual would read as a pass
-    with pytest.raises(EvaluationError, match="non-finite"):
+    with pytest.raises(EvaluationError, match=f"non-finite {what}"):
         measure(hopf, cp1)
 
 
@@ -233,12 +234,7 @@ def test_sample_count_validation(hopf):
 
 
 def test_domain_error_when_generator_leaves_chart():
-    shift = DeckGenerator(
-        "shift",
-        lambda c: c + 2.0,
-        lambda c: c - 2.0,
-        lambda c: np.ones(c.shape[:-1] + (1, 1), dtype=complex),
-    )
+    shift = DeckGenerator("shift", lambda c: c + 2.0, lambda c: c - 2.0)
     m = ManifoldSpec(
         name="disc-shift",
         dimension=1,

@@ -130,3 +130,28 @@ def test_a_dead_private_helper_is_found():
     }
     assert dead_definitions(sources) == [
         "a: _dead (line 6)", "a: _Dead (line 8)"]
+
+
+STENCILS = {"directional_derivative", "holomorphic_derivative", "mixed_hessian",
+            "ricci_from_log_density"}
+# the stencil's own module, and the CLI for the convergence suite's reference
+STENCIL_READERS = {"calculus", "cli"}
+
+
+def stencil_reads(sources):
+    """`module: name` for each stencil primitive a module outside
+    STENCIL_READERS reads: every other derivative comes from jets."""
+    return sorted(f"{module}: {name}" for module, source in sources.items()
+                  if module not in STENCIL_READERS
+                  for name in set(read_names(ast.parse(source))) & STENCILS)
+
+
+def test_only_the_convergence_suite_reads_the_stencil():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert stencil_reads(sources) == []
+
+
+def test_a_stencil_read_is_found():
+    sources = {"cli": "calculus.mixed_hessian(f, z)\n",
+               "geometry": "from .calculus import holomorphic_derivative\n"}
+    assert stencil_reads(sources) == ["geometry: holomorphic_derivative"]

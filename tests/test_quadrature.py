@@ -292,6 +292,20 @@ def test_invariant_axis_takes_one_node_at_lo(levels, points):
         assert res.error_estimate < 1e-14
 
 
+@pytest.mark.parametrize("limit, refused", [(28, False), (27, True)])
+def test_node_limit_counts_every_level_before_building(monkeypatch, limit, refused):
+    # (7, 4) over 3 levels on INVARIANT_BOX: the invariant axis counts once
+    # per level, so 4 + 8 + 16 = 28 nodes
+    monkeypatch.setattr(quadrature, "_MAX_NODES", limit)
+    quadrature._node_set.cache_clear()
+    q = QuadratureSpec((7, 4), 3)
+    if refused:
+        with pytest.raises(ValueError, match="28 nodes over its levels, more than 27"):
+            integrate(lambda z: np.ones(z.shape[:-1]), INVARIANT_BOX, q)
+    else:
+        assert len(quadrature._node_set(INVARIANT_BOX, q).weights) == 28
+
+
 def test_invariant_axis_weight_is_its_length():
     # a density that varies along the invariant axis is read at lo only
     res = integrate(lambda z: z[..., 0].real ** 2, INVARIANT_BOX, QuadratureSpec(4, 2))

@@ -19,8 +19,9 @@ from holoinv import (
     verify_automorphic,
     verify_invariant_field,
 )
-from holoinv import calculus, jets
-from references import closed_form_ricci, r4_ricci
+from holoinv import calculus, geometry, jets
+from holoinv.geometry import deck_group_report
+from references import closed_form_ricci, doubling_jacobian, inversion_jacobian, r4_ricci
 
 
 def test_names():
@@ -101,13 +102,20 @@ def _evaluators(bundle):
     for name, fld in bundle.fields.items():
         for chart, fn in fld.components.items():
             yield f"field {name}@{chart}", chart, fn
+    # the checks derive the maps' Jacobians from jets
+    for g in bundle.manifold.deck_group:
+        for chart in bundle.manifold.fundamental_domain:
+            yield f"deck map {g.name}@{chart}", chart, g.apply
+    for tr in bundle.manifold.transitions:
+        yield f"transition {tr.source}->{tr.target}", tr.source, tr.apply
 
 
 @pytest.mark.parametrize("name", registry_names())
 def test_every_evaluator_is_jet_safe(name):
     # the routes call every log-density and field on jets, and every
     # log-density also on the alternative route's nested jet (order 2 over
-    # an order-1 jet along a field): each must return a jet whose innermost
+    # an order-1 jet along a field); the checks call every field, deck map
+    # and transition on jets: each must return a jet whose innermost
     # value is the plain evaluation bit for bit, or a plain numeric array
     # that is really constant (zero stencil derivative), never an object
     # array that would drop the derivatives
@@ -128,6 +136,36 @@ def test_every_evaluator_is_jet_safe(name):
             assert np.array_equal(out, plain), label
         if not isinstance(fn(jet_coords[0]), jets.Jet):
             assert np.max(np.abs(calculus.holomorphic_derivative(fn, pts))) <= 1e-10, label
+
+
+@pytest.mark.parametrize("example, maps, reference", [
+    ("cp1", lambda m: [tr.apply for tr in m.transitions], inversion_jacobian),
+    ("hopf", lambda m: [g.apply for g in m.deck_group], doubling_jacobian)],
+    ids=["cp1-inversion", "hopf-doubling"])
+def test_derived_jacobians_match_closed_forms(example, maps, reference):
+    # no Jacobian is declared: the checks read it off one jet call of the map
+    m = registry_get(example).manifold
+    dom = next(iter(m.fundamental_domain.values()))
+    pts = sample_domain_points(dom, 64, seed=1)
+    for fn in maps(m):
+        image, jac, dbar = geometry._wirtinger(fn, pts)
+        assert np.array_equal(image, fn(pts))
+        # a few rounding steps apart: -(1/z)(1/z) against -1/z^2
+        np.testing.assert_allclose(jac, reference(pts), rtol=1e-15, atol=0.0)
+        assert np.all(dbar == 0.0)
+
+
+@pytest.mark.parametrize("name", ["cp1", "hopf"])
+def test_cauchy_riemann_residuals_are_exactly_zero(name):
+    # jets carry no dbar through a holomorphic expression, so the residual
+    # of every registered field and deck map is 0, not stencil rounding
+    bundle = registry_get(name)
+    for fld in bundle.fields.values():
+        assert verify_invariant_field(fld, bundle.manifold)["cauchy_riemann"] == 0.0, fld.name
+    rows = {label: value for label, value in deck_group_report(bundle.manifold).items()
+            if label.startswith("cauchy_riemann:")}
+    assert len(rows) == len(bundle.manifold.deck_group)
+    assert all(value == 0.0 for value in rows.values()), rows
 
 
 def test_exact_ricci_evaluators_match_stencils():
