@@ -391,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="a suite the example declares (see `holoinv list`)")
     p_chk.add_argument("--samples", type=int, default=geometry.DEFAULT_SAMPLES,
                        help=("points sampled by the automorphy and invariance "
-                             "suites; vaisman samples a fixed 10,000 points, "
-                             "convergence 100, and deformation none"))
+                             f"suites, at most {geometry.MAX_SAMPLES:,}; vaisman "
+                             "samples a fixed 10,000 points, convergence 100, "
+                             "and deformation none"))
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--refine", type=int, dest="refine", default=None)
     p_chk.add_argument("--points", type=int, dest="points", default=None)

@@ -31,6 +31,14 @@ from .errors import DomainError, EvaluationError
 from .quadrature import IntegrationDomain
 
 DEFAULT_SAMPLES = 256
+# Every sampled suite of every example completes at this count within a
+# 2 GB address space; a larger count is refused before any array is made.
+MAX_SAMPLES = 1_000_000
+
+
+def _check_samples(samples: int) -> None:
+    if not 1 <= samples <= MAX_SAMPLES:
+        raise ValueError(f"samples must be between 1 and {MAX_SAMPLES:,}, got {samples}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +134,7 @@ class ManifoldSpec:
 
 def _sample_box(dom: IntegrationDomain, samples: int, rng) -> np.ndarray:
     """Uniform box points (samples, axes) of one domain piece."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples)
     lo, hi = np.array(dom.box).T
     return rng.uniform(lo, hi, size=(samples, len(dom.box)))
 
@@ -206,6 +213,7 @@ def _transition_residuals(m: ManifoldSpec, charts, samples, seed,
     """Worst residual(tr, pts, T(pts), dT(pts)) per `source->target` on the
     sampled overlaps; transitions whose charts are not both in `charts` are skipped.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     residuals = {}
     for tr in m.transitions:

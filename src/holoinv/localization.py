@@ -20,6 +20,24 @@ class_pow and class_inverse is the general ring arithmetic; it stays
 public as the reference for that closed form. All arithmetic here is
 exact rational; floats appear only in the final unnormalization.
 
+One private kernel, _contribution_pair, computes a component's residue
+on plain integer (numerator, denominator) pairs, and localization_sum
+adds those pairs before it builds one Fraction. Every pair is kept in
+lowest terms with a positive denominator, reduced the way Fraction
+reduces: a product takes two cross gcds (numerator of each factor
+against the denominator of the other), a sum one gcd of the two
+denominators and one of the new numerator against it. The reduction
+keeps the integers as small as the value allows; without it, entries of
+thousands of digits would multiply into far larger ones.
+
+The residue raises the trace to the power n+1, so a few short entries
+can ask for an integer of millions of digits. FixedPointData therefore
+bounds each component's result size before any power is taken:
+_residue_bits gives an upper bound on the bit length of its numerator
+and of its denominator from the bit lengths of its entries, and data
+above MAX_RESIDUE_BITS (2^18 bits, about 79,000 decimal digits) raise
+ValueError.
+
 The sum is linear in the field, as f is. Replacing X by cX scales trace
 and weights by c and fixes the degrees; with t = c*s the numerator gives
 c^(n+1), the n-dim denominator factors give c^-(n-dim) and reading off
@@ -189,6 +207,90 @@ class FixedPointData:
                     f"component '{c.name}': {len(c.normal_weights)} normal weights, "
                     f"expected {expected} for dim {c.dim} in ambient "
                     f"dimension {self.manifold_dim}")
+            bits = _residue_bits(c, self.manifold_dim)
+            if bits > MAX_RESIDUE_BITS:
+                raise ValueError(
+                    f"component '{c.name}': its residue may need integers of {bits} bits, "
+                    f"above the budget of {MAX_RESIDUE_BITS}")
+
+
+# A component's residue whose numerator and denominator have at most this
+# many bits (about 79,000 decimal digits) takes well under a second: the
+# gcds and divisions that keep it reduced are quadratic in that length.
+MAX_RESIDUE_BITS = 1 << 18
+
+
+def _residue_bits(c: ZeroComponent, n: int) -> int:
+    """Upper bound on the bit length of the numerator and of the denominator
+    of component_contribution(c, n), read from the entries before any power
+    is taken.
+
+    With b(x) the bit length of the numerator of x plus that of its
+    denominator, a product needs at most the bits of its factors, a sum one
+    bit more. The residue a^n ((n+1) c1 - a D) / P (see _contribution_pair)
+    takes n+1 factors of the trace a and each weight or degree at most
+    twice, in P, D or c1. A nonzero weight w has b(w) at least one above the
+    larger of its two bit lengths, which covers the sums; the n+1 added to
+    the trace's factors covers the bits of n+1.
+    """
+    entries = 0
+    for x in (c.c1_tangent_deg, *c.normal_weights, *c.normal_line_degrees):
+        p, q = x.as_integer_ratio()
+        entries += p.bit_length() + q.bit_length()
+    p, q = c.trace_L.as_integer_ratio()
+    return (n + 1) * (p.bit_length() + q.bit_length() + 1) + 2 * entries
+
+
+def _mul(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
+    """(p1/q1)(p2/q2) in lowest terms, from two fractions in lowest terms."""
+    g1 = math.gcd(p1, q2)
+    g2 = math.gcd(p2, q1)
+    return (p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1)
+
+
+def _add(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
+    """p1/q1 + p2/q2 in lowest terms, from two fractions in lowest terms."""
+    g = math.gcd(q1, q2)
+    if g == 1:
+        return p1 * q2 + p2 * q1, q1 * q2
+    s = q1 // g
+    t = p1 * (q2 // g) + p2 * s
+    g2 = math.gcd(t, g)
+    return t // g2, s * (q2 // g2)
+
+
+def _inverse(x: Fraction) -> tuple[int, int]:
+    """1/x in lowest terms with a positive denominator; x is nonzero."""
+    p, q = x.as_integer_ratio()
+    return (q, p) if p > 0 else (-q, -p)
+
+
+def _contribution_pair(c: ZeroComponent, n: int) -> tuple[int, int]:
+    """component_contribution(c, n) as a (numerator, denominator) pair in
+    lowest terms with a positive denominator.
+
+    With a = trace_L, P the product of the weights w_j, c1 = c1_tangent_deg
+    + sum of the degrees g_j and D = sum_j g_j / w_j, a point contributes
+    a^(n+1) / P and a curve a^n ((n+1) c1 - a D) / P: the t^dim coefficient
+    of the closed-form classes of component_contribution_parts.
+    """
+    if n < c.dim:
+        raise ValueError(f"ambient dimension {n} below component dimension {c.dim}")
+    ap, aq = c.trace_L.as_integer_ratio()
+    ip, iq = 1, 1  # 1 / P
+    for w in c.normal_weights:
+        ip, iq = _mul(ip, iq, *_inverse(w))
+    if c.dim == 0:
+        return _mul(ap ** (n + 1), aq ** (n + 1), ip, iq)
+    cp, cq = c.c1_tangent_deg.as_integer_ratio()
+    dp, dq = 0, 1
+    for w, g in zip(c.normal_weights, c.normal_line_degrees):
+        gp, gq = g.as_integer_ratio()
+        cp, cq = _add(cp, cq, gp, gq)
+        dp, dq = _add(dp, dq, *_mul(gp, gq, *_inverse(w)))
+    adp, adq = _mul(ap, aq, dp, dq)
+    ep, eq = _add(*_mul(n + 1, 1, cp, cq), -adp, adq)  # (n+1) c1 - a D
+    return _mul(*_mul(ap ** n, aq ** n, ep, eq), ip, iq)
 
 
 def component_contribution_parts(c: ZeroComponent, n: int):
@@ -204,30 +306,27 @@ def component_contribution_parts(c: ZeroComponent, n: int):
 
     and the value is the t^dim coefficient of their product. class_pow,
     class_mul and class_inverse give the same classes in the general ring
-    and are the reference for this expansion. Exposed separately so the
-    intermediate expansion of a residue can be inspected;
-    component_contribution returns just the value.
+    and are the reference for this expansion. The classes are for
+    inspection of the intermediate expansion only; the value is
+    component_contribution(c, n), from the integer-pair kernel, so the
+    residue has one formula.
     """
-    if n < c.dim:
-        raise ValueError(f"ambient dimension {n} below component dimension {c.dim}")
+    value = component_contribution(c, n)
     a = c.trace_L
     inv0 = 1 / math.prod(c.normal_weights, start=Fraction(1))
     if c.dim == 0:
-        num0 = a ** (n + 1)
-        return CohomologyClass((num0,)), CohomologyClass((inv0,)), num0 * inv0
+        return CohomologyClass((a ** (n + 1),)), CohomologyClass((inv0,)), value
     chern_restricted = c.c1_tangent_deg + sum(c.normal_line_degrees, Fraction(0))
     drift = sum((g / w for w, g in zip(c.normal_weights, c.normal_line_degrees)),
                 Fraction(0))
     a_n = a ** n
-    num0, num1 = a_n * a, (n + 1) * a_n * chern_restricted
-    inv1 = -drift * inv0
-    return (CohomologyClass((num0, num1)), CohomologyClass((inv0, inv1)),
-            num0 * inv1 + num1 * inv0)
+    return (CohomologyClass((a_n * a, (n + 1) * a_n * chern_restricted)),
+            CohomologyClass((inv0, -drift * inv0)), value)
 
 
 def component_contribution(c: ZeroComponent, n: int) -> Fraction:
     """Residue of one component in the ambient dimension n."""
-    return component_contribution_parts(c, n)[2]
+    return Fraction(*_contribution_pair(c, n))
 
 
 def localization_sum(data: FixedPointData) -> Fraction:
@@ -236,8 +335,10 @@ def localization_sum(data: FixedPointData) -> Fraction:
     Linear in the field: localization_sum(rescale_field(data, c)) ==
     c * localization_sum(data) exactly.
     """
-    return sum((component_contribution(c, data.manifold_dim) for c in data.components),
-               Fraction(0))
+    p, q = 0, 1
+    for c in data.components:
+        p, q = _add(p, q, *_contribution_pair(c, data.manifold_dim))
+    return Fraction(p, q)
 
 
 def unnormalized_invariant(data: FixedPointData) -> float:

@@ -164,6 +164,9 @@ def test_invariant_determinism(capsys):
      "--method", "direct", "--points", "many"),
     ("check", "--example", "cp1"),
     ("check", "--example", "cp1", "--suite", "automorphy", "--seed", "x"),
+    # sample counts outside 1..MAX_SAMPLES, refused before any array is made
+    ("check", "--example", "hopf", "--suite", "automorphy", "--samples", "0"),
+    ("check", "--example", "hopf", "--suite", "automorphy", "--samples", "10000000000"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -424,6 +427,23 @@ def test_decimal_exponent_is_bounded(capsys, tmp_path, trace, weight, code):
         assert err.startswith("holoinv: ValueError: component 'p': decimal exponent")
     else:
         assert load_report(out)["results"][0]["exact_residue_sum"] == "1"
+
+
+def test_residue_beyond_the_bit_budget_is_refused(capsys, tmp_path):
+    # 9.7 KB of JSON whose residue has (3e10000)^801 in it: refused from its
+    # entries, before any power is taken
+    path = tmp_path / "power.json"
+    path.write_text(_fixed_point_text([{"name": "p", "dim": 0, "trace_L": "3e10000",
+                                        "normal_weights": ["7e-10000"] * 800}],
+                                      manifold_dim=800))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "invariant", "--example", "cp1",
+                             "--method", "localization", "--fixed-point-file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("holoinv: ValueError: component 'p': its residue may need")
+    assert err.count("\n") == 1
 
 
 def test_fixed_point_file_requires_localization(capsys, tmp_path):

@@ -23,7 +23,7 @@ from holoinv import (
     verify_invariant_field,
     verify_volume_transitions,
 )
-from holoinv import jets
+from holoinv import geometry, jets
 
 
 def _abs2(z):
@@ -228,9 +228,13 @@ def test_sampling_lands_in_annulus(hopf):
     assert np.all(r2 >= 1.0 - 1e-12) and np.all(r2 <= 4.0 + 1e-12)
 
 
-def test_sample_count_validation(hopf):
-    with pytest.raises(ValueError):
-        sample_domain_points(hopf.manifold.fundamental_domain["punctured"], 0)
+def test_sample_count_validation(hopf, cp1):
+    # refused before any array is allocated, on the sampled pieces and overlaps
+    for samples in (0, geometry.MAX_SAMPLES + 1, 10**10):
+        with pytest.raises(ValueError, match="samples must be"):
+            sample_domain_points(hopf.manifold.fundamental_domain["punctured"], samples)
+        with pytest.raises(ValueError, match="samples must be"):
+            verify_volume_transitions(cp1.volumes["fs"], cp1.manifold, samples)
 
 
 def test_domain_error_when_generator_leaves_chart():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,106 @@ def test_closed_form_contribution_matches_the_ring_reference(case):
     assert parts == expected
     numerator, inverted, value = parts
     assert all(type(x) is Fraction for x in (*numerator.coeffs, *inverted.coeffs, value))
+
+
+BIG = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
+BIG_NONZERO = BIG.filter(bool)
+
+
+@st.composite
+def large_fixed_point_data(draw):
+    n = draw(st.integers(1, 6))
+    components = []
+    for k in range(draw(st.integers(1, 4))):
+        dim = draw(st.integers(0, 1))
+        weights = tuple(draw(st.lists(BIG_NONZERO, min_size=n - dim, max_size=n - dim)))
+        if dim == 0:
+            components.append(ZeroComponent(f"p{k}", 0, draw(BIG), weights))
+        else:
+            degrees = draw(st.lists(BIG, min_size=n - 1, max_size=n - 1))
+            components.append(ZeroComponent(f"c{k}", 1, draw(BIG), weights, draw(BIG),
+                                            tuple(degrees)))
+    return FixedPointData("large", n, tuple(components))
+
+
+def _lowest_terms(x):
+    return type(x) is Fraction and x.denominator > 0 and math.gcd(x.numerator,
+                                                                  x.denominator) == 1
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=large_fixed_point_data(), factor=BIG_NONZERO)
+def test_integer_pair_kernel_matches_the_ring_reference_on_large_entries(data, factor):
+    n = data.manifold_dim
+    values = []
+    for comp in data.components:
+        value = component_contribution(comp, n)
+        assert value == _ring_reference_parts(comp, n)[2]
+        assert _lowest_terms(value)
+        # the budget's estimate bounds the integers it is checked against
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        assert bits <= localization._residue_bits(comp, n)
+        values.append(value)
+    total = localization_sum(data)
+    assert total == sum(values, Fraction(0))
+    assert _lowest_terms(total)
+    assert localization_sum(rescale_field(data, factor)) == factor * total
+
+
+def test_unnormalized_invariant_sums_through_the_module_once(hopf_blowup, monkeypatch):
+    # the benchmark counts residue components at localization.localization_sum,
+    # so f(X) must reach the sum through that attribute, once
+    calls = []
+    exact_sum = localization.localization_sum
+
+    def counted(data):
+        calls.append(data.label)
+        return exact_sum(data)
+
+    monkeypatch.setattr(localization, "localization_sum", counted)
+    data = hopf_blowup.fixed_points["x1"]
+    unnormalized_invariant(data)
+    assert calls == [data.label]
+
+
+# --- result size budget ----------------------------------------------------
+
+
+def _power_payload(n):
+    return {"label": "power", "manifold_dim": n, "components": [
+        {"name": "p", "dim": 0, "trace_L": "3e10000", "normal_weights": ["7e-10000"] * n}]}
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_bit_budget_refuses_large_powers_from_the_entries(n):
+    # (3e10000)^(n+1) alone has millions of digits; the estimate needs no power
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"budget of {localization.MAX_RESIDUE_BITS}"):
+        fixed_point_data_from_dict(_power_payload(n))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_bit_budget_covers_rescaling():
+    data = FixedPointData("unit", 3, (ZeroComponent("p", 0, 1, (1, 1, 1)),))
+    assert localization_sum(rescale_field(data, Fraction(10**1000))) == 10**1000
+    with pytest.raises(ValueError, match="budget"):
+        rescale_field(data, Fraction(10**10000))
+
+
+def test_bit_budget_accepts_entries_at_the_decimal_exponent_bound():
+    # a point and a curve with 10,000-digit entries in the plane, as in the
+    # large-exponent timing payloads, stay within the budget
+    k = localization.MAX_DECIMAL_EXPONENT
+    data = fixed_point_data_from_dict({"label": "large exponents", "manifold_dim": 2,
+                                       "components": [
+        {"name": "p", "dim": 0, "trace_L": f"1e-{k}",
+         "normal_weights": [f"3e-{k - 1}", f"-2e{k}"]},
+        {"name": "c", "dim": 1, "trace_L": f"1.5e{k}", "normal_weights": [f"5e-{k}"],
+         "c1_tangent_deg": 2, "normal_line_degrees": [f"1e-{k}"]}]})
+    assert max(localization._residue_bits(c, 2) for c in data.components) > (
+        localization.MAX_RESIDUE_BITS * 3 // 4)
+    expected = sum((_ring_reference_parts(c, 2)[2] for c in data.components), Fraction(0))
+    assert localization_sum(data) == expected
 
 
 # --- toric vertex residues -------------------------------------------------
