@@ -6,11 +6,13 @@ to rounding, with no step. ricci_top_field takes R = -d dbar log a from one
 order-2 jet of the log-density; divergence_field takes sum_i dX^i/dz^i from
 one order-1 jet of the field and X(log a) from the log-density jet's d.
 Both accept the log-density jet itself in place of the evaluator, so a
-caller that needs both shares one call. On the alternative route's nested
-jet ricci_top_field returns n! det R as an order-1 jet along X. One
-cofactor determinant serves every n, on plain batches and jets alike, and
-the checks on R work entry by entry, each a view over the batch, folded
-elementwise: no reductions over the short trailing matrix axes.
+caller that needs both shares one call; divergence_field accepts the
+field's jet too, so integrands that share a field share its call. On the
+alternative route's nested jet ricci_top_field returns n! det R as an
+order-1 jet along X. One cofactor determinant serves every n, on plain
+batches and jets alike, and the checks on R work entry by entry, each a
+view over the batch, folded elementwise: no reductions over the short
+trailing matrix axes.
 
 The stencil primitives are the step-based reference for the convergence
 suite and the tests; no route or membership check calls them. They take
@@ -209,13 +211,14 @@ def divergence_field(components, log_density, coords):
 
     Returns sum_i dX^i/dz^i + X(log a) for the chart evaluators
     `components` (coords -> (..., n)) and `log_density` (coords -> (...)),
-    or the log-density's jet at coords in place of its evaluator. One
-    order-1 jet call of the field gives both its values X^i and the
-    diagonal of its Jacobian, dX^i/dz^i; X(log a) is sum_i X^i d log a/dz^i
-    from the log-density jet's d. Both are exact to rounding.
+    or for their jets at coords in place of either evaluator. One order-1
+    jet call of the field gives both its values X^i and the diagonal of
+    its Jacobian, dX^i/dz^i; X(log a) is sum_i X^i d log a/dz^i from the
+    log-density jet's d. Both are exact to rounding.
     """
     shape, n = coords.shape[:-1], coords.shape[-1]
-    field = jets.evaluate(components, coords, 1)
+    field = (components if isinstance(components, jets.Jet)
+             else jets.evaluate(components, coords, 1))
     values = _batch(field.value, coords.shape)
     logd = _log_density_jet(log_density, coords, 1)
     terms = ([field[..., i].d[i] for i in range(n)]

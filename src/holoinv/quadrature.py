@@ -19,18 +19,20 @@ an invariant axis, whose declaration only a sampled check can test (the
 
 Cost: the nodes, weights and chart points of every level depend only on
 the domain and the spec, so they are built once per (domain, spec) pair,
-kept in a small cache, and marked read-only. The pieces of a manifold that
-share one domain share one node set. The density is called on all levels'
-nodes at once, concatenated in level order, so the coarse levels cost no
-call of their own.
+kept in a small cache, and marked read-only. The density is called on all
+levels' nodes at once, concatenated in level order, so the coarse levels
+cost no call of their own. A density may return k rows, one integrand
+each, and get k results from one call: the pieces of a manifold that share
+one domain share one node set and one density call, one row per piece, so
+the work the rows share is done once per node.
 
 Determinism and memory: the concatenated nodes are handed to the density
 in contiguous blocks of at most _CELL_NODES nodes, so the jet temporaries
-of one density call stay bounded however fine the grid. Each level is
-summed on its own, over blocks of at most _CELL_NODES nodes from the
-level's first node: every block sum is exactly rounded (math.fsum),
-and the block partials are combined with math.fsum in block order, so
-repeated runs give bit-identical results.
+of one density call stay bounded however fine the grid. Each level of
+each row is summed on its own, over blocks of at most _CELL_NODES nodes
+from the level's first node: every block sum is exactly rounded
+(math.fsum), and the block partials are combined with math.fsum in block
+order, so repeated runs give bit-identical results.
 
 Finiteness is a precondition: a non-finite density value at any node
 raises IllPosedIntegrandError, since neither the value nor its error
@@ -220,17 +222,18 @@ def _level_sum(values, weights):
                    math.fsum([math.fsum(np.imag(b).tolist()) for b in blocks]))
 
 
-def integrate(density, dom: IntegrationDomain,
-              q: QuadratureSpec = QuadratureSpec()) -> IntegrationResult:
+def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpec()
+              ) -> Union[IntegrationResult, list[IntegrationResult]]:
     """Integrate a pointwise density over a domain with refinement estimates.
 
     Parameters
     ----------
     density : callable
-        Chart coordinates (m, n) complex -> (m,) real or complex values.
-        Must be pure and finite at every node: any non-finite value raises
+        Chart coordinates (m, n) complex -> (m,) real or complex values, or
+        k rows of them, (k, m), one integrand per row. Must be pure and
+        finite at every node: any non-finite value raises
         IllPosedIntegrandError, naming the first level that has one and its
-        count there.
+        count there, row by row.
     dom : IntegrationDomain
     q : QuadratureSpec
         Tensor-product rule; at level k a "gauss" axis with p points gets
@@ -243,13 +246,14 @@ def integrate(density, dom: IntegrationDomain,
     The nodes of all levels, built once per (domain, spec) and cached, go
     to `density` in one fixed order: level 1 first, in blocks of at most
     _CELL_NODES (8,192) nodes, so the memory of one call is bounded. Each
-    level is then summed on its own with math.fsum in block order, so the
-    result is deterministic. The coordinates handed to `density` are
-    read-only views of the cached nodes.
+    level of each row is then summed on its own with math.fsum in block
+    order, so the result is deterministic, and a row's result is bit for
+    bit that of a density returning that row alone. The coordinates handed
+    to `density` are read-only views of the cached nodes.
 
     Returns
     -------
-    IntegrationResult
+    IntegrationResult, or a list of k of them for k rows
         value and |value_L - value_{L-1}| as error_estimate (inf when only
         one level was requested). The estimate does not see an invariant
         axis: if the integrand does vary along it, the value is wrong and
@@ -257,18 +261,24 @@ def integrate(density, dom: IntegrationDomain,
     """
     nodes = _node_set(dom, q)
     values = np.concatenate([np.asarray(density(nodes.chart_pts[start:start + _CELL_NODES]))
-                             for start in range(0, len(nodes.weights), _CELL_NODES)])
-    if values.shape != nodes.weights.shape:
+                             for start in range(0, len(nodes.weights), _CELL_NODES)], axis=-1)
+    if values.ndim not in (1, 2) or values.shape[-1] != len(nodes.weights):
         raise ValueError(f"density returned shape {values.shape} "
                          f"for {len(nodes.weights)} nodes")
-    finite = np.isfinite(values)  # complex: False where either part is non-finite
     spans = list(zip(nodes.starts, nodes.starts[1:]))
+    results = [_integrate_row(row, nodes.weights, spans) for row in np.atleast_2d(values)]
+    return results if values.ndim == 2 else results[0]
+
+
+def _integrate_row(values, weights, spans) -> IntegrationResult:
+    """One row's finiteness check, level sums and refinement gap."""
+    finite = np.isfinite(values)  # complex: False where either part is non-finite
     for level, (lo, hi) in enumerate(spans, start=1):
         bad = hi - lo - np.count_nonzero(finite[lo:hi])
         if bad:
             raise IllPosedIntegrandError(
                 f"{bad} of {hi - lo} samples non-finite at level {level}")
-    levels = [_level_sum(values[lo:hi], nodes.weights[lo:hi]) for lo, hi in spans]
+    levels = [_level_sum(values[lo:hi], weights[lo:hi]) for lo, hi in spans]
     if len(levels) >= 2:
         error = abs(levels[-1] - levels[-2])
     else:

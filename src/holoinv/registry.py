@@ -187,8 +187,9 @@ def _cp1_bundle() -> ExampleBundle:
         volumes=volumes,
         fields=fields,
         fixed_points={"z-ddz": z_ddz_zeros},
-        # 3,200 nodes per job; every registered job's bar is <= 4.6e-11 here,
-        # and (16, 16) x 2 gives bars no larger
+        # 1,600 nodes per job: both pieces share the disc's node set and one
+        # density call, one row per piece; every registered job's bar is
+        # <= 4.6e-11 here, and (16, 16) x 2 gives bars no larger
         default_quadrature=QuadratureSpec(points_per_axis=(20, 16), refinement_levels=2),
         notes=("Projective line as two closed unit discs, |z| <= 1 in the affine "
                "chart and |w| <= 1 in the chart at infinity (w = 1/z), each in "

@@ -71,19 +71,21 @@ def test_hopf_default_job_node_count(hopf, monkeypatch):
 
 def test_cp1_default_job_node_count(cp1, monkeypatch):
     # cost guard: each unit disc takes 20 x 16 nodes at level 1 and 40 x 32
-    # at level 2, and a job integrates both discs
-    nodes = []
+    # at level 2, and a job integrates both discs: one row per disc on the
+    # one node set they share
+    calls = []
 
     def counting_integrate(density, dom, q):
         def counted(coords):
-            nodes.append(len(coords))
-            return density(coords)
+            rows = density(coords)
+            calls.append((len(coords), len(rows)))
+            return rows
         return integrate(counted, dom, q)
 
     monkeypatch.setattr(invariant_module, "integrate", counting_integrate)
     invariant_direct(cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"],
                      q=cp1.default_quadrature)
-    assert sum(nodes) == 3_200
+    assert calls == [(1_600, 2)]
 
 
 def _density_calls(monkeypatch, job):
@@ -101,11 +103,12 @@ def _density_calls(monkeypatch, job):
     return calls
 
 
-def test_cp1_default_job_calls_the_density_once_per_piece(cp1, monkeypatch):
-    # cost guard: both levels of a piece, 320 + 1,280 nodes, go in one call
+def test_cp1_default_job_calls_the_density_once_for_both_pieces(cp1, monkeypatch):
+    # cost guard: both levels, 320 + 1,280 nodes, go in one call, and both
+    # pieces share it since they share the unit disc
     calls = _density_calls(monkeypatch, lambda: invariant_direct(
         cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"], q=cp1.default_quadrature))
-    assert calls == [1_600, 1_600]
+    assert calls == [1_600]
 
 
 def test_hopf_default_job_calls_the_density_once(hopf, monkeypatch):
@@ -115,11 +118,52 @@ def test_hopf_default_job_calls_the_density_once(hopf, monkeypatch):
 
 
 def test_cp1_deformation_suite_density_calls(cp1, monkeypatch, capsys):
-    # five t values, one field, two pieces: one call each
+    # five t values, one field, two pieces on one node set: one call, ten rows
     calls = _density_calls(monkeypatch, lambda: cli.main(
         ["check", "--example", "cp1", "--suite", "deformation"]))
     assert "suite deformation on cp1: pass" in capsys.readouterr().out
-    assert len(calls) == 10
+    assert calls == [1_600]
+
+
+def _counted(fn, calls, label):
+    def counted(coords):
+        calls.append((label, len(coords)))
+        return fn(coords)
+    return counted
+
+
+def test_cp1_direct_job_calls_the_shared_log_density_once_per_block(cp1):
+    # cost guard: both charts carry one log-density evaluator, so one jet
+    # serves both pieces' rows; each chart's field gets one jet of its own
+    calls = []
+    fs = cp1.volumes["fs"]
+    shared = _counted(fs.log_density["affine"], calls, "log_density")
+    vol = dataclasses.replace(fs, log_density={c: shared for c in fs.log_density})
+    x = cp1.fields["z-ddz"]
+    x = VectorFieldSpec(x.name, {c: _counted(fn, calls, c) for c, fn in x.components.items()})
+    invariant_direct(cp1.manifold, vol, x, q=cp1.default_quadrature)
+    assert sorted(calls) == [("affine", 1_600), ("affine-inf", 1_600), ("log_density", 1_600)]
+
+
+def test_cp1_deformation_suite_calls_each_evaluator_once_per_chart_per_block(cp1):
+    # cost guard: every evaluator wrapped per chart, as the benchmark's tracer
+    # wraps them; the slices blend the endpoints' jets, so each endpoint and
+    # the field are called once per chart, whatever the t-grid
+    calls = []
+    p = cp1.suites["deformation"]
+    volumes = {name: dataclasses.replace(vol, log_density={
+                   c: _counted(fn, calls, (name, c)) for c, fn in vol.log_density.items()})
+               for name, vol in cp1.volumes.items()}
+    fields = {name: VectorFieldSpec(name, {c: _counted(fn, calls, (name, c))
+                                           for c, fn in x.components.items()})
+              for name, x in cp1.fields.items()}
+    bundle = dataclasses.replace(cp1, volumes=volumes, fields=fields)
+    rows, ok = cli.run_suite(bundle, "deformation", samples=0, seed=0,
+                             q=cp1.default_quadrature)
+    assert ok and len(rows) == len(p["fields"])
+    charts = ("affine", "affine-inf")
+    expected = [((name, c), 1_600) for name in (*p["volumes"], *p["fields"]) for c in charts]
+    assert sorted(calls) == sorted(expected)
 
 
 def test_grid_beyond_one_block_is_cut_into_bounded_calls(hopf, monkeypatch):
@@ -170,7 +214,7 @@ def test_one_piece_result_is_the_piece_integral(hopf, monkeypatch):
     # the sum over pieces starts from the first piece, so a one-piece
     # manifold reports its integral as it is, signed zeros included
     piece = IntegrationResult(complex(-0.0, -0.0), 0.0)
-    monkeypatch.setattr(invariant_module, "integrate", lambda density, dom, q: piece)
+    monkeypatch.setattr(invariant_module, "integrate", lambda density, dom, q: [piece])
     res = invariant_direct(hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"],
                            q=hopf.default_quadrature)
     assert math.copysign(1.0, res.value.real) == math.copysign(1.0, res.value.imag) == -1.0
@@ -385,6 +429,17 @@ def test_linearity_in_the_field(cp1):
     assert abs(fc.value - (a * fx.value + b * fy.value)) <= budget
 
 
+@pytest.mark.parametrize("route", [invariant_direct, invariant_alternative],
+                         ids=["invariant_direct", "invariant_alternative"])
+def test_linearity_in_the_field_hopf(hopf, route):
+    # radial = x1 + x2, so f(radial) = f(x1) + f(x2) within the three bars
+    vol, q = hopf.volumes["r4-bump"], hopf.default_quadrature
+    f = {name: route(hopf.manifold, vol, hopf.fields[name], q=q)
+         for name in ("x1", "x2", "radial")}
+    budget = sum(res.error_estimate for res in f.values())
+    assert abs(f["radial"].value - (f["x1"].value + f["x2"].value)) <= budget
+
+
 # --- choice independence ---------------------------------------------------
 
 
@@ -480,6 +535,45 @@ def test_blended_log_density_jet_is_the_blended_ricci(cp1):
         assert isinstance(jet, jets.Jet)
         blended = (0.75 * fs.exact_ricci[chart](pts) + 0.25 * fs_bump_ricci(pts))[:, 0, 0]
         assert np.max(np.abs(-jet.dd[0][0] - blended) / np.abs(blended)) <= 1e-13, chart
+
+
+def _bits(res):
+    return res.value.real.hex(), res.value.imag.hex(), res.error_estimate.hex()
+
+
+def _opaque(vol):
+    # the volume with each chart's evaluator behind a plain function, which
+    # the route cannot see into: a slice's jet is then the blend evaluator's
+    # own call on the coordinates' jet
+    return dataclasses.replace(vol, log_density={
+        c: (lambda coords, fn=fn: fn(coords)) for c, fn in vol.log_density.items()})
+
+
+@pytest.mark.parametrize("case", ["cp1", "hopf", "trivial", "wrapped"])
+def test_deformation_curve_is_the_slices_bit_for_bit(cp1, hopf, case):
+    # one route call over every slice gives each slice's value and bar as
+    # invariant_direct on that slice alone, and as the blend evaluator's
+    # own arithmetic on jets
+    if case == "hopf":
+        bundle, names, t_grid = hopf, ("r4", "lebesgue"), (0.0, 0.5, 1.0)
+    else:
+        bundle, names, t_grid = cp1, ("fs", "fs-bump"), cp1.suites["deformation"]["t_grid"]
+    vol0, vol1 = (bundle.volumes[name] for name in names)
+    if case == "trivial":
+        vol1 = vol0
+    if case == "wrapped":
+        # a distinct wrapper per chart around the one evaluator both charts
+        # share, as the benchmark's tracer wraps them
+        vol0, vol1 = _opaque(vol0), _opaque(vol1)
+    m, q = bundle.manifold, bundle.default_quadrature
+    for x in bundle.fields.values():
+        curve = deformation_invariant_curve(m, vol0, vol1, x, t_grid, q=q)
+        assert [t for t, _ in curve] == list(t_grid)
+        for t, res in curve:
+            vol = interpolated_volume(vol0, vol1, t)
+            alone = invariant_direct(m, vol, x, q=q)
+            opaque = invariant_direct(m, _opaque(vol), x, q=q)
+            assert _bits(res) == _bits(alone) == _bits(opaque), (case, x.name, t)
 
 
 def test_deformation_hopf_cross_character(hopf):

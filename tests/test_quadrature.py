@@ -377,12 +377,22 @@ def _hopf_wave(z):
     return np.exp(1j * z[..., 0].real) * _abs2(z).sum(-1) ** -2 + z[..., 1].imag
 
 
-@pytest.mark.parametrize("case", ["multi-block", "complex"])
+@pytest.mark.parametrize("case", ["multi-block", "complex", "rows"])
 def test_integrate_matches_the_per_level_reference_bit_for_bit(case, hopf, cp1):
+    # levels of 192, 1,536 and 12,288 nodes: the finest spans two blocks
+    multi_block = hopf.manifold.fundamental_domain["punctured"], QuadratureSpec((2, 12, 4, 4), 3)
+    if case == "rows":
+        # one complex and one real row in one call: each row's result is its
+        # own one-row call's and the per-level reference's, bit for bit
+        rows = (_hopf_wave, lambda z: _abs2(z).sum(-1) ** -2)
+        dom, q = multi_block
+        results = integrate(lambda z: np.stack([row(z) for row in rows]), dom, q)
+        assert ([_bits(res) for res in results]
+                == [_bits(integrate(row, dom, q)) for row in rows]
+                == [_bits(_per_level_integrate(row, dom, q)) for row in rows])
+        return
     if case == "multi-block":
-        # levels of 192, 1,536 and 12,288 nodes: the finest spans two blocks
-        density, dom, q = (_hopf_wave, hopf.manifold.fundamental_domain["punctured"],
-                           QuadratureSpec((2, 12, 4, 4), 3))
+        density, (dom, q) = _hopf_wave, multi_block
     else:
         density, dom, q = (lambda z: (1.0 + 2.0j * z[..., 0]) / (1.0 + _abs2(z[..., 0])) ** 2,
                            cp1.manifold.fundamental_domain["affine"], QuadratureSpec(64, 3))
@@ -404,6 +414,16 @@ def test_ill_posed_level_one_is_named():
 
     with pytest.raises(IllPosedIntegrandError, match="64 of 64 samples non-finite at level 1"):
         integrate(level_one_nan, UNIT_BOX, QuadratureSpec(8, 2))
+
+
+def test_every_row_gets_the_finiteness_check():
+    # the first row is finite; the second is non-finite on level 2 only
+    def rows(z):
+        second = np.where(z[..., 0].real < 0.15, np.inf, 1.0)
+        return np.stack([np.ones(z.shape[:-1]), second])
+
+    with pytest.raises(IllPosedIntegrandError, match="4 of 16 samples non-finite at level 2"):
+        integrate(rows, UNIT_BOX, QuadratureSpec(2, 2))
 
 
 def test_cached_nodes_are_read_only_and_stay_intact():
