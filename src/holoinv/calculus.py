@@ -9,10 +9,11 @@ Both accept the log-density jet itself in place of the evaluator, so a
 caller that needs both shares one call; divergence_field accepts the
 field's jet too, so integrands that share a field share its call. On the
 alternative route's nested jet ricci_top_field returns n! det R as an
-order-1 jet along X. One cofactor determinant serves every n, on plain
-batches and jets alike, and the checks on R work entry by entry, each a
-view over the batch, folded elementwise: no reductions over the short
-trailing matrix axes.
+order-1 jet with one d part per inner direction, which the route's rows
+share and contract with their own X. One cofactor determinant serves
+every n, on plain batches and jets alike, and the checks on R work entry
+by entry, each a view over the batch, folded elementwise: no reductions
+over the short trailing matrix axes.
 
 The stencil primitives are the step-based reference for the convergence
 suite and the tests; no route or membership check calls them. They take
@@ -171,8 +172,10 @@ def ricci_top_field(log_density, coords):
 
     log_density is the chart evaluator or its order-2 jet at coords; R =
     -d dbar log a is the jet's mixed second derivative, exact to rounding.
-    On the order-2 jet over an order-1 jet along X (jets.along) the entries
-    of R are order-1 jets, and so is the result: its d is X(n! det R).
+    On the order-2 jet over an order-1 inner jet (jets.variables or
+    jets.along) the entries of R are order-1 jets, and so is the result,
+    with one d part per inner direction: d/dz^i(n! det R) over the axes,
+    v(n! det R) along a direction v.
     The values of R must be Hermitian within HERMITICITY_TOL wherever they
     are finite, as the jet Hessian of a real log-density is to rounding.
     R is then symmetrized and its determinant taken by cofactors, so the

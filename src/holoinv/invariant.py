@@ -13,7 +13,11 @@ computed once per call. On the direct route each distinct log-density
 evaluator gets one order-2 jet and one Ricci density, and each distinct
 field evaluator one order-1 jet. A slice of a deformation family blends
 its endpoints' jets, so all slices of a curve share the endpoints' calls.
-The alternative route's nested jets depend on X, so they stay one per row.
+On the alternative route each distinct log-density evaluator gets one
+nested jet and its Ricci density, and each row contracts its own X from
+them: f is linear in X, and the inner jet's directions span the fields of
+every row that shares the log-density (the n axes, or the fields
+themselves when there are fewer than n).
 
 Normalization is fixed once: the top power of the Ricci form has density
 n! * det(R) against prod_i (i dz^i ^ dzbar^i), and each factor
@@ -71,11 +75,17 @@ def _identity(fn):
 class _NodeWork:
     """What the rows of one density call share at its nodes, computed once
     per distinct evaluator: order-2 log-density jets, their Ricci
-    densities and order-1 field jets."""
+    densities and order-1 field jets, and nested log-density jets with
+    theirs. `rows` are the call's (log-density, field) evaluator pairs; a
+    nested jet's inner directions must span the fields of every row that
+    shares its log-density."""
 
-    def __init__(self, coords):
+    def __init__(self, coords, rows):
         self.coords = coords
         self._memo = {}
+        self._fields = {}  # log-density identity -> {id: field}, in row order
+        for logd, comps in rows:
+            self._fields.setdefault(_identity(logd), {}).setdefault(id(comps), comps)
 
     def _once(self, key, make):
         if key not in self._memo:
@@ -97,6 +107,24 @@ class _NodeWork:
     def field(self, fn):
         return self._once(("field", id(fn)), lambda: jets.evaluate(fn, self.coords, 1))
 
+    def nested(self, fn):
+        """fn's order-2 jet over an order-1 inner jet, its Ricci density (an
+        inner jet too, or a plain batch), and where each field's X(.) sits
+        among the inner parts: None when they are the n coordinate axes,
+        taken when the rows that share fn carry at least n distinct fields,
+        else {id(field): r} for the inner jet along the fields themselves."""
+        def make():
+            fields = self._fields[_identity(fn)]
+            if len(fields) >= self.coords.shape[-1]:
+                inner, slots = jets.variables(self.coords, 1), None
+            else:
+                inner = jets.along(self.coords, [self.field(comps).value
+                                                 for comps in fields.values()])
+                slots = {key: r for r, key in enumerate(fields)}
+            log_a = jets.evaluate(fn, inner, 2)
+            return log_a, calculus.ricci_top_field(log_a, self.coords), slots
+        return self._once(("nested", _identity(fn)), make)
+
 
 def _direct_row(at: _NodeWork, logd, comps):
     """div X times the top Ricci density, from one chart's evaluators: the
@@ -111,13 +139,21 @@ def _direct_row(at: _NodeWork, logd, comps):
 def direct_density(logd, comps):
     """_direct_row of one chart's evaluators as a density of its own, for
     callers that sample it outside a route (the invariance suite)."""
-    return lambda coords: _direct_row(_NodeWork(coords), logd, comps)
+    return lambda coords: _direct_row(_NodeWork(coords, [(logd, comps)]), logd, comps)
 
 
-def _along_x(g, shape):
-    """X(g) as a batch: the d of g's order-1 jet along X; 0 where g has none."""
-    part = g.d[0] if isinstance(g, jets.Jet) else None
-    return np.zeros(shape) if part is None else part
+def _along_x(g, x, shape):
+    """X(g) as a batch from g's inner jet: its part d[x] when x is X's slot
+    among the inner directions, else sum_i X^i dg/dz^i over the axes' parts
+    for X's values x (..., n); 0 where g has no part."""
+    if not isinstance(g, jets.Jet):
+        return np.zeros(shape)
+    if isinstance(x, int):
+        terms = [g.d[x]]
+    else:
+        terms = [x[..., i] * p for i, p in enumerate(g.d) if p is not None]
+    terms = [t for t in terms if t is not None]
+    return functools.reduce(np.add, terms) if terms else np.zeros(shape)
 
 
 def _alternative_row(at: _NodeWork, logd, comps):
@@ -125,22 +161,24 @@ def _alternative_row(at: _NodeWork, logd, comps):
 
     That is -(X(n! det R) - n! det R X(log a)), a third derivative of log a,
     taken by nested jets with no step: the log-density is evaluated once
-    per node on the order-2 jet over the coordinates' order-1 jet along X
-    (jets.along), so its value and its Ricci density carry X(.) in their d.
-    The nested jet depends on X, so no other row shares it. The Ricci
-    density's gates read the values of R."""
-    coords = at.coords
-    shape = coords.shape[:-1]
-    log_a = jets.evaluate(logd, jets.along(coords, comps(coords)), 2)
-    top = calculus.ricci_top_field(log_a, coords)
+    per node on an order-2 jet over an order-1 inner jet, so its value and
+    its Ricci density carry first derivatives in their d. That nested jet
+    does not depend on X: the rows that share the log-density share it
+    (_NodeWork.nested), and this row only contracts its X, reading one part
+    when the inner directions are the fields and sum_i X^i d[i] when they
+    are the axes. The Ricci density's gates read the values of R."""
+    log_a, top, slots = at.nested(logd)
+    shape = at.coords.shape[:-1]
+    x = (np.broadcast_to(at.field(comps).value, at.coords.shape) if slots is None
+         else slots[id(comps)])
     top_value = top.value if isinstance(top, jets.Jet) else top
-    return -(_along_x(top, shape) - top_value * _along_x(log_a.value, shape))
+    return -(_along_x(top, x, shape) - top_value * _along_x(log_a.value, x, shape))
 
 
 def alternative_density(logd, comps):
     """_alternative_row of one chart's evaluators as a density of its own, for
     callers that sample it outside a route (the invariance suite)."""
-    return lambda coords: _alternative_row(_NodeWork(coords), logd, comps)
+    return lambda coords: _alternative_row(_NodeWork(coords, [(logd, comps)]), logd, comps)
 
 
 # route name, as `holoinv invariant --method` spells it -> density builder
@@ -158,8 +196,9 @@ def _integrate_route(m: ManifoldSpec, pairs, row, q: QuadratureSpec):
     The pieces are grouped by domain, the key _node_set caches on: each
     group is one integrate call whose density returns one row per piece and
     pair, each row built from its chart's log-density and field components
-    and sharing one _NodeWork. Values and refinement error estimates add up
-    over the pieces in piece order.
+    and sharing one _NodeWork, which is handed every row's evaluators.
+    Values and refinement error estimates add up over the pieces in piece
+    order.
     """
     if not pairs:
         return []
@@ -174,7 +213,7 @@ def _integrate_route(m: ManifoldSpec, pairs, row, q: QuadratureSpec):
                       for chart_id, k in keys]
 
         def density(coords, evaluators=evaluators):
-            at = _NodeWork(coords)
+            at = _NodeWork(coords, evaluators)
             return np.array([row(at, logd, comps) * factor for logd, comps in evaluators])
 
         pieces.update(zip(keys, integrate(density, dom, q)))

@@ -15,8 +15,12 @@ an array that broadcasts against the value, or None where it is exactly
 zero: the coordinates' derivatives are the unit vectors, and a holomorphic
 expression never carries dbar. Parts are never written in place, so jets
 share them freely. Jets nest with no rule of their own: on
-``variables(along(coords, v), 2)`` the value and every part are order-1
-jets whose d is sum_i v^i d/dz^i of them, so dd carries third derivatives.
+``variables(inner, 2)`` over an order-1 jet ``inner`` the value and every
+part are order-1 jets, so dd carries third derivatives. The inner jet is
+``variables(coords, 1)``, whose d[i] are d/dz^i, or ``along(coords, [v_1,
+..., v_k])``, whose d[r] are sum_i v_r^i d/dz^i. Each inner direction
+costs about one more evaluation, so k >= n directions are better read off
+the n axes, whose parts start as constants.
 ``shape``, ``ndim`` and ``dtype`` (and np.shape, np.ndim and
 np.result_type) read through to the coordinates.
 
@@ -151,11 +155,13 @@ def variables(coords, order: int) -> Jet:
     return Jet(coords, np.eye(n), none, _table([none] * n) if order == 2 else None)
 
 
-def along(coords, direction) -> Jet:
-    """The coordinates (..., n) as an order-1 jet along one holomorphic
-    direction v (..., n): its one part d[0] is v, so a function g evaluated
-    on it carries d[0] = sum_i v^i dg/dz^i."""
-    return Jet(coords, (direction,), (None,))
+def along(coords, directions) -> Jet:
+    """The coordinates (..., n) as an order-1 jet along the holomorphic
+    directions v_1 ... v_k, each (..., n): its part d[r] is v_r, so a
+    function g evaluated on it carries d[r] = sum_i v_r^i dg/dz^i. The parts
+    never mix, so each is bit for bit that of the jet along v_r alone."""
+    directions = tuple(directions)
+    return Jet(coords, directions, (None,) * len(directions))
 
 
 def evaluate(fn, coords, order: int) -> Jet:

@@ -36,7 +36,11 @@ bounds each component's result size before any power is taken:
 _residue_bits gives an upper bound on the bit length of its numerator
 and of its denominator from the bit lengths of its entries, and data
 above MAX_RESIDUE_BITS (2^18 bits, about 79,000 decimal digits) raise
-ValueError.
+ValueError. The sum is bounded too: its denominator divides the product
+of the components' denominators and its numerator is at most the count
+times their largest, so the components' estimates summed, plus the bit
+length of their count, bound it, and data above MAX_RESIDUE_SUM_BITS
+(2^20 bits) raise ValueError as well.
 
 The sum is linear in the field, as f is. Replacing X by cX scales trace
 and weights by c and fixes the degrees; with t = c*s the numerator gives
@@ -200,6 +204,7 @@ class FixedPointData:
             raise ValueError("manifold_dim must be >= 1")
         if not self.components:
             raise ValueError("fixed-point data needs at least one component")
+        total = len(self.components).bit_length()
         for c in self.components:
             expected = self.manifold_dim - c.dim
             if len(c.normal_weights) != expected:
@@ -212,12 +217,20 @@ class FixedPointData:
                 raise ValueError(
                     f"component '{c.name}': its residue may need integers of {bits} bits, "
                     f"above the budget of {MAX_RESIDUE_BITS}")
+            total += bits
+        if total > MAX_RESIDUE_SUM_BITS:
+            raise ValueError(
+                f"fixed-point data '{self.label}': its residue sum may need integers of "
+                f"{total} bits, above the budget of {MAX_RESIDUE_SUM_BITS}")
 
 
 # A component's residue whose numerator and denominator have at most this
 # many bits (about 79,000 decimal digits) takes well under a second: the
 # gcds and divisions that keep it reduced are quadratic in that length.
 MAX_RESIDUE_BITS = 1 << 18
+# The same for the whole sum: each component's denominator enters the
+# running sum's, and the gcd of each addition is quadratic in its length.
+MAX_RESIDUE_SUM_BITS = 1 << 20
 
 
 def _residue_bits(c: ZeroComponent, n: int) -> int:

@@ -5,6 +5,7 @@ import dataclasses
 import importlib
 import json
 import os
+import random
 import runpy
 import subprocess
 import sys
@@ -446,6 +447,28 @@ def test_residue_beyond_the_bit_budget_is_refused(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_residue_sum_beyond_the_bit_budget_is_refused(capsys, tmp_path):
+    # 40 point components, each with unrelated 4,300-digit p/q entries and
+    # far inside its own budget, whose sum would take seconds: refused from
+    # the summed estimates before any addition
+    rng = random.Random(7)
+
+    def entry():
+        return f"{rng.randrange(10**4299, 10**4300)}/{rng.randrange(10**4299, 10**4300)}"
+
+    path = tmp_path / "many.json"
+    path.write_text(_fixed_point_text([{"name": f"p{k}", "dim": 0, "trace_L": entry(),
+                                        "normal_weights": [entry()]} for k in range(40)]))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "invariant", "--example", "cp1",
+                             "--method", "localization", "--fixed-point-file", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("holoinv: ValueError: fixed-point data 'malformed': its residue sum")
+    assert err.count("\n") == 1
+
+
 def test_fixed_point_file_requires_localization(capsys, tmp_path):
     path = tmp_path / "data.json"
     path.write_text("{}")
@@ -683,3 +706,15 @@ def test_benchmark_hooks_resolve():
     missing = [f"{module}.{attr}" for module, attr in hooks
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_benchmark_jobs_pass_in_process():
+    # one pass of each workload's seed-1 jobs, judged by the benchmark's own
+    # rules, so a job the benchmark would count as failed fails here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    workloads = runpy.run_path(str(path))["WORKLOADS"]
+    failed = [(name, job.label, outcome.reason)
+              for name, workload in workloads.items()
+              for job in workload.jobs(1)
+              for outcome in [job.run()] if not outcome.ok]
+    assert failed == []

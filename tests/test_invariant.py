@@ -145,6 +145,20 @@ def test_cp1_direct_job_calls_the_shared_log_density_once_per_block(cp1):
     assert sorted(calls) == [("affine", 1_600), ("affine-inf", 1_600), ("log_density", 1_600)]
 
 
+def test_cp1_alternative_job_calls_the_shared_log_density_once_per_block(cp1):
+    # cost guard: both charts carry one log-density evaluator, so its nested
+    # jet serves both pieces' rows, each contracting its own chart's field;
+    # each chart's field gets one jet of its own
+    calls = []
+    fs = cp1.volumes["fs"]
+    shared = _counted(fs.log_density["affine"], calls, "log_density")
+    vol = dataclasses.replace(fs, log_density={c: shared for c in fs.log_density})
+    x = cp1.fields["z-ddz"]
+    x = VectorFieldSpec(x.name, {c: _counted(fn, calls, c) for c, fn in x.components.items()})
+    invariant_alternative(cp1.manifold, vol, x, q=cp1.default_quadrature)
+    assert sorted(calls) == [("affine", 1_600), ("affine-inf", 1_600), ("log_density", 1_600)]
+
+
 def test_cp1_deformation_suite_calls_each_evaluator_once_per_chart_per_block(cp1):
     # cost guard: every evaluator wrapped per chart, as the benchmark's tracer
     # wraps them; the slices blend the endpoints' jets, so each endpoint and
@@ -438,6 +452,33 @@ def test_linearity_in_the_field_hopf(hopf, route):
          for name in ("x1", "x2", "radial")}
     budget = sum(res.error_estimate for res in f.values())
     assert abs(f["radial"].value - (f["x1"].value + f["x2"].value)) <= budget
+
+
+def test_alternative_rows_of_n_fields_share_one_nested_jet_on_the_axes(hopf):
+    # x1, x2 and radial on one route call: three fields >= n = 2, so the
+    # log-density's one nested jet is over the coordinate axes and each row
+    # contracts sum_i X^i d[i]. Each value agrees with its one-field job,
+    # whose jet is along X itself, and radial = x1 + x2 holds within the bars.
+    # The bars are refinement gaps and blind to rounding (ROADMAP item 4):
+    # the two jets differ by a few ulps of integrand terms of size 0.9 per
+    # node, which leaves radial at -2.0e-14 +- 3.4e-15 on the axes against
+    # 1.1e-15 +- 4.9e-15 alone, so the agreement allows `rounding` beyond them
+    rounding = 1e-13
+    vol, q = hopf.volumes["r4-bump"], hopf.default_quadrature
+    names = ("x1", "x2", "radial")
+    calls = []
+    counted = dataclasses.replace(vol, log_density={
+        c: _counted(fn, calls, c) for c, fn in vol.log_density.items()})
+    shared = dict(zip(names, invariant_module._integrate_route(
+        hopf.manifold, [(counted, hopf.fields[name]) for name in names],
+        invariant_module._alternative_row, q)))
+    assert calls == [("punctured", 1_728)]
+    for name in names:
+        alone = invariant_alternative(hopf.manifold, vol, hopf.fields[name], q=q)
+        budget = shared[name].error_estimate + alone.error_estimate + rounding
+        assert abs(shared[name].value - alone.value) <= budget, name
+    budget = sum(res.error_estimate for res in shared.values())
+    assert abs(shared["radial"].value - (shared["x1"].value + shared["x2"].value)) <= budget
 
 
 # --- choice independence ---------------------------------------------------

@@ -92,12 +92,12 @@ def test_nested_jets_read_through_to_the_coordinates():
     # coordinates', also through np.shape and np.ndim, so plain constants
     # built from them keep their form
     pts = _hopf_points(np.random.default_rng(5), 7)
-    nested = jets.variables(jets.along(pts, np.conj(pts)), 2)
+    nested = jets.variables(jets.along(pts, [np.conj(pts)]), 2)
     assert isinstance(nested.value, jets.Jet)
     assert nested.shape == np.shape(nested) == pts.shape
     assert nested.ndim == np.ndim(nested) == 2
     assert nested.dtype == pts.dtype
-    flat = jets.evaluate(lambda c: np.zeros(c.shape[:-1]), jets.along(pts, pts), 2)
+    flat = jets.evaluate(lambda c: np.zeros(c.shape[:-1]), jets.along(pts, [pts]), 2)
     assert type(flat.value) is np.ndarray and flat.value.shape == (7,)
     assert all(h is None for row in flat.dd for h in row)
 
@@ -137,6 +137,40 @@ def test_jet_gradient_matches_the_stencil(label, example, fn):
             dbar = calculus._batch(jet.dbar[j], pts.shape[:-1])
             assert np.max(np.abs(d - stencil[:, j])) <= 1e-8, (label, order, j)
             assert np.max(np.abs(dbar - np.conj(stencil[:, j]))) <= 1e-8, (label, order, j)
+
+
+def _same_bits(a, b):
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("label, example, fn", list(_log_densities()),
+                         ids=[label for label, *_ in _log_densities()])
+def test_along_several_directions_is_each_direction_bit_for_bit(label, example, fn):
+    # the order-2 jet over along(coords, [u, v, w]): at every outer part, the
+    # inner value and the inner parts r are those of the jet along the r-th
+    # direction alone, bit for bit, so a route may share one nested jet
+    # between the rows of several fields without moving any row
+    pts = _points_for(example)
+    rng = np.random.default_rng(37)
+    directions = [_plane_points(rng, len(pts), pts.shape[-1]) for _ in range(3)]
+    several = jets.evaluate(fn, jets.along(pts, directions), 2)
+    for r, v in enumerate(directions):
+        one = jets.evaluate(fn, jets.along(pts, [v]), 2)
+        pairs = [(several.value, one.value), *zip(several.d, one.d),
+                 *zip(several.dbar, one.dbar),
+                 *((a, b) for ra, rb in zip(several.dd, one.dd) for a, b in zip(ra, rb))]
+        for k, (a, b) in enumerate(pairs):
+            assert isinstance(a, jets.Jet) == isinstance(b, jets.Jet), (label, r, k)
+            if not isinstance(a, jets.Jet):
+                assert _same_bits(a, b), (label, r, k)
+                continue
+            assert len(a.d) == len(a.dbar) == 3 and len(b.d) == 1, (label, r, k)
+            assert _same_bits(a.value, b.value), (label, r, k)
+            assert _same_bits(a.d[r], b.d[0]), (label, r, k)
+            assert _same_bits(a.dbar[r], b.dbar[0]), (label, r, k)
 
 
 @pytest.mark.parametrize("label, example, fn", list(_fields()),

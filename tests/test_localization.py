@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -285,6 +286,36 @@ def test_bit_budget_accepts_entries_at_the_decimal_exponent_bound():
         localization.MAX_RESIDUE_BITS * 3 // 4)
     expected = sum((_ring_reference_parts(c, 2)[2] for c in data.components), Fraction(0))
     assert localization_sum(data) == expected
+
+
+def _unrelated_points(count):
+    # n = 1 point components whose trace and weight are p/q with unrelated
+    # 4,300-digit p and q, the most digits an int string may have: each is
+    # far inside the per-component budget
+    rng = random.Random(7)
+
+    def entry():
+        return f"{rng.randrange(10**4299, 10**4300)}/{rng.randrange(10**4299, 10**4300)}"
+
+    return {"label": "unrelated", "manifold_dim": 1, "components": [
+        {"name": f"p{k}", "dim": 0, "trace_L": entry(), "normal_weights": [entry()]}
+        for k in range(count)]}
+
+
+def test_bit_budget_bounds_the_sum_of_the_components():
+    # their denominators multiply into the running sum's, so ten of them
+    # would ask for a sum of over a million bits
+    payload = _unrelated_points(10)
+    one = fixed_point_data_from_dict({**payload, "components": payload["components"][:1]})
+    assert localization._residue_bits(one.components[0], 1) < localization.MAX_RESIDUE_BITS // 2
+    with pytest.raises(ValueError, match=f"budget of {localization.MAX_RESIDUE_SUM_BITS}"):
+        fixed_point_data_from_dict(payload)
+    # the sum's estimate adds the bit length of the count to the components'
+    data = fixed_point_data_from_dict({**payload, "components": payload["components"][:4]})
+    estimate = sum(localization._residue_bits(c, 1) for c in data.components) + 3
+    assert estimate <= localization.MAX_RESIDUE_SUM_BITS
+    total = localization_sum(data)
+    assert max(total.numerator.bit_length(), total.denominator.bit_length()) <= estimate
 
 
 # --- toric vertex residues -------------------------------------------------

@@ -113,12 +113,12 @@ def _evaluators(bundle):
 @pytest.mark.parametrize("name", registry_names())
 def test_every_evaluator_is_jet_safe(name):
     # the routes call every log-density and field on jets, and every
-    # log-density also on the alternative route's nested jet (order 2 over
-    # an order-1 jet along a field); the checks call every field, deck map
-    # and transition on jets: each must return a jet whose innermost
-    # value is the plain evaluation bit for bit, or a plain numeric array
-    # that is really constant (zero stencil derivative), never an object
-    # array that would drop the derivatives
+    # log-density also on the alternative route's nested jets (order 2 over
+    # an order-1 jet along fields, or over the axes); the checks call every
+    # field, deck map and transition on jets: each must return a jet whose
+    # innermost value is the plain evaluation bit for bit, or a plain
+    # numeric array that is really constant (zero stencil derivative),
+    # never an object array that would drop the derivatives
     bundle = registry_get(name)
     if bundle.manifold is None:
         return
@@ -127,7 +127,8 @@ def test_every_evaluator_is_jet_safe(name):
         plain = np.asarray(fn(pts))
         jet_coords = [jets.variables(pts, 2)]
         if label.startswith("log-density"):
-            jet_coords.append(jets.variables(jets.along(pts, np.conj(pts)), 2))
+            jet_coords.append(jets.variables(jets.along(pts, [np.conj(pts)]), 2))
+            jet_coords.append(jets.variables(jets.variables(pts, 1), 2))
         for coords in jet_coords:
             out = fn(coords)
             while isinstance(out, jets.Jet):
