@@ -14,7 +14,8 @@ class EvaluationError(HoloinvError):
 
 
 class IllPosedIntegrandError(HoloinvError):
-    """A quadrature integrand returned a non-finite value at some node."""
+    """A quadrature integrand returned a non-finite value at some node, or
+    its weighted values or their sum overflow the float range."""
 
 
 class DifferentiationQualityError(HoloinvError):

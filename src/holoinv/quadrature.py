@@ -30,13 +30,20 @@ Determinism and memory: the concatenated nodes are handed to the density
 in contiguous blocks of at most _CELL_NODES nodes, so the jet temporaries
 of one density call stay bounded however fine the grid. Each level of
 each row is summed on its own, over blocks of at most _CELL_NODES nodes
-from the level's first node: every block sum is exactly rounded
-(math.fsum), and the block partials are combined with math.fsum in block
-order, so repeated runs give bit-identical results.
+from the level's first node: every block sum is exactly rounded, and the
+block partials are combined with math.fsum in block order, so repeated
+runs give bit-identical results. The block sums take no Python float per
+node (_block_sums): each weighted value's significand is split into two
+integer limbs, the limbs are scaled within buckets of _FOLD exponents and
+added per (block, bucket) by np.bincount, which is exact because no total
+reaches 2^53, and math.fsum then rounds the few bucket totals of a block.
+An exactly rounded sum is unique, so each block sum is math.fsum of the
+block, bit for bit.
 
 Finiteness is a precondition: a non-finite density value at any node
 raises IllPosedIntegrandError, since neither the value nor its error
-estimate could account for it.
+estimate could account for it; so does a level whose weighted values or
+their sum overflow.
 """
 
 from __future__ import annotations
@@ -51,9 +58,14 @@ import numpy as np
 
 from .errors import IllPosedIntegrandError
 
-# nodes per density call and per fsum block: bounds peak memory, not tuned
-# for speed; one call may hold nodes of several levels
+# nodes per density call and per summation block: bounds peak memory, not
+# tuned for speed; one call may hold nodes of several levels
 _CELL_NODES = 8192
+# exponents per bucket of _block_sums: a bucket total adds at most
+# _CELL_NODES = 2^13 integers below 2^27 * 2^(_FOLD - 1) = 2^39, so every
+# partial total stays at or below 2^52 and np.bincount adds it exactly
+_FOLD = 13
+_MIN_EXP = -1073  # np.frexp exponent of the smallest subnormal, 2^-1074
 _NODE_SETS = 8  # cached (domain, spec) node sets; a job uses one per distinct piece
 _MAX_NODES = 2 ** 22  # nodes of all levels of one node set: 1,300x the largest registered job
 RULES = ("gauss", "periodic", "invariant")
@@ -176,6 +188,8 @@ class _NodeSet(NamedTuple):
     chart_pts: np.ndarray  # (N, n) complex chart coordinates
     weights: np.ndarray  # (N,) rule weights times measure_map
     starts: tuple[int, ...]  # offset of each level's first node, then N
+    blocks: tuple[int, ...]  # index of each level's first summation block, then their count B
+    parts: np.ndarray  # (2N,) 2b and 2b + 1 for the real and imaginary part of a node in block b
 
 
 @lru_cache(maxsize=_NODE_SETS)
@@ -204,22 +218,64 @@ def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
     chart_pts = dom.to_chart(pts)
     if dom.measure_map is not None:
         weights = weights * np.asarray(dom.measure_map(pts), dtype=float)
-    chart_pts.setflags(write=False)
-    weights.setflags(write=False)
-    starts = tuple(itertools.accumulate((len(w) for _, w in grids), initial=0))
-    return _NodeSet(chart_pts, weights, starts)
+    sizes = [len(w) for _, w in grids]
+    starts = tuple(itertools.accumulate(sizes, initial=0))
+    # each level's summation blocks start at its first node
+    blocks = tuple(itertools.accumulate((-(-size // _CELL_NODES) for size in sizes), initial=0))
+    block = np.concatenate([first + np.arange(size) // _CELL_NODES
+                            for first, size in zip(blocks, sizes)])
+    parts = np.stack([2 * block, 2 * block + 1], axis=-1).ravel()
+    for array in (chart_pts, weights, parts):
+        array.setflags(write=False)
+    return _NodeSet(chart_pts, weights, starts, blocks, parts)
 
 
-def _level_sum(values, weights):
-    """One level's weighted sum: math.fsum over each block of at most
-    _CELL_NODES nodes from the level's first node, then math.fsum of the
-    block partials in block order."""
-    contrib = weights * values
-    blocks = [contrib[start:start + _CELL_NODES] for start in range(0, len(contrib), _CELL_NODES)]
-    # fsum is exactly rounded, so summing Python floats gives the same bits as
-    # iterating the array, without a numpy scalar per node
-    return complex(math.fsum([math.fsum(np.real(b).tolist()) for b in blocks]),
-                   math.fsum([math.fsum(np.imag(b).tolist()) for b in blocks]))
+def _fsum(floats) -> float:
+    """math.fsum, or nan where a partial sum overflows."""
+    try:
+        return math.fsum(floats)
+    except OverflowError:
+        return math.nan
+
+
+def _block_sums(x: np.ndarray, block: np.ndarray, count: int) -> list[float]:
+    """The exactly rounded sum of each of `count` blocks of the finite floats x.
+
+    x[i] is in block block[i], and no block holds more than _CELL_NODES
+    elements. Entry b is math.fsum of block b's elements, bit for bit (an
+    exactly rounded sum is unique), or nan where that sum overflows.
+
+    Each element is m 2^(e - 53) with m an integer, |m| < 2^53 (np.frexp),
+    split into the limbs m >> 26 and m mod 2^26. Its exponent falls in the
+    bucket (e - _MIN_EXP) // _FOLD, and both limbs are scaled by
+    2^((e - _MIN_EXP) % _FOLD), so one bucket's scaled limbs are integers on
+    a common scale and np.bincount adds them exactly per (block, bucket).
+    math.fsum then rounds a block's bucket totals, two per bucket its
+    elements span, instead of the elements themselves.
+    """
+    frac, exp = np.frexp(x)
+    low = frac * 2.0 ** 27
+    high = np.floor(low)  # m >> 26
+    low -= high
+    low *= 2.0 ** 26  # m mod 2^26
+    exp -= _MIN_EXP
+    bucket = exp // _FOLD
+    exp -= _FOLD * bucket
+    first, last = int(bucket.min()), int(bucket.max())
+    span = last - first + 1
+    key = block * span
+    key += bucket
+    key -= first
+    size = count * span
+    highs = np.bincount(key, np.ldexp(high, exp), size).reshape(count, span)
+    lows = np.bincount(key, np.ldexp(low, exp), size).reshape(count, span)
+    scale = _FOLD * np.arange(first, last + 1) + (_MIN_EXP - 53)
+    with np.errstate(over="ignore"):
+        totals = np.concatenate((np.ldexp(highs, scale + 26), np.ldexp(lows, scale)), axis=1)
+    finite = np.isfinite(totals)
+    if not finite.all():
+        totals[~finite] = math.nan  # a bucket total overflowed
+    return [_fsum(row) for row in totals]
 
 
 def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpec()
@@ -233,7 +289,8 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
         k rows of them, (k, m), one integrand per row. Must be pure and
         finite at every node: any non-finite value raises
         IllPosedIntegrandError, naming the first level that has one and its
-        count there, row by row.
+        count there, row by row. So does a level whose weighted values, or
+        their sum, overflow the float range.
     dom : IntegrationDomain
     q : QuadratureSpec
         Tensor-product rule; at level k a "gauss" axis with p points gets
@@ -246,10 +303,17 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
     The nodes of all levels, built once per (domain, spec) and cached, go
     to `density` in one fixed order: level 1 first, in blocks of at most
     _CELL_NODES (8,192) nodes, so the memory of one call is bounded. Each
-    level of each row is then summed on its own with math.fsum in block
-    order, so the result is deterministic, and a row's result is bit for
-    bit that of a density returning that row alone. The coordinates handed
-    to `density` are read-only views of the cached nodes.
+    level of each row is then summed on its own: every block of at most
+    _CELL_NODES nodes from the level's first node to its exactly rounded
+    sum, which is math.fsum of the block's weighted values bit for bit,
+    then the block partials with math.fsum in block order. A block sum
+    takes no Python float per node: np.bincount adds the values' integer
+    significand limbs per exponent bucket, exactly, since a bucket total of
+    at most _CELL_NODES scaled limbs stays at or below 2^52, and math.fsum
+    rounds the few bucket totals. So the result is deterministic, and a
+    row's result is bit for bit that of a density returning that row alone.
+    The coordinates handed to `density` are read-only views of the cached
+    nodes.
 
     Returns
     -------
@@ -265,22 +329,41 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
     if values.ndim not in (1, 2) or values.shape[-1] != len(nodes.weights):
         raise ValueError(f"density returned shape {values.shape} "
                          f"for {len(nodes.weights)} nodes")
-    spans = list(zip(nodes.starts, nodes.starts[1:]))
-    results = [_integrate_row(row, nodes.weights, spans) for row in np.atleast_2d(values)]
+    results = [_integrate_row(row, nodes) for row in np.atleast_2d(values)]
     return results if values.ndim == 2 else results[0]
 
 
-def _integrate_row(values, weights, spans) -> IntegrationResult:
+def _integrate_row(values, nodes: _NodeSet) -> IntegrationResult:
     """One row's finiteness check, level sums and refinement gap."""
-    finite = np.isfinite(values)  # complex: False where either part is non-finite
-    for level, (lo, hi) in enumerate(spans, start=1):
-        bad = hi - lo - np.count_nonzero(finite[lo:hi])
-        if bad:
-            raise IllPosedIntegrandError(
-                f"{bad} of {hi - lo} samples non-finite at level {level}")
-    levels = [_level_sum(values[lo:hi], weights[lo:hi]) for lo, hi in spans]
+    with np.errstate(over="ignore", invalid="ignore"):
+        contrib = nodes.weights * values
+    if not np.isfinite(contrib).all():  # complex: False where either part is non-finite
+        raise _nonfinite_error(values, contrib, nodes.starts)
+    count = 2 * nodes.blocks[-1]
+    if np.iscomplexobj(contrib):
+        sums = _block_sums(contrib.view(np.float64), nodes.parts, count)
+    else:  # the odd, imaginary blocks stay empty and sum to 0.0
+        sums = _block_sums(contrib, nodes.parts[0::2], count)
+    levels = []
+    for level, (lo, hi) in enumerate(itertools.pairwise(nodes.blocks), start=1):
+        real, imag = _fsum(sums[2 * lo:2 * hi:2]), _fsum(sums[2 * lo + 1:2 * hi:2])
+        if not (math.isfinite(real) and math.isfinite(imag)):
+            raise IllPosedIntegrandError(f"the weighted sum overflows at level {level}")
+        levels.append(complex(real, imag))
     if len(levels) >= 2:
         error = abs(levels[-1] - levels[-2])
     else:
         error = math.inf
     return IntegrationResult(levels[-1], error)
+
+
+def _nonfinite_error(values, contrib, starts) -> IllPosedIntegrandError:
+    """The error for the first level with a non-finite weighted value: its
+    count of non-finite samples, or else the overflow."""
+    spans = enumerate(itertools.pairwise(starts), start=1)
+    level, (lo, hi) = next((level, (lo, hi)) for level, (lo, hi) in spans
+                           if not np.isfinite(contrib[lo:hi]).all())
+    bad = hi - lo - np.count_nonzero(np.isfinite(values[lo:hi]))
+    if bad:
+        return IllPosedIntegrandError(f"{bad} of {hi - lo} samples non-finite at level {level}")
+    return IllPosedIntegrandError(f"the weighted sum overflows at level {level}")

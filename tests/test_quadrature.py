@@ -7,7 +7,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from holoinv import (
     IllPosedIntegrandError,
@@ -150,12 +150,140 @@ def test_block_sum_is_the_exact_fsum_of_the_block():
     big = np.array([1e16, 1.0, -1e16, 3.0, 1e-3, -2.5e15, 2.5e15, -0.0] * 40)
     values = big * (1.0 - 0.5j) + 1j * big[::-1]
     weights = np.linspace(0.5, 2.0, len(values))
-    total = quadrature._level_sum(values, weights)
-    real, imag = total.real, total.imag
     contrib = weights * values
+    # one block: the interleaved real parts in block 0, the imaginary in 1
+    real, imag = quadrature._block_sums(contrib.view(np.float64),
+                                        np.arange(2 * len(contrib)) % 2, 2)
     assert real.hex() == math.fsum(np.real(contrib)).hex()
     assert imag.hex() == math.fsum(np.imag(contrib)).hex()
     assert real != functools.reduce(operator.add, np.real(contrib).tolist())
+
+
+# every finite double: integer significands up to 2^53 - 1 times 2^-1074 ..
+# 2^970, so the values' exponents run from -1074 to 1023, subnormals included
+_DOUBLES = st.builds(math.ldexp, st.integers(-(2 ** 53 - 1), 2 ** 53 - 1),
+                     st.integers(-1074, 970))
+
+
+def _fsum_hex(floats):
+    return math.fsum(floats).hex()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(xs=st.lists(st.one_of(_DOUBLES, st.sampled_from([0.0, -0.0])), min_size=1, max_size=40),
+       cancel=st.booleans(), data=st.data())
+@example(xs=[0.0, -0.0, -0.0], cancel=True, data=None)
+@example(xs=[1e16, 1.0, -1e16, 3.0, 1e-3], cancel=False, data=None)
+@example(xs=[math.ldexp(1, -1074)], cancel=False, data=None)
+def test_block_sums_are_fsum_bit_for_bit(xs, cancel, data):
+    # heavy cancellation: every element and its negation, plus one small term
+    if cancel:
+        xs = xs + [-x for x in reversed(xs)] + [math.ldexp(1.0, -1074)]
+    try:
+        math.fsum(abs(x) for x in xs)
+    except OverflowError:  # a partial sum may overflow: no block sum to compare
+        assume(False)
+    x = np.array(xs)
+    blocks = (np.zeros(len(x), dtype=np.intp) if data is None else
+              np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(x), max_size=len(x))),
+                       dtype=np.intp))
+    sums = quadrature._block_sums(x, blocks, 3)
+    assert [s.hex() for s in sums] == [_fsum_hex(x[blocks == b].tolist()) for b in range(3)]
+
+
+def test_block_sums_of_zeros_are_positive_zero():
+    # fsum of an all-zero block is +0.0, whatever the zeros' signs
+    sums = quadrature._block_sums(np.array([-0.0, -0.0, 0.0, -0.0]), np.array([0, 0, 1, 2]), 4)
+    assert [s.hex() for s in sums] == [_fsum_hex([-0.0, -0.0]), _fsum_hex([0.0]),
+                                       _fsum_hex([-0.0]), _fsum_hex([])] == ["0x0.0p+0"] * 4
+
+
+@pytest.mark.parametrize("k", [*range(-1074, -1061), *range(-6, 7), *range(946, 959)])
+def test_full_block_of_largest_significands(k):
+    # 8,192 copies of (2^53 - 1) 2^k: the largest limbs, and the 13 k of each
+    # group meet every scale 2^0 .. 2^12 of their exponent bucket, so some
+    # bucket total reaches 8,192 (2^27 - 1) 2^12, just below 2^52
+    x = np.full(quadrature._CELL_NODES, math.ldexp(2 ** 53 - 1, k))
+    for signs in (1.0, np.where(np.arange(len(x)) % 3, 1.0, -1.0)):
+        (total,) = quadrature._block_sums(signs * x, np.zeros(len(x), dtype=np.intp), 1)
+        assert total.hex() == _fsum_hex((signs * x).tolist())
+
+
+@pytest.mark.parametrize("exponent", [-1073, -1, 990])
+def test_full_block_at_the_bucket_bound(exponent):
+    # in the exponent bucket holding `exponent`, 8,191 values (2^53 - 1) 2^k
+    # at its top scale, then one at its bottom: the high limbs' total is
+    # (2^27 - 1)(8,191 2^(_FOLD - 1) + 1), odd and at most 2^52, which a
+    # wider bucket would take past 2^53, where np.bincount starts to round
+    # (at -1073 the values are subnormal, rounded by ldexp)
+    first = exponent - (exponent - quadrature._MIN_EXP) % quadrature._FOLD - 53
+    k = np.full(quadrature._CELL_NODES, first + quadrature._FOLD - 1)
+    k[-1] = first
+    x = np.ldexp(float(2 ** 53 - 1), k)
+    (total,) = quadrature._block_sums(x, np.zeros(len(x), dtype=np.intp), 1)
+    assert total.hex() == _fsum_hex(x.tolist())
+
+
+@pytest.mark.parametrize("xs", [
+    # bucket totals of opposite signs that both overflow: 2^1024.5 and -1.1 2^1024
+    [math.ldexp(1.4142, 1018)] * 64 + [-math.ldexp(1.5, 1022)] * 3,
+    # finite bucket totals, 2^1023 and 1.5 2^1023, whose sum overflows
+    [math.ldexp(1.0, 1018)] * 32 + [math.ldexp(1.5, 1023)],
+])
+def test_block_sum_that_overflows_is_nan(xs):
+    with pytest.raises(OverflowError):
+        math.fsum(xs)
+    (total,) = quadrature._block_sums(np.array(xs), np.zeros(len(xs), dtype=np.intp), 1)
+    assert math.isnan(total)
+
+
+@pytest.mark.parametrize("value, box, q, level", [
+    # finite weighted values (at most 1.06e308) whose level-1 sum is 1e309
+    (1e307, ((0.0, 10.0), (0.0, 10.0)), QuadratureSpec(4, 2), 1),
+    # weighted values beyond the float range: 1.7e308 times weights above 1
+    (1.7e308, ((0.0, 10.0), (0.0, 10.0)), QuadratureSpec(4, 2), 1),
+    # large only on the sliver x < 0.5 (1e-3 of the box), which only
+    # level 3's node columns reach, with weights up to about 11 there
+    ("sliver", ((0.0, 1e3), (0.0, 1e3)), QuadratureSpec(32, 3), 3),
+])
+def test_overflow_is_ill_posed_at_its_level(value, box, q, level):
+    def density(z):
+        if value == "sliver":
+            return np.where(z[..., 0].real < 0.5, 1.7e308, 1.0)
+        return np.full(z.shape[:-1], value)
+
+    with pytest.raises(IllPosedIntegrandError,
+                       match=f"the weighted sum overflows at level {level}$"):
+        integrate(density, IntegrationDomain(box), q)
+
+
+def test_cp1_row_sum_takes_no_float_per_node(monkeypatch, cp1):
+    # a per-node Python float would show as thousands of floats going to
+    # math.fsum and four times as many on a grid with four times the nodes
+    vol, fld = cp1.volumes["fs"], cp1.fields["ddz"]
+    dom = cp1.manifold.fundamental_domain["affine"]
+    fsum, received = math.fsum, []
+
+    def counting(floats):
+        floats = list(floats)
+        received.append(len(floats))
+        return fsum(floats)
+
+    def density(z):
+        return (calculus.divergence_field(fld.components["affine"], vol.log_density["affine"], z)
+                * calculus.ricci_top_field(vol.log_density["affine"], z))
+
+    monkeypatch.setattr(math, "fsum", counting)
+    counts = []
+    for points in ((20, 16), (40, 32)):  # 1,600 and 6,400 nodes, one block per level
+        received.clear()
+        integrate(density, dom, QuadratureSpec(points, 2))
+        counts.append(sum(received))
+    coarse, fine = counts
+    # the count follows the exponent buckets the weighted values span; the
+    # finer grid's smaller weights near r = 0 may reach one bucket more
+    assert coarse < 1_600 / 10
+    assert fine < 2 * coarse
 
 
 def test_invariant_density_wrapper_hopf_degenerate(hopf):
