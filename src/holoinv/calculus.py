@@ -21,10 +21,9 @@ Wirtinger derivatives from real order-4 central differences on the (x, y)
 coordinate pairs (complex-step differentiation does not apply to real
 log-densities), with one scalar step h, DEFAULT_STEP unless a caller passes
 another, and call the evaluator once per stencil node on the whole batch
-(..., n). directional_derivative is the one core: sum_i v^i d/dz^i along a
-complex direction v, 8 evaluator calls at any n. holomorphic_derivative is
-that core along every unit axis, and d/dzbar is conj(d/dz of the
-conjugate); mixed_hessian nests it.
+(..., n). holomorphic_derivative differentiates along one complex axis at a
+time, 8 calls per axis; d/dzbar is conj(d/dz of the conjugate), and
+mixed_hessian nests it.
 
 Conventions
 -----------
@@ -55,52 +54,28 @@ HERMITICITY_TOL = 1e-6
 IMAG_TOL = 1e-6
 
 
-def directional_derivative(fn, coords, direction, step=DEFAULT_STEP):
-    """sum_i v^i d fn / dz^i at each point of `coords`, for v = `direction`.
-
-    direction has shape (..., n), or (n,) for one v at every point. With
-    u = v / |v| and D_u the real order-4 central difference along u,
-    sum_i v^i d fn / dz^i = |v| (D_u fn - i D_{iu} fn) / 2: 8 calls of fn
-    at any n, every node within 2h of the base point. |v| is folded into
-    the stencil weights (w / h) |v|, which are reshaped to their batch
-    shape + (1,) * k for values with k trailing axes beyond the batch, so fn
-    may return any value shape (..., *v) and per-point directions scale
-    each point's whole value instead of broadcasting along a component
-    axis. The step h is a scalar. Where v = 0 the weights are 0, and so
-    is the result.
-    Along a unit axis e_j the nodes and weights are bit for bit those of
-    the per-axis central difference.
-    """
-    v = np.asarray(direction)
-    norm = np.sqrt(functools.reduce(np.add, (v[..., i].real ** 2 + v[..., i].imag ** 2
-                                             for i in range(v.shape[-1]))))
-    # h u at full batch shape: broadcasting a short trailing axis against the
-    # batch in each of the 8 node shifts costs more than the shifts themselves
-    hu = np.broadcast_to(v, coords.shape) * (step / np.where(norm > 0.0, norm, 1.0))[..., None]
-    scales = [(w / step) * norm for w in _STENCIL[1]]
-    parts = []
-    for shift in (hu, 1.0j * hu):
-        acc = None
-        for o, scale in zip(_STENCIL[0], scales):
-            values = np.asarray(fn(coords + o * shift))
-            weight = np.reshape(scale, np.shape(scale) + (1,) * (values.ndim - np.ndim(scale)))
-            acc = weight * values if acc is None else acc + weight * values
-        parts.append(acc)
-    return 0.5 * (parts[0] - 1.0j * parts[1])
-
-
 def holomorphic_derivative(fn, coords, step=DEFAULT_STEP):
     """d fn / dz^j along every complex axis j, at each point of `coords`.
 
     fn maps coordinates (..., n) to values of any shape (..., *v); the result
     has shape (..., *v, n), its last axis indexing j. A scalar evaluator thus
-    gives the gradient (..., n) and a vector one the Jacobian (..., k, n):
-    directional_derivative along each unit vector e_j, 8n calls of fn either
-    way. The antiholomorphic derivative is
+    gives the gradient (..., n) and a vector one the Jacobian (..., k, n).
+    Along axis j, d/dz^j = (D_x - i D_y) / 2, with D_x and D_y the real
+    order-4 central differences that shift the x- and y-part of z^j alone:
+    8n calls of fn. The antiholomorphic derivative is
     d fn / dzbar^j = conj(d conj(fn) / dz^j).
     """
-    axes = np.eye(coords.shape[-1], dtype=complex)
-    return np.stack([directional_derivative(fn, coords, e, step) for e in axes], axis=-1)
+    def central(j, unit):
+        acc = None
+        for o, w in zip(*_STENCIL):
+            shifted = np.array(coords, dtype=complex)
+            shifted[..., j] += (o * step) * unit
+            term = (w / step) * np.asarray(fn(shifted))
+            acc = term if acc is None else acc + term
+        return acc
+
+    return np.stack([0.5 * (central(j, 1.0) - 1.0j * central(j, 1.0j))
+                     for j in range(coords.shape[-1])], axis=-1)
 
 
 def mixed_hessian(fn, coords, step=DEFAULT_STEP):

@@ -63,18 +63,11 @@ class _Blend:
         return _blend(self.t, self.ends[0](coords), self.ends[1](coords))
 
 
-def _identity(fn):
-    """What makes two evaluators the same function: the object, or for a
-    blend its t and its endpoints' identities, so that the charts' blends
-    of one shared pair of endpoints are one function too."""
-    if isinstance(fn, _Blend):
-        return (fn.t, *map(_identity, fn.ends))
-    return id(fn)  # the rows hold every evaluator for the whole call
-
-
 class _NodeWork:
     """What the rows of one density call share at its nodes, computed once
-    per distinct evaluator: order-2 log-density jets, their Ricci
+    per evaluator object, told apart by id() (the rows hold every evaluator,
+    a blend's endpoints too, for the whole call; charts that share a pair of
+    endpoints share one blend): order-2 log-density jets, their Ricci
     densities and order-1 field jets, and nested log-density jets with
     theirs. `rows` are the call's (log-density, field) evaluator pairs; a
     nested jet's inner directions must span the fields of every row that
@@ -83,9 +76,9 @@ class _NodeWork:
     def __init__(self, coords, rows):
         self.coords = coords
         self._memo = {}
-        self._fields = {}  # log-density identity -> {id: field}, in row order
+        self._fields = {}  # id(log-density) -> {id: field}, in row order
         for logd, comps in rows:
-            self._fields.setdefault(_identity(logd), {}).setdefault(id(comps), comps)
+            self._fields.setdefault(id(logd), {}).setdefault(id(comps), comps)
 
     def _once(self, key, make):
         if key not in self._memo:
@@ -98,10 +91,10 @@ class _NodeWork:
             if isinstance(fn, _Blend):
                 return _blend(fn.t, *map(self.log_density, fn.ends))
             return jets.evaluate(fn, self.coords, 2)
-        return self._once(("log_density", _identity(fn)), make)
+        return self._once(("log_density", id(fn)), make)
 
     def ricci(self, fn):
-        return self._once(("ricci", _identity(fn)), lambda: calculus.ricci_top_field(
+        return self._once(("ricci", id(fn)), lambda: calculus.ricci_top_field(
             self.log_density(fn), self.coords))
 
     def field(self, fn):
@@ -114,7 +107,7 @@ class _NodeWork:
         taken when the rows that share fn carry at least n distinct fields,
         else {id(field): r} for the inner jet along the fields themselves."""
         def make():
-            fields = self._fields[_identity(fn)]
+            fields = self._fields[id(fn)]
             if len(fields) >= self.coords.shape[-1]:
                 inner, slots = jets.variables(self.coords, 1), None
             else:
@@ -123,7 +116,7 @@ class _NodeWork:
                 slots = {key: r for r, key in enumerate(fields)}
             log_a = jets.evaluate(fn, inner, 2)
             return log_a, calculus.ricci_top_field(log_a, self.coords), slots
-        return self._once(("nested", _identity(fn)), make)
+        return self._once(("nested", id(fn)), make)
 
 
 def _direct_row(at: _NodeWork, logd, comps):
@@ -251,7 +244,8 @@ def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,
     log-density is a blend evaluator that keeps its two endpoint evaluators
     and t, so a route that integrates several slices on one node set
     evaluates each endpoint once and blends its jet, with the arithmetic a
-    call of the slice's evaluator does.
+    call of the slice's evaluator does. Charts with the same endpoint
+    evaluators share one blend, which a route differentiates once per slice.
     """
     chi0, chi1 = vol0.character.generator_values, vol1.character.generator_values
     if set(chi0) != set(chi1):
@@ -266,9 +260,11 @@ def interpolated_volume(vol0: VolumeFormSpec, vol1: VolumeFormSpec,
     charts = sorted(set(vol0.log_density) & set(vol1.log_density))
     if not charts:
         raise ValueError("endpoint volume forms share no chart")
+    ends = {c: (vol0.log_density[c], vol1.log_density[c]) for c in charts}
+    blends = {tuple(map(id, pair)): _Blend(*pair, t) for pair in ends.values()}
     return VolumeFormSpec(
         name=f"{vol0.name}~{vol1.name}@t={t:g}",
-        log_density={c: _Blend(vol0.log_density[c], vol1.log_density[c], t) for c in charts},
+        log_density={c: blends[tuple(map(id, pair))] for c, pair in ends.items()},
         character=Character({name: chi0[name] ** (1.0 - t) * chi1[name] ** t
                              for name in chi0}),
     )

@@ -266,6 +266,8 @@ def _power(u, p):
     if isinstance(p, Jet) or not isinstance(u, Jet):
         return NotImplemented
     v = u.value
+    if np.ndim(p) == 0 and p in (0, 1):  # else p (p - 1) v^(p - 2) is 0 * inf at v = 0
+        return u if p else _constant(v ** 0, len(u.d), u.dd is not None)
     second = p * (p - 1) * v ** (p - 2) if u.dd is not None else None
     return _compose(u, v ** p, p * v ** (p - 1), second)
 

@@ -203,12 +203,13 @@ def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
     """
     points = _axis_points(q, len(dom.box))
     rules = dom.rules or ("gauss",) * len(dom.box)
-    count = sum(math.prod(1 if rule == "invariant" else p * 2 ** level
-                          for p, rule in zip(points, rules))
-                for level in range(q.refinement_levels))
-    if count > _MAX_NODES:
-        raise ValueError(f"the quadrature grid has {count} nodes over its levels, more than "
-                         f"{_MAX_NODES}; lower the points per axis or the refinement levels")
+    sizes = (math.prod(1 if rule == "invariant" else p * 2 ** level
+                       for p, rule in zip(points, rules))
+             for level in range(q.refinement_levels))
+    # any() stops at the first level whose running total passes the cap
+    if any(total > _MAX_NODES for total in itertools.accumulate(sizes)):
+        raise ValueError(f"the quadrature grid has more than {_MAX_NODES} nodes over its "
+                         "levels; lower the points per axis or the refinement levels")
     references = {p: _gauss_legendre(p) for p, rule in zip(points, rules) if rule == "gauss"}
     axes = [(lo, hi, p, rule, references.get(p))
             for (lo, hi), p, rule in zip(dom.box, points, rules)]

@@ -185,16 +185,21 @@ def test_usage_errors_exit_two(capsys, argv):
     # the default hopf job has 1,728 nodes and --refine 3 has 14,016: under a
     # limit of 2,000, refinement alone crosses it
     (("--refine", "3"), 2000),
-], ids=["points", "refine"])
+    # the level sizes are added only until they pass the cap: summed over all
+    # 100,000 levels they took 46 s, to a count with too many digits to print
+    (("--refine", "100000"), None),
+], ids=["points", "refine", "huge-refine"])
 def test_oversized_grid_exits_two(capsys, monkeypatch, extra, limit):
     if limit is not None:
         monkeypatch.setattr(quadrature, "_MAX_NODES", limit)
     quadrature._node_set.cache_clear()
     job = ("invariant", "--example", "hopf", "--volume", "r4", "--field", "x1",
            "--method", "direct")
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *job, *extra)
+    assert time.perf_counter() - start < 2.0
     assert (code, out) == (2, "")
-    assert err.startswith("holoinv: ValueError: the quadrature grid has")
+    assert err.startswith("holoinv: ValueError: the quadrature grid has more than")
     assert err.count("\n") == 1 and "Traceback" not in err
     if limit is not None:
         assert run_cli(capsys, *job)[0] == 0

@@ -132,8 +132,7 @@ def test_a_dead_private_helper_is_found():
         "a: _dead (line 6)", "a: _Dead (line 8)"]
 
 
-STENCILS = {"directional_derivative", "holomorphic_derivative", "mixed_hessian",
-            "ricci_from_log_density"}
+STENCILS = {"holomorphic_derivative", "mixed_hessian", "ricci_from_log_density"}
 # the stencil's own module, and the CLI for the convergence suite's reference
 STENCIL_READERS = {"calculus", "cli"}
 

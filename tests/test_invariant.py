@@ -118,11 +118,18 @@ def test_hopf_default_job_calls_the_density_once(hopf, monkeypatch):
 
 
 def test_cp1_deformation_suite_density_calls(cp1, monkeypatch, capsys):
-    # five t values, one field, two pieces on one node set: one call, ten rows
+    # five t values, one field, two pieces on one node set: one call, ten
+    # rows, and one Ricci density per slice, since both charts' slices are
+    # one blend of the one pair of endpoint evaluators they share
+    riccis = []
+    ricci_top_field = calculus.ricci_top_field
+    monkeypatch.setattr(calculus, "ricci_top_field",
+                        lambda *args: riccis.append(1) or ricci_top_field(*args))
     calls = _density_calls(monkeypatch, lambda: cli.main(
         ["check", "--example", "cp1", "--suite", "deformation"]))
     assert "suite deformation on cp1: pass" in capsys.readouterr().out
     assert calls == [1_600]
+    assert len(riccis) == len(cp1.suites["deformation"]["t_grid"])
 
 
 def _counted(fn, calls, label):
@@ -358,12 +365,13 @@ def test_cp1_fs_alternative_error_bar_bounds_the_value_with_no_floor(cp1, field)
 
 
 def test_no_route_reaches_a_stencil_or_a_closed_form(cp1, hopf, monkeypatch):
-    # every registered job of both routes completes with the stencil core
-    # and every closed-form Ricci evaluator raising
+    # every registered job of both routes completes with the stencil
+    # primitives and every closed-form Ricci evaluator raising
     def refuse(*args, **kwargs):
         raise AssertionError("a route reached a stencil or a closed form")
 
-    monkeypatch.setattr(calculus, "directional_derivative", refuse)
+    monkeypatch.setattr(calculus, "holomorphic_derivative", refuse)
+    monkeypatch.setattr(calculus, "mixed_hessian", refuse)
     jobs = 0
     for bundle in (cp1, hopf):
         for vol in bundle.volumes.values():

@@ -69,8 +69,9 @@ def test_jet_top_density_at_n3_matches_the_closed_form():
 
 
 def test_alternative_density_at_n3_matches_a_stencil_of_its_jet_ratio():
-    # the nested jet's X(n! det R / a) a against the order-4 stencil along X
-    # of the ratio that order-2 jets give, on log(1 + |z|^2) over C^3
+    # the nested jet's X(n! det R / a) a against the order-4 stencil
+    # gradient, contracted with X, of the ratio that order-2 jets give, on
+    # log(1 + |z|^2) over C^3
     rng = np.random.default_rng(23)
     pts = rng.uniform(-1, 1, (200, 3)) + 1j * rng.uniform(-1, 1, (200, 3))
 
@@ -81,8 +82,8 @@ def test_alternative_density_at_n3_matches_a_stencil_of_its_jet_ratio():
         return calculus.ricci_top_field(_log_one_plus_norm, coords) * np.exp(
             -_log_one_plus_norm(coords))
 
-    stencil = -calculus.directional_derivative(ratio, pts, field(pts)) * np.exp(
-        _log_one_plus_norm(pts))
+    along = np.sum(calculus.holomorphic_derivative(ratio, pts) * field(pts), axis=-1)
+    stencil = -along * np.exp(_log_one_plus_norm(pts))
     nested = alternative_density(_log_one_plus_norm, field)(pts)
     assert np.max(np.abs(nested - stencil)) <= 1e-8
 
@@ -250,6 +251,47 @@ def test_jet_arithmetic_matches_closed_forms():
         # relative to the terms, whose sum vanishes for the harmonic log|z|^2
         scale = np.abs(g2 * t) + np.abs(g1)
         assert np.max(np.abs(mixed - (g2 * t + g1)) / scale) <= 1e-14, k
+
+
+def _parts(jet):
+    """Every array a jet carries, through nested jets; exact zeros (None) skipped."""
+    if not isinstance(jet, jets.Jet):
+        return [] if jet is None else [np.asarray(jet)]
+    rows = () if jet.dd is None else jet.dd
+    return [a for part in (jet.value, *jet.d, *jet.dbar, *(h for row in rows for h in row))
+            for a in _parts(part)]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("k", [0, 1])
+def test_powers_0_and_1_are_exact_at_the_origin(k, order):
+    # c ** 0 is the constant 1 and c ** 1 is c: no p v^(p - 1) or
+    # p (p - 1) v^(p - 2), which are 0 * inf at v = 0. f = Re zbar for
+    # k = 0 and |z|^2 for k = 1, at the origin and one other point
+    pts = np.array([[0.0], [0.5 - 1.0j]])
+    z = pts[:, 0]
+    jet = jets.evaluate(lambda c: (c[..., 0] ** k * np.conj(c[..., 0])).real, pts, order)
+    assert np.array_equal(jet.value, (z ** k * np.conj(z)).real)
+    d, dbar = [(np.full(2, 0.5), np.full(2, 0.5)), (np.conj(z), z)][k]
+    assert np.array_equal(calculus._batch(jet.d[0], z.shape), d)
+    assert np.array_equal(calculus._batch(jet.dbar[0], z.shape), dbar)
+    if order == 2:
+        assert np.array_equal(calculus._batch(jet.dd[0][0], z.shape), np.full(2, float(k)))
+    power = jets.evaluate(lambda c: c[..., 0] ** k, pts, order)
+    assert np.array_equal(power.value, z ** k)
+    assert power.d[0] == (None, 1.0)[k] and power.dbar[0] is None
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_powers_0_and_1_on_the_nested_jet_are_finite_at_the_origin(k):
+    pts = np.array([[0.0], [0.5 - 1.0j]])
+    nested = jets.evaluate(lambda c: (c[..., 0] ** k * np.conj(c[..., 0])).real,
+                           jets.variables(pts, 1), 2)
+    assert all(np.all(np.isfinite(a)) for a in _parts(nested))
+    # the inner d of f_{z zbar} is the third derivative, 0
+    mixed = nested.dd[0][0]
+    assert np.array_equal(calculus._batch(calculus._value(mixed), (2,)), np.full(2, float(k)))
+    assert not isinstance(mixed, jets.Jet) or all(p is None or np.all(p == 0) for p in mixed.d)
 
 
 def test_holomorphic_products_and_conjugates():
