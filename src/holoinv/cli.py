@@ -32,6 +32,9 @@ from .quadrature import QuadratureSpec
 from .registry import registry_get, registry_names
 
 log = logging.getLogger("holoinv")
+_LOG_HANDLER = logging.StreamHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+
 
 class UsageError(Exception):
     pass
@@ -242,11 +245,13 @@ def _suite_invariance(bundle, p, samples, seed, q):
     m = bundle.manifold
     rows = _membership_rows("invariance", bundle.fields, geometry.verify_invariant_field,
                             geometry.verify_field_transitions, m, p, samples, seed)
-    if not any("invariant" in dom.rules for dom in m.fundamental_domain.values()):
+    if not any({"invariant", "band-limited"} & set(dom.rules)
+               for dom in m.fundamental_domain.values()):
         return rows
-    # an invariant axis gets one quadrature node, so every route's density
-    # times the measure must be constant along it: one row per volume, field
-    # and route
+    # an invariant axis gets one quadrature node and a band-limited axis q's
+    # p staggered nodes at every level, so every route's density times the
+    # measure must be constant along the first and have offset-free grid
+    # means along the second: one row per volume, field and route
     for vol_name in sorted(bundle.volumes):
         for field_name in sorted(bundle.fields):
             vol, x = bundle.volumes[vol_name], bundle.fields[field_name]
@@ -254,7 +259,7 @@ def _suite_invariance(bundle, p, samples, seed, q):
                 rep = geometry.verify_invariant_axes(
                     lambda chart_id: density_for(vol.log_density[chart_id],
                                                  x.components[chart_id]),
-                    m, samples, seed=seed)
+                    m, q, samples, seed=seed)
                 rows += _report_rows(f"axis:{vol_name}:{field_name}:{route}", rep,
                                      p["axis_bound"])
     return rows
@@ -360,6 +365,11 @@ def cmd_check(args) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
+_POINTS_HELP = ("quadrature points per axis: per panel on a Gauss axis, at level 1 "
+                "on a periodic axis, at every level on a band-limited axis; an "
+                "invariant axis ignores it")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holoinv",
@@ -379,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--method", required=True,
                        choices=("direct", "alt", "localization"))
     p_inv.add_argument("--refine", type=int, help="refinement levels (>= 2)")
-    p_inv.add_argument("--points", type=int, help="quadrature points per axis")
+    p_inv.add_argument("--points", type=int, help=_POINTS_HELP)
     p_inv.add_argument("--fixed-point-file",
                        help="JSON fixed-point data (localization only)")
     p_inv.add_argument("--json", action="store_true")
@@ -396,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "and deformation none"))
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.add_argument("--refine", type=int, dest="refine", default=None)
-    p_chk.add_argument("--points", type=int, dest="points", default=None)
+    p_chk.add_argument("--points", type=int, dest="points", default=None,
+                       help=_POINTS_HELP)
     p_chk.add_argument("--json", action="store_true")
     p_chk.set_defaults(handler=cmd_check)
     return parser
@@ -411,9 +422,14 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return exc.code
-    logging.basicConfig(stream=sys.stderr,
-                        level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(name)s: %(message)s")
+    # the package logger, not the root logger of a program that embeds the
+    # CLI, set on every call; the stream is assigned, not setStream, which
+    # flushes the old stream even when it is closed (emit flushes each record)
+    _LOG_HANDLER.stream = sys.stderr
+    if _LOG_HANDLER not in log.handlers:
+        log.addHandler(_LOG_HANDLER)
+        log.propagate = False
+    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     if getattr(args, "refine", None) is not None and args.refine < 2:
         print("holoinv: --refine must be at least 2", file=sys.stderr)
         return 2

@@ -26,9 +26,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import jets
+from . import jets, quadrature
 from .errors import DomainError, EvaluationError
-from .quadrature import IntegrationDomain
+from .quadrature import IntegrationDomain, QuadratureSpec
 
 DEFAULT_SAMPLES = 256
 # Every sampled suite of every example completes at this count within a
@@ -324,29 +324,37 @@ def verify_field_transitions(x: VectorFieldSpec, m: ManifoldSpec,
 
 
 def verify_invariant_axes(density_for: Callable[[str], Callable], m: ManifoldSpec,
-                          samples: int = DEFAULT_SAMPLES, seed: int = 0) -> dict[str, float]:
-    """Check that a density times the measure is constant along each piece's
-    invariant axes.
+                          q: QuadratureSpec, samples: int = DEFAULT_SAMPLES,
+                          seed: int = 0) -> dict[str, float]:
+    """Check that a density times the measure honours each piece's
+    "invariant" and "band-limited" axes.
 
-    Quadrature takes one node on an axis the piece declares "invariant", and
-    its refinement gap cannot see that axis, so this check is the only guard
-    of the declaration. On each such piece, g is density_for(chart_id) at
-    the chart point times the piece's measure, the function quadrature sums;
-    box points p are drawn as sample_domain_points draws them, p' is p with
-    its invariant coordinates redrawn uniformly, and the residual, keyed by
-    chart id, is max |g(p) - g(p')|. Pieces without an invariant axis are
-    not measured.
+    Quadrature takes one node on an invariant axis, and the same p
+    trapezoid nodes (p from q), staggered, at every level on a band-limited
+    one; its refinement gap cannot see either declaration fail, so this
+    check is their only guard. On each such piece, g is density_for(chart_id)
+    at the chart point times the piece's measure, the function quadrature
+    sums, and box points p are drawn as sample_domain_points draws them.
+    An invariant axis compares g(p) with g(p'), p' being p with its
+    invariant coordinates redrawn uniformly. The band-limited axes keep p's
+    other coordinates and compare the mean of g over their joint grid of
+    p_1 x ... x p_k trapezoid nodes at offset 0 with its mean at a random
+    joint offset, which catches an aliased frequency the stagger misses,
+    such as (p, p). The residual, keyed by chart id, is the largest
+    difference of either kind. Pieces with neither axis are not measured.
     """
     residuals = {}
     for chart_id, dom in m.fundamental_domain.items():
-        axes = [i for i, rule in enumerate(dom.rules) if rule == "invariant"]
-        if not axes:
+        invariant = [i for i, rule in enumerate(dom.rules) if rule == "invariant"]
+        banded = [i for i, rule in enumerate(dom.rules) if rule == "band-limited"]
+        if not (invariant or banded):
             continue
+        counts = [quadrature._axis_points(q, len(dom.box))[i] for i in banded]
+        if math.prod(counts) > quadrature._MAX_NODES:
+            raise ValueError(f"the band-limited grid of piece '{chart_id}' has more than "
+                             f"{quadrature._MAX_NODES} nodes; lower the points per axis")
         rng = np.random.default_rng(seed)
         pts = _sample_box(dom, samples, rng)
-        moved = pts.copy()
-        lo, hi = np.array(dom.box)[axes].T
-        moved[:, axes] = rng.uniform(lo, hi, size=(samples, len(axes)))
         density = density_for(chart_id)
 
         def g(box_pts):
@@ -355,6 +363,36 @@ def verify_invariant_axes(density_for: Callable[[str], Callable], m: ManifoldSpe
                 return values
             return values * np.asarray(dom.measure_map(box_pts), dtype=float)
 
-        residuals[chart_id] = _worst(np.abs(g(pts) - g(moved)),
+        gaps = []
+        if invariant:
+            moved = pts.copy()
+            lo, hi = np.array(dom.box)[invariant].T
+            moved[:, invariant] = rng.uniform(lo, hi, size=(samples, len(invariant)))
+            gaps.append(np.abs(g(pts) - g(moved)))
+        if banded:
+            gaps.append(_grid_mean_gaps(g, dom, pts, banded, np.array(counts), rng))
+        residuals[chart_id] = _worst(np.concatenate(gaps),
                                      f"invariant axes of piece '{chart_id}'")
     return residuals
+
+
+def _grid_mean_gaps(g, dom: IntegrationDomain, pts, axes, counts, rng) -> np.ndarray:
+    """|mean of g over the trapezoid grid of `axes` at a random joint
+    offset - its mean at offset 0| per point of pts, the other coordinates
+    kept; g sees at most one quadrature block of nodes per call, or one
+    point's grid where that is larger, so its jet temporaries stay bounded."""
+    lo, hi = np.array(dom.box)[axes].T
+    grid = np.stack(np.meshgrid(*map(np.arange, counts), indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, len(axes))
+    offsets = rng.uniform(0.0, 1.0, size=(len(pts), len(axes)))
+    step = max(1, quadrature._CELL_NODES // len(grid))
+
+    def means(chunk, offset):
+        nodes = np.repeat(chunk[:, None, :], len(grid), axis=1)
+        nodes[:, :, axes] = lo + (hi - lo) * (grid + offset[:, None, :]) / counts
+        return g(nodes.reshape(-1, pts.shape[1])).reshape(len(chunk), -1).mean(axis=1)
+
+    return np.concatenate([
+        np.abs(means(pts[i:i + step], offsets[i:i + step])
+               - means(pts[i:i + step], np.zeros_like(offsets[i:i + step])))
+        for i in range(0, len(pts), step)])

@@ -9,13 +9,20 @@ declares from what every integrand on that domain does along the axis:
 * "periodic": every integrand is periodic with period hi - lo, so the
   trapezoid rule with p * 2^(L-1) equispaced nodes, which converges
   exponentially in the node count for smooth periodic integrands;
+* "band-limited": every integrand is a trigonometric polynomial along the
+  axis (jointly over the piece's band-limited axes) that p trapezoid nodes
+  integrate exactly at any offset, so p nodes at every level, staggered:
+  lo + (hi - lo)(j + s)/p with s = 0 at odd levels and 1/2 at even ones;
 * "invariant": every integrand (density times measure) is constant along
   the axis, so one node at lo weighted hi - lo, at every level; p is unused.
 
 The point count p may differ per axis. The difference between the last two
-refinement levels is reported as the error estimate; it says nothing about
-an invariant axis, whose declaration only a sampled check can test (the
-`invariance` suite's `axis:` rows).
+refinement levels is reported as the error estimate. It says nothing about
+an invariant axis, and on a band-limited axis it sees only the aliasing of
+frequencies at odd multiples of p, which the half-spacing stagger moves
+between consecutive levels; a frequency at an even multiple of p, or a
+joint frequency such as (p, p), aliases alike on both grids. Only a sampled
+check tests these declarations: the `invariance` suite's `axis:` rows.
 
 Cost: the nodes, weights and chart points of every level depend only on
 the domain and the spec, so they are built once per (domain, spec) pair,
@@ -24,7 +31,10 @@ levels' nodes at once, concatenated in level order, so the coarse levels
 cost no call of their own. A density may return k rows, one integrand
 each, and get k results from one call: the pieces of a manifold that share
 one domain share one node set and one density call, one row per piece, so
-the work the rows share is done once per node.
+the work the rows share is done once per node. Gauss and periodic axes
+double their nodes at each level; a band-limited axis keeps its p nodes and
+an invariant axis its one node at every level, so a declared axis buys no
+node that no integrand needs.
 
 Determinism and memory: the concatenated nodes are handed to the density
 in contiguous blocks of at most _CELL_NODES nodes, so the jet temporaries
@@ -50,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Union
@@ -68,7 +79,7 @@ _FOLD = 13
 _MIN_EXP = -1073  # np.frexp exponent of the smallest subnormal, 2^-1074
 _NODE_SETS = 8  # cached (domain, spec) node sets; a job uses one per distinct piece
 _MAX_NODES = 2 ** 22  # nodes of all levels of one node set: 1,300x the largest registered job
-RULES = ("gauss", "periodic", "invariant")
+RULES = ("gauss", "periodic", "band-limited", "invariant")
 
 
 @dataclass(frozen=True)
@@ -82,7 +93,12 @@ class IntegrationDomain:
     measure_map: box points -> positive Jacobian weight of the substitution.
     rules: one of RULES per box axis, stating what every integrand (density
         times measure) does along that axis: "periodic" with period hi - lo,
-        "invariant" (constant), or neither ("gauss"). Empty means all "gauss".
+        "band-limited" (a trigonometric polynomial, with the piece's other
+        band-limited axes, that the spec's p staggered trapezoid nodes per
+        axis integrate exactly at every level), "invariant" (constant), or
+        none of these ("gauss"). Empty means all "gauss". The refinement gap
+        cannot test a band-limited or invariant declaration; the `invariance`
+        suite's `axis:` rows (geometry.verify_invariant_axes) do, by sampling.
     """
 
     box: tuple[tuple[float, float], ...]
@@ -118,8 +134,13 @@ class QuadratureSpec:
 
     points_per_axis: one count for every axis, or a tuple with one count
         per box axis. On a "gauss" axis it is the Gauss-Legendre points per
-        panel, on a "periodic" axis the trapezoid nodes at level 1; an
+        panel, on a "periodic" axis the trapezoid nodes at level 1, on a
+        "band-limited" axis the staggered trapezoid nodes at every level; an
         "invariant" axis ignores it.
+
+    Every count and the level count must be integers (numpy integers too,
+    bool not), and several counts must come as a tuple; anything else
+    raises ValueError naming the field.
     """
 
     points_per_axis: Union[int, tuple[int, ...]] = 8
@@ -127,10 +148,23 @@ class QuadratureSpec:
 
     def __post_init__(self):
         counts = self.points_per_axis
-        if not all(c >= 2 for c in (counts if isinstance(counts, tuple) else (counts,))):
+        if not isinstance(counts, tuple):
+            counts = (counts,)
+        if not all(_is_integer(c) for c in counts):
+            raise ValueError("points_per_axis must be an integer or a tuple of integers, "
+                             f"got {self.points_per_axis!r}")
+        if not all(c >= 2 for c in counts):
             raise ValueError("every points_per_axis count must be >= 2")
+        if not _is_integer(self.refinement_levels):
+            raise ValueError("refinement_levels must be an integer, "
+                             f"got {self.refinement_levels!r}")
         if self.refinement_levels < 1:
             raise ValueError("refinement_levels must be >= 1")
+
+
+def _is_integer(value) -> bool:
+    # numpy registers its integer types as numbers.Integral; bool is one too
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class IntegrationResult(NamedTuple):
@@ -154,9 +188,15 @@ def _axis_points(q: QuadratureSpec, axes: int) -> tuple[int, ...]:
     return counts
 
 
-def _axis_nodes(lo: float, hi: float, panels: int, points: int, rule: str, reference):
+def _axis_nodes(lo: float, hi: float, level: int, points: int, rule: str, reference):
+    panels = 2 ** (level - 1)
     if rule == "invariant":
         return np.array([lo]), np.array([hi - lo])
+    if rule == "band-limited":
+        # consecutive levels are two p-node grids half a spacing apart
+        shift = 0.5 if level % 2 == 0 else 0.0
+        return (lo + (hi - lo) * (np.arange(points) + shift) / points,
+                np.full(points, (hi - lo) / points))
     if rule == "periodic":
         count = points * panels
         return lo + (hi - lo) * np.arange(count) / count, np.full(count, (hi - lo) / count)
@@ -171,8 +211,7 @@ def _axis_nodes(lo: float, hi: float, panels: int, points: int, rule: str, refer
 def _level_grid(axes, level: int):
     """Box points and rule weights of one level; `axes` holds one
     (lo, hi, points, rule, Gauss-Legendre reference) per box axis."""
-    panels = 2 ** (level - 1)
-    per_axis = [_axis_nodes(lo, hi, panels, p, rule, ref) for lo, hi, p, rule, ref in axes]
+    per_axis = [_axis_nodes(lo, hi, level, p, rule, ref) for lo, hi, p, rule, ref in axes]
     mesh = np.meshgrid(*[n for n, _ in per_axis], indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     wmesh = np.meshgrid(*[w for _, w in per_axis], indexing="ij")
@@ -203,7 +242,7 @@ def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
     """
     points = _axis_points(q, len(dom.box))
     rules = dom.rules or ("gauss",) * len(dom.box)
-    sizes = (math.prod(1 if rule == "invariant" else p * 2 ** level
+    sizes = (math.prod({"invariant": 1, "band-limited": p}.get(rule, p * 2 ** level)
                        for p, rule in zip(points, rules))
              for level in range(q.refinement_levels))
     # any() stops at the first level whose running total passes the cap
@@ -296,10 +335,12 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
     q : QuadratureSpec
         Tensor-product rule; at level k a "gauss" axis with p points gets
         2^(k-1) Gauss-Legendre panels of p nodes, a "periodic" axis the
-        trapezoid rule with p * 2^(k-1) nodes starting at its low end, and
-        an "invariant" axis one node at its low end weighted hi - lo at
-        every level, whatever its p. A per-axis points tuple must have one
-        count per box axis, or ValueError is raised.
+        trapezoid rule with p * 2^(k-1) nodes starting at its low end, a
+        "band-limited" axis the trapezoid rule with p nodes at every level,
+        starting at its low end at odd k and half a spacing above it at even
+        k, and an "invariant" axis one node at its low end weighted hi - lo
+        at every level, whatever its p. A per-axis points tuple must have
+        one count per box axis, or ValueError is raised.
 
     The nodes of all levels, built once per (domain, spec) and cached, go
     to `density` in one fixed order: level 1 first, in blocks of at most
@@ -322,7 +363,10 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
         value and |value_L - value_{L-1}| as error_estimate (inf when only
         one level was requested). The estimate does not see an invariant
         axis: if the integrand does vary along it, the value is wrong and
-        the gap can still be small.
+        the gap can still be small. On a band-limited axis it sees only
+        aliasing at odd multiples of p, which the stagger moves between
+        levels. The `invariance` suite's `axis:` rows guard both
+        declarations by sampling.
     """
     nodes = _node_set(dom, q)
     values = np.concatenate([np.asarray(density(nodes.chart_pts[start:start + _CELL_NODES]))

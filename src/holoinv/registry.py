@@ -16,8 +16,11 @@ Four bundles ship with the package:
   (character value 16 = |det of the doubling map|^2) and a deck-invariant
   angular perturbation of r^-4. Every registered integrand is invariant
   under all real dilations z -> lambda z, not only under the deck map, so
-  the domain declares t an invariant axis: one node, weighted log 2. The
-  `invariance` suite's `axis:` rows test that declaration by sampling.
+  the domain declares t an invariant axis: one node, weighted log 2. Every
+  registered integrand is also a trigonometric polynomial in (theta1,
+  theta2) of charges k(2, -1), |k| <= 3, so the domain declares both angles
+  band-limited: 4 staggered trapezoid nodes each at every level. The
+  `invariance` suite's `axis:` rows test these declarations by sampling.
 * ``hopf-blowup`` - fixed-point data only: the Hopf surface blown up at an
   interior point, for the lift of z1 d/dz1. Its zero set is one isolated
   nondegenerate point on the exceptional curve (linearization weights 1
@@ -218,7 +221,13 @@ def _hopf_domain() -> IntegrationDomain:
     # every registered integrand is dilation-invariant: each log-density
     # shifts by a constant under z -> lambda z and each field is linear, so
     # div X and n! det R e^{4t} have degree 0 and density times measure is
-    # constant in t; the invariance suite's axis rows check this by sampling
+    # constant in t. The torus (theta1, theta2) acts on r4 and lebesgue
+    # trivially and on r4-bump's bump through its charge (2, -1), so every
+    # integrand is a trigonometric polynomial of charges k(2, -1), |k| <= 3,
+    # in the angles: band-limited, where p = 4 nodes per angle are exact at
+    # any offset. The invariance suite's axis rows check both declarations
+    # by sampling; theta's "periodic" on cp1 stays, since fs-bump's
+    # exp(2 Re z/(1+|z|^2)) has every charge
     def chart_map(pts):
         radius, phi = np.exp(pts[..., 0]), pts[..., 1]
         z1 = radius * np.cos(phi) * np.exp(1j * pts[..., 2])
@@ -234,7 +243,7 @@ def _hopf_domain() -> IntegrationDomain:
              (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
         chart_map=chart_map,
         measure_map=measure_map,
-        rules=("invariant", "gauss", "periodic", "periodic"),
+        rules=("invariant", "gauss", "band-limited", "band-limited"),
     )
 
 
@@ -319,9 +328,11 @@ def _hopf_bundle() -> ExampleBundle:
         fields=fields,
         fixed_points={},
         # the t entry is unused: t is an invariant axis, one node at every
-        # level, so a job takes 1 x 12 x 4 x 4 + 1 x 24 x 8 x 8 = 1,728 nodes;
+        # level; the angles are band-limited, 4 staggered nodes each at every
+        # level, so a job takes 1 x 12 x 4 x 4 + 1 x 24 x 4 x 4 = 576 nodes.
         # 4 trapezoid nodes per angle integrate every charge k(2, -1),
-        # 0 < |k| <= 3, that r4-bump's integrands carry to zero exactly
+        # 0 < |k| <= 3, that r4-bump's integrands carry to zero exactly, so
+        # the bars are phi's Gauss-Legendre refinement gap
         default_quadrature=QuadratureSpec(points_per_axis=(2, 12, 4, 4),
                                           refinement_levels=2),
         notes=("Hopf surface (C^2 minus 0)/(z -> 2z), integrated over the fundamental "
@@ -331,11 +342,17 @@ def _hopf_bundle() -> ExampleBundle:
                "The r^-4 density descends from the cone metric over the round "
                "3-sphere and has everywhere-degenerate Ricci matrix; the Lebesgue "
                "density is automorphic for the character value 16 = |det(2 Id)|^2; "
-               "the angular perturbation Re(z1^2 conj(z2))/r^3 is deck-invariant."),
+               "the angular perturbation Re(z1^2 conj(z2))/r^3 is deck-invariant. "
+               "Every registered integrand is constant in t and a trigonometric "
+               "polynomial of charges k(2, -1), |k| <= 3, in (theta1, theta2), so "
+               "quadrature takes one node in t and 4 staggered trapezoid nodes per "
+               "angle at every level; the invariance suite's axis rows check both."),
         suites={
             **_MEMBERSHIP_SUITES,
             # axis rows: each route's integrand, times the measure, is
-            # constant along the invariant t axis to within axis_bound
+            # constant along the invariant t axis, and its average over the
+            # spec's grid of the band-limited angles does not depend on the
+            # grid's offset, to within axis_bound
             "invariance": {**_MEMBERSHIP_SUITES["invariance"], "axis_bound": 1e-5},
             "deformation": {"volumes": ("r4", "lebesgue"), "fields": ("radial", "x1", "x2"),
                             "t_grid": (0.0, 1.0), "bound": 1e-6},

@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import importlib
 import json
+import logging
 import os
 import random
 import runpy
@@ -168,6 +169,8 @@ def test_invariant_determinism(capsys):
     # sample counts outside 1..MAX_SAMPLES, refused before any array is made
     ("check", "--example", "hopf", "--suite", "automorphy", "--samples", "0"),
     ("check", "--example", "hopf", "--suite", "automorphy", "--samples", "10000000000"),
+    # a band-limited grid of 10^16 nodes per sample, refused before any is made
+    ("check", "--example", "hopf", "--suite", "invariance", "--points", "100000000"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -182,9 +185,9 @@ def test_usage_errors_exit_two(capsys, argv):
     # 10^8 points per axis: unguarded, the first array (hopf's 10^8 x 10^8
     # Gauss-Legendre companion matrix) cannot even be allocated
     (("--points", "100000000"), None),
-    # the default hopf job has 1,728 nodes and --refine 3 has 14,016: under a
-    # limit of 2,000, refinement alone crosses it
-    (("--refine", "3"), 2000),
+    # the default hopf job has 576 nodes and --refine 3 has 1,344: under a
+    # limit of 1,000, refinement alone crosses it
+    (("--refine", "3"), 1000),
     # the level sizes are added only until they pass the cap: summed over all
     # 100,000 levels they took 46 s, to a count with too many digits to print
     (("--refine", "100000"), None),
@@ -615,8 +618,9 @@ def test_nonfinite_density_exits_two_naming_the_level(capsys, monkeypatch):
 
 
 def test_hopf_invariance_checks_the_t_axis_on_every_route(capsys):
-    # t is hopf's invariant axis: one axis row per volume, field and route,
-    # each held to the declared 1e-5; cp1 declares no invariant axis
+    # t is hopf's invariant axis and the angles its band-limited ones: one
+    # axis row per volume, field and route checks all three, each held to
+    # the declared 1e-5; cp1 declares neither rule
     code, out, _ = run_cli(capsys, "check", "--example", "hopf", "--suite", "invariance",
                            "--json")
     assert code == 0
@@ -652,6 +656,45 @@ def test_false_invariant_axis_fails_the_check(capsys, monkeypatch):
     assert failed and all(row["value_re"] > row["bound"] for row in failed)
     assert all(row["passed"] for row in load_report(out)["results"]
                if not row["label"].startswith("axis:"))
+
+
+def test_false_band_limited_axis_fails_the_check(capsys, monkeypatch):
+    # declaring cp1's theta band-limited is wrong: fs-bump's
+    # exp(2 Re z/(1+|z|^2)) carries every charge, so at 4 nodes per axis the
+    # grid means move with their offset, the axis rows fail and the suite
+    # exits 1
+    cp1 = registry_get("cp1")
+    pieces = {chart: dataclasses.replace(dom, rules=("gauss", "band-limited"))
+              for chart, dom in cp1.manifold.fundamental_domain.items()}
+    wrong = dataclasses.replace(
+        cp1, manifold=dataclasses.replace(cp1.manifold, fundamental_domain=pieces),
+        suites={**cp1.suites,
+                "invariance": {**cp1.suites["invariance"], "axis_bound": 1e-5}})
+    monkeypatch.setattr("holoinv.cli.registry_get", lambda name: wrong)
+    code, out, _ = run_cli(capsys, "check", "--example", "cp1", "--suite", "invariance",
+                           "--points", "4", "--json")
+    assert code == 1
+    rows = [row for row in load_report(out)["results"] if row["label"].startswith("axis:")]
+    assert len(rows) == 2 * 3 * 2
+    failed = {row["label"] for row in rows if not row["passed"]}
+    assert {f"axis:fs-bump:{f}:{r}" for f in ("ddz", "z-ddz", "z2-ddz")
+            for r in ("direct", "alt")} <= failed
+    assert all(row["value_re"] > row["bound"] for row in rows if row["label"] in failed)
+    assert all(row["passed"] for row in load_report(out)["results"]
+               if not row["label"].startswith("axis:"))
+
+
+def test_verbose_holds_for_its_own_call_only(capsys):
+    # three calls in one process: only the verbose one logs its timing, to
+    # the sys.stderr of that call, and the root logger is left alone
+    root_handlers = list(logging.getLogger().handlers)
+    job = ("invariant", "--example", "cp1", "--volume", "fs", "--field", "ddz",
+           "--method", "direct")
+    errs = [run_cli(capsys, *flags, *job)[2] for flags in ((), ("--verbose",), ())]
+    assert errs[0] == errs[2] == ""
+    assert errs[1].startswith("holoinv: direct invariant on cp1 took ")
+    assert errs[1].count("\n") == 1
+    assert logging.getLogger().handlers == root_handlers
 
 
 def test_module_entry_point():

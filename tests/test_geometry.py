@@ -177,7 +177,8 @@ def _density_nan_along_t(hopf, cp1):
     def density(coords):
         return np.where(_abs2(coords).sum(-1) > 2.0, np.nan, 1.0)
 
-    return verify_invariant_axes(lambda chart_id: density, hopf.manifold)
+    return verify_invariant_axes(lambda chart_id: density, hopf.manifold,
+                                 hopf.default_quadrature)
 
 
 @pytest.mark.parametrize("measure, what", [
@@ -202,12 +203,34 @@ def test_invariant_axis_residual_tells_invariant_densities_apart(hopf, cp1):
     def ones(coords):
         return np.ones(coords.shape[:-1])
 
-    rep = verify_invariant_axes(lambda chart_id: cone, hopf.manifold)
+    q = hopf.default_quadrature
+    rep = verify_invariant_axes(lambda chart_id: cone, hopf.manifold, q)
     assert set(rep) == {"punctured"}
     assert max(rep.values()) < 1e-12
-    assert max(verify_invariant_axes(lambda chart_id: ones, hopf.manifold).values()) > 1.0
-    # cp1's discs declare no invariant axis, so nothing is measured
-    assert verify_invariant_axes(lambda chart_id: ones, cp1.manifold) == {}
+    assert max(verify_invariant_axes(lambda chart_id: ones, hopf.manifold, q).values()) > 1.0
+    # cp1's discs declare no invariant or band-limited axis: nothing is measured
+    assert verify_invariant_axes(lambda chart_id: ones, cp1.manifold,
+                                 cp1.default_quadrature) == {}
+
+
+@pytest.mark.parametrize("charge, aliased", [
+    ((1, 0), False), ((2, -1), False), ((3, 3), False),
+    ((4, 0), True), ((0, 8), True), ((4, 4), True)],
+    ids=["(1,0)", "(2,-1)", "(3,3)", "(4,0)", "(0,8)", "(4,4)"])
+def test_band_limited_residual_sees_aliased_charges(hopf, charge, aliased):
+    # hopf's angles are band-limited with 4 nodes each: a cone density
+    # times cos(a theta1 + b theta2) has grid means that depend on the
+    # grid's offset exactly when 4 divides both a and b, (a, b) != 0,
+    # including (4, 4) and (0, 8), which the level-2 stagger cannot see
+    a, b = charge
+
+    def density(coords):
+        phase = a * np.angle(coords[..., 0]) + b * np.angle(coords[..., 1])
+        return _abs2(coords).sum(-1) ** -2 * (1.0 + np.cos(phase))
+
+    rep = verify_invariant_axes(lambda chart_id: density, hopf.manifold,
+                                hopf.default_quadrature)
+    assert (rep["punctured"] > 1e-2) == aliased, rep
 
 
 # --- sampling and domains --------------------------------------------------

@@ -46,10 +46,11 @@ def test_hopf_direct_pointwise_degenerate(hopf):
 
 
 def test_hopf_default_job_node_count(hopf, monkeypatch):
-    # cost guard: t = log|z| is an invariant axis, so levels 1 and 2 of the
-    # (2, 12, 4, 4) grid hold 1 x 12 x 4 x 4 and 1 x 24 x 8 x 8 nodes, all on
-    # the sphere |z| = 1, and both levels go to the density in one call; a
-    # grid regression shows here before any benchmark run
+    # cost guard: t = log|z| is an invariant axis and the angles are
+    # band-limited, so levels 1 and 2 of the (2, 12, 4, 4) grid hold
+    # 1 x 12 x 4 x 4 and 1 x 24 x 4 x 4 nodes, all on the sphere |z| = 1, and
+    # both levels go to the density in one call; a grid regression shows
+    # here before any benchmark run
     nodes, radii = [], set()
 
     def counting_integrate(density, dom, q):
@@ -64,9 +65,19 @@ def test_hopf_default_job_node_count(hopf, monkeypatch):
                      q=hopf.default_quadrature)
     dom = hopf.manifold.fundamental_domain["punctured"]
     starts = quadrature._node_set(dom, hopf.default_quadrature).starts
-    assert starts == (0, 1 * 12 * 4 * 4, 1 * 12 * 4 * 4 + 1 * 24 * 8 * 8)
-    assert nodes == [1_728]
+    assert starts == (0, 1 * 12 * 4 * 4, 1 * 12 * 4 * 4 + 1 * 24 * 4 * 4)
+    assert nodes == [576]
     assert radii == {1.0}
+
+
+def test_band_limited_aliasing_shows_in_the_bar(hopf):
+    # 2 nodes per angle alias r4-bump's charge (2, -1) terms: level 1 and the
+    # half-spacing stagger of level 2 alias them with opposite signs, so the
+    # refinement gap bounds the wrong value instead of hiding it
+    res = invariant_direct(hopf.manifold, hopf.volumes["r4-bump"], hopf.fields["x1"],
+                           q=QuadratureSpec((2, 12, 2, 2), 2))
+    assert abs(res.value) > 1e-3
+    assert abs(res.value) <= res.error_estimate
 
 
 def test_cp1_default_job_node_count(cp1, monkeypatch):
@@ -114,7 +125,7 @@ def test_cp1_default_job_calls_the_density_once_for_both_pieces(cp1, monkeypatch
 def test_hopf_default_job_calls_the_density_once(hopf, monkeypatch):
     calls = _density_calls(monkeypatch, lambda: invariant_alternative(
         hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"], q=hopf.default_quadrature))
-    assert calls == [1_728]
+    assert calls == [576]
 
 
 def test_cp1_deformation_suite_density_calls(cp1, monkeypatch, capsys):
@@ -188,11 +199,12 @@ def test_cp1_deformation_suite_calls_each_evaluator_once_per_chart_per_block(cp1
 
 
 def test_grid_beyond_one_block_is_cut_into_bounded_calls(hopf, monkeypatch):
-    # levels of 192 + 1,536 + 12,288 nodes: no call holds more than _CELL_NODES
-    q = QuadratureSpec((2, 12, 4, 4), 3)
+    # 16 band-limited nodes per angle: levels of 3,072 + 6,144 + 12,288
+    # nodes, the finest beyond one block; no call holds more than _CELL_NODES
+    q = QuadratureSpec((2, 12, 16, 16), 3)
     calls = _density_calls(monkeypatch, lambda: invariant_direct(
         hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"], q=q))
-    assert sum(calls) == 192 + 1_536 + 12_288
+    assert sum(calls) == 3_072 + 6_144 + 12_288
     assert len(calls) > 1
     assert max(calls) <= quadrature._CELL_NODES
 
@@ -480,7 +492,7 @@ def test_alternative_rows_of_n_fields_share_one_nested_jet_on_the_axes(hopf):
     shared = dict(zip(names, invariant_module._integrate_route(
         hopf.manifold, [(counted, hopf.fields[name]) for name in names],
         invariant_module._alternative_row, q)))
-    assert calls == [("punctured", 1_728)]
+    assert calls == [("punctured", 576)]
     for name in names:
         alone = invariant_alternative(hopf.manifold, vol, hopf.fields[name], q=q)
         budget = shared[name].error_estimate + alone.error_estimate + rounding

@@ -327,6 +327,26 @@ def test_zero_density_is_exact(cp1):
     assert res.error_estimate == 0.0
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"points_per_axis": [16, 16]}, "points_per_axis"),
+    ({"points_per_axis": 2.5}, "points_per_axis"),
+    ({"points_per_axis": (16, 16.0)}, "points_per_axis"),
+    ({"points_per_axis": True}, "points_per_axis"),
+    ({"points_per_axis": (4, np.True_)}, "points_per_axis"),
+    ({"refinement_levels": 2.0}, "refinement_levels"),
+    ({"refinement_levels": True}, "refinement_levels"),
+    ({"refinement_levels": "3"}, "refinement_levels"),
+], ids=["list", "float-count", "float-in-tuple", "bool-count", "numpy-bool-in-tuple",
+        "float-levels", "bool-levels", "str-levels"])
+def test_spec_refuses_what_is_not_an_integer(kwargs, field):
+    # each used to fail later inside numpy, raise a bare TypeError, or (True)
+    # pass for one level; numpy integers stay accepted
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        QuadratureSpec(**kwargs)
+    assert QuadratureSpec(np.int64(4), np.int32(2)) == QuadratureSpec(4, 2)
+    QuadratureSpec((np.int16(4), 3), 2)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(points_per_axis=1)
@@ -449,6 +469,34 @@ def test_single_level_reports_unknown_error():
 # --- one node set and one density call per block, across levels --------------
 
 
+def _gauss_axis(lo, hi, level, p):
+    x, w = np.polynomial.legendre.leggauss(p)
+    ref_x, ref_w = 0.5 * (x + 1.0), 0.5 * w
+    edges = np.linspace(lo, hi, 2 ** (level - 1) + 1)
+    widths = np.diff(edges)
+    return ((edges[:-1, None] + widths[:, None] * ref_x[None, :]).ravel(),
+            (widths[:, None] * ref_w[None, :]).ravel())
+
+
+def _periodic_axis(lo, hi, level, p):
+    count = p * 2 ** (level - 1)
+    return lo + (hi - lo) * np.arange(count) / count, np.full(count, (hi - lo) / count)
+
+
+def _band_limited_axis(lo, hi, level, p):
+    shift = 0.0 if level % 2 else 0.5
+    return lo + (hi - lo) * (np.arange(p) + shift) / p, np.full(p, (hi - lo) / p)
+
+
+def _invariant_axis(lo, hi, level, p):
+    return np.array([lo]), np.array([hi - lo])
+
+
+# the reference's own implementation of every axis rule, by name
+_REFERENCE_AXES = {"gauss": _gauss_axis, "periodic": _periodic_axis,
+                   "band-limited": _band_limited_axis, "invariant": _invariant_axis}
+
+
 def _per_level_integrate(density, dom, q):
     """Frozen reference: every level built and integrated on its own, one
     density call per block of at most 8,192 nodes of that level."""
@@ -456,21 +504,8 @@ def _per_level_integrate(density, dom, q):
     points = counts if isinstance(counts, tuple) else (counts,) * len(dom.box)
     rules = dom.rules or ("gauss",) * len(dom.box)
 
-    def axis_nodes(lo, hi, panels, p, rule):
-        if rule == "invariant":
-            return np.array([lo]), np.array([hi - lo])
-        if rule == "periodic":
-            count = p * panels
-            return lo + (hi - lo) * np.arange(count) / count, np.full(count, (hi - lo) / count)
-        x, w = np.polynomial.legendre.leggauss(p)
-        ref_x, ref_w = 0.5 * (x + 1.0), 0.5 * w
-        edges = np.linspace(lo, hi, panels + 1)
-        widths = np.diff(edges)
-        return ((edges[:-1, None] + widths[:, None] * ref_x[None, :]).ravel(),
-                (widths[:, None] * ref_w[None, :]).ravel())
-
     def evaluate_level(level):
-        per_axis = [axis_nodes(lo, hi, 2 ** (level - 1), p, rule)
+        per_axis = [_REFERENCE_AXES[rule](lo, hi, level, p)
                     for (lo, hi), p, rule in zip(dom.box, points, rules)]
         mesh = np.meshgrid(*[n for n, _ in per_axis], indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=-1)
@@ -501,14 +536,16 @@ def _bits(res):
 
 
 def _hopf_wave(z):
-    # complex-valued, with a chart map, a measure map and all three rules
+    # complex-valued, with a chart map, a measure map and the invariant,
+    # gauss and band-limited rules
     return np.exp(1j * z[..., 0].real) * _abs2(z).sum(-1) ** -2 + z[..., 1].imag
 
 
 @pytest.mark.parametrize("case", ["multi-block", "complex", "rows"])
 def test_integrate_matches_the_per_level_reference_bit_for_bit(case, hopf, cp1):
-    # levels of 192, 1,536 and 12,288 nodes: the finest spans two blocks
-    multi_block = hopf.manifold.fundamental_domain["punctured"], QuadratureSpec((2, 12, 4, 4), 3)
+    # levels of 3,072, 6,144 and 12,288 nodes: the finest spans two blocks
+    multi_block = (hopf.manifold.fundamental_domain["punctured"],
+                   QuadratureSpec((2, 12, 16, 16), 3))
     if case == "rows":
         # one complex and one real row in one call: each row's result is its
         # own one-row call's and the per-level reference's, bit for bit
@@ -526,6 +563,41 @@ def test_integrate_matches_the_per_level_reference_bit_for_bit(case, hopf, cp1):
                            cp1.manifold.fundamental_domain["affine"], QuadratureSpec(64, 3))
     expected = _per_level_integrate(density, dom, q)
     assert _bits(integrate(density, dom, q)) == _bits(expected)
+
+
+def test_every_rule_has_an_independent_reference():
+    # a rule cannot land in quadrature without its own implementation in
+    # the per-level reference
+    assert set(_REFERENCE_AXES) == set(quadrature.RULES)
+
+
+@pytest.mark.parametrize("rule", quadrature.RULES)
+def test_every_rule_matches_the_per_level_reference_bit_for_bit(rule):
+    # the rule on the second axis of a small complex-valued integrand, over
+    # four levels so that a band-limited axis is met at both offsets twice
+    dom = IntegrationDomain(box=((0.0, 1.0), (0.5, 2.0)), rules=("gauss", rule))
+
+    def density(z):
+        return np.exp(1j * z[..., 0].imag) * (1.0 + z[..., 0].real) ** -2
+
+    q = QuadratureSpec((3, 5), 4)
+    assert _bits(integrate(density, dom, q)) == _bits(_per_level_integrate(density, dom, q))
+
+
+def test_band_limited_axis_is_staggered_between_levels():
+    # level 1 at lo + (hi - lo) j / p, level 2 half a spacing above, level 3
+    # back at level 1's nodes; every level keeps p nodes weighted (hi - lo)/p
+    lo, hi, p = 0.5, 2.0, 5
+    dom = IntegrationDomain(box=((lo, hi),), chart_map=lambda pts: pts + 0j,
+                            rules=("band-limited",))
+    nodes = quadrature._node_set(dom, QuadratureSpec(p, 3))
+    assert nodes.starts == (0, p, 2 * p, 3 * p)
+    levels = [nodes.chart_pts[a:b, 0].real for a, b in zip(nodes.starts, nodes.starts[1:])]
+    j = np.arange(p)
+    np.testing.assert_allclose(levels[0], lo + (hi - lo) * j / p, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(levels[1], lo + (hi - lo) * (j + 0.5) / p, rtol=0, atol=1e-15)
+    assert levels[2].tolist() == levels[0].tolist()
+    np.testing.assert_allclose(nodes.weights, (hi - lo) / p, rtol=1e-15)
 
 
 def test_ill_posed_level_one_is_named():

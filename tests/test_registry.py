@@ -67,13 +67,14 @@ def test_declared_suite_bounds_are_positive_numbers(name):
 
 @pytest.mark.parametrize("name", ["cp1", "hopf"])
 def test_invariant_axes_are_declared_with_their_check(name):
-    # an invariant axis gets one quadrature node; only the invariance
-    # suite's axis rows test that declaration, so they must have a bound
+    # an invariant axis gets one quadrature node and a band-limited axis the
+    # same p nodes at every level; only the invariance suite's axis rows
+    # test either declaration, so a domain with one must have their bound
     bundle = registry_get(name)
-    declares = any("invariant" in dom.rules
-                   for dom in bundle.manifold.fundamental_domain.values())
-    assert declares == (name == "hopf")
-    assert ("axis_bound" in bundle.suites["invariance"]) == declares
+    rules = {rule for dom in bundle.manifold.fundamental_domain.values() for rule in dom.rules}
+    declared = rules & {"invariant", "band-limited"}
+    assert declared == ({"invariant", "band-limited"} if name == "hopf" else set())
+    assert ("axis_bound" in bundle.suites["invariance"]) == bool(declared)
 
 
 @pytest.mark.parametrize("name", registry_names())
