@@ -365,9 +365,10 @@ def cmd_check(args) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
-_POINTS_HELP = ("quadrature points per axis: per panel on a Gauss axis, at level 1 "
-                "on a periodic axis, at every level on a band-limited axis; an "
-                "invariant axis ignores it")
+_POINTS_HELP = ("quadrature points per axis, one count that replaces every axis's "
+                "default count, so on hopf it sets both angles to it: per panel on a "
+                "Gauss axis, at level 1 on a periodic axis, at every level on a "
+                "band-limited axis; an invariant axis ignores it")
 
 
 def build_parser() -> argparse.ArgumentParser:

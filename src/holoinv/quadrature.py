@@ -18,11 +18,14 @@ declares from what every integrand on that domain does along the axis:
 
 The point count p may differ per axis. The difference between the last two
 refinement levels is reported as the error estimate. It says nothing about
-an invariant axis, and on a band-limited axis it sees only the aliasing of
-frequencies at odd multiples of p, which the half-spacing stagger moves
-between consecutive levels; a frequency at an even multiple of p, or a
-joint frequency such as (p, p), aliases alike on both grids. Only a sampled
-check tests these declarations: the `invariance` suite's `axis:` rows.
+an invariant axis, and on band-limited axes it sees only part of the
+aliasing. Their grid of p_1 x ... x p_k nodes aliases exactly the joint
+frequencies (p_1 m_1, ..., p_k m_k), not all m_j zero, and the half-spacing
+stagger turns such a term's sign by (-1)^(m_1 + ... + m_k) between
+consecutive levels, so it aliases alike on both grids whenever that sum is
+even: (2 p_1, 0) on one axis, and jointly (p_1, p_2), whether or not the
+counts are equal. Only a sampled check tests these declarations: the
+`invariance` suite's `axis:` rows.
 
 Cost: the nodes, weights and chart points of every level depend only on
 the domain and the spec, so they are built once per (domain, spec) pair,
@@ -363,10 +366,11 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
         value and |value_L - value_{L-1}| as error_estimate (inf when only
         one level was requested). The estimate does not see an invariant
         axis: if the integrand does vary along it, the value is wrong and
-        the gap can still be small. On a band-limited axis it sees only
-        aliasing at odd multiples of p, which the stagger moves between
-        levels. The `invariance` suite's `axis:` rows guard both
-        declarations by sampling.
+        the gap can still be small. On band-limited axes it sees only an
+        aliased joint frequency (p_1 m_1, ..., p_k m_k) with odd
+        m_1 + ... + m_k, which the stagger moves between levels. The
+        `invariance` suite's `axis:` rows guard both declarations by
+        sampling.
     """
     nodes = _node_set(dom, q)
     values = np.concatenate([np.asarray(density(nodes.chart_pts[start:start + _CELL_NODES]))

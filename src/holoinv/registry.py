@@ -7,7 +7,10 @@ Four bundles ship with the package:
   rotation-invariant density 1/(1+|z|^2)^2, and the same density times
   exp(B) for the real-analytic bump B = exp(-|z-1|^2/(1+|z|^2)). B is
   invariant under z -> 1/z, so each density has one formula in both
-  charts. With the three global holomorphic fields.
+  charts. With the three global holomorphic fields. A job takes
+  15*16 + 30*32 = 1,200 nodes over two levels: the bars come from theta's
+  aliasing at level 1, and 15 Gauss points per radial panel leave them as
+  20 did.
 * ``hopf`` - the Hopf surface (C^2 minus 0) / (z -> 2z), integration over
   the fundamental domain 1 <= |z| <= 2 in log-polar coordinates
   (t = log|z|, phi, theta1, theta2), where the deck map is t -> t + log 2
@@ -19,8 +22,12 @@ Four bundles ship with the package:
   the domain declares t an invariant axis: one node, weighted log 2. Every
   registered integrand is also a trigonometric polynomial in (theta1,
   theta2) of charges k(2, -1), |k| <= 3, so the domain declares both angles
-  band-limited: 4 staggered trapezoid nodes each at every level. The
-  `invariance` suite's `axis:` rows test these declarations by sampling.
+  band-limited. theta2's 4 staggered trapezoid nodes integrate every such
+  charge with k != 0 to zero whatever theta1's nodes, so theta1 keeps the
+  minimum of 2, and a job takes 1*12*2*4 + 1*24*2*4 = 288 nodes over two
+  levels. The `invariance` suite's `axis:` rows test these declarations by
+  sampling. x1 and x2 carry fixed-point data, each a flat elliptic curve of
+  residue 0.
 * ``hopf-blowup`` - fixed-point data only: the Hopf surface blown up at an
   interior point, for the lift of z1 d/dz1. Its zero set is one isolated
   nondegenerate point on the exceptional curve (linearization weights 1
@@ -190,10 +197,12 @@ def _cp1_bundle() -> ExampleBundle:
         volumes=volumes,
         fields=fields,
         fixed_points={"z-ddz": z_ddz_zeros},
-        # 1,600 nodes per job: both pieces share the disc's node set and one
-        # density call, one row per piece; every registered job's bar is
-        # <= 4.6e-11 here, and (16, 16) x 2 gives bars no larger
-        default_quadrature=QuadratureSpec(points_per_axis=(20, 16), refinement_levels=2),
+        # 15*16 + 30*32 = 1,200 nodes per job: both pieces share the disc's
+        # node set and one density call, one row per piece. The bars come from
+        # theta's aliasing at level 1, not from r: every registered job's bar
+        # is <= 4.6e-11 here, and 20 radial points leave each fs-bump bar
+        # within 1 % (4.58e-11 and 1.30e-12 at both)
+        default_quadrature=QuadratureSpec(points_per_axis=(15, 16), refinement_levels=2),
         notes=("Projective line as two closed unit discs, |z| <= 1 in the affine "
                "chart and |w| <= 1 in the chart at infinity (w = 1/z), each in "
                "polar coordinates r e^{i theta}; they meet only on the unit circle. "
@@ -201,7 +210,10 @@ def _cp1_bundle() -> ExampleBundle:
                "curvature class: fs-bump multiplies 1/(1+|z|^2)^2 by "
                "exp(B), where B = exp(-|z-1|^2/(1+|z|^2)) is real-analytic and "
                "B(1/w) = B(w), so each density has one formula in both charts. "
-               "The three fields span the global holomorphic fields of the line."),
+               "The three fields span the global holomorphic fields of the line. "
+               "A job takes 15*16 + 30*32 = 1,200 nodes over two levels: the bars "
+               "come from theta's aliasing at level 1, which 15 radial Gauss points "
+               "per panel leave as 20 did."),
         suites={
             **_MEMBERSHIP_SUITES,
             "deformation": {"volumes": ("fs", "fs-bump"), "fields": ("z-ddz",),
@@ -224,8 +236,9 @@ def _hopf_domain() -> IntegrationDomain:
     # constant in t. The torus (theta1, theta2) acts on r4 and lebesgue
     # trivially and on r4-bump's bump through its charge (2, -1), so every
     # integrand is a trigonometric polynomial of charges k(2, -1), |k| <= 3,
-    # in the angles: band-limited, where p = 4 nodes per angle are exact at
-    # any offset. The invariance suite's axis rows check both declarations
+    # in the angles: band-limited. 4 theta2 nodes alone integrate e^{-ik
+    # theta2}, 0 < |k| <= 3, to zero at any offset, so any theta1 count is
+    # exact. The invariance suite's axis rows check both declarations
     # by sampling; theta's "periodic" on cp1 stays, since fs-bump's
     # exp(2 Re z/(1+|z|^2)) has every charge
     def chart_map(pts):
@@ -321,19 +334,34 @@ def _hopf_bundle() -> ExampleBundle:
         "radial": VectorFieldSpec("radial", {"punctured": radial}),
     }
 
+    # z_i d/dz_i vanishes on the elliptic curve {z_i = 0}/(z -> 2z), flat in
+    # the Hopf surface (b2 = 0), with linearization 1 on the normal z_i
+    # direction and 0 along the curve: residue 0. radial has no zeros, and
+    # FixedPointData refuses an empty component list, so it carries none
+    def axis_zeros(name, i):
+        return FixedPointData(
+            label=f"Hopf surface, field {name}",
+            manifold_dim=2,
+            components=(ZeroComponent(f"elliptic curve z{i} = 0", 1, Fraction(1),
+                                      (Fraction(1),), Fraction(0), (Fraction(0),)),),
+        )
+
     return ExampleBundle(
         name="hopf",
         manifold=manifold,
         volumes=volumes,
         fields=fields,
-        fixed_points={},
+        fixed_points={"x1": axis_zeros("x1", 1), "x2": axis_zeros("x2", 2)},
         # the t entry is unused: t is an invariant axis, one node at every
-        # level; the angles are band-limited, 4 staggered nodes each at every
-        # level, so a job takes 1 x 12 x 4 x 4 + 1 x 24 x 4 x 4 = 576 nodes.
-        # 4 trapezoid nodes per angle integrate every charge k(2, -1),
-        # 0 < |k| <= 3, that r4-bump's integrands carry to zero exactly, so
-        # the bars are phi's Gauss-Legendre refinement gap
-        default_quadrature=QuadratureSpec(points_per_axis=(2, 12, 4, 4),
+        # level; the angles are band-limited, 2 staggered nodes in theta1 and
+        # 4 in theta2 at every level, so a job takes 1*12*2*4 + 1*24*2*4 = 288
+        # nodes. 4 theta2 nodes integrate every charge k(2, -1), 0 < |k| <= 3,
+        # that r4-bump's integrands carry to zero exactly, whatever theta1's
+        # count, so theta1 takes QuadratureSpec's minimum of 2 and the bars
+        # are phi's Gauss-Legendre refinement gap. The transpose (2, 12, 4, 2)
+        # aliases k = 2 on both levels alike: its bars miss a 0.1 error that
+        # only the invariance suite's axis rows see
+        default_quadrature=QuadratureSpec(points_per_axis=(2, 12, 2, 4),
                                           refinement_levels=2),
         notes=("Hopf surface (C^2 minus 0)/(z -> 2z), integrated over the fundamental "
                "domain 1 <= |z| <= 2 in log-polar coordinates (t = log|z|, phi, "
@@ -345,8 +373,13 @@ def _hopf_bundle() -> ExampleBundle:
                "the angular perturbation Re(z1^2 conj(z2))/r^3 is deck-invariant. "
                "Every registered integrand is constant in t and a trigonometric "
                "polynomial of charges k(2, -1), |k| <= 3, in (theta1, theta2), so "
-               "quadrature takes one node in t and 4 staggered trapezoid nodes per "
-               "angle at every level; the invariance suite's axis rows check both."),
+               "quadrature takes one node in t and, at every level, 2 staggered "
+               "trapezoid nodes in theta1 and 4 in theta2, which integrate every "
+               "charge k != 0 to zero: 1*12*2*4 + 1*24*2*4 = 288 nodes per job. "
+               "The invariance suite's axis rows check both declarations. "
+               "The fields x1 and x2 vanish on the elliptic curves {z_i = 0}/(z -> 2z), "
+               "each with trace 1, normal weight 1 and degrees 0, so residue 0; "
+               "radial has no zeros."),
         suites={
             **_MEMBERSHIP_SUITES,
             # axis rows: each route's integrand, times the measure, is

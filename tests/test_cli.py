@@ -67,9 +67,9 @@ def test_list_json_keys_residue_data_by_field(capsys):
     code, out, _ = run_cli(capsys, "list", "--json")
     assert code == 0
     fixed_points = {e["name"]: e["fixed_points"] for e in load_report(out)["results"]}
-    assert fixed_points["hopf"] == {}
-    assert {name: list(data) for name, data in fixed_points.items() if data} == {
-        "cp1": ["z-ddz"], "hopf-blowup": ["x1"], "blcp2": ["z1-ddz1"]}
+    # radial has no zeros on hopf, so it carries no residue data
+    assert {name: list(data) for name, data in fixed_points.items()} == {
+        "cp1": ["z-ddz"], "hopf": ["x1", "x2"], "hopf-blowup": ["x1"], "blcp2": ["z1-ddz1"]}
     assert fixed_points["cp1"]["z-ddz"] == localization.fixed_point_data_to_dict(
         registry_get("cp1").fixed_points["z-ddz"])
 
@@ -146,7 +146,7 @@ def test_invariant_determinism(capsys):
     ("invariant", "--example", "hopf-blowup", "--field", "x1", "--method", "direct"),
     ("invariant", "--example", "hopf-blowup", "--field", "x2",
      "--method", "localization"),
-    ("invariant", "--example", "hopf", "--field", "x1", "--method", "localization"),
+    ("invariant", "--example", "hopf", "--field", "radial", "--method", "localization"),
     ("check", "--example", "cp1", "--suite", "vaisman"),
     ("check", "--example", "hopf", "--suite", "convergence"),
     ("invariant", "--example", "cp1", "--volume", "fs", "--field", "z-ddz",
@@ -185,9 +185,9 @@ def test_usage_errors_exit_two(capsys, argv):
     # 10^8 points per axis: unguarded, the first array (hopf's 10^8 x 10^8
     # Gauss-Legendre companion matrix) cannot even be allocated
     (("--points", "100000000"), None),
-    # the default hopf job has 576 nodes and --refine 3 has 1,344: under a
-    # limit of 1,000, refinement alone crosses it
-    (("--refine", "3"), 1000),
+    # the default hopf job has 288 nodes and --refine 3 has 672: under a
+    # limit of 500, refinement alone crosses it
+    (("--refine", "3"), 500),
     # the level sizes are added only until they pass the cap: summed over all
     # 100,000 levels they took 46 s, to a count with too many digits to print
     (("--refine", "100000"), None),
@@ -279,14 +279,18 @@ def test_usage_error_carries_hint(capsys):
     assert "localization" in err
 
 
-def test_localization_hint_names_every_example_with_fixed_point_data(capsys):
+def test_localization_hint_names_every_example_with_fixed_point_data(capsys, monkeypatch):
+    # every registered example carries residue data, so hopf without its
+    # own stands in for an example that has none
+    bare = dataclasses.replace(registry_get("hopf"), fixed_points={})
+    monkeypatch.setattr("holoinv.cli.registry_get",
+                        lambda name: bare if name == "hopf" else registry_get(name))
     code, out, err = run_cli(capsys, "invariant", "--example", "hopf",
                              "--method", "localization")
     assert code == 2
     assert out == ""
-    for name in ("cp1", "hopf-blowup", "blcp2"):
-        assert registry_get(name).fixed_points
-        assert name in err.split("choose", 1)[1]
+    hint = err.split("choose ", 1)[1].rstrip().removesuffix(")")
+    assert hint.split(" / ") == ["cp1", "hopf-blowup", "blcp2"]
 
 
 @pytest.fixture

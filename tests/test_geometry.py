@@ -24,6 +24,8 @@ from holoinv import (
     verify_volume_transitions,
 )
 from holoinv import geometry, jets
+from holoinv.invariant import ROUTE_DENSITIES
+from holoinv.quadrature import QuadratureSpec
 
 
 def _abs2(z):
@@ -215,13 +217,18 @@ def test_invariant_axis_residual_tells_invariant_densities_apart(hopf, cp1):
 
 @pytest.mark.parametrize("charge, aliased", [
     ((1, 0), False), ((2, -1), False), ((3, 3), False),
-    ((4, 0), True), ((0, 8), True), ((4, 4), True)],
-    ids=["(1,0)", "(2,-1)", "(3,3)", "(4,0)", "(0,8)", "(4,4)"])
+    ((4, 0), True), ((0, 8), True), ((4, 4), True),
+    ((2, 0), True), ((2, 4), True), ((4, -2), False), ((6, -3), False)],
+    ids=["(1,0)", "(2,-1)", "(3,3)", "(4,0)", "(0,8)", "(4,4)",
+         "(2,0)", "(2,4)", "(4,-2)", "(6,-3)"])
 def test_band_limited_residual_sees_aliased_charges(hopf, charge, aliased):
-    # hopf's angles are band-limited with 4 nodes each: a cone density
-    # times cos(a theta1 + b theta2) has grid means that depend on the
-    # grid's offset exactly when 4 divides both a and b, (a, b) != 0,
-    # including (4, 4) and (0, 8), which the level-2 stagger cannot see
+    # hopf's angles are band-limited with 2 nodes in theta1 and 4 in
+    # theta2: a cone density times cos(a theta1 + b theta2) has grid means
+    # that depend on the grid's offset exactly when 2 divides a and 4
+    # divides b, (a, b) != 0, including (4, 0), (0, 8) and (2, 4), where
+    # a/2 + b/4 is even and the level-2 stagger cannot see them. (4, -2)
+    # and (6, -3) are charges 2 and 3 of the bump's (2, -1); the first
+    # would alias on the transposed grid of 4 and 2 nodes
     a, b = charge
 
     def density(coords):
@@ -231,6 +238,29 @@ def test_band_limited_residual_sees_aliased_charges(hopf, charge, aliased):
     rep = verify_invariant_axes(lambda chart_id: density, hopf.manifold,
                                 hopf.default_quadrature)
     assert (rep["punctured"] > 1e-2) == aliased, rep
+
+
+@pytest.mark.parametrize("vol_name", ["r4", "lebesgue", "r4-bump"])
+def test_hopf_axis_rows_pin_the_angle_grid_orientation(hopf, vol_name):
+    # the default (2, 12, 2, 4) grid integrates every charge k(2, -1),
+    # 0 < |k| <= 3, to zero; its transpose (2, 12, 4, 2) aliases k = 2 as
+    # (4, -2) alike on both levels, so r4-bump's bars miss the error and
+    # only the axis rows see it. r4 and lebesgue do not depend on the
+    # angles, so no angle grid can fail them
+    bound = hopf.suites["invariance"]["axis_bound"]
+    transposed = QuadratureSpec((2, 12, 4, 2), 2)
+    vol = hopf.volumes[vol_name]
+    for field_name, x in hopf.fields.items():
+        for route, density_for in ROUTE_DENSITIES.items():
+            def residuals(q):
+                return verify_invariant_axes(
+                    lambda chart_id: density_for(vol.log_density[chart_id],
+                                                 x.components[chart_id]),
+                    hopf.manifold, q)["punctured"]
+
+            where = (field_name, route)
+            assert residuals(hopf.default_quadrature) < bound, where
+            assert (residuals(transposed) > bound) == (vol_name == "r4-bump"), where
 
 
 # --- sampling and domains --------------------------------------------------
