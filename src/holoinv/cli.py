@@ -366,9 +366,10 @@ def cmd_check(args) -> tuple[Report, int]:
 
 
 _POINTS_HELP = ("quadrature points per axis, one count that replaces every axis's "
-                "default count, so on hopf it sets both angles to it: per panel on a "
-                "Gauss axis, at level 1 on a periodic axis, at every level on a "
-                "band-limited axis; an invariant axis ignores it")
+                "default count, so on hopf it sets u and both angles to it: per panel "
+                "on a Gauss axis, at level 1 on a periodic axis, at every level on a "
+                "band-limited axis, at least 2 on each of these; an invariant axis "
+                "ignores it")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -433,6 +434,9 @@ def main(argv=None) -> int:
     log.setLevel(logging.INFO if args.verbose else logging.WARNING)
     if getattr(args, "refine", None) is not None and args.refine < 2:
         print("holoinv: --refine must be at least 2", file=sys.stderr)
+        return 2
+    if getattr(args, "seed", 0) < 0:
+        print("holoinv: --seed must be a non-negative integer", file=sys.stderr)
         return 2
     try:
         report, code = args.handler(args)

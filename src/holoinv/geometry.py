@@ -349,7 +349,7 @@ def verify_invariant_axes(density_for: Callable[[str], Callable], m: ManifoldSpe
         banded = [i for i, rule in enumerate(dom.rules) if rule == "band-limited"]
         if not (invariant or banded):
             continue
-        counts = [quadrature._axis_points(q, len(dom.box))[i] for i in banded]
+        counts = [quadrature._axis_points(q, dom)[i] for i in banded]
         if math.prod(counts) > quadrature._MAX_NODES:
             raise ValueError(f"the band-limited grid of piece '{chart_id}' has more than "
                              f"{quadrature._MAX_NODES} nodes; lower the points per axis")

@@ -14,7 +14,8 @@ declares from what every integrand on that domain does along the axis:
   integrate exactly at any offset, so p nodes at every level, staggered:
   lo + (hi - lo)(j + s)/p with s = 0 at odd levels and 1/2 at even ones;
 * "invariant": every integrand (density times measure) is constant along
-  the axis, so one node at lo weighted hi - lo, at every level; p is unused.
+  the axis, so one node at lo weighted hi - lo, at every level; p is unused
+  and may be 1, where every other rule needs p >= 2.
 
 The point count p may differ per axis. The difference between the last two
 refinement levels is reported as the error estimate. It says nothing about
@@ -143,7 +144,9 @@ class QuadratureSpec:
 
     Every count and the level count must be integers (numpy integers too,
     bool not), and several counts must come as a tuple; anything else
-    raises ValueError naming the field.
+    raises ValueError naming the field. Every count must be >= 1 here; the
+    spec does not know the rules, so a count below 2 on a gauss, periodic
+    or band-limited axis is refused per axis when a domain's nodes are built.
     """
 
     points_per_axis: Union[int, tuple[int, ...]] = 8
@@ -156,8 +159,8 @@ class QuadratureSpec:
         if not all(_is_integer(c) for c in counts):
             raise ValueError("points_per_axis must be an integer or a tuple of integers, "
                              f"got {self.points_per_axis!r}")
-        if not all(c >= 2 for c in counts):
-            raise ValueError("every points_per_axis count must be >= 2")
+        if not all(c >= 1 for c in counts):
+            raise ValueError("every points_per_axis count must be >= 1")
         if not _is_integer(self.refinement_levels):
             raise ValueError("refinement_levels must be an integer, "
                              f"got {self.refinement_levels!r}")
@@ -181,13 +184,20 @@ def _gauss_legendre(points: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _axis_points(q: QuadratureSpec, axes: int) -> tuple[int, ...]:
-    """Level-1 point count of each of `axes` box axes."""
+def _axis_points(q: QuadratureSpec, dom: IntegrationDomain) -> tuple[int, ...]:
+    """Level-1 point count of each box axis of `dom`. Only an invariant axis
+    takes a single point: any other count below 2 raises ValueError naming
+    the axis and its rule."""
     counts = q.points_per_axis
+    axes = len(dom.box)
     if not isinstance(counts, tuple):
-        return (counts,) * axes
-    if len(counts) != axes:
+        counts = (counts,) * axes
+    elif len(counts) != axes:
         raise ValueError(f"points_per_axis has {len(counts)} counts for {axes} box axes")
+    for axis, (count, rule) in enumerate(zip(counts, dom.rules or ("gauss",) * axes)):
+        if count < 2 and rule != "invariant":
+            raise ValueError(f"box axis {axis} ({rule}) needs >= 2 points_per_axis, "
+                             f"got {count}")
     return counts
 
 
@@ -241,9 +251,10 @@ def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
     Each axis's Gauss-Legendre reference rule is computed once for all
     levels, and the chart and measure maps run once on all levels' box
     points. The arrays are shared by every later call, so they are read-only.
-    A grid of more than _MAX_NODES nodes raises ValueError before any is built.
+    A count below 2 on an axis other than an invariant one, or a grid of
+    more than _MAX_NODES nodes, raises ValueError before any node is built.
     """
-    points = _axis_points(q, len(dom.box))
+    points = _axis_points(q, dom)
     rules = dom.rules or ("gauss",) * len(dom.box)
     sizes = (math.prod({"invariant": 1, "band-limited": p}.get(rule, p * 2 ** level)
                        for p, rule in zip(points, rules))
@@ -343,7 +354,8 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
         starting at its low end at odd k and half a spacing above it at even
         k, and an "invariant" axis one node at its low end weighted hi - lo
         at every level, whatever its p. A per-axis points tuple must have
-        one count per box axis, or ValueError is raised.
+        one count per box axis, and every axis but an invariant one needs
+        p >= 2, or ValueError is raised.
 
     The nodes of all levels, built once per (domain, spec) and cached, go
     to `density` in one fixed order: level 1 first, in blocks of at most

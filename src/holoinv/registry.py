@@ -12,10 +12,11 @@ Four bundles ship with the package:
   aliasing at level 1, and 15 Gauss points per radial panel leave them as
   20 did.
 * ``hopf`` - the Hopf surface (C^2 minus 0) / (z -> 2z), integration over
-  the fundamental domain 1 <= |z| <= 2 in log-polar coordinates
-  (t = log|z|, phi, theta1, theta2), where the deck map is t -> t + log 2
-  and the Lebesgue measure is e^{4t} cos(phi) sin(phi). Ships
-  the cone density r^-4 (trivial character), the Lebesgue density
+  the fundamental domain 1 <= |z| <= 2 in the coordinates (t, u, theta1,
+  theta2): t = log|z|, where the deck map is t -> t + log 2, and the torus
+  moment coordinate u = |z2|^2/|z|^2 in [0, 1], so z = e^t (sqrt(1-u)
+  e^{i theta1}, sqrt(u) e^{i theta2}) and the Lebesgue measure is e^{4t}/2.
+  Ships the cone density r^-4 (trivial character), the Lebesgue density
   (character value 16 = |det of the doubling map|^2) and a deck-invariant
   angular perturbation of r^-4. Every registered integrand is invariant
   under all real dilations z -> lambda z, not only under the deck map, so
@@ -24,10 +25,12 @@ Four bundles ship with the package:
   theta2) of charges k(2, -1), |k| <= 3, so the domain declares both angles
   band-limited. theta2's 4 staggered trapezoid nodes integrate every such
   charge with k != 0 to zero whatever theta1's nodes, so theta1 keeps the
-  minimum of 2, and a job takes 1*12*2*4 + 1*24*2*4 = 288 nodes over two
-  levels. The `invariance` suite's `axis:` rows test these declarations by
-  sampling. x1 and x2 carry fixed-point data, each a flat elliptic curve of
-  residue 0.
+  minimum of 2. What the angles leave is a polynomial in u of degree <= 4,
+  which 3 Gauss-Legendre nodes per panel integrate exactly, so a job takes
+  1*3*2*4 + 1*6*2*4 = 72 nodes over two levels and every bar is rounding.
+  The `invariance` suite's `axis:` rows test the t and angle declarations
+  by sampling. x1 and x2 carry fixed-point data, each a flat elliptic curve
+  of residue 0.
 * ``hopf-blowup`` - fixed-point data only: the Hopf surface blown up at an
   interior point, for the lift of z1 d/dz1. Its zero set is one isolated
   nondegenerate point on the exceptional curve (linearization weights 1
@@ -230,29 +233,38 @@ def _cp1_bundle() -> ExampleBundle:
 
 
 def _hopf_domain() -> IntegrationDomain:
-    # every registered integrand is dilation-invariant: each log-density
+    # box (t, u, theta1, theta2) with t = log|z| and u = |z2|^2/|z|^2, the
+    # moment coordinate of the torus acting on the angles: z = e^t
+    # (sqrt(1-u) e^{i theta1}, sqrt(u) e^{i theta2}). The Lebesgue measure
+    # r^3 dr cos(phi) sin(phi) dphi dtheta1 dtheta2 reads e^{4t}/2 dt du
+    # dtheta1 dtheta2 with r = e^t and u = sin^2(phi).
+    # Every registered integrand is dilation-invariant: each log-density
     # shifts by a constant under z -> lambda z and each field is linear, so
     # div X and n! det R e^{4t} have degree 0 and density times measure is
-    # constant in t. The torus (theta1, theta2) acts on r4 and lebesgue
-    # trivially and on r4-bump's bump through its charge (2, -1), so every
-    # integrand is a trigonometric polynomial of charges k(2, -1), |k| <= 3,
-    # in the angles: band-limited. 4 theta2 nodes alone integrate e^{-ik
-    # theta2}, 0 < |k| <= 3, to zero at any offset, so any theta1 count is
-    # exact. The invariance suite's axis rows check both declarations
-    # by sampling; theta's "periodic" on cp1 stays, since fs-bump's
-    # exp(2 Re z/(1+|z|^2)) has every charge
+    # constant in t. The torus acts on r4 and lebesgue trivially and on
+    # r4-bump's bump through its charge (2, -1), so every integrand is a
+    # trigonometric polynomial of charges k(2, -1), |k| <= 3, in the angles:
+    # band-limited. 4 theta2 nodes alone integrate e^{-ik theta2},
+    # 0 < |k| <= 3, to zero at any offset, so any theta1 count is exact.
+    # Along u: only derivatives of the log-density enter, polynomials in
+    # (z, conj z) over powers of r, and r^2 = 1 on the invariant axis's
+    # sphere |z| = 1, so the angle average keeps only the charge-0 monomials
+    # |z1|^{2a} |z2|^{2b} = (1-u)^a u^b: a polynomial in u, of degree <= 4
+    # for every registered (volume, field, route), which 3 Gauss-Legendre
+    # nodes per panel integrate exactly. The invariance suite's axis rows
+    # check the t and angle declarations by sampling; theta's "periodic" on
+    # cp1 stays, since fs-bump's exp(2 Re z/(1+|z|^2)) has every charge
     def chart_map(pts):
-        radius, phi = np.exp(pts[..., 0]), pts[..., 1]
-        z1 = radius * np.cos(phi) * np.exp(1j * pts[..., 2])
-        z2 = radius * np.sin(phi) * np.exp(1j * pts[..., 3])
+        radius, u = np.exp(pts[..., 0]), pts[..., 1]
+        z1 = radius * np.sqrt(1.0 - u) * np.exp(1j * pts[..., 2])
+        z2 = radius * np.sqrt(u) * np.exp(1j * pts[..., 3])
         return np.stack([z1, z2], axis=-1)
 
     def measure_map(pts):
-        phi = pts[..., 1]
-        return np.exp(4.0 * pts[..., 0]) * np.cos(phi) * np.sin(phi)
+        return 0.5 * np.exp(4.0 * pts[..., 0])
 
     return IntegrationDomain(
-        box=((0.0, math.log(2.0)), (0.0, 0.5 * math.pi),
+        box=((0.0, math.log(2.0)), (0.0, 1.0),
              (0.0, 2.0 * math.pi), (0.0, 2.0 * math.pi)),
         chart_map=chart_map,
         measure_map=measure_map,
@@ -352,31 +364,37 @@ def _hopf_bundle() -> ExampleBundle:
         volumes=volumes,
         fields=fields,
         fixed_points={"x1": axis_zeros("x1", 1), "x2": axis_zeros("x2", 2)},
-        # the t entry is unused: t is an invariant axis, one node at every
-        # level; the angles are band-limited, 2 staggered nodes in theta1 and
-        # 4 in theta2 at every level, so a job takes 1*12*2*4 + 1*24*2*4 = 288
-        # nodes. 4 theta2 nodes integrate every charge k(2, -1), 0 < |k| <= 3,
-        # that r4-bump's integrands carry to zero exactly, whatever theta1's
-        # count, so theta1 takes QuadratureSpec's minimum of 2 and the bars
-        # are phi's Gauss-Legendre refinement gap. The transpose (2, 12, 4, 2)
-        # aliases k = 2 on both levels alike: its bars miss a 0.1 error that
-        # only the invariance suite's axis rows see
-        default_quadrature=QuadratureSpec(points_per_axis=(2, 12, 2, 4),
+        # t is an invariant axis, one node at every level; the angles are
+        # band-limited, 2 staggered nodes in theta1 and 4 in theta2 at every
+        # level; u takes 3 Gauss-Legendre nodes per panel, so a job takes
+        # 1*3*2*4 + 1*6*2*4 = 72 nodes. 4 theta2 nodes integrate every charge
+        # k(2, -1), 0 < |k| <= 3, that r4-bump's integrands carry to zero
+        # exactly, whatever theta1's count, so theta1 takes the minimum of 2,
+        # and the angle averages are polynomials in u of degree <= 4, which 3
+        # nodes per panel integrate exactly on both levels: every bar is
+        # rounding. 2 nodes in u miss r4-bump x1's 0 by 0.07, and its bar
+        # sees it. The transpose (1, 3, 4, 2) aliases k = 2 on both levels
+        # alike: its bars miss a 0.1 error that only the invariance suite's
+        # axis rows see
+        default_quadrature=QuadratureSpec(points_per_axis=(1, 3, 2, 4),
                                           refinement_levels=2),
         notes=("Hopf surface (C^2 minus 0)/(z -> 2z), integrated over the fundamental "
-               "domain 1 <= |z| <= 2 in log-polar coordinates (t = log|z|, phi, "
-               "theta1, theta2), where the deck map is t -> t + log 2 and the "
-               "Lebesgue factor is e^{4t} cos(phi) sin(phi). "
+               "domain 1 <= |z| <= 2 in the coordinates (t, u, theta1, theta2), "
+               "z = e^t (sqrt(1-u) e^{i theta1}, sqrt(u) e^{i theta2}), where t = log|z|, "
+               "the deck map is t -> t + log 2, u = |z2|^2/|z|^2 is the torus moment "
+               "coordinate and the Lebesgue factor is e^{4t}/2. "
                "The r^-4 density descends from the cone metric over the round "
                "3-sphere and has everywhere-degenerate Ricci matrix; the Lebesgue "
                "density is automorphic for the character value 16 = |det(2 Id)|^2; "
                "the angular perturbation Re(z1^2 conj(z2))/r^3 is deck-invariant. "
                "Every registered integrand is constant in t and a trigonometric "
-               "polynomial of charges k(2, -1), |k| <= 3, in (theta1, theta2), so "
-               "quadrature takes one node in t and, at every level, 2 staggered "
-               "trapezoid nodes in theta1 and 4 in theta2, which integrate every "
-               "charge k != 0 to zero: 1*12*2*4 + 1*24*2*4 = 288 nodes per job. "
-               "The invariance suite's axis rows check both declarations. "
+               "polynomial of charges k(2, -1), |k| <= 3, in (theta1, theta2), whose "
+               "angle average is a polynomial in u of degree <= 4, so quadrature "
+               "takes one node in t, at every level 2 staggered trapezoid nodes in "
+               "theta1 and 4 in theta2, which integrate every charge k != 0 to zero, "
+               "and 3 Gauss-Legendre nodes per panel in u, which are exact: "
+               "1*3*2*4 + 1*6*2*4 = 72 nodes per job, and every bar is rounding. "
+               "The invariance suite's axis rows check the t and angle declarations. "
                "The fields x1 and x2 vanish on the elliptic curves {z_i = 0}/(z -> 2z), "
                "each with trace 1, normal weight 1 and degrees 0, so residue 0; "
                "radial has no zeros."),

@@ -166,6 +166,12 @@ def test_invariant_determinism(capsys):
      "--method", "direct", "--points", "many"),
     ("check", "--example", "cp1"),
     ("check", "--example", "cp1", "--suite", "automorphy", "--seed", "x"),
+    # refused at parse time, not by numpy's random generator
+    ("check", "--example", "hopf", "--suite", "automorphy", "--seed", "-1"),
+    # one point suits hopf's invariant t axis only, not u or the angles
+    ("invariant", "--example", "hopf", "--volume", "r4", "--field", "x1",
+     "--method", "direct", "--points", "1"),
+    ("check", "--example", "hopf", "--suite", "invariance", "--points", "1"),
     # sample counts outside 1..MAX_SAMPLES, refused before any array is made
     ("check", "--example", "hopf", "--suite", "automorphy", "--samples", "0"),
     ("check", "--example", "hopf", "--suite", "automorphy", "--samples", "10000000000"),
@@ -185,9 +191,9 @@ def test_usage_errors_exit_two(capsys, argv):
     # 10^8 points per axis: unguarded, the first array (hopf's 10^8 x 10^8
     # Gauss-Legendre companion matrix) cannot even be allocated
     (("--points", "100000000"), None),
-    # the default hopf job has 288 nodes and --refine 3 has 672: under a
-    # limit of 500, refinement alone crosses it
-    (("--refine", "3"), 500),
+    # the default hopf job has 72 nodes and --refine 3 has 168: under a
+    # limit of 100, refinement alone crosses it
+    (("--refine", "3"), 100),
     # the level sizes are added only until they pass the cap: summed over all
     # 100,000 levels they took 46 s, to a count with too many digits to print
     (("--refine", "100000"), None),

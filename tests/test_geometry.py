@@ -242,13 +242,13 @@ def test_band_limited_residual_sees_aliased_charges(hopf, charge, aliased):
 
 @pytest.mark.parametrize("vol_name", ["r4", "lebesgue", "r4-bump"])
 def test_hopf_axis_rows_pin_the_angle_grid_orientation(hopf, vol_name):
-    # the default (2, 12, 2, 4) grid integrates every charge k(2, -1),
-    # 0 < |k| <= 3, to zero; its transpose (2, 12, 4, 2) aliases k = 2 as
+    # the default (1, 3, 2, 4) grid integrates every charge k(2, -1),
+    # 0 < |k| <= 3, to zero; its transpose (1, 3, 4, 2) aliases k = 2 as
     # (4, -2) alike on both levels, so r4-bump's bars miss the error and
     # only the axis rows see it. r4 and lebesgue do not depend on the
     # angles, so no angle grid can fail them
     bound = hopf.suites["invariance"]["axis_bound"]
-    transposed = QuadratureSpec((2, 12, 4, 2), 2)
+    transposed = QuadratureSpec((1, 3, 4, 2), 2)
     vol = hopf.volumes[vol_name]
     for field_name, x in hopf.fields.items():
         for route, density_for in ROUTE_DENSITIES.items():

@@ -63,8 +63,8 @@ def test_hopf_direct_pointwise_degenerate(hopf):
 
 def test_hopf_default_job_node_count(hopf, monkeypatch):
     # cost guard: t = log|z| is an invariant axis and the angles are
-    # band-limited, so levels 1 and 2 of the (2, 12, 2, 4) grid hold
-    # 1 x 12 x 2 x 4 and 1 x 24 x 2 x 4 nodes, all on the sphere |z| = 1, and
+    # band-limited, so levels 1 and 2 of the (1, 3, 2, 4) grid hold
+    # 1 x 3 x 2 x 4 and 1 x 6 x 2 x 4 nodes, all on the sphere |z| = 1, and
     # both levels go to the density in one call; a grid regression shows
     # here before any benchmark run
     nodes, radii = [], set()
@@ -81,8 +81,8 @@ def test_hopf_default_job_node_count(hopf, monkeypatch):
                      q=hopf.default_quadrature)
     dom = hopf.manifold.fundamental_domain["punctured"]
     starts = quadrature._node_set(dom, hopf.default_quadrature).starts
-    assert starts == (0, 96, 288)
-    assert nodes == [288]
+    assert starts == (0, 24, 72)
+    assert nodes == [72]
     assert radii == {1.0}
 
 
@@ -91,9 +91,34 @@ def test_band_limited_aliasing_shows_in_the_bar(hopf):
     # half-spacing stagger of level 2 alias them with opposite signs, so the
     # refinement gap bounds the wrong value instead of hiding it
     res = invariant_direct(hopf.manifold, hopf.volumes["r4-bump"], hopf.fields["x1"],
-                           q=QuadratureSpec((2, 12, 2, 2), 2))
+                           q=QuadratureSpec((1, 3, 2, 2), 2))
     assert abs(res.value) > 1e-3
     assert abs(res.value) <= res.error_estimate
+
+
+@pytest.mark.parametrize("route", [invariant_direct, invariant_alternative],
+                         ids=["invariant_direct", "invariant_alternative"])
+@pytest.mark.parametrize("field", ["x1", "x2", "radial"])
+@pytest.mark.parametrize("vol", ["r4", "lebesgue", "r4-bump"])
+def test_hopf_default_grid_is_exact(hopf, vol, field, route):
+    # the angle average of every registered integrand is a polynomial in u
+    # of degree <= 4, which 3 Gauss-Legendre nodes per panel integrate
+    # exactly on both levels, so each bar is rounding and still bounds the
+    # error within the 1e-12 rounding floor
+    res = route(hopf.manifold, hopf.volumes[vol], hopf.fields[field],
+                q=hopf.default_quadrature)
+    assert res.error_estimate <= 1e-13
+    assert abs(res.value) <= res.error_estimate + 1e-12
+
+
+def test_under_resolved_u_axis_shows_in_the_bar(hopf):
+    # 2 Gauss-Legendre nodes per panel in u miss r4-bump's degree-4 terms;
+    # the refinement gap sees it and bounds the wrong value
+    res = invariant_direct(hopf.manifold, hopf.volumes["r4-bump"], hopf.fields["x1"],
+                           q=QuadratureSpec((1, 2, 2, 4), 2))
+    assert abs(res.value) > 1e-3
+    assert abs(res.value) <= res.error_estimate
+    assert res.error_estimate >= 0.1
 
 
 def test_cp1_default_job_node_count(cp1, monkeypatch):
@@ -155,7 +180,7 @@ def test_cp1_default_job_calls_the_density_once_for_both_pieces(cp1, monkeypatch
 def test_hopf_default_job_calls_the_density_once(hopf, monkeypatch):
     calls = _density_calls(monkeypatch, lambda: invariant_alternative(
         hopf.manifold, hopf.volumes["r4"], hopf.fields["x1"], q=hopf.default_quadrature))
-    assert calls == [288]
+    assert calls == [72]
 
 
 def test_cp1_deformation_suite_density_calls(cp1, monkeypatch, capsys):
@@ -510,9 +535,8 @@ def test_alternative_rows_of_n_fields_share_one_nested_jet_on_the_axes(hopf):
     # contracts sum_i X^i d[i]. Each value agrees with its one-field job,
     # whose jet is along X itself, and radial = x1 + x2 holds within the bars.
     # The bars are refinement gaps and blind to rounding (ROADMAP item 4):
-    # the two jets differ by a few ulps of integrand terms of size 0.9 per
-    # node, which leaves radial at -2.3e-14 +- 9.1e-15 on the axes against
-    # 4.3e-15 +- 2.4e-15 alone, so the agreement allows `rounding` beyond them
+    # the two jets differ by a few ulps of the integrand terms at each node,
+    # which no bar need cover, so the agreement allows `rounding` beyond them
     rounding = 1e-13
     vol, q = hopf.volumes["r4-bump"], hopf.default_quadrature
     names = ("x1", "x2", "radial")
@@ -522,7 +546,7 @@ def test_alternative_rows_of_n_fields_share_one_nested_jet_on_the_axes(hopf):
     shared = dict(zip(names, invariant_module._integrate_route(
         hopf.manifold, [(counted, hopf.fields[name]) for name in names],
         invariant_module._alternative_row, q)))
-    assert calls == [("punctured", 288)]
+    assert calls == [("punctured", 72)]
     for name in names:
         alone = invariant_alternative(hopf.manifold, vol, hopf.fields[name], q=q)
         budget = shared[name].error_estimate + alone.error_estimate + rounding

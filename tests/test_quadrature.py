@@ -348,13 +348,15 @@ def test_spec_refuses_what_is_not_an_integer(kwargs, field):
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(points_per_axis=1)
-    with pytest.raises(ValueError):
-        QuadratureSpec(points_per_axis=(4, 1))
+    # the spec does not know the axis rules: a count of 1 is refused per axis
+    # when the nodes are built (test_single_point_is_refused_...)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        QuadratureSpec(points_per_axis=0)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        QuadratureSpec(points_per_axis=(4, 0))
     with pytest.raises(ValueError):
         QuadratureSpec(refinement_levels=0)
-    QuadratureSpec(points_per_axis=2, refinement_levels=1)  # smallest allowed
+    QuadratureSpec(points_per_axis=1, refinement_levels=1)  # smallest allowed
 
 
 def test_domain_validation():
@@ -414,11 +416,29 @@ INVARIANT_BOX = IntegrationDomain(box=((0.5, 3.0), (-1.0, 1.0)),
                                   rules=("invariant", "gauss"))
 
 
+BANDED_BOX = IntegrationDomain(box=((0.0, 1.0), (0.0, 2.0 * math.pi)),
+                               rules=("gauss", "band-limited"))
+
+
+@pytest.mark.parametrize("dom, points, axis, rule", [
+    (UNIT_BOX, 1, 0, "gauss"),
+    (UNIT_BOX, (4, 1), 1, "gauss"),
+    (PERIODIC_BOX, (4, 1), 1, "periodic"),
+    (BANDED_BOX, (4, 1), 1, "band-limited"),
+    (INVARIANT_BOX, (1, 1), 1, "gauss"),
+], ids=["gauss-all", "gauss", "periodic", "band-limited", "gauss-beside-invariant"])
+def test_single_point_is_refused_on_every_axis_but_an_invariant_one(dom, points, axis, rule):
+    with pytest.raises(ValueError, match=rf"^box axis {axis} \({rule}\) needs >= 2 "
+                                         "points_per_axis, got 1$"):
+        integrate(ones, dom, QuadratureSpec(points, 2))
+
+
 @pytest.mark.parametrize("levels", [1, 2, 3])
-@pytest.mark.parametrize("points", [2, 7])
+@pytest.mark.parametrize("points", [1, 2, 7])
 def test_invariant_axis_takes_one_node_at_lo(levels, points):
     # at every level the invariant axis holds one node at lo weighted
-    # hi - lo, whatever its point count; the other axis refines as usual
+    # hi - lo, whatever its point count, 1 included; the other axis refines
+    # as usual
     seen = []
 
     def recording(z):
