@@ -366,10 +366,10 @@ def cmd_check(args) -> tuple[Report, int]:
 
 
 _POINTS_HELP = ("quadrature points per axis, one count that replaces every axis's "
-                "default count, so on hopf it sets u and both angles to it: per panel "
-                "on a Gauss axis, at level 1 on a periodic axis, at every level on a "
-                "band-limited axis, at least 2 on each of these; an invariant axis "
-                "ignores it")
+                "default count, so on cp1 it sets mu and theta to it and on hopf u "
+                "and both angles: per panel on a Gauss axis, at level 1 on a "
+                "periodic axis, at every level on a band-limited axis, at least 2 on "
+                "each of these; an invariant axis ignores it")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,12 +2,13 @@
 
 A manifold is presented as a covering space with a chart atlas, a deck
 group acting by explicit holomorphic maps, a positive character of that
-group, and a fundamental domain cut into pieces, one per chart, that tile
-the quotient and overlap only in measure zero. Volume forms are stored
-through their per-chart log-densities so positivity is structural; vector
-fields through their per-chart holomorphic components. Membership contracts
-(automorphy of a volume form, deck invariance and holomorphy of a field)
-are verified by deterministic sampling rather than symbolically. No
+group, and a fundamental domain cut into pieces, at most one per chart,
+that tile the quotient and overlap only in measure zero. Volume forms are
+stored through their per-chart log-densities so positivity is structural;
+vector fields through their per-chart holomorphic components. Membership
+contracts (automorphy of a volume form, deck invariance and holomorphy of a
+field) are verified by deterministic sampling rather than symbolically, in
+every chart with a piece and in every chart a transition reaches. No
 Jacobian is declared: the checks derive those of deck maps and chart
 transitions, and every Cauchy-Riemann residual, from one order-1 jet call
 (holoinv.jets) of the map or field, which must therefore be jet-safe.
@@ -162,11 +163,26 @@ def _worst(values, what) -> float:
     return worst
 
 
-def _piece_residuals(m: ManifoldSpec, samples, seed, measure) -> dict[str, float]:
-    """Worst residual per label of measure(chart_id, pts) over the domain pieces."""
+def sample_chart_points(m: ManifoldSpec, samples: int, seed: int = 0) -> dict[str, np.ndarray]:
+    """Deterministic sample of chart coordinates per chart id: a chart with a
+    domain piece is sampled there, as sample_domain_points samples it, and a
+    chart without one at the images of a sampled overlap of the first
+    transition into it. A chart that is neither gets no entry."""
+    points = {chart_id: sample_domain_points(dom, samples, seed)
+              for chart_id, dom in m.fundamental_domain.items()}
+    rng = np.random.default_rng(seed)
+    for tr in m.transitions:
+        if tr.target not in points:
+            points[tr.target] = np.asarray(tr.apply(tr.sample_overlap(rng, samples)))
+    return points
+
+
+def _chart_residuals(m: ManifoldSpec, samples, seed, measure) -> dict[str, float]:
+    """Worst residual per label of measure(chart_id, pts) over every chart
+    sample_chart_points samples: the domain pieces, and the charts that only
+    transitions reach."""
     residuals = {}
-    for chart_id, dom in m.fundamental_domain.items():
-        pts = sample_domain_points(dom, samples, seed)
+    for chart_id, pts in sample_chart_points(m, samples, seed).items():
         for label, value in measure(chart_id, pts).items():
             residuals[label] = max(value, residuals.get(label, value))
     return residuals
@@ -246,7 +262,7 @@ def verify_automorphic(vol: VolumeFormSpec, m: ManifoldSpec,
             residuals[g.name] = _worst(gap, f"automorphy of '{vol.name}' under '{g.name}'")
         return residuals
 
-    return _piece_residuals(m, samples, seed, measure)
+    return _chart_residuals(m, samples, seed, measure)
 
 
 def verify_invariant_field(x: VectorFieldSpec, m: ManifoldSpec,
@@ -274,7 +290,7 @@ def verify_invariant_field(x: VectorFieldSpec, m: ManifoldSpec,
         return {"deck_invariance": invariance,
                 "cauchy_riemann": _cauchy_riemann(dbar, scale, f"'{x.name}'")}
 
-    return _piece_residuals(m, samples, seed, measure)
+    return _chart_residuals(m, samples, seed, measure)
 
 
 def deck_group_report(m: ManifoldSpec, samples: int = DEFAULT_SAMPLES,
@@ -297,7 +313,7 @@ def deck_group_report(m: ManifoldSpec, samples: int = DEFAULT_SAMPLES,
                 dbar, image_scale, f"deck map '{g.name}'")
         return residuals
 
-    return _piece_residuals(m, samples, seed, measure)
+    return _chart_residuals(m, samples, seed, measure)
 
 
 def verify_volume_transitions(vol: VolumeFormSpec, m: ManifoldSpec,

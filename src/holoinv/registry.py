@@ -3,14 +3,18 @@
 Four bundles ship with the package:
 
 * ``cp1``  - the projective line through its two affine charts, integrated
-  over the closed unit disc of each chart in polar coordinates. The
-  rotation-invariant density 1/(1+|z|^2)^2, and the same density times
-  exp(B) for the real-analytic bump B = exp(-|z-1|^2/(1+|z|^2)). B is
-  invariant under z -> 1/z, so each density has one formula in both
-  charts. With the three global holomorphic fields. A job takes
-  15*16 + 30*32 = 1,200 nodes over two levels: the bars come from theta's
-  aliasing at level 1, and 15 Gauss points per radial panel leave them as
-  20 did.
+  as one piece: the affine chart in the moment coordinate of the rotation,
+  mu = |z|^2/(1+|z|^2) in [0, 1], and theta, so z = sqrt(mu/(1-mu))
+  e^{i theta} and the Lebesgue measure is 1/(2(1-mu)^2). The box covers the
+  whole line but the point at infinity, mu = 1, which no Gauss node reaches.
+  The chart at infinity w = 1/z carries every evaluator too, for the
+  membership checks and their transitions. The rotation-invariant density
+  1/(1+|z|^2)^2, and the same density times exp(B) for the real-analytic
+  bump B = exp(-|z-1|^2/(1+|z|^2)). B is invariant under z -> 1/z, so each
+  density has one formula in both charts. With the three global holomorphic
+  fields. A job takes 10*16 + 20*32 = 800 nodes over two levels: the bars
+  come from theta's aliasing at level 1, and 10 Gauss points per mu panel
+  leave them as 20 did.
 * ``hopf`` - the Hopf surface (C^2 minus 0) / (z -> 2z), integration over
   the fundamental domain 1 <= |z| <= 2 in the coordinates (t, u, theta1,
   theta2): t = log|z|, where the deck map is t -> t + log 2, and the torus
@@ -100,15 +104,19 @@ def _abs2(z):
 # ---------------------------------------------------------------------------
 
 
-def _disc_domain() -> IntegrationDomain:
-    """The closed unit disc in polar coordinates (r, theta)."""
+def _moment_domain() -> IntegrationDomain:
+    """The whole line but the point at infinity, in the moment coordinate
+    (mu, theta): mu = |z|^2/(1+|z|^2) in [0, 1] and z = sqrt(mu/(1-mu))
+    e^{i theta}, so r dr dtheta = dmu dtheta / (2(1-mu)^2). Gauss nodes never
+    reach mu = 1, so no node is at infinity and nothing is cut off."""
     def chart_map(pts):
-        return (pts[..., 0] * np.exp(1j * pts[..., 1]))[..., None]
+        mu = pts[..., 0]
+        return (np.sqrt(mu / (1.0 - mu)) * np.exp(1j * pts[..., 1]))[..., None]
 
     return IntegrationDomain(
         box=((0.0, 1.0), (0.0, 2.0 * math.pi)),
         chart_map=chart_map,
-        measure_map=lambda pts: pts[..., 0],
+        measure_map=lambda pts: 0.5 / (1.0 - pts[..., 0]) ** 2,
         rules=("gauss", "periodic"),
     )
 
@@ -149,13 +157,12 @@ def _cp1_bundle() -> ExampleBundle:
         Transition("affine-inf", "affine", invert, _inversion_overlap),
     )
 
-    disc = _disc_domain()
     manifold = ManifoldSpec(
         name="cp1",
         dimension=1,
         atlas={"affine": everywhere, "affine-inf": everywhere},
         deck_group=(),
-        fundamental_domain={"affine": disc, "affine-inf": disc},
+        fundamental_domain={"affine": _moment_domain()},
         transitions=transitions,
     )
 
@@ -200,23 +207,27 @@ def _cp1_bundle() -> ExampleBundle:
         volumes=volumes,
         fields=fields,
         fixed_points={"z-ddz": z_ddz_zeros},
-        # 15*16 + 30*32 = 1,200 nodes per job: both pieces share the disc's
-        # node set and one density call, one row per piece. The bars come from
-        # theta's aliasing at level 1, not from r: every registered job's bar
-        # is <= 4.6e-11 here, and 20 radial points leave each fs-bump bar
-        # within 1 % (4.58e-11 and 1.30e-12 at both)
-        default_quadrature=QuadratureSpec(points_per_axis=(15, 16), refinement_levels=2),
-        notes=("Projective line as two closed unit discs, |z| <= 1 in the affine "
-               "chart and |w| <= 1 in the chart at infinity (w = 1/z), each in "
-               "polar coordinates r e^{i theta}; they meet only on the unit circle. "
-               "Both densities are smooth positive representatives of the same "
-               "curvature class: fs-bump multiplies 1/(1+|z|^2)^2 by "
+        # 10*16 + 20*32 = 800 nodes per job, one density call with one row.
+        # The bars come from theta's aliasing at level 1, not from mu: every
+        # registered job's bar is <= 4.6e-11 here, and every count from 9 to
+        # 24 Gauss points per mu panel gives the largest, fs-bump's, as
+        # 4.58e-11 to 4.59e-11. 8 points under-measure that aliasing,
+        # 2.28e-11, and 6 of the 12 jobs then report |value| above their bar
+        default_quadrature=QuadratureSpec(points_per_axis=(10, 16), refinement_levels=2),
+        notes=("Projective line as one piece in the affine chart, in the moment "
+               "coordinate of the rotation mu = |z|^2/(1+|z|^2) and theta: "
+               "z = sqrt(mu/(1-mu)) e^{i theta} on the box [0, 1] x [0, 2 pi), "
+               "with Lebesgue factor 1/(2(1-mu)^2). The box misses only the point "
+               "at infinity, mu = 1, which no Gauss node reaches, so nothing is "
+               "cut off; the chart at infinity (w = 1/z) serves the membership "
+               "checks. Both densities are smooth positive representatives of the "
+               "same curvature class: fs-bump multiplies 1/(1+|z|^2)^2 by "
                "exp(B), where B = exp(-|z-1|^2/(1+|z|^2)) is real-analytic and "
                "B(1/w) = B(w), so each density has one formula in both charts. "
                "The three fields span the global holomorphic fields of the line. "
-               "A job takes 15*16 + 30*32 = 1,200 nodes over two levels: the bars "
-               "come from theta's aliasing at level 1, which 15 radial Gauss points "
-               "per panel leave as 20 did."),
+               "A job takes 10*16 + 20*32 = 800 nodes over two levels: the bars "
+               "come from theta's aliasing at level 1, which 10 Gauss points per mu "
+               "panel leave as 20 did; 8 would under-measure it."),
         suites={
             **_MEMBERSHIP_SUITES,
             "deformation": {"volumes": ("fs", "fs-bump"), "fields": ("z-ddz",),
@@ -252,8 +263,9 @@ def _hopf_domain() -> IntegrationDomain:
     # |z1|^{2a} |z2|^{2b} = (1-u)^a u^b: a polynomial in u, of degree <= 4
     # for every registered (volume, field, route), which 3 Gauss-Legendre
     # nodes per panel integrate exactly. The invariance suite's axis rows
-    # check the t and angle declarations by sampling; theta's "periodic" on
-    # cp1 stays, since fs-bump's exp(2 Re z/(1+|z|^2)) has every charge
+    # check the t and angle declarations by sampling. cp1's theta stays
+    # "periodic", not band-limited, since fs-bump's exp(2 Re z/(1+|z|^2))
+    # carries every charge
     def chart_map(pts):
         radius, u = np.exp(pts[..., 0]), pts[..., 1]
         z1 = radius * np.sqrt(1.0 - u) * np.exp(1j * pts[..., 2])

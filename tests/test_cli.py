@@ -647,7 +647,7 @@ def test_hopf_invariance_checks_the_t_axis_on_every_route(capsys):
 
 
 def test_false_invariant_axis_fails_the_check(capsys, monkeypatch):
-    # declaring cp1's radius invariant is wrong: every route's density
+    # declaring cp1's mu axis invariant is wrong: every route's density
     # depends on |z|, so the axis rows fail and the suite exits 1
     cp1 = registry_get("cp1")
     pieces = {chart: dataclasses.replace(dom, rules=("invariant", "periodic"))

@@ -210,7 +210,7 @@ def test_invariant_axis_residual_tells_invariant_densities_apart(hopf, cp1):
     assert set(rep) == {"punctured"}
     assert max(rep.values()) < 1e-12
     assert max(verify_invariant_axes(lambda chart_id: ones, hopf.manifold, q).values()) > 1.0
-    # cp1's discs declare no invariant or band-limited axis: nothing is measured
+    # cp1's piece declares no invariant or band-limited axis: nothing is measured
     assert verify_invariant_axes(lambda chart_id: ones, cp1.manifold,
                                  cp1.default_quadrature) == {}
 

@@ -121,10 +121,17 @@ def test_under_resolved_u_axis_shows_in_the_bar(hopf):
     assert res.error_estimate >= 0.1
 
 
+def _cp1_job_nodes(q):
+    # cp1's one piece, the (mu, theta) box: p Gauss points in mu and t
+    # trapezoid nodes in theta at level 1, both doubled at level 2
+    mu, theta = q.points_per_axis
+    return mu * theta + (2 * mu) * (2 * theta)
+
+
 def test_cp1_default_job_node_count(cp1, monkeypatch):
-    # cost guard: each unit disc takes 15 x 16 nodes at level 1 and 30 x 32
-    # at level 2, and a job integrates both discs: one row per disc on the
-    # one node set they share
+    # cost guard: the (mu, theta) box takes 10 x 16 nodes at level 1 and
+    # 20 x 32 at level 2, both levels in one call with one row, since the
+    # one piece covers the whole line
     calls = []
 
     def counting_integrate(density, dom, q):
@@ -137,21 +144,46 @@ def test_cp1_default_job_node_count(cp1, monkeypatch):
     monkeypatch.setattr(invariant_module, "integrate", counting_integrate)
     invariant_direct(cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"],
                      q=cp1.default_quadrature)
-    assert calls == [(1_200, 2)]
+    assert _cp1_job_nodes(cp1.default_quadrature) == 800
+    assert calls == [(800, 1)]
 
 
 @pytest.mark.parametrize("route", [invariant_direct, invariant_alternative],
                          ids=["invariant_direct", "invariant_alternative"])
 @pytest.mark.parametrize("field", ["ddz", "z-ddz", "z2-ddz"])
 def test_cp1_fs_bump_bars_do_not_depend_on_the_radial_points(cp1, route, field):
-    # theta's aliasing at level 1 sets cp1's bars, not r: 15 Gauss points
-    # per radial panel give each fs-bump bar to within 1 % of 20 points'.
+    # theta's aliasing at level 1 sets cp1's bars, not mu: 10 Gauss points
+    # per mu panel give each fs-bump bar to within 1 % of 20 points'.
     # fs is left out: its bars are rounding, about 1e-16, and move freely
     vol, x = cp1.volumes["fs-bump"], cp1.fields[field]
     trimmed = route(cp1.manifold, vol, x, q=cp1.default_quadrature)
     wide = route(cp1.manifold, vol, x, q=QuadratureSpec((20, 16), 2))
     assert cp1.default_quadrature.points_per_axis[0] < 20
     assert trimmed.error_estimate == pytest.approx(wide.error_estimate, rel=1e-2)
+
+
+@pytest.mark.parametrize("route", [invariant_direct, invariant_alternative],
+                         ids=["invariant_direct", "invariant_alternative"])
+@pytest.mark.parametrize("field", ["ddz", "z-ddz", "z2-ddz"])
+@pytest.mark.parametrize("vol", ["fs", "fs-bump"])
+def test_cp1_default_bar_bounds_the_value_with_no_floor(cp1, vol, field, route):
+    # every default cp1 job: the one (mu, theta) piece keeps each bar at or
+    # below the 4.6e-11 that fs-bump's theta aliasing sets, and the bar
+    # bounds |value|, the error, since every true value is 0, with no floor
+    res = route(cp1.manifold, cp1.volumes[vol], cp1.fields[field], q=cp1.default_quadrature)
+    assert res.error_estimate <= 4.6e-11
+    assert abs(res.value) <= res.error_estimate
+
+
+@pytest.mark.parametrize("q", [None, QuadratureSpec(32, 4)], ids=["default", "32x4"])
+def test_cp1_chart_and_measure_are_finite_at_every_node(cp1, q):
+    # the chart map sqrt(mu/(1-mu)) e^{i theta} and the measure
+    # 1/(2(1-mu)^2) blow up at mu = 1, the point at infinity, which no
+    # Gauss node reaches however fine the grid
+    dom = cp1.manifold.fundamental_domain["affine"]
+    nodes = quadrature._node_set(dom, q or cp1.default_quadrature)
+    assert np.all(np.isfinite(nodes.chart_pts))
+    assert np.all(np.isfinite(nodes.weights)) and np.all(nodes.weights > 0.0)
 
 
 def _density_calls(monkeypatch, job):
@@ -169,9 +201,10 @@ def _density_calls(monkeypatch, job):
     return calls
 
 
-def test_cp1_default_job_calls_the_density_once_for_both_pieces(cp1, monkeypatch):
+def test_cp1_default_job_calls_the_density_once_for_both_pieces(cp1_two_discs, monkeypatch):
     # cost guard: both levels, 240 + 960 nodes, go in one call, and both
     # pieces share it since they share the unit disc
+    cp1 = cp1_two_discs
     calls = _density_calls(monkeypatch, lambda: invariant_direct(
         cp1.manifold, cp1.volumes["fs"], cp1.fields["z-ddz"], q=cp1.default_quadrature))
     assert calls == [1_200]
@@ -184,9 +217,8 @@ def test_hopf_default_job_calls_the_density_once(hopf, monkeypatch):
 
 
 def test_cp1_deformation_suite_density_calls(cp1, monkeypatch, capsys):
-    # five t values, one field, two pieces on one node set: one call, ten
-    # rows, and one Ricci density per slice, since both charts' slices are
-    # one blend of the one pair of endpoint evaluators they share
+    # five t values, one field, one piece: one call, five rows, and one
+    # Ricci density per slice
     riccis = []
     ricci_top_field = calculus.ricci_top_field
     monkeypatch.setattr(calculus, "ricci_top_field",
@@ -194,7 +226,7 @@ def test_cp1_deformation_suite_density_calls(cp1, monkeypatch, capsys):
     calls = _density_calls(monkeypatch, lambda: cli.main(
         ["check", "--example", "cp1", "--suite", "deformation"]))
     assert "suite deformation on cp1: pass" in capsys.readouterr().out
-    assert calls == [1_200]
+    assert calls == [_cp1_job_nodes(cp1.default_quadrature)]
     assert len(riccis) == len(cp1.suites["deformation"]["t_grid"])
 
 
@@ -205,9 +237,27 @@ def _counted(fn, calls, label):
     return counted
 
 
-def test_cp1_direct_job_calls_the_shared_log_density_once_per_block(cp1):
+@pytest.mark.parametrize("route", [invariant_direct, invariant_alternative],
+                         ids=["invariant_direct", "invariant_alternative"])
+def test_cp1_job_calls_each_evaluator_once_per_node(cp1, route):
+    # cost guard: one piece, in the affine chart, so the log-density and the
+    # field are called there once on all the job's nodes, and the chart at
+    # infinity's evaluators not at all
+    calls = []
+    vol, x = cp1.volumes["fs"], cp1.fields["z-ddz"]
+    vol = dataclasses.replace(vol, log_density={
+        c: _counted(fn, calls, ("log_density", c)) for c, fn in vol.log_density.items()})
+    x = VectorFieldSpec(x.name, {c: _counted(fn, calls, ("field", c))
+                                 for c, fn in x.components.items()})
+    route(cp1.manifold, vol, x, q=cp1.default_quadrature)
+    nodes = _cp1_job_nodes(cp1.default_quadrature)
+    assert sorted(calls) == [(("field", "affine"), nodes), (("log_density", "affine"), nodes)]
+
+
+def test_cp1_direct_job_calls_the_shared_log_density_once_per_block(cp1_two_discs):
     # cost guard: both charts carry one log-density evaluator, so one jet
     # serves both pieces' rows; each chart's field gets one jet of its own
+    cp1 = cp1_two_discs
     calls = []
     fs = cp1.volumes["fs"]
     shared = _counted(fs.log_density["affine"], calls, "log_density")
@@ -218,10 +268,11 @@ def test_cp1_direct_job_calls_the_shared_log_density_once_per_block(cp1):
     assert sorted(calls) == [("affine", 1_200), ("affine-inf", 1_200), ("log_density", 1_200)]
 
 
-def test_cp1_alternative_job_calls_the_shared_log_density_once_per_block(cp1):
+def test_cp1_alternative_job_calls_the_shared_log_density_once_per_block(cp1_two_discs):
     # cost guard: both charts carry one log-density evaluator, so its nested
     # jet serves both pieces' rows, each contracting its own chart's field;
     # each chart's field gets one jet of its own
+    cp1 = cp1_two_discs
     calls = []
     fs = cp1.volumes["fs"]
     shared = _counted(fs.log_density["affine"], calls, "log_density")
@@ -232,10 +283,11 @@ def test_cp1_alternative_job_calls_the_shared_log_density_once_per_block(cp1):
     assert sorted(calls) == [("affine", 1_200), ("affine-inf", 1_200), ("log_density", 1_200)]
 
 
-def test_cp1_deformation_suite_calls_each_evaluator_once_per_chart_per_block(cp1):
+def test_cp1_deformation_suite_calls_each_evaluator_once_per_chart_per_block(cp1_two_discs):
     # cost guard: every evaluator wrapped per chart, as the benchmark's tracer
     # wraps them; the slices blend the endpoints' jets, so each endpoint and
     # the field are called once per chart, whatever the t-grid
+    cp1 = cp1_two_discs
     calls = []
     p = cp1.suites["deformation"]
     volumes = {name: dataclasses.replace(vol, log_density={
@@ -283,8 +335,9 @@ def _chart_map_counted(m):
     return dataclasses.replace(m, fundamental_domain=domains), calls
 
 
-def test_cp1_job_maps_its_nodes_to_the_chart_once(cp1):
+def test_cp1_job_maps_its_nodes_to_the_chart_once(cp1_two_discs):
     # cost guard: both pieces are the unit disc, so one node set serves both
+    cp1 = cp1_two_discs
     m, calls = _chart_map_counted(cp1.manifold)
     invariant_direct(m, cp1.volumes["fs"], cp1.fields["z-ddz"], q=cp1.default_quadrature)
     assert calls == [1_200]
@@ -295,7 +348,7 @@ def test_deformation_suite_maps_its_nodes_to_the_chart_once(cp1):
     rows, ok = cli.run_suite(dataclasses.replace(cp1, manifold=m), "deformation",
                              samples=0, seed=0, q=cp1.default_quadrature)
     assert ok and rows
-    assert calls == [1_200]
+    assert calls == [_cp1_job_nodes(cp1.default_quadrature)]
 
 
 def test_one_piece_result_is_the_piece_integral(hopf, monkeypatch):

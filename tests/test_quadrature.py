@@ -35,8 +35,8 @@ def test_unit_box_area():
 
 
 def test_plane_area_benchmark(cp1):
-    # closed form: integral of 2/(1+|z|^2)^2 over the line is 2*pi; the
-    # density reads the same in both charts, so the pieces simply add up
+    # closed form: integral of 2/(1+|z|^2)^2 over the line is 2*pi, whatever
+    # the pieces: they add up
     def density(z):
         return 2.0 / (1.0 + _abs2(z[..., 0])) ** 2
 
@@ -281,7 +281,7 @@ def test_cp1_row_sum_takes_no_float_per_node(monkeypatch, cp1):
         counts.append(sum(received))
     coarse, fine = counts
     # the count follows the exponent buckets the weighted values span; the
-    # finer grid's smaller weights near r = 0 may reach one bucket more
+    # finer grid's wider spread of weights may reach one bucket more
     assert coarse < 1_600 / 10
     assert fine < 2 * coarse
 
@@ -298,9 +298,10 @@ def test_invariant_density_wrapper_hopf_degenerate(hopf):
     assert res.error_estimate < 1e-12
 
 
-def test_invariant_density_wrapper_cp1_odd_integrand(cp1):
+def test_invariant_density_wrapper_cp1_odd_integrand(cp1_two_discs):
     # div X * top for z d/dz integrates to +pi/2 over the affine disc and to
     # -pi/2 over the disc at infinity, so the pieces must cancel
+    cp1 = cp1_two_discs
     vol, fld = cp1.volumes["fs"], cp1.fields["z-ddz"]
 
     def pieces(q):
