@@ -166,14 +166,14 @@ def _worst(values, what) -> float:
 def sample_chart_points(m: ManifoldSpec, samples: int, seed: int = 0) -> dict[str, np.ndarray]:
     """Deterministic sample of chart coordinates per chart id: a chart with a
     domain piece is sampled there, as sample_domain_points samples it, and a
-    chart without one at the images of a sampled overlap of the first
-    transition into it. A chart that is neither gets no entry."""
+    chart without one at the images of the first transition into it from a
+    chart with a piece, applied to that piece's sample. A chart that is
+    neither gets no entry."""
     points = {chart_id: sample_domain_points(dom, samples, seed)
               for chart_id, dom in m.fundamental_domain.items()}
-    rng = np.random.default_rng(seed)
     for tr in m.transitions:
-        if tr.target not in points:
-            points[tr.target] = np.asarray(tr.apply(tr.sample_overlap(rng, samples)))
+        if tr.source in m.fundamental_domain and tr.target not in points:
+            points[tr.target] = np.asarray(tr.apply(points[tr.source]))
     return points
 
 

@@ -87,15 +87,21 @@ def test_determinism_across_repeats(hopf):
 
 
 def test_refinement_monotonicity_on_smooth_benchmark(cp1):
-    # error estimates shrink at least 4x per level until the 1e-10 floor
+    # error estimates shrink at least 4x per level until the 1e-10 floor.
+    # The integral of exp(-|z|^2) over the plane is pi; on the moment box it
+    # reads exp(-mu/(1-mu)) / (2(1-mu)^2), smooth but not a polynomial, so
+    # every level's bar is quadrature error, not rounding. The Fubini-Study
+    # density would not do: times the box's measure it is the constant 1.
     def density(z):
-        return 2.0 / (1.0 + _abs2(z[..., 0])) ** 2
+        return np.exp(-_abs2(z[..., 0]))
 
     dom = cp1.manifold.fundamental_domain["affine"]
     estimates = []
     for levels in (2, 3, 4):
         res = integrate(density, dom, QuadratureSpec(8, levels))
+        assert abs(res.value - math.pi) <= res.error_estimate
         estimates.append(res.error_estimate)
+    assert estimates[-1] > 1e-10
     for coarse, fine in zip(estimates, estimates[1:]):
         assert fine <= coarse / 4.0 or fine <= 1e-10
 
