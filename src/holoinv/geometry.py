@@ -395,7 +395,7 @@ def verify_invariant_axes(density_for: Callable[[str], Callable], m: ManifoldSpe
 def _grid_mean_gaps(g, dom: IntegrationDomain, pts, axes, counts, rng) -> np.ndarray:
     """|mean of g over the trapezoid grid of `axes` at a random joint
     offset - its mean at offset 0| per point of pts, the other coordinates
-    kept; g sees at most one quadrature block of nodes per call, or one
+    kept; g sees at most _CELL_NODES nodes per call, as a density does, or one
     point's grid where that is larger, so its jet temporaries stay bounded."""
     lo, hi = np.array(dom.box)[axes].T
     grid = np.stack(np.meshgrid(*map(np.arange, counts), indexing="ij"), axis=-1)

@@ -24,7 +24,7 @@ the n axes, whose parts start as constants.
 ``shape``, ``ndim`` and ``dtype`` (and np.shape, np.ndim and
 np.result_type) read through to the coordinates.
 
-The numpy ufuncs the registry's evaluators use are dispatched through
+A jet supports these numpy ufuncs, dispatched through
 ``__array_ufunc__``: add, subtract, multiply, divide, negative, positive,
 power with a constant exponent, log, log1p, exp, sqrt and conjugate. The
 set is closed: a holomorphic g composes by

@@ -40,19 +40,17 @@ double their nodes at each level; a band-limited axis keeps its p nodes and
 an invariant axis its one node at every level, so a declared axis buys no
 node that no integrand needs.
 
-Determinism and memory: the concatenated nodes are handed to the density
-in contiguous blocks of at most _CELL_NODES nodes, so the jet temporaries
-of one density call stay bounded however fine the grid. Each level of
-each row is summed on its own, over blocks of at most _CELL_NODES nodes
-from the level's first node: every block sum is exactly rounded, and the
-block partials are combined with math.fsum in block order, so repeated
-runs give bit-identical results. The block sums take no Python float per
-node (_block_sums): each weighted value's significand is split into two
-integer limbs, the limbs are scaled within buckets of _FOLD exponents and
-added per (block, bucket) by np.bincount, which is exact because no total
-reaches 2^53, and math.fsum then rounds the few bucket totals of a block.
-An exactly rounded sum is unique, so each block sum is math.fsum of the
-block, bit for bit.
+Determinism and memory: the concatenated nodes go to the density in
+contiguous calls of at most _CELL_NODES nodes, so the jet temporaries of
+one call stay bounded however fine the grid. Each level of each row is
+summed on its own, real and imaginary parts apart, each part to its
+exactly rounded sum, which is unique: so repeated runs give bit-identical
+results, and no result depends on how the nodes were cut into calls or
+which rows shared a call. The sums take no Python float per node
+(_part_sums): each weighted value's significand is split into two integer
+limbs, the limbs are scaled within buckets of _FOLD exponents and added
+per (part, bucket) by np.bincount, exactly, and math.fsum then rounds the
+few bucket totals of a part.
 
 Finiteness is a precondition: a non-finite density value at any node
 raises IllPosedIntegrandError, since neither the value nor its error
@@ -73,16 +71,17 @@ import numpy as np
 
 from .errors import IllPosedIntegrandError
 
-# nodes per density call and per summation block: bounds peak memory, not
-# tuned for speed; one call may hold nodes of several levels
+# nodes per density call: bounds the memory of one call's jet temporaries
+# and nothing else; one call may hold nodes of several levels
 _CELL_NODES = 8192
-# exponents per bucket of _block_sums: a bucket total adds at most
-# _CELL_NODES = 2^13 integers below 2^27 * 2^(_FOLD - 1) = 2^39, so every
-# partial total stays at or below 2^52 and np.bincount adds it exactly
-_FOLD = 13
-_MIN_EXP = -1073  # np.frexp exponent of the smallest subnormal, 2^-1074
 _NODE_SETS = 8  # cached (domain, spec) node sets; a job uses one per distinct piece
-_MAX_NODES = 2 ** 22  # nodes of all levels of one node set: 1,300x the largest registered job
+_MAX_NODES = 2 ** 22  # nodes of all levels of one node set: 5,200x the largest registered job
+# exponents per bucket of _part_sums: a part is one level's real or imaginary
+# parts, at most _MAX_NODES = 2^22 values, so a bucket total adds at most 2^22
+# high limbs |m >> 26| <= 2^27 scaled by at most 2^(_FOLD - 1); every partial
+# total stays at or below 2^(48 + _FOLD) = 2^53, which np.bincount adds exactly
+_FOLD = 5
+_MIN_EXP = -1073  # np.frexp exponent of the smallest subnormal, 2^-1074
 RULES = ("gauss", "periodic", "band-limited", "invariant")
 
 
@@ -240,8 +239,7 @@ class _NodeSet(NamedTuple):
     chart_pts: np.ndarray  # (N, n) complex chart coordinates
     weights: np.ndarray  # (N,) rule weights times measure_map
     starts: tuple[int, ...]  # offset of each level's first node, then N
-    blocks: tuple[int, ...]  # index of each level's first summation block, then their count B
-    parts: np.ndarray  # (2N,) 2b and 2b + 1 for the real and imaginary part of a node in block b
+    parts: np.ndarray  # (2N,) 2l and 2l + 1: the real and imaginary part of a node of level l + 1
 
 
 @lru_cache(maxsize=_NODE_SETS)
@@ -274,14 +272,11 @@ def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
         weights = weights * np.asarray(dom.measure_map(pts), dtype=float)
     sizes = [len(w) for _, w in grids]
     starts = tuple(itertools.accumulate(sizes, initial=0))
-    # each level's summation blocks start at its first node
-    blocks = tuple(itertools.accumulate((-(-size // _CELL_NODES) for size in sizes), initial=0))
-    block = np.concatenate([first + np.arange(size) // _CELL_NODES
-                            for first, size in zip(blocks, sizes)])
-    parts = np.stack([2 * block, 2 * block + 1], axis=-1).ravel()
+    level = np.repeat(np.arange(len(sizes)), sizes)
+    parts = np.stack([2 * level, 2 * level + 1], axis=-1).ravel()
     for array in (chart_pts, weights, parts):
         array.setflags(write=False)
-    return _NodeSet(chart_pts, weights, starts, blocks, parts)
+    return _NodeSet(chart_pts, weights, starts, parts)
 
 
 def _fsum(floats) -> float:
@@ -292,19 +287,19 @@ def _fsum(floats) -> float:
         return math.nan
 
 
-def _block_sums(x: np.ndarray, block: np.ndarray, count: int) -> list[float]:
-    """The exactly rounded sum of each of `count` blocks of the finite floats x.
+def _part_sums(x: np.ndarray, part: np.ndarray, count: int) -> list[float]:
+    """The exactly rounded sum of each of `count` parts of the finite floats x.
 
-    x[i] is in block block[i], and no block holds more than _CELL_NODES
-    elements. Entry b is math.fsum of block b's elements, bit for bit (an
+    x[i] is in part part[i], and no part holds more than _MAX_NODES
+    elements. Entry p is math.fsum of part p's elements, bit for bit (an
     exactly rounded sum is unique), or nan where that sum overflows.
 
     Each element is m 2^(e - 53) with m an integer, |m| < 2^53 (np.frexp),
     split into the limbs m >> 26 and m mod 2^26. Its exponent falls in the
     bucket (e - _MIN_EXP) // _FOLD, and both limbs are scaled by
     2^((e - _MIN_EXP) % _FOLD), so one bucket's scaled limbs are integers on
-    a common scale and np.bincount adds them exactly per (block, bucket).
-    math.fsum then rounds a block's bucket totals, two per bucket its
+    a common scale and np.bincount adds them exactly per (part, bucket).
+    math.fsum then rounds a part's bucket totals, two per bucket its
     elements span, instead of the elements themselves.
     """
     frac, exp = np.frexp(x)
@@ -317,7 +312,7 @@ def _block_sums(x: np.ndarray, block: np.ndarray, count: int) -> list[float]:
     exp -= _FOLD * bucket
     first, last = int(bucket.min()), int(bucket.max())
     span = last - first + 1
-    key = block * span
+    key = part * span
     key += bucket
     key -= first
     size = count * span
@@ -358,19 +353,9 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
         p >= 2, or ValueError is raised.
 
     The nodes of all levels, built once per (domain, spec) and cached, go
-    to `density` in one fixed order: level 1 first, in blocks of at most
-    _CELL_NODES (8,192) nodes, so the memory of one call is bounded. Each
-    level of each row is then summed on its own: every block of at most
-    _CELL_NODES nodes from the level's first node to its exactly rounded
-    sum, which is math.fsum of the block's weighted values bit for bit,
-    then the block partials with math.fsum in block order. A block sum
-    takes no Python float per node: np.bincount adds the values' integer
-    significand limbs per exponent bucket, exactly, since a bucket total of
-    at most _CELL_NODES scaled limbs stays at or below 2^52, and math.fsum
-    rounds the few bucket totals. So the result is deterministic, and a
-    row's result is bit for bit that of a density returning that row alone.
-    The coordinates handed to `density` are read-only views of the cached
-    nodes.
+    to `density` as read-only views, level 1 first, at most _CELL_NODES
+    nodes per call. Each level is summed exactly (see the module
+    docstring), so neither that cut nor the other rows change a row's result.
 
     Returns
     -------
@@ -400,14 +385,13 @@ def _integrate_row(values, nodes: _NodeSet) -> IntegrationResult:
         contrib = nodes.weights * values
     if not np.isfinite(contrib).all():  # complex: False where either part is non-finite
         raise _nonfinite_error(values, contrib, nodes.starts)
-    count = 2 * nodes.blocks[-1]
+    count = 2 * (len(nodes.starts) - 1)
     if np.iscomplexobj(contrib):
-        sums = _block_sums(contrib.view(np.float64), nodes.parts, count)
-    else:  # the odd, imaginary blocks stay empty and sum to 0.0
-        sums = _block_sums(contrib, nodes.parts[0::2], count)
+        sums = _part_sums(contrib.view(np.float64), nodes.parts, count)
+    else:  # the odd, imaginary parts stay empty and sum to 0.0
+        sums = _part_sums(contrib, nodes.parts[0::2], count)
     levels = []
-    for level, (lo, hi) in enumerate(itertools.pairwise(nodes.blocks), start=1):
-        real, imag = _fsum(sums[2 * lo:2 * hi:2]), _fsum(sums[2 * lo + 1:2 * hi:2])
+    for level, (real, imag) in enumerate(zip(sums[0::2], sums[1::2]), start=1):
         if not (math.isfinite(real) and math.isfinite(imag)):
             raise IllPosedIntegrandError(f"the weighted sum overflows at level {level}")
         levels.append(complex(real, imag))

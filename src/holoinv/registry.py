@@ -1,48 +1,16 @@
 """Built-in manifolds, volume forms, vector fields and fixed-point data.
 
-Four bundles ship with the package:
+Four bundles ship with the package. Each bundle's `notes`, which
+`holoinv list --json` prints, and its domain builder give the details:
 
-* ``cp1``  - the projective line through its two affine charts, integrated
-  as one piece: the affine chart in the moment coordinate of the rotation,
-  mu = |z|^2/(1+|z|^2) in [0, 1], and theta, so z = sqrt(mu/(1-mu))
-  e^{i theta} and the Lebesgue measure is 1/(2(1-mu)^2). The box covers the
-  whole line but the point at infinity, mu = 1, which no Gauss node reaches.
-  The chart at infinity w = 1/z carries every evaluator too, for the
-  membership checks and their transitions. The rotation-invariant density
-  1/(1+|z|^2)^2, and the same density times exp(B) for the real-analytic
-  bump B = exp(-|z-1|^2/(1+|z|^2)). B is invariant under z -> 1/z, so each
-  density has one formula in both charts. With the three global holomorphic
-  fields. A job takes 10*16 + 20*32 = 800 nodes over two levels: the bars
-  come from theta's aliasing at level 1, and 10 Gauss points per mu panel
-  leave them as 20 did.
-* ``hopf`` - the Hopf surface (C^2 minus 0) / (z -> 2z), integration over
-  the fundamental domain 1 <= |z| <= 2 in the coordinates (t, u, theta1,
-  theta2): t = log|z|, where the deck map is t -> t + log 2, and the torus
-  moment coordinate u = |z2|^2/|z|^2 in [0, 1], so z = e^t (sqrt(1-u)
-  e^{i theta1}, sqrt(u) e^{i theta2}) and the Lebesgue measure is e^{4t}/2.
-  Ships the cone density r^-4 (trivial character), the Lebesgue density
-  (character value 16 = |det of the doubling map|^2) and a deck-invariant
-  angular perturbation of r^-4. Every registered integrand is invariant
-  under all real dilations z -> lambda z, not only under the deck map, so
-  the domain declares t an invariant axis: one node, weighted log 2. Every
-  registered integrand is also a trigonometric polynomial in (theta1,
-  theta2) of charges k(2, -1), |k| <= 3, so the domain declares both angles
-  band-limited. theta2's 4 staggered trapezoid nodes integrate every such
-  charge with k != 0 to zero whatever theta1's nodes, so theta1 keeps the
-  minimum of 2. What the angles leave is a polynomial in u of degree <= 4,
-  which 3 Gauss-Legendre nodes per panel integrate exactly, so a job takes
-  1*3*2*4 + 1*6*2*4 = 72 nodes over two levels and every bar is rounding.
-  The `invariance` suite's `axis:` rows test the t and angle declarations
-  by sampling. x1 and x2 carry fixed-point data, each a flat elliptic curve
-  of residue 0.
+* ``cp1``  - the projective line, integrated as one piece in the moment
+  coordinate of the rotation, with two densities and three global fields.
+* ``hopf`` - the Hopf surface (C^2 minus 0) / (z -> 2z), integrated over
+  1 <= |z| <= 2 in log|z|, the torus moment coordinate and two angles.
 * ``hopf-blowup`` - fixed-point data only: the Hopf surface blown up at an
-  interior point, for the lift of z1 d/dz1. Its zero set is one isolated
-  nondegenerate point on the exceptional curve (linearization weights 1
-  and -1) plus an elliptic curve with trivial tangent degree whose normal
-  bundle is dual to the exceptional class.
+  interior point, for the lift of z1 d/dz1.
 * ``blcp2`` - stretch example, fixed-point data only: the projective plane
-  blown up at one fixed point of a circle action whose linearization there
-  is -identity, so the exceptional curve is fixed pointwise.
+  blown up at a fixed point of a circle action.
 """
 
 from __future__ import annotations
@@ -108,7 +76,10 @@ def _moment_domain() -> IntegrationDomain:
     """The whole line but the point at infinity, in the moment coordinate
     (mu, theta): mu = |z|^2/(1+|z|^2) in [0, 1] and z = sqrt(mu/(1-mu))
     e^{i theta}, so r dr dtheta = dmu dtheta / (2(1-mu)^2). Gauss nodes never
-    reach mu = 1, so no node is at infinity and nothing is cut off."""
+    reach mu = 1, so no node is at infinity and nothing is cut off. The
+    default spec's bars come from theta's aliasing at level 1, which 10 Gauss
+    points per mu panel measure as 20 do; 8 under-measure it, and 6 of the 12
+    registered jobs then report |value| above their bar."""
     def chart_map(pts):
         mu = pts[..., 0]
         return (np.sqrt(mu / (1.0 - mu)) * np.exp(1j * pts[..., 1]))[..., None]
@@ -207,12 +178,7 @@ def _cp1_bundle() -> ExampleBundle:
         volumes=volumes,
         fields=fields,
         fixed_points={"z-ddz": z_ddz_zeros},
-        # 10*16 + 20*32 = 800 nodes per job, one density call with one row.
-        # The bars come from theta's aliasing at level 1, not from mu: every
-        # registered job's bar is <= 4.6e-11 here, and every count from 9 to
-        # 24 Gauss points per mu panel gives the largest, fs-bump's, as
-        # 4.58e-11 to 4.59e-11. 8 points under-measure that aliasing,
-        # 2.28e-11, and 6 of the 12 jobs then report |value| above their bar
+        # 10*16 + 20*32 = 800 nodes per job
         default_quadrature=QuadratureSpec(points_per_axis=(10, 16), refinement_levels=2),
         notes=("Projective line as one piece in the affine chart, in the moment "
                "coordinate of the rotation mu = |z|^2/(1+|z|^2) and theta: "
@@ -262,10 +228,13 @@ def _hopf_domain() -> IntegrationDomain:
     # sphere |z| = 1, so the angle average keeps only the charge-0 monomials
     # |z1|^{2a} |z2|^{2b} = (1-u)^a u^b: a polynomial in u, of degree <= 4
     # for every registered (volume, field, route), which 3 Gauss-Legendre
-    # nodes per panel integrate exactly. The invariance suite's axis rows
-    # check the t and angle declarations by sampling. cp1's theta stays
-    # "periodic", not band-limited, since fs-bump's exp(2 Re z/(1+|z|^2))
-    # carries every charge
+    # nodes per panel integrate exactly. So the default spec (1, 3, 2, 4)
+    # gives theta1 the minimum of 2 nodes and every bar is rounding; 2 nodes
+    # in u miss r4-bump x1's 0 by 0.07, which its bar sees, while the
+    # transpose (1, 3, 4, 2) aliases k = 2 on both levels alike, a 0.1 error
+    # only the axis rows see. The invariance suite's axis rows check the t
+    # and angle declarations by sampling. cp1's theta stays "periodic", not
+    # band-limited, since fs-bump's exp(2 Re z/(1+|z|^2)) carries every charge
     def chart_map(pts):
         radius, u = np.exp(pts[..., 0]), pts[..., 1]
         z1 = radius * np.sqrt(1.0 - u) * np.exp(1j * pts[..., 2])
@@ -376,18 +345,7 @@ def _hopf_bundle() -> ExampleBundle:
         volumes=volumes,
         fields=fields,
         fixed_points={"x1": axis_zeros("x1", 1), "x2": axis_zeros("x2", 2)},
-        # t is an invariant axis, one node at every level; the angles are
-        # band-limited, 2 staggered nodes in theta1 and 4 in theta2 at every
-        # level; u takes 3 Gauss-Legendre nodes per panel, so a job takes
-        # 1*3*2*4 + 1*6*2*4 = 72 nodes. 4 theta2 nodes integrate every charge
-        # k(2, -1), 0 < |k| <= 3, that r4-bump's integrands carry to zero
-        # exactly, whatever theta1's count, so theta1 takes the minimum of 2,
-        # and the angle averages are polynomials in u of degree <= 4, which 3
-        # nodes per panel integrate exactly on both levels: every bar is
-        # rounding. 2 nodes in u miss r4-bump x1's 0 by 0.07, and its bar
-        # sees it. The transpose (1, 3, 4, 2) aliases k = 2 on both levels
-        # alike: its bars miss a 0.1 error that only the invariance suite's
-        # axis rows see
+        # 1*3*2*4 + 1*6*2*4 = 72 nodes per job
         default_quadrature=QuadratureSpec(points_per_axis=(1, 3, 2, 4),
                                           refinement_levels=2),
         notes=("Hopf surface (C^2 minus 0)/(z -> 2z), integrated over the fundamental "

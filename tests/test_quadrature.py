@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from holoinv import (
     IntegrationDomain,
     QuadratureSpec,
     integrate,
+    invariant_alternative,
 )
 from holoinv import calculus, quadrature
 
@@ -157,9 +159,9 @@ def test_block_sum_is_the_exact_fsum_of_the_block():
     values = big * (1.0 - 0.5j) + 1j * big[::-1]
     weights = np.linspace(0.5, 2.0, len(values))
     contrib = weights * values
-    # one block: the interleaved real parts in block 0, the imaginary in 1
-    real, imag = quadrature._block_sums(contrib.view(np.float64),
-                                        np.arange(2 * len(contrib)) % 2, 2)
+    # one level: the interleaved real parts in part 0, the imaginary in 1
+    real, imag = quadrature._part_sums(contrib.view(np.float64),
+                                       np.arange(2 * len(contrib)) % 2, 2)
     assert real.hex() == math.fsum(np.real(contrib)).hex()
     assert imag.hex() == math.fsum(np.imag(contrib)).hex()
     assert real != functools.reduce(operator.add, np.real(contrib).tolist())
@@ -181,25 +183,25 @@ def _fsum_hex(floats):
 @example(xs=[0.0, -0.0, -0.0], cancel=True, data=None)
 @example(xs=[1e16, 1.0, -1e16, 3.0, 1e-3], cancel=False, data=None)
 @example(xs=[math.ldexp(1, -1074)], cancel=False, data=None)
-def test_block_sums_are_fsum_bit_for_bit(xs, cancel, data):
+def test_part_sums_are_fsum_bit_for_bit(xs, cancel, data):
     # heavy cancellation: every element and its negation, plus one small term
     if cancel:
         xs = xs + [-x for x in reversed(xs)] + [math.ldexp(1.0, -1074)]
     try:
         math.fsum(abs(x) for x in xs)
-    except OverflowError:  # a partial sum may overflow: no block sum to compare
+    except OverflowError:  # a partial sum may overflow: no part sum to compare
         assume(False)
     x = np.array(xs)
-    blocks = (np.zeros(len(x), dtype=np.intp) if data is None else
-              np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(x), max_size=len(x))),
-                       dtype=np.intp))
-    sums = quadrature._block_sums(x, blocks, 3)
-    assert [s.hex() for s in sums] == [_fsum_hex(x[blocks == b].tolist()) for b in range(3)]
+    parts = (np.zeros(len(x), dtype=np.intp) if data is None else
+             np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(x), max_size=len(x))),
+                      dtype=np.intp))
+    sums = quadrature._part_sums(x, parts, 3)
+    assert [s.hex() for s in sums] == [_fsum_hex(x[parts == p].tolist()) for p in range(3)]
 
 
-def test_block_sums_of_zeros_are_positive_zero():
-    # fsum of an all-zero block is +0.0, whatever the zeros' signs
-    sums = quadrature._block_sums(np.array([-0.0, -0.0, 0.0, -0.0]), np.array([0, 0, 1, 2]), 4)
+def test_part_sums_of_zeros_are_positive_zero():
+    # fsum of an all-zero part is +0.0, whatever the zeros' signs
+    sums = quadrature._part_sums(np.array([-0.0, -0.0, 0.0, -0.0]), np.array([0, 0, 1, 2]), 4)
     assert [s.hex() for s in sums] == [_fsum_hex([-0.0, -0.0]), _fsum_hex([0.0]),
                                        _fsum_hex([-0.0]), _fsum_hex([])] == ["0x0.0p+0"] * 4
 
@@ -207,27 +209,33 @@ def test_block_sums_of_zeros_are_positive_zero():
 @pytest.mark.parametrize("k", [*range(-1074, -1061), *range(-6, 7), *range(946, 959)])
 def test_full_block_of_largest_significands(k):
     # 8,192 copies of (2^53 - 1) 2^k: the largest limbs, and the 13 k of each
-    # group meet every scale 2^0 .. 2^12 of their exponent bucket, so some
-    # bucket total reaches 8,192 (2^27 - 1) 2^12, just below 2^52
-    x = np.full(quadrature._CELL_NODES, math.ldexp(2 ** 53 - 1, k))
+    # group meet every scale 2^0 .. 2^(_FOLD - 1) of the exponent buckets
+    # they span; the bucket-bound test below pins the count a bucket takes
+    x = np.full(8192, math.ldexp(2 ** 53 - 1, k))
     for signs in (1.0, np.where(np.arange(len(x)) % 3, 1.0, -1.0)):
-        (total,) = quadrature._block_sums(signs * x, np.zeros(len(x), dtype=np.intp), 1)
+        (total,) = quadrature._part_sums(signs * x, np.zeros(len(x), dtype=np.intp), 1)
         assert total.hex() == _fsum_hex((signs * x).tolist())
 
 
 @pytest.mark.parametrize("exponent", [-1073, -1, 990])
 def test_full_block_at_the_bucket_bound(exponent):
-    # in the exponent bucket holding `exponent`, 8,191 values (2^53 - 1) 2^k
-    # at its top scale, then one at its bottom: the high limbs' total is
-    # (2^27 - 1)(8,191 2^(_FOLD - 1) + 1), odd and at most 2^52, which a
-    # wider bucket would take past 2^53, where np.bincount starts to round
-    # (at -1073 the values are subnormal, rounded by ldexp)
+    # a level of _MAX_NODES = 2^22 values in the exponent bucket holding
+    # `exponent`: all but the last (2^53 - 1) 2^k at the bucket's top scale,
+    # the last at its bottom. The high limbs' total is
+    # (2^27 - 1)((2^22 - 1) 2^(_FOLD - 1) + 1), odd and below 2^53, which a
+    # wider bucket would pass, where np.bincount starts to round; negated,
+    # each high limb is -2^27. At -1073 ldexp rounds the values to
+    # subnormals with few significant bits, which land in two buckets: that
+    # case covers the subnormal range, not the bound. The expected sums are
+    # exact rationals, rounded once
     first = exponent - (exponent - quadrature._MIN_EXP) % quadrature._FOLD - 53
-    k = np.full(quadrature._CELL_NODES, first + quadrature._FOLD - 1)
+    k = np.full(quadrature._MAX_NODES, first + quadrature._FOLD - 1)
     k[-1] = first
     x = np.ldexp(float(2 ** 53 - 1), k)
-    (total,) = quadrature._block_sums(x, np.zeros(len(x), dtype=np.intp), 1)
-    assert total.hex() == _fsum_hex(x.tolist())
+    exact = (len(x) - 1) * Fraction(x[0]) + Fraction(x[-1])
+    for sign in (1, -1):
+        (total,) = quadrature._part_sums(sign * x, np.zeros(len(x), dtype=np.intp), 1)
+        assert total.hex() == float(sign * exact).hex()
 
 
 @pytest.mark.parametrize("xs", [
@@ -239,7 +247,7 @@ def test_full_block_at_the_bucket_bound(exponent):
 def test_block_sum_that_overflows_is_nan(xs):
     with pytest.raises(OverflowError):
         math.fsum(xs)
-    (total,) = quadrature._block_sums(np.array(xs), np.zeros(len(xs), dtype=np.intp), 1)
+    (total,) = quadrature._part_sums(np.array(xs), np.zeros(len(xs), dtype=np.intp), 1)
     assert math.isnan(total)
 
 
@@ -281,7 +289,7 @@ def test_cp1_row_sum_takes_no_float_per_node(monkeypatch, cp1):
 
     monkeypatch.setattr(math, "fsum", counting)
     counts = []
-    for points in ((20, 16), (40, 32)):  # 1,600 and 6,400 nodes, one block per level
+    for points in ((20, 16), (40, 32)):  # 1,600 and 6,400 nodes
         received.clear()
         integrate(density, dom, QuadratureSpec(points, 2))
         counts.append(sum(received))
@@ -493,7 +501,7 @@ def test_single_level_reports_unknown_error():
     assert res.error_estimate == math.inf
 
 
-# --- one node set and one density call per block, across levels --------------
+# --- one node set, density calls across levels, one exact sum per level -----
 
 
 def _gauss_axis(lo, hi, level, p):
@@ -526,7 +534,9 @@ _REFERENCE_AXES = {"gauss": _gauss_axis, "periodic": _periodic_axis,
 
 def _per_level_integrate(density, dom, q):
     """Frozen reference: every level built and integrated on its own, one
-    density call per block of at most 8,192 nodes of that level."""
+    density call per at most 8,192 nodes of that level, and one math.fsum
+    per level of its weighted values' real parts and one of their
+    imaginary parts."""
     counts = q.points_per_axis
     points = counts if isinstance(counts, tuple) else (counts,) * len(dom.box)
     rules = dom.rules or ("gauss",) * len(dom.box)
@@ -542,14 +552,11 @@ def _per_level_integrate(density, dom, q):
         chart_pts = dom.to_chart(pts)
         if dom.measure_map is not None:
             weights = weights * np.asarray(dom.measure_map(pts), dtype=float)
-        partials = []
-        for start in range(0, len(weights), 8192):
-            sl = slice(start, start + 8192)
-            contrib = weights[sl] * np.asarray(density(chart_pts[sl]))
-            partials.append((math.fsum(np.real(contrib).tolist()),
-                             math.fsum(np.imag(contrib).tolist())))
-        return complex(math.fsum(p[0] for p in partials),
-                       math.fsum(p[1] for p in partials))
+        contrib = np.concatenate([weights[start:start + 8192]
+                                  * np.asarray(density(chart_pts[start:start + 8192]))
+                                  for start in range(0, len(weights), 8192)])
+        return complex(math.fsum(np.real(contrib).tolist()),
+                       math.fsum(np.imag(contrib).tolist()))
 
     levels = [evaluate_level(level) for level in range(1, q.refinement_levels + 1)]
     error = abs(levels[-1] - levels[-2]) if len(levels) >= 2 else math.inf
@@ -570,7 +577,8 @@ def _hopf_wave(z):
 
 @pytest.mark.parametrize("case", ["multi-block", "complex", "rows"])
 def test_integrate_matches_the_per_level_reference_bit_for_bit(case, hopf, cp1):
-    # levels of 3,072, 6,144 and 12,288 nodes: the finest spans two blocks
+    # levels of 3,072, 6,144 and 12,288 nodes: the finest spans two density
+    # calls and is still one exactly rounded sum
     multi_block = (hopf.manifold.fundamental_domain["punctured"],
                    QuadratureSpec((2, 12, 16, 16), 3))
     if case == "rows":
@@ -590,6 +598,25 @@ def test_integrate_matches_the_per_level_reference_bit_for_bit(case, hopf, cp1):
                            cp1.manifold.fundamental_domain["affine"], QuadratureSpec(64, 3))
     expected = _per_level_integrate(density, dom, q)
     assert _bits(integrate(density, dom, q)) == _bits(expected)
+
+
+def test_results_do_not_depend_on_the_density_call_size(hopf, monkeypatch):
+    # 97 nodes per density call cut every level of this grid into many
+    # calls; a complex integrand with cancellation and a route's row keep
+    # the bits of their value and bar
+    dom = hopf.manifold.fundamental_domain["punctured"]
+    q = QuadratureSpec((2, 12, 16, 16), 3)
+    jobs = (lambda: integrate(_hopf_wave, dom, q),
+            lambda: invariant_alternative(hopf.manifold, hopf.volumes["r4-bump"],
+                                          hopf.fields["x1"], q=q))
+    quadrature._node_set.cache_clear()
+    expected = [_bits(job()) for job in jobs]
+    monkeypatch.setattr(quadrature, "_CELL_NODES", 97)
+    quadrature._node_set.cache_clear()
+    try:
+        assert [_bits(job()) for job in jobs] == expected
+    finally:
+        quadrature._node_set.cache_clear()
 
 
 def test_every_rule_has_an_independent_reference():
