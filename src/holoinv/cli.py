@@ -245,13 +245,12 @@ def _suite_invariance(bundle, p, samples, seed, q):
     m = bundle.manifold
     rows = _membership_rows("invariance", bundle.fields, geometry.verify_invariant_field,
                             geometry.verify_field_transitions, m, p, samples, seed)
-    if not any({"invariant", "band-limited"} & set(dom.rules)
-               for dom in m.fundamental_domain.values()):
-        return rows
     # an invariant axis gets one quadrature node and a band-limited axis q's
     # p staggered nodes at every level, so every route's density times the
     # measure must be constant along the first and have offset-free grid
-    # means along the second: one row per volume, field and route
+    # means along the second: one row per volume, field and route. Where no
+    # piece declares such an axis geometry measures nothing, so there is no
+    # row and the suite needs no axis_bound
     for vol_name in sorted(bundle.volumes):
         for field_name in sorted(bundle.fields):
             vol, x = bundle.volumes[vol_name], bundle.fields[field_name]
@@ -261,7 +260,7 @@ def _suite_invariance(bundle, p, samples, seed, q):
                                                  x.components[chart_id]),
                     m, q, samples, seed=seed)
                 rows += _report_rows(f"axis:{vol_name}:{field_name}:{route}", rep,
-                                     p["axis_bound"])
+                                     p.get("axis_bound"))
     return rows
 
 

@@ -88,15 +88,6 @@ class CohomologyClass:
         coeffs[0] = Fraction(value)
         return CohomologyClass(tuple(coeffs))
 
-    @staticmethod
-    def linear(c0: Rational, c1: Rational, dim: int) -> "CohomologyClass":
-        if dim == 0:
-            return CohomologyClass.constant(c0, 0)
-        coeffs = [Fraction(0)] * (dim + 1)
-        coeffs[0] = Fraction(c0)
-        coeffs[1] = Fraction(c1)
-        return CohomologyClass(tuple(coeffs))
-
 
 def class_mul(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Product in the truncated ring; degrees above the component dim vanish."""

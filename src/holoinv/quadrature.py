@@ -43,14 +43,10 @@ node that no integrand needs.
 Determinism and memory: the concatenated nodes go to the density in
 contiguous calls of at most _CELL_NODES nodes, so the jet temporaries of
 one call stay bounded however fine the grid. Each level of each row is
-summed on its own, real and imaginary parts apart, each part to its
-exactly rounded sum, which is unique: so repeated runs give bit-identical
-results, and no result depends on how the nodes were cut into calls or
-which rows shared a call. The sums take no Python float per node
-(_part_sums): each weighted value's significand is split into two integer
-limbs, the limbs are scaled within buckets of _FOLD exponents and added
-per (part, bucket) by np.bincount, exactly, and math.fsum then rounds the
-few bucket totals of a part.
+summed on its own, real and imaginary parts apart, by one math.fsum per
+part. That sum is exactly rounded, hence unique: repeated runs give
+bit-identical results, and no result depends on _CELL_NODES or on which
+rows shared a call.
 
 Finiteness is a precondition: a non-finite density value at any node
 raises IllPosedIntegrandError, since neither the value nor its error
@@ -76,12 +72,6 @@ from .errors import IllPosedIntegrandError
 _CELL_NODES = 8192
 _NODE_SETS = 8  # cached (domain, spec) node sets; a job uses one per distinct piece
 _MAX_NODES = 2 ** 22  # nodes of all levels of one node set: 5,200x the largest registered job
-# exponents per bucket of _part_sums: a part is one level's real or imaginary
-# parts, at most _MAX_NODES = 2^22 values, so a bucket total adds at most 2^22
-# high limbs |m >> 26| <= 2^27 scaled by at most 2^(_FOLD - 1); every partial
-# total stays at or below 2^(48 + _FOLD) = 2^53, which np.bincount adds exactly
-_FOLD = 5
-_MIN_EXP = -1073  # np.frexp exponent of the smallest subnormal, 2^-1074
 RULES = ("gauss", "periodic", "band-limited", "invariant")
 
 
@@ -239,7 +229,6 @@ class _NodeSet(NamedTuple):
     chart_pts: np.ndarray  # (N, n) complex chart coordinates
     weights: np.ndarray  # (N,) rule weights times measure_map
     starts: tuple[int, ...]  # offset of each level's first node, then N
-    parts: np.ndarray  # (2N,) 2l and 2l + 1: the real and imaginary part of a node of level l + 1
 
 
 @lru_cache(maxsize=_NODE_SETS)
@@ -270,61 +259,10 @@ def _node_set(dom: IntegrationDomain, q: QuadratureSpec) -> _NodeSet:
     chart_pts = dom.to_chart(pts)
     if dom.measure_map is not None:
         weights = weights * np.asarray(dom.measure_map(pts), dtype=float)
-    sizes = [len(w) for _, w in grids]
-    starts = tuple(itertools.accumulate(sizes, initial=0))
-    level = np.repeat(np.arange(len(sizes)), sizes)
-    parts = np.stack([2 * level, 2 * level + 1], axis=-1).ravel()
-    for array in (chart_pts, weights, parts):
+    starts = tuple(itertools.accumulate((len(w) for _, w in grids), initial=0))
+    for array in (chart_pts, weights):
         array.setflags(write=False)
-    return _NodeSet(chart_pts, weights, starts, parts)
-
-
-def _fsum(floats) -> float:
-    """math.fsum, or nan where a partial sum overflows."""
-    try:
-        return math.fsum(floats)
-    except OverflowError:
-        return math.nan
-
-
-def _part_sums(x: np.ndarray, part: np.ndarray, count: int) -> list[float]:
-    """The exactly rounded sum of each of `count` parts of the finite floats x.
-
-    x[i] is in part part[i], and no part holds more than _MAX_NODES
-    elements. Entry p is math.fsum of part p's elements, bit for bit (an
-    exactly rounded sum is unique), or nan where that sum overflows.
-
-    Each element is m 2^(e - 53) with m an integer, |m| < 2^53 (np.frexp),
-    split into the limbs m >> 26 and m mod 2^26. Its exponent falls in the
-    bucket (e - _MIN_EXP) // _FOLD, and both limbs are scaled by
-    2^((e - _MIN_EXP) % _FOLD), so one bucket's scaled limbs are integers on
-    a common scale and np.bincount adds them exactly per (part, bucket).
-    math.fsum then rounds a part's bucket totals, two per bucket its
-    elements span, instead of the elements themselves.
-    """
-    frac, exp = np.frexp(x)
-    low = frac * 2.0 ** 27
-    high = np.floor(low)  # m >> 26
-    low -= high
-    low *= 2.0 ** 26  # m mod 2^26
-    exp -= _MIN_EXP
-    bucket = exp // _FOLD
-    exp -= _FOLD * bucket
-    first, last = int(bucket.min()), int(bucket.max())
-    span = last - first + 1
-    key = part * span
-    key += bucket
-    key -= first
-    size = count * span
-    highs = np.bincount(key, np.ldexp(high, exp), size).reshape(count, span)
-    lows = np.bincount(key, np.ldexp(low, exp), size).reshape(count, span)
-    scale = _FOLD * np.arange(first, last + 1) + (_MIN_EXP - 53)
-    with np.errstate(over="ignore"):
-        totals = np.concatenate((np.ldexp(highs, scale + 26), np.ldexp(lows, scale)), axis=1)
-    finite = np.isfinite(totals)
-    if not finite.all():
-        totals[~finite] = math.nan  # a bucket total overflowed
-    return [_fsum(row) for row in totals]
+    return _NodeSet(chart_pts, weights, starts)
 
 
 def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpec()
@@ -339,7 +277,9 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
         finite at every node: any non-finite value raises
         IllPosedIntegrandError, naming the first level that has one and its
         count there, row by row. So does a level whose weighted values, or
-        their sum, overflow the float range.
+        their sum, overflow the float range, and one whose running sum in
+        node order does even where the exact sum is finite: math.fsum
+        refuses weighted values 1e308, 1e308, -1e308.
     dom : IntegrationDomain
     q : QuadratureSpec
         Tensor-product rule; at level k a "gauss" axis with p points gets
@@ -354,8 +294,8 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
 
     The nodes of all levels, built once per (domain, spec) and cached, go
     to `density` as read-only views, level 1 first, at most _CELL_NODES
-    nodes per call. Each level is summed exactly (see the module
-    docstring), so neither that cut nor the other rows change a row's result.
+    nodes per call; the level sums are exactly rounded (see the module
+    docstring).
 
     Returns
     -------
@@ -385,15 +325,13 @@ def _integrate_row(values, nodes: _NodeSet) -> IntegrationResult:
         contrib = nodes.weights * values
     if not np.isfinite(contrib).all():  # complex: False where either part is non-finite
         raise _nonfinite_error(values, contrib, nodes.starts)
-    count = 2 * (len(nodes.starts) - 1)
-    if np.iscomplexobj(contrib):
-        sums = _part_sums(contrib.view(np.float64), nodes.parts, count)
-    else:  # the odd, imaginary parts stay empty and sum to 0.0
-        sums = _part_sums(contrib, nodes.parts[0::2], count)
     levels = []
-    for level, (real, imag) in enumerate(zip(sums[0::2], sums[1::2]), start=1):
-        if not (math.isfinite(real) and math.isfinite(imag)):
-            raise IllPosedIntegrandError(f"the weighted sum overflows at level {level}")
+    for level, (lo, hi) in enumerate(itertools.pairwise(nodes.starts), start=1):
+        part = contrib[lo:hi]
+        try:  # a memoryview hands fsum one float at a time, with no list of them
+            real, imag = math.fsum(memoryview(part.real)), math.fsum(memoryview(part.imag))
+        except OverflowError:
+            raise IllPosedIntegrandError(f"the weighted sum overflows at level {level}") from None
         levels.append(complex(real, imag))
     if len(levels) >= 2:
         error = abs(levels[-1] - levels[-2])

@@ -11,7 +11,8 @@ some package module reads it beyond its definition: as a name, as an
 attribute, or in an import. Tests do not count, since a helper only tests
 reach is dead code. A public module-level function or class is held to the
 same rule, with the package's __init__.py counted as a reader: a name the
-public API exports is used.
+public API exports is used. So is every method or property of a package
+class, dunders aside: some package module must read it by name.
 """
 
 import ast
@@ -88,6 +89,16 @@ def public_definitions(tree):
             yield node.name, node.lineno
 
 
+def method_definitions(tree):
+    """(name, line) for each non-dunder method or property of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item.name, item.lineno
+
+
 def dead_definitions(sources, definitions=private_definitions):
     """`module: name (line n)` for each of the `definitions` that no module
     of `sources` (module name -> source text) reads."""
@@ -105,6 +116,25 @@ def test_no_dead_private_helpers():
 def test_no_dead_public_functions_or_classes():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert dead_definitions(sources, public_definitions) == []
+
+
+def test_no_dead_methods():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert dead_definitions(sources, method_definitions) == []
+
+
+def test_a_dead_method_is_found():
+    sources = {
+        "a": "class Box:\n"
+             "    def __len__(self):\n        return 0\n"
+             "    @property\n    def size(self):\n        return self._grow()\n"
+             "    def _grow(self):\n        return 1\n"
+             "    @staticmethod\n    def spare():\n        return 2\n"
+             "    @property\n    def unread(self):\n        return 3\n",
+        "b": "from a import Box\nprint(Box().size)\n",
+    }
+    assert dead_definitions(sources, method_definitions) == [
+        "a: spare (line 10)", "a: unread (line 13)"]
 
 
 def test_a_dead_public_function_is_found():

@@ -141,13 +141,19 @@ def test_ambient_dimension_guard():
         component_contribution(comp, 0)
 
 
+def _linear_class(c0, c1, dim):
+    """c0 + c1 t in the ring truncated above t^dim."""
+    coeffs = (Fraction(c0), Fraction(c1), *[Fraction(0)] * (dim - 1))
+    return CohomologyClass(coeffs[:dim + 1])
+
+
 def _ring_reference_parts(comp, n):
     """The contribution expanded with the general truncated-ring helpers."""
     chern = comp.c1_tangent_deg + sum(comp.normal_line_degrees, Fraction(0))
-    numerator = class_pow(CohomologyClass.linear(comp.trace_L, chern, comp.dim), n + 1)
+    numerator = class_pow(_linear_class(comp.trace_L, chern, comp.dim), n + 1)
     denominator = CohomologyClass.constant(1, comp.dim)
     for w, g in zip(comp.normal_weights, comp.normal_line_degrees):
-        denominator = class_mul(denominator, CohomologyClass.linear(w, g, comp.dim))
+        denominator = class_mul(denominator, _linear_class(w, g, comp.dim))
     inverted = class_inverse(denominator)
     return numerator, inverted, class_mul(numerator, inverted).coeffs[comp.dim]
 

@@ -1,14 +1,11 @@
 """Tensor-product quadrature: benchmarks, determinism, error estimates."""
 
 import dataclasses
-import functools
 import math
-import operator
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from holoinv import (
     IllPosedIntegrandError,
@@ -153,102 +150,45 @@ def test_one_nonfinite_sample_is_refused():
         integrate(thin_sliver, UNIT_BOX, QuadratureSpec(32, 3))
 
 
-def test_block_sum_is_the_exact_fsum_of_the_block():
-    # heavy cancellation: a naive or pairwise sum loses the small terms
-    big = np.array([1e16, 1.0, -1e16, 3.0, 1e-3, -2.5e15, 2.5e15, -0.0] * 40)
-    values = big * (1.0 - 0.5j) + 1j * big[::-1]
-    weights = np.linspace(0.5, 2.0, len(values))
-    contrib = weights * values
-    # one level: the interleaved real parts in part 0, the imaginary in 1
-    real, imag = quadrature._part_sums(contrib.view(np.float64),
-                                       np.arange(2 * len(contrib)) % 2, 2)
-    assert real.hex() == math.fsum(np.real(contrib)).hex()
-    assert imag.hex() == math.fsum(np.imag(contrib)).hex()
-    assert real != functools.reduce(operator.add, np.real(contrib).tolist())
-
-
 # every finite double: integer significands up to 2^53 - 1 times 2^-1074 ..
 # 2^970, so the values' exponents run from -1074 to 1023, subnormals included
-_DOUBLES = st.builds(math.ldexp, st.integers(-(2 ** 53 - 1), 2 ** 53 - 1),
-                     st.integers(-1074, 970))
-
-
-def _fsum_hex(floats):
-    return math.fsum(floats).hex()
+_DOUBLES = st.one_of(st.builds(math.ldexp, st.integers(-(2 ** 53 - 1), 2 ** 53 - 1),
+                               st.integers(-1074, 970)),
+                     st.sampled_from([0.0, -0.0]))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(xs=st.lists(st.one_of(_DOUBLES, st.sampled_from([0.0, -0.0])), min_size=1, max_size=40),
-       cancel=st.booleans(), data=st.data())
-@example(xs=[0.0, -0.0, -0.0], cancel=True, data=None)
-@example(xs=[1e16, 1.0, -1e16, 3.0, 1e-3], cancel=False, data=None)
-@example(xs=[math.ldexp(1, -1074)], cancel=False, data=None)
-def test_part_sums_are_fsum_bit_for_bit(xs, cancel, data):
-    # heavy cancellation: every element and its negation, plus one small term
+@given(pairs=st.lists(st.tuples(_DOUBLES, _DOUBLES), min_size=2, max_size=40),
+       cancel=st.booleans())
+@example(pairs=[(0.0, -0.0), (-0.0, -0.0)], cancel=False)
+@example(pairs=[(1e16, 3.0), (1.0, 1e-3), (-1e16, -1e16), (3.0, 1e16)], cancel=False)
+@example(pairs=[(math.ldexp(1, -1074), -0.0), (-0.0, math.ldexp(1, -1074))], cancel=False)
+def test_a_level_sums_to_the_exactly_rounded_sum_of_its_values(pairs, cancel):
+    # one level of p nodes x = 0 .. p - 1 on the periodic box (0, p), each
+    # weighted exactly 1, so the level's weighted values are the drawn
+    # doubles; with `cancel`, every pair's negation and a smallest subnormal
     if cancel:
-        xs = xs + [-x for x in reversed(xs)] + [math.ldexp(1.0, -1074)]
+        tiny = math.ldexp(1.0, -1074)
+        pairs = pairs + [(-re, -im) for re, im in reversed(pairs)] + [(tiny, tiny)]
+    re, im = ([pair[k] for pair in pairs] for k in (0, 1))
+    values = np.array(re, dtype=complex)
+    values.imag = im
+    dom = IntegrationDomain(((0.0, float(len(values))),), chart_map=lambda pts: pts + 0j,
+                            rules=("periodic",))
+
+    def run():
+        return integrate(lambda z: values[z[:, 0].real.astype(int)], dom,
+                         QuadratureSpec(len(values), 1))
+
     try:
-        math.fsum(abs(x) for x in xs)
-    except OverflowError:  # a partial sum may overflow: no part sum to compare
-        assume(False)
-    x = np.array(xs)
-    parts = (np.zeros(len(x), dtype=np.intp) if data is None else
-             np.array(data.draw(st.lists(st.integers(0, 2), min_size=len(x), max_size=len(x))),
-                      dtype=np.intp))
-    sums = quadrature._part_sums(x, parts, 3)
-    assert [s.hex() for s in sums] == [_fsum_hex(x[parts == p].tolist()) for p in range(3)]
-
-
-def test_part_sums_of_zeros_are_positive_zero():
-    # fsum of an all-zero part is +0.0, whatever the zeros' signs
-    sums = quadrature._part_sums(np.array([-0.0, -0.0, 0.0, -0.0]), np.array([0, 0, 1, 2]), 4)
-    assert [s.hex() for s in sums] == [_fsum_hex([-0.0, -0.0]), _fsum_hex([0.0]),
-                                       _fsum_hex([-0.0]), _fsum_hex([])] == ["0x0.0p+0"] * 4
-
-
-@pytest.mark.parametrize("k", [*range(-1074, -1061), *range(-6, 7), *range(946, 959)])
-def test_full_block_of_largest_significands(k):
-    # 8,192 copies of (2^53 - 1) 2^k: the largest limbs, and the 13 k of each
-    # group meet every scale 2^0 .. 2^(_FOLD - 1) of the exponent buckets
-    # they span; the bucket-bound test below pins the count a bucket takes
-    x = np.full(8192, math.ldexp(2 ** 53 - 1, k))
-    for signs in (1.0, np.where(np.arange(len(x)) % 3, 1.0, -1.0)):
-        (total,) = quadrature._part_sums(signs * x, np.zeros(len(x), dtype=np.intp), 1)
-        assert total.hex() == _fsum_hex((signs * x).tolist())
-
-
-@pytest.mark.parametrize("exponent", [-1073, -1, 990])
-def test_full_block_at_the_bucket_bound(exponent):
-    # a level of _MAX_NODES = 2^22 values in the exponent bucket holding
-    # `exponent`: all but the last (2^53 - 1) 2^k at the bucket's top scale,
-    # the last at its bottom. The high limbs' total is
-    # (2^27 - 1)((2^22 - 1) 2^(_FOLD - 1) + 1), odd and below 2^53, which a
-    # wider bucket would pass, where np.bincount starts to round; negated,
-    # each high limb is -2^27. At -1073 ldexp rounds the values to
-    # subnormals with few significant bits, which land in two buckets: that
-    # case covers the subnormal range, not the bound. The expected sums are
-    # exact rationals, rounded once
-    first = exponent - (exponent - quadrature._MIN_EXP) % quadrature._FOLD - 53
-    k = np.full(quadrature._MAX_NODES, first + quadrature._FOLD - 1)
-    k[-1] = first
-    x = np.ldexp(float(2 ** 53 - 1), k)
-    exact = (len(x) - 1) * Fraction(x[0]) + Fraction(x[-1])
-    for sign in (1, -1):
-        (total,) = quadrature._part_sums(sign * x, np.zeros(len(x), dtype=np.intp), 1)
-        assert total.hex() == float(sign * exact).hex()
-
-
-@pytest.mark.parametrize("xs", [
-    # bucket totals of opposite signs that both overflow: 2^1024.5 and -1.1 2^1024
-    [math.ldexp(1.4142, 1018)] * 64 + [-math.ldexp(1.5, 1022)] * 3,
-    # finite bucket totals, 2^1023 and 1.5 2^1023, whose sum overflows
-    [math.ldexp(1.0, 1018)] * 32 + [math.ldexp(1.5, 1023)],
-])
-def test_block_sum_that_overflows_is_nan(xs):
-    with pytest.raises(OverflowError):
-        math.fsum(xs)
-    (total,) = quadrature._part_sums(np.array(xs), np.zeros(len(xs), dtype=np.intp), 1)
-    assert math.isnan(total)
+        expected = complex(math.fsum(re), math.fsum(im))
+    except OverflowError:
+        with pytest.raises(IllPosedIntegrandError,
+                           match="the weighted sum overflows at level 1$"):
+            run()
+        return
+    value = run().value
+    assert (value.real.hex(), value.imag.hex()) == (expected.real.hex(), expected.imag.hex())
 
 
 @pytest.mark.parametrize("value, box, q, level", [
@@ -259,45 +199,24 @@ def test_block_sum_that_overflows_is_nan(xs):
     # large only on the sliver x < 0.5 (1e-3 of the box), which only
     # level 3's node columns reach, with weights up to about 11 there
     ("sliver", ((0.0, 1e3), (0.0, 1e3)), QuadratureSpec(32, 3), 3),
+    # 2 x 2 Gauss nodes each weighted exactly 1: weighted values 1e308,
+    # 1e308, -1e308, 0 in node order, whose exact sum 1e308 is finite but
+    # whose running sum is not, which math.fsum refuses
+    ("running", ((0.0, 2.0), (0.0, 2.0)), QuadratureSpec(2, 1), 1),
 ])
 def test_overflow_is_ill_posed_at_its_level(value, box, q, level):
     def density(z):
+        x, y = z[..., 0].real, z[..., 0].imag
         if value == "sliver":
-            return np.where(z[..., 0].real < 0.5, 1.7e308, 1.0)
+            return np.where(x < 0.5, 1.7e308, 1.0)
+        if value == "running":
+            return np.where(x < 1.0, 1e308, np.where(y < 1.0, -1e308, 0.0))
         return np.full(z.shape[:-1], value)
 
     with pytest.raises(IllPosedIntegrandError,
                        match=f"the weighted sum overflows at level {level}$"):
         integrate(density, IntegrationDomain(box), q)
 
-
-def test_cp1_row_sum_takes_no_float_per_node(monkeypatch, cp1):
-    # a per-node Python float would show as thousands of floats going to
-    # math.fsum and four times as many on a grid with four times the nodes
-    vol, fld = cp1.volumes["fs"], cp1.fields["ddz"]
-    dom = cp1.manifold.fundamental_domain["affine"]
-    fsum, received = math.fsum, []
-
-    def counting(floats):
-        floats = list(floats)
-        received.append(len(floats))
-        return fsum(floats)
-
-    def density(z):
-        return (calculus.divergence_field(fld.components["affine"], vol.log_density["affine"], z)
-                * calculus.ricci_top_field(vol.log_density["affine"], z))
-
-    monkeypatch.setattr(math, "fsum", counting)
-    counts = []
-    for points in ((20, 16), (40, 32)):  # 1,600 and 6,400 nodes
-        received.clear()
-        integrate(density, dom, QuadratureSpec(points, 2))
-        counts.append(sum(received))
-    coarse, fine = counts
-    # the count follows the exponent buckets the weighted values span; the
-    # finer grid's wider spread of weights may reach one bucket more
-    assert coarse < 1_600 / 10
-    assert fine < 2 * coarse
 
 
 def test_invariant_density_wrapper_hopf_degenerate(hopf):
