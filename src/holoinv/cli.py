@@ -437,6 +437,13 @@ def main(argv=None) -> int:
     if getattr(args, "seed", 0) < 0:
         print("holoinv: --seed must be a non-negative integer", file=sys.stderr)
         return 2
+    if getattr(args, "samples", None) is not None:
+        # every suite, also those that sample a fixed count or none
+        try:
+            geometry._check_samples(args.samples)
+        except ValueError as exc:
+            print(f"holoinv: {exc}", file=sys.stderr)
+            return 2
     try:
         report, code = args.handler(args)
         if args.json:

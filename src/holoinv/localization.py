@@ -28,7 +28,10 @@ reduces: a product takes two cross gcds (numerator of each factor
 against the denominator of the other), a sum one gcd of the two
 denominators and one of the new numerator against it. The reduction
 keeps the integers as small as the value allows; without it, entries of
-thousands of digits would multiply into far larger ones.
+thousands of digits would multiply into far larger ones. FixedPointData
+is immutable, so each object is summed once, on first use, and keeps
+its sum outside its fields; rescale_field multiplies traces and weights
+with the same pair product, _mul.
 
 The residue raises the trace to the power n+1, so a few short entries
 can ask for an integer of millions of digits. FixedPointData therefore
@@ -53,8 +56,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import NonInvertibleClassError, NonsingularityError
@@ -147,13 +151,13 @@ class ZeroComponent:
 
     def __post_init__(self):
         object.__setattr__(self, "trace_L", _exact(self.trace_L))
-        object.__setattr__(self, "normal_weights",
-                           tuple(_exact(w) for w in self.normal_weights))
+        weights = tuple(map(_exact, self.normal_weights))
+        object.__setattr__(self, "normal_weights", weights)
         object.__setattr__(self, "c1_tangent_deg", _exact(self.c1_tangent_deg))
-        degrees = tuple(_exact(v) for v in self.normal_line_degrees)
-        if not degrees and self.normal_weights:
+        degrees = tuple(map(_exact, self.normal_line_degrees))
+        if not degrees and weights:
             # flat normal summands (e.g. isolated points) may omit the degrees
-            degrees = (Fraction(0),) * len(self.normal_weights)
+            degrees = (Fraction(0),) * len(weights)
         object.__setattr__(self, "normal_line_degrees", degrees)
         if self.dim < 0:
             raise ValueError(f"component '{self.name}' has negative dimension")
@@ -161,21 +165,20 @@ class ZeroComponent:
             raise ValueError(
                 f"component '{self.name}' has complex dimension {self.dim}; "
                 "only dimensions 0 and 1 are supported")
-        for w in self.normal_weights:
-            if w == 0:
-                raise NonsingularityError(
-                    f"zero normal weight on component '{self.name}': the residue "
-                    "formula requires a nonsingular linearization on the normal "
-                    "bundle (all normal weights nonzero)")
-        if len(self.normal_line_degrees) != len(self.normal_weights):
+        if 0 in weights:
+            raise NonsingularityError(
+                f"zero normal weight on component '{self.name}': the residue "
+                "formula requires a nonsingular linearization on the normal "
+                "bundle (all normal weights nonzero)")
+        if len(degrees) != len(weights):
             raise ValueError(
-                f"component '{self.name}': {len(self.normal_line_degrees)} normal "
-                f"line degrees for {len(self.normal_weights)} weights")
+                f"component '{self.name}': {len(degrees)} normal "
+                f"line degrees for {len(weights)} weights")
         if self.dim == 0:
             if self.c1_tangent_deg != 0:
                 raise ValueError(
                     f"component '{self.name}': a point has no tangent degree")
-            if any(v != 0 for v in self.normal_line_degrees):
+            if any(degrees):
                 raise ValueError(
                     f"component '{self.name}': normal line degrees over a point "
                     "must vanish")
@@ -213,6 +216,15 @@ class FixedPointData:
             raise ValueError(
                 f"fixed-point data '{self.label}': its residue sum may need integers of "
                 f"{total} bits, above the budget of {MAX_RESIDUE_SUM_BITS}")
+
+    @cached_property
+    def _residue_sum(self) -> Fraction:
+        # computed on first use and kept in the instance __dict__, which
+        # the field-based __eq__, __hash__ and __repr__ do not read
+        p, q = 0, 1
+        for c in self.components:
+            p, q = _add(p, q, *_contribution_pair(c, self.manifold_dim))
+        return Fraction(p, q)
 
 
 # A component's residue whose numerator and denominator have at most this
@@ -338,11 +350,12 @@ def localization_sum(data: FixedPointData) -> Fraction:
 
     Linear in the field: localization_sum(rescale_field(data, c)) ==
     c * localization_sum(data) exactly.
+
+    The data are immutable, so the sum is computed on the first call and
+    kept on the object; later calls return that same Fraction. An object
+    built anew, by rescale_field or dataclasses.replace, sums afresh.
     """
-    p, q = 0, 1
-    for c in data.components:
-        p, q = _add(p, q, *_contribution_pair(c, data.manifold_dim))
-    return Fraction(p, q)
+    return data._residue_sum
 
 
 def unnormalized_invariant(data: FixedPointData) -> float:
@@ -372,13 +385,23 @@ def rescale_field(data: FixedPointData, c: Rational) -> FixedPointData:
 
     Chern degrees are unchanged, so localization_sum(rescale_field(data, c))
     == c * localization_sum(data) exactly.
+
+    Each trace and weight is multiplied by c as a reduced integer pair
+    (_mul), and the components and data are built through their
+    constructors, so every check, both bit budgets included, runs again.
     """
     factor = Fraction(c)
     if factor == 0:
         raise ValueError("rescaling factor must be nonzero")
+    fp, fq = factor.as_integer_ratio()
+
+    def scaled(x: Fraction) -> Fraction:
+        return Fraction(*_mul(fp, fq, *x.as_integer_ratio()))
+
     components = tuple(
-        replace(z, trace_L=factor * z.trace_L,
-                normal_weights=tuple(factor * w for w in z.normal_weights))
+        ZeroComponent(z.name, z.dim, scaled(z.trace_L),
+                      tuple(scaled(w) for w in z.normal_weights),
+                      z.c1_tangent_deg, z.normal_line_degrees)
         for z in data.components
     )
     return FixedPointData(data.label, data.manifold_dim, components)
@@ -394,19 +417,35 @@ def rescale_field(data: FixedPointData, c: Rational) -> FixedPointData:
 # hours. Decimal exponents beyond this bound in absolute value are rejected.
 MAX_DECIMAL_EXPONENT = 10_000
 _DECIMAL_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+# the plain form "p" or "p/q": optional minus, ASCII digits, nothing else
+_PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z", re.ASCII)
 
 
 def _parse_rational(value, where: str) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An int or a rational string as a Fraction; anything else raises ValueError.
+
+    A string of the plain form -?[0-9]+(/[0-9]+)? is read with int(), which
+    gives what Fraction(value) gives at the cost of one regex. Every other
+    string goes to Fraction(value), after the decimal exponent is bounded.
+    Either way a zero denominator or a numeral beyond Python's int digit
+    limit raises ValueError naming `where`.
+    """
+    plain = None
+    if isinstance(value, str):
+        plain = _PLAIN_RATIONAL.match(value)
+        exponent = None if plain else _DECIMAL_EXPONENT.search(value)
+        if exponent:
+            digits = exponent.group(1).replace("_", "").lstrip("0")
+            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+                raise ValueError(f"{where}: decimal exponent of {value!r} exceeds "
+                                 f"{MAX_DECIMAL_EXPONENT} in absolute value")
+    elif isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(
             f"{where}: rationals must be integers or 'p/q' strings, got {value!r}")
-    exponent = _DECIMAL_EXPONENT.search(value) if isinstance(value, str) else None
-    if exponent:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
-        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-            raise ValueError(f"{where}: decimal exponent of {value!r} exceeds "
-                             f"{MAX_DECIMAL_EXPONENT} in absolute value")
     try:
+        if plain:
+            numerator, denominator = plain.groups()
+            return Fraction(int(numerator), int(denominator or 1))
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: invalid rational {value!r}") from exc
@@ -483,4 +522,6 @@ def load_fixed_point_data(path) -> FixedPointData:
             payload = json.load(handle)
         except RecursionError as exc:
             raise ValueError(f"fixed-point file {path} is nested too deeply") from exc
+        except ValueError as exc:  # JSON syntax, UTF-8 decoding, int digit limit
+            raise ValueError(f"fixed-point file {path}: {exc}") from exc
     return fixed_point_data_from_dict(payload)

@@ -175,6 +175,11 @@ def test_invariant_determinism(capsys):
     # sample counts outside 1..MAX_SAMPLES, refused before any array is made
     ("check", "--example", "hopf", "--suite", "automorphy", "--samples", "0"),
     ("check", "--example", "hopf", "--suite", "automorphy", "--samples", "10000000000"),
+    # refused for every suite, also those that ignore the count
+    ("check", "--example", "hopf", "--suite", "vaisman", "--samples", "0"),
+    ("check", "--example", "hopf", "--suite", "deformation", "--samples", "-1"),
+    ("check", "--example", "cp1", "--suite", "convergence", "--samples", "1000001"),
+    ("check", "--example", "cp1", "--suite", "invariance", "--samples", "0"),
     # a band-limited grid of 10^16 nodes per sample, refused before any is made
     ("check", "--example", "hopf", "--suite", "invariance", "--points", "100000000"),
 ])
@@ -421,6 +426,27 @@ def test_malformed_fixed_point_file_exits_two(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("holoinv: ValueError:")
+
+
+_ONE_POINT = _fixed_point_text([{"name": "p", "dim": 0, "trace_L": 1, "normal_weights": [1]}])
+
+
+@pytest.mark.parametrize("content", [
+    _ONE_POINT[:-7].encode(),
+    _ONE_POINT.replace("malformed", "caf\u00e9").encode("latin-1"),
+    _ONE_POINT.encode("utf-16"),
+    # json reads integers with int(), which refuses more than 4,300 digits
+    _ONE_POINT.replace('"trace_L": 1', '"trace_L": ' + "9" * 5000).encode(),
+], ids=["truncated", "latin-1", "utf-16", "5000-digit-integer"])
+def test_undecodable_fixed_point_file_names_the_file(capsys, tmp_path, content):
+    path = tmp_path / "undecodable.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "invariant", "--example", "cp1",
+                             "--method", "localization",
+                             "--fixed-point-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"holoinv: ValueError: fixed-point file {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("trace, weight, code", [

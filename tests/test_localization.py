@@ -1,5 +1,6 @@
 """Exact residue arithmetic: ring laws, contributions, wire format."""
 
+import dataclasses
 import json
 import math
 import random
@@ -199,19 +200,21 @@ BIG_NONZERO = BIG.filter(bool)
 
 
 @st.composite
-def large_fixed_point_data(draw):
+def fixed_point_data(draw, entries):
+    """Points and curves in dimension 1 to 6 with entries drawn from `entries`."""
+    nonzero = entries.filter(bool)
     n = draw(st.integers(1, 6))
     components = []
     for k in range(draw(st.integers(1, 4))):
         dim = draw(st.integers(0, 1))
-        weights = tuple(draw(st.lists(BIG_NONZERO, min_size=n - dim, max_size=n - dim)))
+        weights = tuple(draw(st.lists(nonzero, min_size=n - dim, max_size=n - dim)))
         if dim == 0:
-            components.append(ZeroComponent(f"p{k}", 0, draw(BIG), weights))
+            components.append(ZeroComponent(f"p{k}", 0, draw(entries), weights))
         else:
-            degrees = draw(st.lists(BIG, min_size=n - 1, max_size=n - 1))
-            components.append(ZeroComponent(f"c{k}", 1, draw(BIG), weights, draw(BIG),
-                                            tuple(degrees)))
-    return FixedPointData("large", n, tuple(components))
+            degrees = draw(st.lists(entries, min_size=n - 1, max_size=n - 1))
+            components.append(ZeroComponent(f"c{k}", 1, draw(entries), weights,
+                                            draw(entries), tuple(degrees)))
+    return FixedPointData("drawn", n, tuple(components))
 
 
 def _lowest_terms(x):
@@ -220,7 +223,7 @@ def _lowest_terms(x):
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(data=large_fixed_point_data(), factor=BIG_NONZERO)
+@given(data=fixed_point_data(BIG), factor=BIG_NONZERO)
 def test_integer_pair_kernel_matches_the_ring_reference_on_large_entries(data, factor):
     n = data.manifold_dim
     values = []
@@ -252,6 +255,61 @@ def test_unnormalized_invariant_sums_through_the_module_once(hopf_blowup, monkey
     data = hopf_blowup.fixed_points["x1"]
     unnormalized_invariant(data)
     assert calls == [data.label]
+
+
+def _fresh(data):
+    """An equal FixedPointData that has not been summed yet."""
+    return FixedPointData(data.label, data.manifold_dim, data.components)
+
+
+def test_the_residue_sum_is_computed_once_per_object(hopf_blowup, monkeypatch):
+    calls = []
+    pair = localization._contribution_pair
+
+    def counted(c, n):
+        calls.append(c.name)
+        return pair(c, n)
+
+    monkeypatch.setattr(localization, "_contribution_pair", counted)
+    data, twin = _fresh(hopf_blowup.fixed_points["x1"]), _fresh(hopf_blowup.fixed_points["x1"])
+    names = [c.name for c in data.components]
+    first = localization_sum(data)
+    assert localization_sum(data) is first
+    unnormalized_invariant(data)
+    assert calls == names
+    # the kept sum is no field: equality, hash, repr and wire form ignore it
+    assert data == twin and hash(data) == hash(twin)
+    assert repr(data) == repr(twin)
+    assert fixed_point_data_to_dict(data) == fixed_point_data_to_dict(twin)
+    # objects built from it sum their own components
+    calls.clear()
+    assert localization_sum(dataclasses.replace(data, label="relabelled")) == first
+    assert calls == names
+    calls.clear()
+    assert localization_sum(rescale_field(data, 3)) == 3 * first
+    assert calls == names
+
+
+def _rescaled_by_replace(data, c):
+    """rescale_field as it was first written: Fraction products and replace."""
+    factor = Fraction(c)
+    return FixedPointData(data.label, data.manifold_dim, tuple(
+        dataclasses.replace(z, trace_L=factor * z.trace_L,
+                            normal_weights=tuple(factor * w for w in z.normal_weights))
+        for z in data.components))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=fixed_point_data(rationals),
+       factor=st.sampled_from([3, Fraction(-2, 3), 0.5, Fraction(10**1000)]))
+def test_rescale_matches_the_field_replacing_construction(data, factor):
+    got, expected = rescale_field(data, factor), _rescaled_by_replace(data, factor)
+    assert (got.label, got.manifold_dim) == (expected.label, expected.manifold_dim)
+    assert len(got.components) == len(expected.components)
+    for z, e in zip(got.components, expected.components):
+        assert z == e
+        entries = (z.trace_L, *z.normal_weights, z.c1_tangent_deg, *z.normal_line_degrees)
+        assert all(type(x) is Fraction for x in entries)
 
 
 # --- result size budget ----------------------------------------------------
@@ -509,7 +567,8 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=3),
     max_leaves=6)
-RATIONAL = st.integers(-2, 2) | st.sampled_from(["1/2", "-3/2", "0/5", "1/0", "x"])
+RATIONAL = st.integers(-2, 2) | st.sampled_from(
+    ["1/2", "-3/2", "0/5", "1/0", "x", "+3", "3/", "-0/5", "007/014", "3 / 4", "1.5"])
 
 
 def _or_junk(valid):
@@ -547,3 +606,35 @@ def test_load_from_file(tmp_path, hopf_blowup):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(fixed_point_data_to_dict(hopf_blowup.fixed_points["x1"])))
     assert localization_sum(load_fixed_point_data(path)) == -2
+
+
+# Strings at the edge of the plain form -?[0-9]+(/[0-9]+)? that the parser
+# reads with int(): signs, spaces, a trailing newline, underscores, non-ASCII
+# digits, empty parts, zero and padded denominators, decimals and a numeral
+# one digit past Python's int digit limit.
+NEAR_PLAIN = ["+3", " 3", "3\n", "3_0", "\u0663", "--3", "-", "/3", "3/", "3/0", "-0/5",
+              "007/014", "1e3", "1.5", "3 / 4", "1" * 4301]
+
+
+def _assert_parses_as_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError, match=r"^here: invalid rational"):
+            localization._parse_rational(text, "here")
+        return
+    got = localization._parse_rational(text, "here")
+    assert type(got) is Fraction
+    assert got == expected
+
+
+@pytest.mark.parametrize("text", NEAR_PLAIN,
+                         ids=lambda s: repr(s) if len(s) < 10 else f"{len(s)}-digits")
+def test_near_plain_strings_parse_as_fraction_reads_them(text):
+    _assert_parses_as_fraction(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True))
+def test_plain_strings_parse_as_fraction_reads_them(text):
+    _assert_parses_as_fraction(text)
