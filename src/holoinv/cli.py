@@ -68,7 +68,11 @@ def _result_row(label, value, method, **extra):
 def _exact_text(q) -> str:
     """An exact rational as text: decimal where Python can write it (its
     integer-string limit is 4,300 digits), otherwise hexadecimal `0x.../0x...`,
-    which has no such limit and reads back with int(part, 16)."""
+    which has no such limit and reads back with int(part, 16).
+
+    The hexadecimal form is output only, for a residue sum, which may
+    legitimately pass the limit: the fixed-point file format does not
+    accept it (see localization._parse_rational)."""
     try:
         return str(q)
     except ValueError:
@@ -378,25 +382,32 @@ def build_parser() -> argparse.ArgumentParser:
                      "quadrature and by exact residue localization."))
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # options that several subcommands share, declared once
+    json_report = argparse.ArgumentParser(add_help=False)
+    json_report.add_argument("--json", action="store_true", help="print the report as JSON")
+    quadrature = argparse.ArgumentParser(add_help=False)
+    quadrature.add_argument("--refine", type=int, help="refinement levels (>= 2)")
+    quadrature.add_argument("--points", type=int, help=_POINTS_HELP)
 
-    p_list = sub.add_parser("list", help="list registered examples")
-    p_list.add_argument("--json", action="store_true")
+    p_list = sub.add_parser("list", parents=[json_report], help="list registered examples")
     p_list.set_defaults(handler=cmd_list)
 
-    p_inv = sub.add_parser("invariant", help="compute the invariant")
+    p_inv = sub.add_parser("invariant", parents=[json_report, quadrature],
+                           help="compute the invariant")
     p_inv.add_argument("--example", required=True)
     p_inv.add_argument("--volume")
     p_inv.add_argument("--field")
     p_inv.add_argument("--method", required=True,
                        choices=("direct", "alt", "localization"))
-    p_inv.add_argument("--refine", type=int, help="refinement levels (>= 2)")
-    p_inv.add_argument("--points", type=int, help=_POINTS_HELP)
     p_inv.add_argument("--fixed-point-file",
-                       help="JSON fixed-point data (localization only)")
-    p_inv.add_argument("--json", action="store_true")
+                       help=("JSON fixed-point data (localization only); every "
+                             "rational is a JSON integer or a string \"p\" or "
+                             "\"p/q\" of ASCII digits, each numeral at most "
+                             "4,300 digits"))
     p_inv.set_defaults(handler=cmd_invariant)
 
-    p_chk = sub.add_parser("check", help="run a property suite")
+    p_chk = sub.add_parser("check", parents=[json_report, quadrature],
+                           help="run a property suite")
     p_chk.add_argument("--example", required=True)
     p_chk.add_argument("--suite", required=True,
                        help="a suite the example declares (see `holoinv list`)")
@@ -406,10 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "samples a fixed 10,000 points, convergence 100, "
                              "and deformation none"))
     p_chk.add_argument("--seed", type=int, default=0)
-    p_chk.add_argument("--refine", type=int, dest="refine", default=None)
-    p_chk.add_argument("--points", type=int, dest="points", default=None,
-                       help=_POINTS_HELP)
-    p_chk.add_argument("--json", action="store_true")
     p_chk.set_defaults(handler=cmd_check)
     return parser
 

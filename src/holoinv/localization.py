@@ -49,6 +49,13 @@ The sum is linear in the field, as f is. Replacing X by cX scales trace
 and weights by c and fixes the degrees; with t = c*s the numerator gives
 c^(n+1), the n-dim denominator factors give c^-(n-dim) and reading off
 the t^dim coefficient gives c^-dim, so each contribution scales by c^1.
+
+In the JSON wire format (fixed_point_data_from_dict, fixed_point_data_to_dict)
+every rational is a JSON integer or a string "p" or "p/q" of ASCII digits,
+p with an optional minus, each numeral at most 4,300 digits (Python's
+int-string limit). That is what str of a Fraction writes, so every payload
+read writes back; decimals, exponents, spaces, underscores and a plus sign
+are refused.
 """
 
 from __future__ import annotations
@@ -412,43 +419,32 @@ def rescale_field(data: FixedPointData, c: Rational) -> FixedPointData:
 # ---------------------------------------------------------------------------
 
 
-# Fraction("1e<k>") builds 10**k as a full integer, which Python's digit
-# limit on int parsing does not guard: "1e1000000000" alone would parse for
-# hours. Decimal exponents beyond this bound in absolute value are rejected.
-MAX_DECIMAL_EXPONENT = 10_000
-_DECIMAL_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
-# the plain form "p" or "p/q": optional minus, ASCII digits, nothing else
+# the one string form, "p" or "p/q": optional minus, ASCII digits, nothing else
 _PLAIN_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?\Z", re.ASCII)
 
 
 def _parse_rational(value, where: str) -> Fraction:
-    """An int or a rational string as a Fraction; anything else raises ValueError.
+    """A JSON int, or a string "p" or "p/q" (ASCII -?[0-9]+(/[0-9]+)?, each
+    numeral at most 4,300 digits), as a Fraction; anything else raises
+    ValueError naming `where`.
 
-    A string of the plain form -?[0-9]+(/[0-9]+)? is read with int(), which
-    gives what Fraction(value) gives at the cost of one regex. Every other
-    string goes to Fraction(value), after the decimal exponent is bounded.
-    Either way a zero denominator or a numeral beyond Python's int digit
-    limit raises ValueError naming `where`.
+    These are the forms fixed_point_data_to_dict writes (str of a Fraction),
+    so every accepted value writes back. A bool, a float, a zero denominator,
+    a numeral past Python's int digit limit and any other string ("1.5",
+    "1e3", " 3", "+3", "3_0", non-ASCII digits) are refused.
     """
-    plain = None
-    if isinstance(value, str):
-        plain = _PLAIN_RATIONAL.match(value)
-        exponent = None if plain else _DECIMAL_EXPONENT.search(value)
-        if exponent:
-            digits = exponent.group(1).replace("_", "").lstrip("0")
-            if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
-                raise ValueError(f"{where}: decimal exponent of {value!r} exceeds "
-                                 f"{MAX_DECIMAL_EXPONENT} in absolute value")
-    elif isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise ValueError(
             f"{where}: rationals must be integers or 'p/q' strings, got {value!r}")
-    try:
-        if plain:
-            numerator, denominator = plain.groups()
-            return Fraction(int(numerator), int(denominator or 1))
+    if isinstance(value, int):
         return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{where}: invalid rational {value!r}") from exc
+    plain = _PLAIN_RATIONAL.match(value)
+    if plain:
+        try:
+            return Fraction(int(plain[1]), int(plain[2] or 1))
+        except (ValueError, ZeroDivisionError):  # the digit limit, a zero denominator
+            pass
+    raise ValueError(f"{where}: invalid rational {value!r}")
 
 
 def _typed(value, kind: type, where: str):

@@ -275,11 +275,12 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
         Chart coordinates (m, n) complex -> (m,) real or complex values, or
         k rows of them, (k, m), one integrand per row. Must be pure and
         finite at every node: any non-finite value raises
-        IllPosedIntegrandError, naming the first level that has one and its
-        count there, row by row. So does a level whose weighted values, or
-        their sum, overflow the float range, and one whose running sum in
-        node order does even where the exact sum is finite: math.fsum
-        refuses weighted values 1e308, 1e308, -1e308.
+        IllPosedIntegrandError, naming its level and the count there. So
+        does a level whose weighted values, or their sum, overflow the
+        float range, and one whose running sum in node order does even
+        where the exact sum is finite: math.fsum refuses weighted values
+        1e308, 1e308, -1e308. Row by row, the levels are checked in order
+        and the first that fails is named.
     dom : IntegrationDomain
     q : QuadratureSpec
         Tensor-product rule; at level k a "gauss" axis with p points gets
@@ -320,14 +321,17 @@ def integrate(density, dom: IntegrationDomain, q: QuadratureSpec = QuadratureSpe
 
 
 def _integrate_row(values, nodes: _NodeSet) -> IntegrationResult:
-    """One row's finiteness check, level sums and refinement gap."""
+    """One row's level sums, each checked finite, and refinement gap."""
     with np.errstate(over="ignore", invalid="ignore"):
         contrib = nodes.weights * values
-    if not np.isfinite(contrib).all():  # complex: False where either part is non-finite
-        raise _nonfinite_error(values, contrib, nodes.starts)
     levels = []
     for level, (lo, hi) in enumerate(itertools.pairwise(nodes.starts), start=1):
         part = contrib[lo:hi]
+        if not np.isfinite(part).all():  # complex: False where either part is non-finite
+            bad = hi - lo - np.count_nonzero(np.isfinite(values[lo:hi]))
+            if bad:
+                raise IllPosedIntegrandError(f"{bad} of {hi - lo} samples non-finite at level {level}")
+            raise IllPosedIntegrandError(f"the weighted sum overflows at level {level}")
         try:  # a memoryview hands fsum one float at a time, with no list of them
             real, imag = math.fsum(memoryview(part.real)), math.fsum(memoryview(part.imag))
         except OverflowError:
@@ -338,15 +342,3 @@ def _integrate_row(values, nodes: _NodeSet) -> IntegrationResult:
     else:
         error = math.inf
     return IntegrationResult(levels[-1], error)
-
-
-def _nonfinite_error(values, contrib, starts) -> IllPosedIntegrandError:
-    """The error for the first level with a non-finite weighted value: its
-    count of non-finite samples, or else the overflow."""
-    spans = enumerate(itertools.pairwise(starts), start=1)
-    level, (lo, hi) = next((level, (lo, hi)) for level, (lo, hi) in spans
-                           if not np.isfinite(contrib[lo:hi]).all())
-    bad = hi - lo - np.count_nonzero(np.isfinite(values[lo:hi]))
-    if bad:
-        return IllPosedIntegrandError(f"{bad} of {hi - lo} samples non-finite at level {level}")
-    return IllPosedIntegrandError(f"the weighted sum overflows at level {level}")

@@ -9,10 +9,11 @@ A private helper is a module-level function, class or assigned constant of
 the package whose name starts with one underscore. It counts as used when
 some package module reads it beyond its definition: as a name, as an
 attribute, or in an import. Tests do not count, since a helper only tests
-reach is dead code. A public module-level function or class is held to the
-same rule, with the package's __init__.py counted as a reader: a name the
-public API exports is used. So is every method or property of a package
-class, dunders aside: some package module must read it by name.
+reach is dead code. A public module-level function, class or ALL_CAPS
+constant is held to the same rule, with the package's __init__.py counted
+as a reader: a name the public API exports is used. So is every method or
+property of a package class, dunders aside: some package module must read
+it by name.
 """
 
 import ast
@@ -54,8 +55,9 @@ def test_an_unused_import_is_found():
     assert unused_imports(source) == ["math (line 1)", "c (line 3)"]
 
 
-def private_definitions(tree):
-    """(name, line) for each module-level private function, class or constant."""
+def module_definitions(tree):
+    """(name, line, assigned) for each module-level function, class or
+    assigned name; `assigned` is true for the last."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -66,8 +68,14 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            yield name, node.lineno, isinstance(node, (ast.Assign, ast.AnnAssign))
+
+
+def private_definitions(tree):
+    """(name, line) for each module-level private function, class or constant."""
+    for name, line, _ in module_definitions(tree):
+        if name.startswith("_") and not name.startswith("__"):
+            yield name, line
 
 
 def read_names(tree):
@@ -83,10 +91,16 @@ def read_names(tree):
 
 def public_definitions(tree):
     """(name, line) for each module-level public function or class."""
-    for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and not node.name.startswith("_")):
-            yield node.name, node.lineno
+    for name, line, assigned in module_definitions(tree):
+        if not assigned and not name.startswith("_"):
+            yield name, line
+
+
+def public_constants(tree):
+    """(name, line) for each module-level ALL_CAPS assignment."""
+    for name, line, assigned in module_definitions(tree):
+        if assigned and name.isupper() and not name.startswith("_"):
+            yield name, line
 
 
 def method_definitions(tree):
@@ -118,6 +132,11 @@ def test_no_dead_public_functions_or_classes():
     assert dead_definitions(sources, public_definitions) == []
 
 
+def test_no_dead_public_constants():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert dead_definitions(sources, public_constants) == []
+
+
 def test_no_dead_methods():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert dead_definitions(sources, method_definitions) == []
@@ -147,6 +166,16 @@ def test_a_dead_public_function_is_found():
     }
     assert dead_definitions(sources, public_definitions) == [
         "a: dead (line 5)", "a: Dead (line 7)"]
+
+
+def test_a_dead_public_constant_is_found():
+    sources = {
+        "a": "LIMIT = 3\nSPARE: int = 4\nSTALE = 5\nlog = None\nRational = int\n"
+             "def check(x):\n    return x < LIMIT\n",
+        "b": "from a import SPARE\n",
+        "__init__": "from .a import check\n",
+    }
+    assert dead_definitions(sources, public_constants) == ["a: STALE (line 3)"]
 
 
 def test_a_dead_private_helper_is_found():

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 from holoinv import localization
 from holoinv import (
@@ -315,14 +315,18 @@ def test_rescale_matches_the_field_replacing_construction(data, factor):
 # --- result size budget ----------------------------------------------------
 
 
+# a numeral of 4,300 digits, the most an int string may have
+LONGEST_NUMERAL = str(3 * 10**4299)
+
+
 def _power_payload(n):
     return {"label": "power", "manifold_dim": n, "components": [
-        {"name": "p", "dim": 0, "trace_L": "3e10000", "normal_weights": ["7e-10000"] * n}]}
+        {"name": "p", "dim": 0, "trace_L": LONGEST_NUMERAL, "normal_weights": ["1/7"] * n}]}
 
 
 @pytest.mark.parametrize("n", [200, 800])
 def test_bit_budget_refuses_large_powers_from_the_entries(n):
-    # (3e10000)^(n+1) alone has millions of digits; the estimate needs no power
+    # (3 * 10^4299)^(n+1) alone has millions of digits; the estimate needs no power
     start = time.perf_counter()
     with pytest.raises(ValueError, match=f"budget of {localization.MAX_RESIDUE_BITS}"):
         fixed_point_data_from_dict(_power_payload(n))
@@ -336,33 +340,36 @@ def test_bit_budget_covers_rescaling():
         rescale_field(data, Fraction(10**10000))
 
 
-def test_bit_budget_accepts_entries_at_the_decimal_exponent_bound():
-    # a point and a curve with 10,000-digit entries in the plane, as in the
-    # large-exponent timing payloads, stay within the budget
-    k = localization.MAX_DECIMAL_EXPONENT
-    data = fixed_point_data_from_dict({"label": "large exponents", "manifold_dim": 2,
+def _longest_entry(rng):
+    # p/q with unrelated p and q of 4,300 digits, the most an int string may have
+    return f"{rng.randrange(10**4299, 10**4300)}/{rng.randrange(10**4299, 10**4300)}"
+
+
+def test_bit_budget_accepts_entries_at_the_digit_limit():
+    # the format's longest entries fit the budget in the plane: every entry
+    # of a point and of a curve is p/q with 4,300-digit p and q, and their
+    # estimates (about 200,000 and 257,000 bits) stay under 2^18
+    rng = random.Random(3)
+    data = fixed_point_data_from_dict({"label": "longest entries", "manifold_dim": 2,
                                        "components": [
-        {"name": "p", "dim": 0, "trace_L": f"1e-{k}",
-         "normal_weights": [f"3e-{k - 1}", f"-2e{k}"]},
-        {"name": "c", "dim": 1, "trace_L": f"1.5e{k}", "normal_weights": [f"5e-{k}"],
-         "c1_tangent_deg": 2, "normal_line_degrees": [f"1e-{k}"]}]})
-    assert max(localization._residue_bits(c, 2) for c in data.components) > (
-        localization.MAX_RESIDUE_BITS * 3 // 4)
+        {"name": "p", "dim": 0, "trace_L": _longest_entry(rng),
+         "normal_weights": [_longest_entry(rng), f"-{_longest_entry(rng)}"]},
+        {"name": "c", "dim": 1, "trace_L": _longest_entry(rng),
+         "normal_weights": [_longest_entry(rng)], "c1_tangent_deg": _longest_entry(rng),
+         "normal_line_degrees": [f"-{_longest_entry(rng)}"]}]})
+    point, curve = (localization._residue_bits(c, 2) for c in data.components)
+    assert localization.MAX_RESIDUE_BITS * 3 // 4 < point < curve < localization.MAX_RESIDUE_BITS
     expected = sum((_ring_reference_parts(c, 2)[2] for c in data.components), Fraction(0))
     assert localization_sum(data) == expected
 
 
 def _unrelated_points(count):
-    # n = 1 point components whose trace and weight are p/q with unrelated
-    # 4,300-digit p and q, the most digits an int string may have: each is
-    # far inside the per-component budget
+    # n = 1 point components whose trace and weight are the longest entries:
+    # each is far inside the per-component budget
     rng = random.Random(7)
-
-    def entry():
-        return f"{rng.randrange(10**4299, 10**4300)}/{rng.randrange(10**4299, 10**4300)}"
-
     return {"label": "unrelated", "manifold_dim": 1, "components": [
-        {"name": f"p{k}", "dim": 0, "trace_L": entry(), "normal_weights": [entry()]}
+        {"name": f"p{k}", "dim": 0, "trace_L": _longest_entry(rng),
+         "normal_weights": [_longest_entry(rng)]}
         for k in range(count)]}
 
 
@@ -436,7 +443,7 @@ def test_unnormalized_value(hopf_blowup):
         expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("dim, trace", [(2, 10**200), (2, "1e400"), (400, 1), (1, 10**154)],
+@pytest.mark.parametrize("dim, trace", [(2, 10**200), (2, str(10**400)), (400, 1), (1, 10**154)],
                          ids=["sum-1e600", "trace-string-1e400", "dim-400", "product-pi-1e308"])
 def test_unnormalized_value_beyond_float_range_raises(dim, trace):
     # the exact sum stays available; only its float image f(X) overflows
@@ -600,6 +607,60 @@ def test_json_parse_raises_only_typed_errors(payload):
     except (ValueError, HoloinvError):
         return
     localization_sum(data)
+    assert _written_back(data) == data
+
+
+def _written_back(data):
+    """data through the wire format: to dict, JSON text and back."""
+    return fixed_point_data_from_dict(json.loads(json.dumps(fixed_point_data_to_dict(data))))
+
+
+# the wire format's numerals: up to 4,300 digits, the most an int string may have
+WIRE_NUMERAL = st.integers(0, 10**4300 - 1)
+WIRE_NONZERO = st.integers(1, 10**4300 - 1)
+
+
+@st.composite
+def wire_rational(draw, numerators):
+    """A JSON int, a "p" string or a "p/q" string with numerator from `numerators`."""
+    p = draw(numerators) * draw(st.sampled_from([1, -1]))
+    form = draw(st.sampled_from(["int", "p", "p/q"]))
+    if form == "int":
+        return p
+    return str(p) if form == "p" else f"{p}/{draw(WIRE_NONZERO)}"
+
+
+@st.composite
+def wire_payload(draw):
+    """Points and curves in dimension 1 to 6, every entry in a wire form."""
+    n = draw(st.integers(1, 6))
+    entries, weights = wire_rational(WIRE_NUMERAL), wire_rational(WIRE_NONZERO)
+    components = []
+    for k in range(draw(st.integers(1, 4))):
+        dim = draw(st.integers(0, 1))
+        component = {"name": f"z{k}", "dim": dim, "trace_L": draw(entries),
+                     "normal_weights": draw(st.lists(weights, min_size=n - dim,
+                                                     max_size=n - dim))}
+        if dim == 1:
+            component["c1_tangent_deg"] = draw(entries)
+            component["normal_line_degrees"] = draw(st.lists(entries, min_size=n - 1,
+                                                             max_size=n - 1))
+        components.append(component)
+    return {"label": "drawn", "manifold_dim": n, "components": components}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(payload=wire_payload())
+@example(payload={"label": "longest", "manifold_dim": 1, "components": [
+    {"name": "p", "dim": 0, "trace_L": f"-{'9' * 4300}/{'7' * 4300}",
+     "normal_weights": [int("8" * 4300)]}]})
+def test_every_accepted_payload_writes_back(payload):
+    try:
+        data = fixed_point_data_from_dict(json.loads(json.dumps(payload)))
+    except ValueError as exc:  # long entries raised to the power n+1
+        assert "budget" in str(exc)
+        reject()
+    assert _written_back(data) == data
 
 
 def test_load_from_file(tmp_path, hopf_blowup):
@@ -608,15 +669,31 @@ def test_load_from_file(tmp_path, hopf_blowup):
     assert localization_sum(load_fixed_point_data(path)) == -2
 
 
-# Strings at the edge of the plain form -?[0-9]+(/[0-9]+)? that the parser
-# reads with int(): signs, spaces, a trailing newline, underscores, non-ASCII
-# digits, empty parts, zero and padded denominators, decimals and a numeral
-# one digit past Python's int digit limit.
+# Strings at the edge of the wire form -?[0-9]+(/[0-9]+)?: signs, spaces, a
+# trailing newline, underscores, non-ASCII digits, empty parts, zero and
+# padded denominators, decimals and a numeral one digit past Python's int
+# digit limit. Only the padded ones are of the form, and read as Fraction
+# reads them; every other is refused, also where Fraction reads it.
 NEAR_PLAIN = ["+3", " 3", "3\n", "3_0", "\u0663", "--3", "-", "/3", "3/", "3/0", "-0/5",
               "007/014", "1e3", "1.5", "3 / 4", "1" * 4301]
+NEAR_PLAIN_READ = {"-0/5": Fraction(0), "007/014": Fraction(1, 2)}
 
 
-def _assert_parses_as_fraction(text):
+@pytest.mark.parametrize("text", NEAR_PLAIN,
+                         ids=lambda s: repr(s) if len(s) < 10 else f"{len(s)}-digits")
+def test_near_plain_strings_parse_as_fraction_reads_them(text):
+    if text in NEAR_PLAIN_READ:
+        got = localization._parse_rational(text, "here")
+        assert type(got) is Fraction and got == NEAR_PLAIN_READ[text]
+    else:
+        with pytest.raises(ValueError, match=r"^here: invalid rational"):
+            localization._parse_rational(text, "here")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True))
+def test_plain_strings_parse_as_fraction_reads_them(text):
+    # a zero denominator or a numeral past the digit limit: both refuse it
     try:
         expected = Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -624,17 +701,4 @@ def _assert_parses_as_fraction(text):
             localization._parse_rational(text, "here")
         return
     got = localization._parse_rational(text, "here")
-    assert type(got) is Fraction
-    assert got == expected
-
-
-@pytest.mark.parametrize("text", NEAR_PLAIN,
-                         ids=lambda s: repr(s) if len(s) < 10 else f"{len(s)}-digits")
-def test_near_plain_strings_parse_as_fraction_reads_them(text):
-    _assert_parses_as_fraction(text)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(text=st.from_regex(r"-?[0-9]+(/[0-9]+)?", fullmatch=True))
-def test_plain_strings_parse_as_fraction_reads_them(text):
-    _assert_parses_as_fraction(text)
+    assert type(got) is Fraction and got == expected
