@@ -13,7 +13,11 @@ order-1 jet with one d part per inner direction, which the route's rows
 share and contract with their own X. One cofactor determinant serves
 every n, on plain batches and jets alike, and the checks on R work entry
 by entry, each a view over the batch, folded elementwise: no reductions
-over the short trailing matrix axes.
+over the short trailing matrix axes. A jet part already at the batch
+shape is used at its own shape; only a smaller part is broadcast. When
+every dd part of the log-density jet is None, the jets' exact zero, R is
+exactly 0: ricci_top_field returns exact zeros at the batch shape, with
+no check to run, since a zero R is Hermitian and has a real determinant.
 
 The stencil primitives are the step-based reference for the convergence
 suite and the tests; no route or membership check calls them. They take
@@ -110,11 +114,14 @@ def _entry_residual(entry):
 
 
 def _batch(part, shape):
-    """A jet part at the batch shape; an exact zero (None) becomes 0, and a
-    nested jet's part, itself a jet, is kept as it is."""
-    if isinstance(part, jets.Jet):
+    """A jet part at the batch shape: a part already of that shape, or a
+    nested jet's part, itself a jet, is used as it is; a smaller part is
+    broadcast, and an exact zero (None) becomes 0."""
+    if part is None:
+        return np.zeros(shape)
+    if isinstance(part, jets.Jet) or np.shape(part) == shape:
         return part
-    return np.zeros(shape) if part is None else np.broadcast_to(part, shape)
+    return np.broadcast_to(part, shape)
 
 
 def _value(x):
@@ -157,11 +164,17 @@ def ricci_top_field(log_density, coords):
     result is real up to rounding; the imaginary part of its value must
     stay within IMAG_TOL. Non-finite points propagate as NaN, which the
     quadrature layer refuses with IllPosedIntegrandError.
+    When every dd part is None, R is exactly 0 and neither check can fail:
+    the result is exact zeros at the batch shape, the bits the checked
+    path gives (-0.0 for n = 1, 0.0 above), with no check run.
     """
     shape = coords.shape[:-1]
-    entry = [[-_batch(h, shape) for h in row]
-             for row in _log_density_jet(log_density, coords, 2).dd]
-    n = len(entry)
+    dd = _log_density_jet(log_density, coords, 2).dd
+    n = len(dd)
+    if all(h is None for row in dd for h in row):
+        # the checked path's arithmetic on its entries, -0.0, once on scalars
+        return np.full(shape, math.factorial(n) * _det([[-0.0] * n] * n))
+    entry = [[-_batch(h, shape) for h in row] for row in dd]
     values = [[_value(e) for e in row] for row in entry]
     res = _entry_residual(values)
     scale = functools.reduce(np.maximum, (np.abs(e) for row in values for e in row))
@@ -199,7 +212,7 @@ def divergence_field(components, log_density, coords):
              else jets.evaluate(components, coords, 1))
     values = _batch(field.value, coords.shape)
     logd = _log_density_jet(log_density, coords, 1)
-    terms = ([field[..., i].d[i] for i in range(n)]
+    terms = ([jets._take(field.d[i], i) for i in range(n)]
              + [values[..., i] * p for i, p in enumerate(logd.d) if p is not None])
     return functools.reduce(np.add, (t for t in terms if t is not None),
                             np.zeros(shape, dtype=complex))

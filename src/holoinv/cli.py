@@ -1,9 +1,10 @@
 """Command-line front end: list examples, compute invariants, run check suites.
 
-Reports go to stdout (JSON with --json), logs to stderr. Exit codes:
-0 success / suite passed, 1 suite failed, 2 usage or input-data error,
-141 (128 + SIGPIPE) stdout closed before the report was written, as in
-`holoinv ... --json | head`; nothing is printed to stderr then.
+Reports go to stdout (with --json, one line of JSON per report), logs to
+stderr. Exit codes: 0 success / suite passed, 1 suite failed, 2 usage or
+input-data error, 141 (128 + SIGPIPE) stdout closed before the report was
+written, as in `holoinv ... --json | head -c 80` when head has exited
+first; nothing is printed to stderr then.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class Report:
     })
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True, allow_nan=False)
+        # one line: with no indent json.dumps uses its C encoder
+        return json.dumps(vars(self), sort_keys=True, allow_nan=False)
 
 
 def _result_row(label, value, method, **extra):
@@ -147,6 +149,8 @@ def cmd_list(args) -> tuple[Report, int]:
 
 def _quadrature_for(bundle, args) -> QuadratureSpec:
     base = bundle.default_quadrature
+    if args.points is None and args.refine is None:
+        return base
     return QuadratureSpec(
         points_per_axis=base.points_per_axis if args.points is None else args.points,
         refinement_levels=base.refinement_levels if args.refine is None else args.refine,

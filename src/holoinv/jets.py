@@ -62,6 +62,20 @@ def _table(rows):
     return tuple(tuple(row) for row in rows)
 
 
+def _take(part, last):
+    """Entry `last` on the last axis of a part, as jet[..., last] takes it:
+    a part broadcasts against the value, so its last axis is the value's
+    (or has length 1); a scalar part is kept, and a scalar zero taken from
+    an array becomes None."""
+    if part is None or np.ndim(part) == 0:
+        return part
+    sub = part[..., last if np.shape(part)[-1] > 1 else 0]
+    if np.ndim(sub) == 0:
+        sub = sub[()]
+        return None if sub == 0 else sub
+    return sub
+
+
 class Jet(np.lib.mixins.NDArrayOperatorsMixin):
     """A batched value with its Wirtinger derivatives; see the module docstring."""
 
@@ -114,14 +128,7 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
         last = key[1]
 
         def take(part):
-            if part is None or np.ndim(part) == 0:
-                return part
-            # a part broadcasts against the value, so its last axis is the value's
-            sub = part[..., last if np.shape(part)[-1] > 1 else 0]
-            if np.ndim(sub) == 0:
-                sub = sub[()]
-                return None if sub == 0 else sub
-            return sub
+            return _take(part, last)
 
         dd = None if self.dd is None else _table(map(take, row) for row in self.dd)
         return Jet(self.value[key], map(take, self.d), map(take, self.dbar), dd)

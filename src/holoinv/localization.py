@@ -55,7 +55,9 @@ every rational is a JSON integer or a string "p" or "p/q" of ASCII digits,
 p with an optional minus, each numeral at most 4,300 digits (Python's
 int-string limit). That is what str of a Fraction writes, so every payload
 read writes back; decimals, exponents, spaces, underscores and a plus sign
-are refused.
+are refused. FixedPointData holds every entry to the same limit,
+sys.get_int_max_str_digits() digits per numerator and denominator (0
+lifts it), so data built in Python or by rescale_field write back too.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -223,6 +226,13 @@ class FixedPointData:
             raise ValueError(
                 f"fixed-point data '{self.label}': its residue sum may need integers of "
                 f"{total} bits, above the budget of {MAX_RESIDUE_SUM_BITS}")
+        # total bounds the bit length of every entry's numerator and
+        # denominator, and one of at most 3 * digits bits (8^digits <
+        # 10^digits) has at most `digits` digits
+        digits = sys.get_int_max_str_digits()  # 0: no limit
+        if digits and total > 3 * digits:
+            for c in self.components:
+                _check_digits(c, digits)
 
     @cached_property
     def _residue_sum(self) -> Fraction:
@@ -262,6 +272,23 @@ def _residue_bits(c: ZeroComponent, n: int) -> int:
         entries += p.bit_length() + q.bit_length()
     p, q = c.trace_L.as_integer_ratio()
     return (n + 1) * (p.bit_length() + q.bit_length() + 1) + 2 * entries
+
+
+def _check_digits(c: ZeroComponent, digits: int):
+    """Refuse, with ValueError naming c and the entry, a numerator or
+    denominator of more than `digits` decimal digits: Python's int-string
+    limit, which str(int) in fixed_point_data_to_dict and int() in the
+    reader hit. Only one of more than 3 * digits bits pays for the exact
+    comparison with 10^digits."""
+    entries = [("trace_L", c.trace_L), ("c1_tangent_deg", c.c1_tangent_deg),
+               *(("normal_weights", w) for w in c.normal_weights),
+               *(("normal_line_degrees", g) for g in c.normal_line_degrees)]
+    for key, x in entries:
+        for part in x.as_integer_ratio():
+            if part.bit_length() > 3 * digits and abs(part) >= 10 ** digits:
+                raise ValueError(
+                    f"component '{c.name}': an entry of {key} has more than {digits} "
+                    "decimal digits, the int-string limit, so it could not be written back")
 
 
 def _mul(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:

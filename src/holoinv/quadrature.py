@@ -51,7 +51,9 @@ rows shared a call.
 Finiteness is a precondition: a non-finite density value at any node
 raises IllPosedIntegrandError, since neither the value nor its error
 estimate could account for it; so does a level whose weighted values or
-their sum overflow.
+their sum overflow. One test over a row's weighted values of all levels
+comes first; only a row that fails it is tested level by level, in
+order, to name the first level that fails.
 """
 
 from __future__ import annotations
@@ -324,10 +326,13 @@ def _integrate_row(values, nodes: _NodeSet) -> IntegrationResult:
     """One row's level sums, each checked finite, and refinement gap."""
     with np.errstate(over="ignore", invalid="ignore"):
         contrib = nodes.weights * values
+    # complex: False where either part is non-finite; the levels are tested
+    # one by one, in order, only when the whole row fails
+    finite = np.isfinite(contrib).all()
     levels = []
     for level, (lo, hi) in enumerate(itertools.pairwise(nodes.starts), start=1):
         part = contrib[lo:hi]
-        if not np.isfinite(part).all():  # complex: False where either part is non-finite
+        if not finite and not np.isfinite(part).all():
             bad = hi - lo - np.count_nonzero(np.isfinite(values[lo:hi]))
             if bad:
                 raise IllPosedIntegrandError(f"{bad} of {hi - lo} samples non-finite at level {level}")

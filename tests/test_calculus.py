@@ -457,8 +457,29 @@ def test_top_density_hopf_degenerate(hopf):
     assert abs(val) < 1e-12
 
 
-def test_top_density_flat_zero():
+def test_top_density_flat_zero(monkeypatch):
     assert abs(calculus.ricci_top_field(flat, point(1.0))[0]) < 1e-10
+    # a jet with no second-order part (every dd part None, the jets' exact
+    # zero) skips the checks, and gives the bits that the checked path gives
+    # on the same jet with explicit zero dd parts, real or complex
+    checked = []
+    residual = calculus._entry_residual
+    monkeypatch.setattr(calculus, "_entry_residual",
+                        lambda entry: checked.append(len(entry)) or residual(entry))
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3):
+        coords = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
+        none = jets.evaluate(flat, coords, 2)
+        assert all(h is None for row in none.dd for h in row)
+        exact = calculus.ricci_top_field(none, coords)
+        assert checked == []
+        for dtype in (float, complex):
+            zeros = jets.Jet(none.value, none.d, none.dbar,
+                             [[np.zeros(5, dtype)] * n for _ in range(n)])
+            top = calculus.ricci_top_field(zeros, coords)
+            assert checked.pop() == n
+            assert (exact.dtype, exact.shape) == (top.dtype, top.shape) == (np.float64, (5,))
+            assert exact.tobytes() == top.tobytes(), (n, dtype)
 
 
 # --- batches ---------------------------------------------------------------

@@ -756,8 +756,9 @@ def test_package_entry_point():
 
 
 def test_closed_stdout_exits_quietly(tmp_path):
-    # as in `holoinv ... --json | head`: the reader is gone before the
-    # report is written, so the write fails with EPIPE
+    # as in `holoinv ... --json | head -c 80` when head has exited first:
+    # the reader is gone before the report is written, so the write fails
+    # with EPIPE
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for json_flag in (("--json",), ()):
@@ -775,6 +776,20 @@ def test_closed_stdout_exits_quietly(tmp_path):
         assert proc.stderr == b"", json_flag
 
 
+@pytest.mark.parametrize("argv", [
+    ("list",),
+    ("invariant", "--example", "hopf", "--volume", "r4", "--field", "x1", "--method", "alt"),
+    ("invariant", "--example", "cp1", "--method", "localization"),
+    ("check", "--example", "cp1", "--suite", "deformation"),
+], ids=["list", "invariant-quadrature", "invariant-localization", "check"])
+def test_json_report_is_one_line(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    report = load_report(out)
+    assert report["command"] == argv[0] and report["results"]
+
+
 # --- benchmark hooks ---------------------------------------------------------
 
 
@@ -788,6 +803,26 @@ def test_benchmark_hooks_resolve():
     missing = [f"{module}.{attr}" for module, attr in hooks
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_benchmark_counts_what_the_program_evaluates(capsys):
+    # the benchmark counts evaluations through the bundles it wraps: a job
+    # whose evaluators or residue sum escape its tracer would shrink
+    # evals_per_sweep with no change in the work
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    tracer = runpy.run_path(str(path))["Tracer"](record_spans=False)
+    cli = importlib.import_module("holoinv.cli")
+    with tracer:
+        assert cli.main(["invariant", "--example", "hopf", "--volume", "r4",
+                         "--field", "x1", "--method", "direct", "--json"]) == 0
+        assert cli.main(["invariant", "--example", "hopf-blowup",
+                         "--method", "localization", "--json"]) == 0
+    capsys.readouterr()
+    assert tracer.missing == []
+    counts = tracer.counts
+    assert counts["quadrature.nodes"] == 72
+    assert counts["eval.log_density.points"] == counts["eval.field.points"] == 72
+    assert counts["localization.components"] == 2
 
 
 def test_benchmark_jobs_pass_in_process():

@@ -109,6 +109,9 @@ def test_hopf_default_grid_is_exact(hopf, vol, field, route):
                 q=hopf.default_quadrature)
     assert res.error_estimate <= 1e-13
     assert abs(res.value) <= res.error_estimate + 1e-12
+    if vol == "lebesgue":
+        # a flat log-density has R exactly 0 (calculus's unchecked zero path)
+        assert res == (0.0, 0.0)
 
 
 def test_under_resolved_u_axis_shows_in_the_bar(hopf):

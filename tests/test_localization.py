@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -338,6 +339,48 @@ def test_bit_budget_covers_rescaling():
     assert localization_sum(rescale_field(data, Fraction(10**1000))) == 10**1000
     with pytest.raises(ValueError, match="budget"):
         rescale_field(data, Fraction(10**10000))
+
+
+def test_rescaled_data_past_the_digit_limit_is_refused():
+    # sum(cX) = 10^5000 fits the bit budget, but the trace 10^5000 could not
+    # be written back: str(int) stops at 4,300 digits
+    data = FixedPointData("unit", 1, (ZeroComponent("p", 0, 1, (1,)),))
+    with pytest.raises(ValueError, match=r"^component 'p': an entry of trace_L has "
+                                         r"more than 4300 decimal digits"):
+        rescale_field(data, Fraction(10**5000))
+
+
+def test_python_payload_past_the_digit_limit_is_refused():
+    # json.load cannot build the int 10^5000, but a Python dict can hold it
+    with pytest.raises(ValueError, match="an entry of trace_L has more than 4300"):
+        fixed_point_data_from_dict({"label": "long", "manifold_dim": 1, "components": [
+            {"name": "p", "dim": 0, "trace_L": 10**5000, "normal_weights": [1]}]})
+    # a denominator is held to the limit too
+    with pytest.raises(ValueError, match="an entry of normal_weights has more than 4300"):
+        FixedPointData("long", 1, (ZeroComponent("p", 0, 1, (Fraction(1, 10**5000),)),))
+
+
+def test_entries_at_the_digit_limit_write_back():
+    # 10^4300 - 1 has 4,300 digits, the most str(int) writes, and takes the
+    # exact comparison (14,284 bits); 10^4300 has one digit more
+    data = FixedPointData("unit", 1, (ZeroComponent("p", 0, 1, (1,)),))
+    longest = rescale_field(data, Fraction(10**4300 - 1))
+    assert _written_back(longest) == longest
+    with pytest.raises(ValueError, match="int-string limit"):
+        rescale_field(data, Fraction(10**4300))
+
+
+def test_no_digit_limit_refuses_no_entry():
+    # sys.set_int_max_str_digits(0) lifts the limit for the writer and the
+    # reader alike, and for the data
+    data = FixedPointData("unit", 1, (ZeroComponent("p", 0, 1, (1,)),))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        scaled = rescale_field(data, Fraction(10**5000))
+        assert _written_back(scaled) == scaled
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _longest_entry(rng):
