@@ -35,6 +35,7 @@ from .invariant import (
     interpolated_volume,
     invariant_alternative,
     invariant_direct,
+    invariant_direct_pairs,
 )
 from .localization import (
     CohomologyClass,

@@ -1,5 +1,9 @@
 """Command-line front end: list examples, compute invariants, run check suites.
 
+An argument list that starts with a subcommand is parsed by that
+subcommand's parser alone; the top-level parser reads only one that does
+not (a leading --verbose, -h, no argument or an unknown command).
+
 Reports go to stdout (with --json, one line of JSON per report), logs to
 stderr. Exit codes: 0 success / suite passed, 1 suite failed, 2 usage or
 input-data error, 141 (128 + SIGPIPE) stdout closed before the report was
@@ -28,6 +32,7 @@ from .invariant import (
     deformation_invariant_curve,
     invariant_alternative,
     invariant_direct,
+    invariant_direct_pairs,
 )
 from .quadrature import QuadratureSpec
 from .registry import registry_get, registry_names
@@ -295,13 +300,17 @@ def _suite_vaisman(bundle, p, samples, seed, q):
         top = calculus.ricci_top_field(vol.log_density[chart], pts)
         max_det = max(max_det, float(np.max(np.abs(top))) / math.factorial(m.dimension))
     rows = [_check_row("vaisman:max|det R|", max_det, p["det_bound"])]
-    for vol_name, bound in ((p["volume"], p["bound"]),
-                            (p["perturbed"], p["perturbed_bound"])):
-        for name in p["fields"]:
-            res = invariant_direct(m, bundle.volumes[vol_name], bundle.fields[name], q=q)
-            rows.append(_check_row(f"vaisman:f:{vol_name}:{name}", res.value, bound,
-                                   res.error_estimate))
-    return rows
+    cases = [(vol_name, bound, name)
+             for vol_name, bound in ((p["volume"], p["bound"]),
+                                     (p["perturbed"], p["perturbed_bound"]))
+             for name in p["fields"]]
+    # one direct-route call over every pair: its rows are the one-pair calls' bits
+    results = invariant_direct_pairs(
+        m, [(bundle.volumes[vol_name], bundle.fields[name]) for vol_name, _, name in cases],
+        q=q)
+    return rows + [_check_row(f"vaisman:f:{vol_name}:{name}", res.value, bound,
+                              res.error_estimate)
+                   for (vol_name, bound, name), res in zip(cases, results)]
 
 
 def _suite_convergence(bundle, p, samples, seed, q):
@@ -379,7 +388,8 @@ _POINTS_HELP = ("quadrature points per axis, one count that replaces every axis'
                 "each of these; an invariant axis ignores it")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and {subcommand name: its own parser}."""
     parser = argparse.ArgumentParser(
         prog="holoinv",
         description=("Integral invariants of holomorphic vector fields, by direct "
@@ -422,26 +432,45 @@ def build_parser() -> argparse.ArgumentParser:
                              "and deformation none"))
     p_chk.add_argument("--seed", type=int, default=0)
     p_chk.set_defaults(handler=cmd_check)
-    return parser
+    return parser, {"list": p_list, "invariant": p_inv, "check": p_chk}
 
 
-# built once per process: parse_args returns a fresh Namespace on every call
-_PARSER = build_parser()
+# built once per process: parse_args returns a fresh Namespace on every call.
+# _PARSER reads only an argv that does not start with a subcommand (_parse)
+_PARSER, _SUBCOMMANDS = build_parser()
+
+
+def _parse(argv):
+    """argv's namespace. One that starts with a subcommand is parsed by that
+    subcommand's parser alone, into a namespace holding the top-level
+    defaults, so the top-level parser does not classify every string first;
+    _PARSER reads any other argv. Both paths give the same namespace; an
+    unrecognized option after the subcommand is reported with the
+    subcommand's usage line."""
+    argv = sys.argv[1:] if argv is None else argv
+    sub = _SUBCOMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(verbose=False, subcommand=argv[0]))
 
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help
         return exc.code
     # the package logger, not the root logger of a program that embeds the
     # CLI, set on every call; the stream is assigned, not setStream, which
-    # flushes the old stream even when it is closed (emit flushes each record)
+    # flushes the old stream even when it is closed (emit flushes each record).
+    # The level is set only when it changes: Logger.setLevel clears the cache
+    # of every logger in the process under the logging lock
     _LOG_HANDLER.stream = sys.stderr
     if _LOG_HANDLER not in log.handlers:
         log.addHandler(_LOG_HANDLER)
         log.propagate = False
-    log.setLevel(logging.INFO if args.verbose else logging.WARNING)
+    level = logging.INFO if args.verbose else logging.WARNING
+    if log.level != level:
+        log.setLevel(level)
     if getattr(args, "refine", None) is not None and args.refine < 2:
         print("holoinv: --refine must be at least 2", file=sys.stderr)
         return 2

@@ -227,6 +227,14 @@ def invariant_direct(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *
     return res
 
 
+def invariant_direct_pairs(m: ManifoldSpec, pairs, *,
+                           q: QuadratureSpec) -> list[IntegrationResult]:
+    """invariant_direct of every (volume, field) pair of `pairs`, in order,
+    from one route call: the rows share the node set and the jets of each
+    distinct evaluator, and each equals its one-pair call bit for bit."""
+    return _integrate_route(m, list(pairs), _direct_row, q)
+
+
 def invariant_alternative(m: ManifoldSpec, vol: VolumeFormSpec, x: VectorFieldSpec, *,
                           q: QuadratureSpec) -> IntegrationResult:
     """Invariant as -integral of X(n! det R / a) against the volume form."""
@@ -278,4 +286,4 @@ def deformation_invariant_curve(m: ManifoldSpec, vol0: VolumeFormSpec,
     log-density jets and the field's jet."""
     ts = [float(t) for t in t_grid]
     vols = [interpolated_volume(vol0, vol1, t) for t in ts]
-    return list(zip(ts, _integrate_route(m, [(vol, x) for vol in vols], _direct_row, q)))
+    return list(zip(ts, invariant_direct_pairs(m, [(vol, x) for vol in vols], q=q)))

@@ -35,31 +35,23 @@ constant that shifts or scales the jet. ``.real``, ``.imag`` and indexing
 on the last axis are supported, and ``np.zeros_like`` / ``np.ones_like``
 give plain constant arrays. Anything else raises TypeError rather than
 silently dropping the derivatives: a jet has no plain-array form.
+
+Cost model: at the registered sizes (n <= 3, batches of a few hundred
+points) a rule costs more in Python calls than in arithmetic, so the
+rules skip zero parts inline. A None part costs a test, not a call, and
+its result is None or the other operand's part as it is; each rule
+builds its tuples directly, and a Jet stores the tuples it is given. The
+d parts of ``variables(coords, order)`` are the rows of one read-only
+identity per n, shared by every call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def _add(a, b):
-    return b if a is None else a if b is None else a + b
-
-
-def _sub(a, b):
-    return (None if b is None else -b) if a is None else a if b is None else a - b
-
-
-def _mul(a, b):
-    return None if a is None or b is None else a * b
-
-
-def _conj(a):
-    return None if a is None else np.conj(a)
-
-
-def _table(rows):
-    return tuple(tuple(row) for row in rows)
+# n -> the rows of a read-only n x n identity, the d parts of every
+# variables(..., n); filled on first use
+_UNITS = {}
 
 
 def _take(part, last):
@@ -77,14 +69,15 @@ def _take(part, last):
 
 
 class Jet(np.lib.mixins.NDArrayOperatorsMixin):
-    """A batched value with its Wirtinger derivatives; see the module docstring."""
+    """A batched value with its Wirtinger derivatives; see the module docstring.
+    `d` and `dbar` are tuples and `dd` a tuple of tuples, or None, stored as given."""
 
     __slots__ = ("value", "d", "dbar", "dd")
 
     def __init__(self, value, d, dbar, dd=None):
         self.value = value
-        self.d = tuple(d)
-        self.dbar = tuple(dbar)
+        self.d = d
+        self.dbar = dbar
         self.dd = dd
 
     @property
@@ -126,40 +119,53 @@ class Jet(np.lib.mixins.NDArrayOperatorsMixin):
                 and isinstance(key[1], (int, np.integer))):
             raise TypeError(f"a Jet is indexed on its last axis only, as [..., k], not {key!r}")
         last = key[1]
-
-        def take(part):
-            return _take(part, last)
-
-        dd = None if self.dd is None else _table(map(take, row) for row in self.dd)
-        return Jet(self.value[key], map(take, self.d), map(take, self.dbar), dd)
+        dd = None if self.dd is None else tuple(
+            [tuple([_take(h, last) for h in row]) for row in self.dd])
+        return Jet(self.value[key], tuple([_take(p, last) for p in self.d]),
+                   tuple([_take(p, last) for p in self.dbar]), dd)
 
     @property
     def real(self):
         """Re f = (f + conj f) / 2."""
-        return self._half(self.value.real, 0.5, _add)
+        return self._half(self.value.real, 0.5, False)
 
     @property
     def imag(self):
         """Im f = (f - conj f) / 2i."""
-        return self._half(self.value.imag, -0.5j, _sub)
+        return self._half(self.value.imag, -0.5j, True)
 
-    def _half(self, value, factor, combine):
-        """`value` with the parts factor * (f combine conj f)."""
-        def half(p, q):
-            return _mul(factor, combine(p, _conj(q)))
-        n = len(self.d)
-        dd = None if self.dd is None else _table(
-            (half(self.dd[i][j], self.dd[j][i]) for j in range(n)) for i in range(n))
-        return Jet(value, map(half, self.d, self.dbar), map(half, self.dbar, self.d), dd)
+    def _half(self, value, factor, minus):
+        """`value` with the parts factor * (p + conj q), or factor * (p - conj q)
+        when `minus`, where conj q is the part of conj f at p's place (conj
+        swaps d and dbar and transposes dd)."""
+        def half(ps, qs):
+            out = []
+            for p, q in zip(ps, qs):
+                if q is not None:
+                    q = np.conj(q)
+                    p = (-q if p is None else p - q) if minus else (q if p is None else p + q)
+                out.append(None if p is None else factor * p)
+            return tuple(out)
+
+        dd = self.dd
+        if dd is not None:
+            dd = tuple([half(row, [other[i] for other in dd]) for i, row in enumerate(dd)])
+        return Jet(value, half(self.d, self.dbar), half(self.dbar, self.d), dd)
 
 
 def variables(coords, order: int) -> Jet:
-    """The coordinates (..., n) as a jet of order 1 or 2: d[i] is the unit vector e_i."""
+    """The coordinates (..., n) as a jet of order 1 or 2: d[i] is the unit vector e_i,
+    a row of one read-only identity that every call with the same n shares."""
     if order not in (1, 2):
         raise ValueError(f"jet order must be 1 or 2, got {order}")
     n = coords.shape[-1]
+    units = _UNITS.get(n)
+    if units is None:
+        eye = np.eye(n)
+        eye.flags.writeable = False
+        units = _UNITS[n] = tuple(eye)
     none = (None,) * n
-    return Jet(coords, np.eye(n), none, _table([none] * n) if order == 2 else None)
+    return Jet(coords, units, none, (none,) * n if order == 2 else None)
 
 
 def along(coords, directions) -> Jet:
@@ -182,17 +188,45 @@ def _constant(value, n, second):
     if np.result_type(value) == object:
         raise TypeError("evaluator returned an object array, not a jet")
     none = (None,) * n
-    return Jet(value, none, none, _table([none] * n) if second else None)
+    return Jet(value, none, none, (none,) * n if second else None)
 
 
-def _both_second(a, b):
-    return a.dd is not None and b.dd is not None
+# In the rules below a None part is an exact zero: a sum keeps the other
+# term as it is, a difference negates it, and a product with None is None.
+# Every part that is not None is the same operation on the same operands,
+# in the same order, as the formula written beside it. The helpers below
+# take a whole row of parts per call.
+
+
+def _sums(ps, qs):
+    """p + q for each pair of parts."""
+    return tuple([q if p is None else p if q is None else p + q for p, q in zip(ps, qs)])
+
+
+def _differences(ps, qs):
+    """p - q for each pair of parts."""
+    return tuple([(None if q is None else -q) if p is None else p if q is None else p - q
+                  for p, q in zip(ps, qs)])
+
+
+def _products(ps, c):
+    """p * c for each part p, the part first."""
+    return tuple([None if p is None else p * c for p in ps])
+
+
+def _scalings(c, ps):
+    """c * p for each part p, the factor first."""
+    return tuple([None if p is None else c * p for p in ps])
+
+
+def _conjugates(ps):
+    return tuple([None if p is None else np.conj(p) for p in ps])
 
 
 def _scaled(u: Jet, c, value) -> Jet:
     """`value` with u's parts times the plain c: u times, or divided by, a constant."""
-    dd = None if u.dd is None else _table((_mul(h, c) for h in row) for row in u.dd)
-    return Jet(value, (_mul(p, c) for p in u.d), (_mul(p, c) for p in u.dbar), dd)
+    dd = None if u.dd is None else tuple([_products(row, c) for row in u.dd])
+    return Jet(value, _products(u.d, c), _products(u.dbar, c), dd)
 
 
 def _add_jets(a, b):
@@ -201,8 +235,10 @@ def _add_jets(a, b):
         return Jet(a.value + b, a.d, a.dbar, a.dd)
     if not isinstance(a, Jet):
         return Jet(a + b.value, b.d, b.dbar, b.dd)
-    dd = _table(map(_add, ra, rb) for ra, rb in zip(a.dd, b.dd)) if _both_second(a, b) else None
-    return Jet(a.value + b.value, map(_add, a.d, b.d), map(_add, a.dbar, b.dbar), dd)
+    dd = None
+    if a.dd is not None and b.dd is not None:
+        dd = tuple([_sums(ra, rb) for ra, rb in zip(a.dd, b.dd)])
+    return Jet(a.value + b.value, _sums(a.d, b.d), _sums(a.dbar, b.dbar), dd)
 
 
 def _subtract_jets(a, b):
@@ -210,8 +246,10 @@ def _subtract_jets(a, b):
         return Jet(a.value - b, a.d, a.dbar, a.dd)
     if not isinstance(a, Jet):
         return _add_jets(a, _negative(b))
-    dd = _table(map(_sub, ra, rb) for ra, rb in zip(a.dd, b.dd)) if _both_second(a, b) else None
-    return Jet(a.value - b.value, map(_sub, a.d, b.d), map(_sub, a.dbar, b.dbar), dd)
+    dd = None
+    if a.dd is not None and b.dd is not None:
+        dd = tuple([_differences(ra, rb) for ra, rb in zip(a.dd, b.dd)])
+    return Jet(a.value - b.value, _differences(a.d, b.d), _differences(a.dbar, b.dbar), dd)
 
 
 def _multiply_jets(a, b):
@@ -221,18 +259,34 @@ def _multiply_jets(a, b):
         return _scaled(b, a, a * b.value)
     av, bv = a.value, b.value
 
-    def first(p, q):
-        return _add(_mul(p, bv), _mul(av, q))
+    def first(ps, qs):
+        # p b + a q
+        out = []
+        for p, q in zip(ps, qs):
+            if p is None:
+                out.append(None if q is None else av * q)
+            else:
+                out.append(p * bv if q is None else p * bv + av * q)
+        return tuple(out)
 
     dd = None
-    if _both_second(a, b):
-        # (ab)_{i jbar} = a_{i jbar} b + (a_i b_jbar + a_jbar b_i) + a b_{i jbar}
-        dd = _table((_add(_add(_mul(ha, bv), _add(_mul(a.d[i], b.dbar[j]),
-                                                  _mul(a.dbar[j], b.d[i]))),
-                          _mul(av, hb))
-                     for j, (ha, hb) in enumerate(zip(ra, rb)))
-                    for i, (ra, rb) in enumerate(zip(a.dd, b.dd)))
-    return Jet(av * bv, map(first, a.d, b.d), map(first, a.dbar, b.dbar), dd)
+    if a.dd is not None and b.dd is not None:
+        # (ab)_{i jbar} = (a_{i jbar} b + (a_i b_jbar + a_jbar b_i)) + a b_{i jbar}
+        dd = []
+        for adi, bdi, ra, rb in zip(a.d, b.d, a.dd, b.dd):
+            row = []
+            for ha, hb, adj, bdj in zip(ra, rb, a.dbar, b.dbar):
+                x = None if adi is None or bdj is None else adi * bdj
+                y = None if adj is None or bdi is None else adj * bdi
+                s = y if x is None else x if y is None else x + y
+                if ha is not None:
+                    s = ha * bv if s is None else ha * bv + s
+                if hb is not None:
+                    s = av * hb if s is None else s + av * hb
+                row.append(s)
+            dd.append(tuple(row))
+        dd = tuple(dd)
+    return Jet(av * bv, first(a.d, b.d), first(a.dbar, b.dbar), dd)
 
 
 def _divide_jets(a, b):
@@ -242,27 +296,51 @@ def _divide_jets(a, b):
         a = _constant(a, len(b.d), b.dd is not None)
     q = a.value / b.value
     inv = 1.0 / b.value
-    # q_i = (a_i - q b_i) / b, and q_{i jbar} = (a_{i jbar} - (q_i b_jbar + q_jbar b_i)
-    # - q b_{i jbar}) / b
-    d = tuple(_mul(_sub(p, _mul(q, r)), inv) for p, r in zip(a.d, b.d))
-    dbar = tuple(_mul(_sub(p, _mul(q, r)), inv) for p, r in zip(a.dbar, b.dbar))
+
+    def first(ps, rs):
+        # q_i = (a_i - q b_i) / b, as (a_i - q b_i) * inv
+        out = []
+        for p, r in zip(ps, rs):
+            if r is None:
+                out.append(None if p is None else p * inv)
+            else:
+                out.append((-(q * r) if p is None else p - q * r) * inv)
+        return tuple(out)
+
+    d, dbar = first(a.d, b.d), first(a.dbar, b.dbar)
     dd = None
-    if _both_second(a, b):
-        dd = _table((_mul(_sub(_sub(ha, _add(_mul(d[i], b.dbar[j]), _mul(dbar[j], b.d[i]))),
-                               _mul(q, hb)), inv)
-                     for j, (ha, hb) in enumerate(zip(ra, rb)))
-                    for i, (ra, rb) in enumerate(zip(a.dd, b.dd)))
+    if a.dd is not None and b.dd is not None:
+        # q_{i jbar} = ((a_{i jbar} - (q_i b_jbar + q_jbar b_i)) - q b_{i jbar}) / b
+        dd = []
+        for qi, bdi, ra, rb in zip(d, b.d, a.dd, b.dd):
+            row = []
+            for ha, hb, qj, bdj in zip(ra, rb, dbar, b.dbar):
+                x = None if qi is None or bdj is None else qi * bdj
+                y = None if qj is None or bdi is None else qj * bdi
+                s = y if x is None else x if y is None else x + y
+                s = ha if s is None else -s if ha is None else ha - s
+                if hb is not None:
+                    s = -(q * hb) if s is None else s - q * hb
+                row.append(None if s is None else s * inv)
+            dd.append(tuple(row))
+        dd = tuple(dd)
     return Jet(q, d, dbar, dd)
 
 
 def _compose(u: Jet, value, first, second):
-    """g(u) from g(u), g'(u) and g''(u) (second unused at order 1)."""
+    """g(u) from g(u), g'(u) and g''(u) (second unused at order 1):
+    parts g' u_i, and (g'' u_i) u_jbar + g' u_{i jbar}."""
     dd = None
     if u.dd is not None:
-        lead = [_mul(second, p) for p in u.d]
-        dd = _table((_add(_mul(s, q), _mul(first, h)) for q, h in zip(u.dbar, row))
-                    for s, row in zip(lead, u.dd))
-    return Jet(value, (_mul(first, p) for p in u.d), (_mul(first, p) for p in u.dbar), dd)
+        dd = []
+        for p, row in zip(u.d, u.dd):
+            s = None if p is None else second * p
+            dd.append(tuple([
+                (None if h is None else first * h) if s is None or q is None
+                else s * q if h is None else s * q + first * h
+                for q, h in zip(u.dbar, row)]))
+        dd = tuple(dd)
+    return Jet(value, _scalings(first, u.d), _scalings(first, u.dbar), dd)
 
 
 def _negative(u):
@@ -281,14 +359,20 @@ def _power(u, p):
 
 def _logarithm(u, value, base):
     """log(base) for base = u or 1 + u, in the quotient form of its Hessian,
-    d dbar log b = (b_{i jbar} - b_i b_jbar / b) / b."""
+    d dbar log b = (b_{i jbar} - b_i b_jbar / b) / b, as
+    inv (b_{i jbar} - (inv b_i) b_jbar) with inv = 1 / b."""
     inv = 1.0 / base
     dd = None
     if u.dd is not None:
-        lead = [_mul(inv, p) for p in u.d]
-        dd = _table((_mul(inv, _sub(h, _mul(t, q))) for q, h in zip(u.dbar, row))
-                    for t, row in zip(lead, u.dd))
-    return Jet(value, (_mul(inv, p) for p in u.d), (_mul(inv, p) for p in u.dbar), dd)
+        dd = []
+        for p, row in zip(u.d, u.dd):
+            t = None if p is None else inv * p
+            dd.append(tuple([
+                (None if h is None else inv * h) if t is None or q is None
+                else inv * -(t * q) if h is None else inv * (h - t * q)
+                for q, h in zip(u.dbar, row)]))
+        dd = tuple(dd)
+    return Jet(value, _scalings(inv, u.d), _scalings(inv, u.dbar), dd)
 
 
 def _log(u):
@@ -311,9 +395,11 @@ def _sqrt(u):
 
 
 def _conjugate(u):
-    dd = None if u.dd is None else _table(
-        (_conj(u.dd[j][i]) for j in range(len(u.d))) for i in range(len(u.d)))
-    return Jet(np.conj(u.value), map(_conj, u.dbar), map(_conj, u.d), dd)
+    # conj swaps d and dbar and transposes dd
+    dd = u.dd
+    if dd is not None:
+        dd = tuple([_conjugates([row[i] for row in dd]) for i in range(len(dd))])
+    return Jet(np.conj(u.value), _conjugates(u.dbar), _conjugates(u.d), dd)
 
 
 _UFUNCS = {

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoinv import jets, localization, quadrature, registry_get
-from holoinv.cli import main
+from holoinv import invariant_direct, jets, localization, quadrature, registry_get
+from holoinv import invariant as invariant_module
+from holoinv.cli import main, run_suite
 from references import r4_ricci
 
 
@@ -189,7 +190,9 @@ def test_usage_errors_exit_two(capsys, argv):
     assert out == ""
     assert err.strip()
     if "--step" in argv or "--tol" in argv:
-        assert "unrecognized arguments" in err
+        # the subcommand's own parser reads them, and names itself
+        assert err.startswith(f"usage: holoinv {argv[0]}")
+        assert f"holoinv {argv[0]}: error: unrecognized arguments: " in err
 
 
 @pytest.mark.parametrize("extra, limit", [
@@ -267,6 +270,84 @@ def test_parser_survives_early_exits(capsys, argv, expected):
     code, again, err = run_cli(capsys, *CP1_JOB)
     assert (code, err) == (0, "")
     assert again == first
+
+
+def _parsers_read(monkeypatch):
+    """The prog of every parser that parse_known_args runs on, in call order."""
+    read = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, *args, **kwargs):
+        read.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+    return read
+
+
+def test_subcommand_first_is_parsed_by_its_own_parser(capsys, monkeypatch):
+    # an argv that starts with the subcommand skips the top-level parser; one
+    # that starts with --verbose goes through it; both give the same report
+    read = _parsers_read(monkeypatch)
+    code, direct, _ = run_cli(capsys, *CP1_JOB)
+    assert (code, read) == (0, ["holoinv invariant"])
+    read.clear()
+    code, through, err = run_cli(capsys, "--verbose", *CP1_JOB)
+    assert (code, read) == (0, ["holoinv", "holoinv invariant"])
+    assert err.startswith("holoinv: direct invariant on cp1 took ")
+    assert load_report(through) == load_report(direct)
+
+
+@pytest.mark.parametrize("argv, expected, usage", [
+    ((), 2, "usage: holoinv [-h]"),
+    (("frobnicate",), 2, "usage: holoinv [-h]"),
+    (("-h",), 0, "usage: holoinv [-h]"),
+    (("check", "--help"), 0, "usage: holoinv check"),
+])
+def test_top_level_and_help_paths_keep_their_exit_codes(capsys, argv, expected, usage):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == expected
+    assert (out if expected == 0 else err).startswith(usage)
+
+
+def test_log_level_is_set_only_when_it_changes(capsys, monkeypatch):
+    # Logger.setLevel clears every logger's cache under the logging lock:
+    # calls at an unchanged level make no such call
+    cleared = []
+    clear = logging.Manager._clear_cache
+    monkeypatch.setattr(logging.Manager, "_clear_cache",
+                        lambda self: cleared.append(1) or clear(self))
+    assert run_cli(capsys, *CP1_JOB)[0] == 0
+    before = len(cleared)
+    for flags, added in (((), 0), ((), 0), (("--verbose",), 1), (("--verbose",), 0),
+                         ((), 1), ((), 0)):
+        assert run_cli(capsys, *flags, *CP1_JOB)[0] == 0
+        assert len(cleared) - before == added, flags
+        before = len(cleared)
+    assert logging.getLogger("holoinv").level == logging.WARNING
+
+
+def test_vaisman_rows_are_the_one_pair_calls(hopf, monkeypatch):
+    # the suite makes one direct-route call over its six pairs; each f row
+    # holds the value and bar of that pair's own invariant_direct call
+    p, q = hopf.suites["vaisman"], hopf.default_quadrature
+    calls = []
+    route = invariant_module._integrate_route
+    monkeypatch.setattr(invariant_module, "_integrate_route",
+                        lambda m, pairs, *rest: calls.append(len(pairs)) or route(m, pairs, *rest))
+    rows, _ = run_suite(hopf, "vaisman", samples=1, seed=0, q=q)
+    assert calls == [6]
+    monkeypatch.undo()
+    f_rows = {row["label"]: row for row in rows if row["label"].startswith("vaisman:f:")}
+    assert len(f_rows) == 2 * len(p["fields"]) == 6
+    for vol_name in (p["volume"], p["perturbed"]):
+        for name in p["fields"]:
+            alone = invariant_direct(hopf.manifold, hopf.volumes[vol_name],
+                                     hopf.fields[name], q=q)
+            row = f_rows.pop(f"vaisman:f:{vol_name}:{name}")
+            assert [float.hex(row[k]) for k in ("value_re", "value_im", "error")] == [
+                float.hex(x) for x in (alone.value.real, alone.value.imag,
+                                       alone.error_estimate)], (vol_name, name)
 
 
 def test_refine_below_two_rejected(capsys):

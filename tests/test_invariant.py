@@ -611,6 +611,26 @@ def test_alternative_rows_of_n_fields_share_one_nested_jet_on_the_axes(hopf):
     assert abs(shared["radial"].value - (shared["x1"].value + shared["x2"].value)) <= budget
 
 
+def _hex(res):
+    value = complex(res.value)
+    return value.real.hex(), value.imag.hex(), float(res.error_estimate).hex()
+
+
+@pytest.mark.parametrize("example", ["cp1", "hopf"])
+def test_direct_pairs_are_the_one_pair_calls_bit_for_bit(example, request):
+    # every (volume, field) pair of the bundle in one direct-route call: each
+    # row's value and bar are those of its own invariant_direct call
+    bundle = request.getfixturevalue(example)
+    m, q = bundle.manifold, bundle.default_quadrature
+    pairs = [(bundle.volumes[v], bundle.fields[f])
+             for v in sorted(bundle.volumes) for f in sorted(bundle.fields)]
+    shared = holoinv.invariant_direct_pairs(m, iter(pairs), q=q)
+    assert len(shared) == len(pairs)
+    for (vol, fld), res in zip(pairs, shared):
+        alone = invariant_direct(m, vol, fld, q=q)
+        assert _hex(res) == _hex(alone), (vol.name, fld.name)
+
+
 # --- choice independence ---------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holoinv import DifferentiationQualityError, registry_get
 from holoinv import calculus, jets
@@ -332,3 +333,194 @@ def test_jet_top_density_is_the_closed_form_one():
         exact_top = math.factorial(n) * np.linalg.det(exact).real
         scale = math.factorial(n) * np.max(np.abs(exact), axis=(-2, -1)) ** n
         assert np.max(np.abs(jet_top - exact_top) / scale) <= 1e-13
+
+
+# --- the rules, byte for byte ------------------------------------------------
+#
+# Each rule's parts against its docstring's per-part formula, evaluated with
+# plain numpy (or, on nested jets, the order-1 rules) in the documented
+# operand order, with None as an exact zero through the three helpers below.
+
+
+def _sum(p, q):
+    return q if p is None else p if q is None else p + q
+
+
+def _diff(p, q):
+    return (None if q is None else -q) if p is None else p if q is None else p - q
+
+
+def _prod(p, q):
+    return None if p is None or q is None else p * q
+
+
+def _conj(p):
+    return None if p is None else np.conj(p)
+
+
+def _leaf(rng, inner, m=4):
+    """A nonzero complex batch, or an order-1 jet over `inner` directions of one."""
+    value = rng.normal(size=m) + 1j * rng.normal(size=m)
+    if inner is None:
+        return value
+    parts = [None if rng.random() < 0.3 else rng.normal(size=m) + 1j * rng.normal(size=m)
+             for _ in range(2 * inner)]
+    return jets.Jet(_leaf(rng, None, m), tuple(parts[:inner]), tuple(parts[inner:]))
+
+
+def _random_jet(rng, n, order, inner, zeros):
+    """A jet of `order` in n variables whose parts are None with probability `zeros`."""
+    def part():
+        return None if rng.random() < zeros else _leaf(rng, inner)
+    d = tuple(part() for _ in range(n))
+    dbar = tuple(part() for _ in range(n))
+    dd = tuple(tuple(part() for _ in range(n)) for _ in range(n)) if order == 2 else None
+    return jets.Jet(_leaf(rng, inner), d, dbar, dd)
+
+
+def _blob(x):
+    """Every byte a part carries, through nested jets, with None marked."""
+    if x is None:
+        return [None]
+    if not isinstance(x, jets.Jet):
+        x = np.asarray(x)
+        return [(x.dtype.str, x.shape, x.tobytes())]
+    rows = () if x.dd is None else x.dd
+    return [len(x.d), x.dd is None,
+            *(b for part in (x.value, *x.d, *x.dbar, *(h for row in rows for h in row))
+              for b in _blob(part))]
+
+
+def _expected(value, d, dbar, dd):
+    return jets.Jet(value, tuple(d), tuple(dbar),
+                    None if dd is None else tuple(tuple(row) for row in dd))
+
+
+def _pairwise_formula(a, b, value, combine):
+    # p + q or p - q, part by part
+    dd = None
+    if a.dd is not None and b.dd is not None:
+        dd = [list(map(combine, ra, rb)) for ra, rb in zip(a.dd, b.dd)]
+    return _expected(value, map(combine, a.d, b.d), map(combine, a.dbar, b.dbar), dd)
+
+
+def _product_formula(a, b):
+    # (ab)_i = a_i b + a b_i; (ab)_{i jbar} = (a_{i jbar} b + (a_i b_jbar + a_jbar b_i)) + a b_{i jbar}
+    av, bv, n = a.value, b.value, len(a.d)
+    dd = None
+    if a.dd is not None and b.dd is not None:
+        dd = [[_sum(_sum(_prod(a.dd[i][j], bv), _sum(_prod(a.d[i], b.dbar[j]),
+                                                     _prod(a.dbar[j], b.d[i]))),
+                     _prod(av, b.dd[i][j])) for j in range(n)] for i in range(n)]
+    return _expected(av * bv, [_sum(_prod(p, bv), _prod(av, q)) for p, q in zip(a.d, b.d)],
+                     [_sum(_prod(p, bv), _prod(av, q)) for p, q in zip(a.dbar, b.dbar)], dd)
+
+
+def _quotient_formula(a, b):
+    # q_i = (a_i - q b_i) inv; q_{i jbar} = ((a_{i jbar} - (q_i b_jbar + q_jbar b_i)) - q b_{i jbar}) inv
+    q, inv, n = a.value / b.value, 1.0 / b.value, len(a.d)
+    d = [_prod(_diff(p, _prod(q, r)), inv) for p, r in zip(a.d, b.d)]
+    dbar = [_prod(_diff(p, _prod(q, r)), inv) for p, r in zip(a.dbar, b.dbar)]
+    dd = None
+    if a.dd is not None and b.dd is not None:
+        dd = [[_prod(_diff(_diff(a.dd[i][j], _sum(_prod(d[i], b.dbar[j]),
+                                                  _prod(dbar[j], b.d[i]))),
+                           _prod(q, b.dd[i][j])), inv) for j in range(n)] for i in range(n)]
+    return _expected(q, d, dbar, dd)
+
+
+def _scaled_formula(u, c, value):
+    # every part times the plain c, part first
+    dd = None if u.dd is None else [[_prod(h, c) for h in row] for row in u.dd]
+    return _expected(value, [_prod(p, c) for p in u.d], [_prod(p, c) for p in u.dbar], dd)
+
+
+def _composed_formula(u, value, first, second):
+    # g' u_i; (g'' u_i) u_jbar + g' u_{i jbar}
+    dd = None if u.dd is None else [
+        [_sum(_prod(_prod(second, u.d[i]), q), _prod(first, h)) for q, h in zip(u.dbar, row)]
+        for i, row in enumerate(u.dd)]
+    return _expected(value, [_prod(first, p) for p in u.d], [_prod(first, p) for p in u.dbar],
+                     dd)
+
+
+def _log_formula(u, value, base):
+    # inv u_i; inv (u_{i jbar} - (inv u_i) u_jbar), inv = 1 / base
+    inv = 1.0 / base
+    dd = None if u.dd is None else [
+        [_prod(inv, _diff(h, _prod(_prod(inv, u.d[i]), q))) for q, h in zip(u.dbar, row)]
+        for i, row in enumerate(u.dd)]
+    return _expected(value, [_prod(inv, p) for p in u.d], [_prod(inv, p) for p in u.dbar], dd)
+
+
+def _conj_formula(u):
+    # conj swaps d and dbar and transposes dd
+    n = len(u.d)
+    dd = None if u.dd is None else [[_conj(u.dd[j][i]) for j in range(n)] for i in range(n)]
+    return _expected(np.conj(u.value), map(_conj, u.dbar), map(_conj, u.d), dd)
+
+
+def _half_formula(u, value, factor, combine):
+    # factor * (p combine conj q), q the part of conj f at p's place
+    n = len(u.d)
+    dd = None if u.dd is None else [
+        [_prod(factor, combine(u.dd[i][j], _conj(u.dd[j][i]))) for j in range(n)]
+        for i in range(n)]
+    return _expected(value,
+                     [_prod(factor, combine(p, _conj(q))) for p, q in zip(u.d, u.dbar)],
+                     [_prod(factor, combine(p, _conj(q))) for p, q in zip(u.dbar, u.d)], dd)
+
+
+def _cases(a, b, plain):
+    """(label, rule output, formula) for every rule the test covers."""
+    v = a.value
+    p = 1.5
+    s = np.sqrt(v)
+    yield "add", a + b, _pairwise_formula(a, b, a.value + b.value, _sum)
+    yield "subtract", a - b, _pairwise_formula(a, b, a.value - b.value, _diff)
+    yield "multiply", a * b, _product_formula(a, b)
+    yield "divide", a / b, _quotient_formula(a, b)
+    yield "multiply by plain", a * plain, _scaled_formula(a, plain, v * plain)
+    yield "plain times", plain * a, _scaled_formula(a, plain, plain * v)
+    yield "divide by plain", a / plain, _scaled_formula(a, 1.0 / plain, v / plain)
+    none = (None,) * len(b.d)
+    constant = jets.Jet(plain, none, none, None if b.dd is None else (none,) * len(b.d))
+    yield "plain over", plain / b, _quotient_formula(constant, b)
+    yield "log", np.log(a), _log_formula(a, np.log(v), v)
+    yield "log1p", np.log1p(a), _log_formula(a, np.log1p(v), 1.0 + v)
+    e = np.exp(v)
+    yield "exp", np.exp(a), _composed_formula(a, e, e, e)
+    yield "sqrt", np.sqrt(a), _composed_formula(a, s, 0.5 / s, -0.5 * (0.5 / s) / v)
+    yield "power", a ** p, _composed_formula(a, v ** p, p * v ** (p - 1),
+                                             p * (p - 1) * v ** (p - 2))
+    yield "conj", np.conj(a), _conj_formula(a)
+    yield "real", a.real, _half_formula(a, v.real, 0.5, _sum)
+    yield "imag", a.imag, _half_formula(a, v.imag, -0.5j, _diff)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]),
+       orders=st.sampled_from([(1, 1), (2, 2), (2, 1)]), nested=st.booleans(),
+       zeros=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+def test_rules_are_their_per_part_formulas_byte_for_byte(seed, n, orders, nested, zeros):
+    rng = np.random.default_rng(seed)
+    inner = 2 if nested else None
+    a = _random_jet(rng, n, orders[0], inner, zeros)
+    b = _random_jet(rng, n, orders[1], inner, zeros)
+    plain = rng.normal(size=4) + 1j * rng.normal(size=4)
+    with np.errstate(all="ignore"):
+        for label, got, formula in _cases(a, b, plain):
+            assert isinstance(got, jets.Jet), label
+            assert _blob(got) == _blob(formula), label
+
+
+def test_unit_rows_are_shared_and_read_only():
+    rng = np.random.default_rng(14)
+    first, second = _plane_points(rng, 5, 2), _plane_points(rng, 7, 2)
+    one, two = jets.variables(first, 1), jets.variables(second, 2)
+    assert all(p is q for p, q in zip(one.d, two.d))
+    assert jets.variables(jets.variables(first, 1), 2).d[0] is one.d[0]
+    assert not one.d[0].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        one.d[0][0] = 2.0
+    assert np.array_equal(np.stack(one.d), np.eye(2))
