@@ -171,6 +171,13 @@ def cmd_invariant(args) -> tuple[Report, int]:
     })
 
     if args.method == "localization":
+        # refused rather than echoed in the inputs as if they were used
+        for option in ("volume", "refine", "points"):
+            if getattr(args, option) is not None:
+                raise UsageError(f"--{option} does not apply to --method localization")
+        if args.fixed_point_file and args.field is not None:
+            raise UsageError("--field does not apply with --fixed-point-file: "
+                             "the file holds the data of one field")
         if args.fixed_point_file:
             data = localization.load_fixed_point_data(args.fixed_point_file)
             label = data.label

@@ -21,29 +21,30 @@ public as the reference for that closed form. All arithmetic here is
 exact rational; floats appear only in the final unnormalization.
 
 One private kernel, _contribution_pair, computes a component's residue
-on plain integer (numerator, denominator) pairs, and localization_sum
-adds those pairs before it builds one Fraction. Every pair is kept in
-lowest terms with a positive denominator, reduced the way Fraction
-reduces: a product takes two cross gcds (numerator of each factor
-against the denominator of the other), a sum one gcd of the two
-denominators and one of the new numerator against it. The reduction
-keeps the integers as small as the value allows; without it, entries of
-thousands of digits would multiply into far larger ones. FixedPointData
-is immutable, so each object is summed once, on first use, and keeps
-its sum outside its fields; rescale_field multiplies traces and weights
-with the same pair product, _mul.
+on plain integers: its numerator and its denominator are products of the
+entries' numerators and denominators, taken over common denominators with
+no gcd on the way. A curve's factor (n+1) c1 - a D is reduced once, and
+the pair once at the end, to lowest terms with a positive denominator.
+localization_sum adds the components' pairs over the product of their
+denominators and builds one Fraction, which reduces the sum once.
+Unreduced integers grow with the entries, but never past the bit budget
+below, which bounds them and not only the result. FixedPointData is
+immutable, so each object is summed once, on first use, and keeps its
+sum outside its fields; rescale_field builds each scaled trace and weight
+as one Fraction of integer products.
 
 The residue raises the trace to the power n+1, so a few short entries
 can ask for an integer of millions of digits. FixedPointData therefore
-bounds each component's result size before any power is taken:
-_residue_bits gives an upper bound on the bit length of its numerator
-and of its denominator from the bit lengths of its entries, and data
-above MAX_RESIDUE_BITS (2^18 bits, about 79,000 decimal digits) raise
-ValueError. The sum is bounded too: its denominator divides the product
-of the components' denominators and its numerator is at most the count
-times their largest, so the components' estimates summed, plus the bit
-length of their count, bound it, and data above MAX_RESIDUE_SUM_BITS
-(2^20 bits) raise ValueError as well.
+bounds each component's integers before any power is taken:
+_residue_bits gives an upper bound on the bit length of every integer
+_contribution_pair forms, unreduced ones included, from the bit lengths
+of the entries, and data above MAX_RESIDUE_BITS (2^18 bits, about 79,000
+decimal digits) raise ValueError. The sum is bounded too: its unreduced
+denominator is the product of the components' denominators and its
+numerator is at most the count times the product of their larger
+parts, so the components' estimates summed, plus the bit length of their
+count, bound it, and data above MAX_RESIDUE_SUM_BITS (2^20 bits) raise
+ValueError as well.
 
 The sum is linear in the field, as f is. Replacing X by cX scales trace
 and weights by c and fixes the degrees; with t = c*s the numerator gives
@@ -142,6 +143,10 @@ def class_inverse(a: CohomologyClass) -> CohomologyClass:
     return CohomologyClass(tuple(inv))
 
 
+# the degree of each omitted normal line, and the default tangent degree
+_ZERO = Fraction(0)
+
+
 @dataclass(frozen=True)
 class ZeroComponent:
     """One connected component of the zero set of the vector field.
@@ -156,18 +161,18 @@ class ZeroComponent:
     dim: int
     trace_L: Fraction
     normal_weights: tuple[Fraction, ...]
-    c1_tangent_deg: Fraction = Fraction(0)
+    c1_tangent_deg: Fraction = _ZERO
     normal_line_degrees: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "trace_L", _exact(self.trace_L))
         weights = tuple(map(_exact, self.normal_weights))
         object.__setattr__(self, "normal_weights", weights)
-        object.__setattr__(self, "c1_tangent_deg", _exact(self.c1_tangent_deg))
-        degrees = tuple(map(_exact, self.normal_line_degrees))
-        if not degrees and weights:
-            # flat normal summands (e.g. isolated points) may omit the degrees
-            degrees = (Fraction(0),) * len(weights)
+        c1 = _exact(self.c1_tangent_deg)
+        object.__setattr__(self, "c1_tangent_deg", c1)
+        # flat normal summands (e.g. isolated points) may omit the degrees
+        given = tuple(map(_exact, self.normal_line_degrees))
+        degrees = given or (_ZERO,) * len(weights)
         object.__setattr__(self, "normal_line_degrees", degrees)
         if self.dim < 0:
             raise ValueError(f"component '{self.name}' has negative dimension")
@@ -175,7 +180,7 @@ class ZeroComponent:
             raise ValueError(
                 f"component '{self.name}' has complex dimension {self.dim}; "
                 "only dimensions 0 and 1 are supported")
-        if 0 in weights:
+        if not all(weights):
             raise NonsingularityError(
                 f"zero normal weight on component '{self.name}': the residue "
                 "formula requires a nonsingular linearization on the normal "
@@ -185,10 +190,10 @@ class ZeroComponent:
                 f"component '{self.name}': {len(degrees)} normal "
                 f"line degrees for {len(weights)} weights")
         if self.dim == 0:
-            if self.c1_tangent_deg != 0:
+            if c1:
                 raise ValueError(
                     f"component '{self.name}': a point has no tangent degree")
-            if any(degrees):
+            if any(given):
                 raise ValueError(
                     f"component '{self.name}': normal line degrees over a point "
                     "must vanish")
@@ -238,33 +243,42 @@ class FixedPointData:
     def _residue_sum(self) -> Fraction:
         # computed on first use and kept in the instance __dict__, which
         # the field-based __eq__, __hash__ and __repr__ do not read
+        # over the product of the denominators, which the sum budget
+        # bounds; Fraction reduces the sum once
+        n = self.manifold_dim
         p, q = 0, 1
         for c in self.components:
-            p, q = _add(p, q, *_contribution_pair(c, self.manifold_dim))
+            cp, cq = _contribution_pair(c, n)
+            p, q = p * cq + cp * q, q * cq
         return Fraction(p, q)
 
 
-# A component's residue whose numerator and denominator have at most this
-# many bits (about 79,000 decimal digits) takes well under a second: the
-# gcds and divisions that keep it reduced are quadratic in that length.
+# A component whose residue needs integers of at most this many bits
+# (about 79,000 decimal digits) is summed in well under a second: the
+# products and the gcds that reduce them are at most quadratic in that length.
 MAX_RESIDUE_BITS = 1 << 18
 # The same for the whole sum: each component's denominator enters the
-# running sum's, and the gcd of each addition is quadratic in its length.
+# sum's, and the one gcd that reduces it is quadratic in its length.
 MAX_RESIDUE_SUM_BITS = 1 << 20
 
 
 def _residue_bits(c: ZeroComponent, n: int) -> int:
-    """Upper bound on the bit length of the numerator and of the denominator
-    of component_contribution(c, n), read from the entries before any power
-    is taken.
+    """Upper bound on the bit length of every integer _contribution_pair(c,
+    n) forms, read from the entries before any power is taken.
 
     With b(x) the bit length of the numerator of x plus that of its
     denominator, a product needs at most the bits of its factors, a sum one
-    bit more. The residue a^n ((n+1) c1 - a D) / P (see _contribution_pair)
-    takes n+1 factors of the trace a and each weight or degree at most
-    twice, in P, D or c1. A nonzero weight w has b(w) at least one above the
-    larger of its two bit lengths, which covers the sums; the n+1 added to
-    the trace's factors covers the bits of n+1.
+    bit more than its longer term. Unreduced, a point's pair is a^(n+1) / P
+    and a curve's a^n E / P, with E = (n+1) c1 - a D over the common
+    denominator of c1 and a D, and P over the weights' numerators and
+    denominators. Each takes at most n+1 factors of the trace a and every
+    other entry at most twice: a weight in P and in D, a degree in c1 and
+    in D. Each sum in E adds a bit per weight, which that nonzero weight
+    pays for: b(w) is at least one above the larger of its two bit lengths.
+    The numerator takes one part of the trace per factor, so the 1 added
+    to each trace factor, with the denominator bits left over, covers the
+    bits of n+1 and E's last subtraction. Dividing by a gcd only shrinks an
+    integer, so the bound holds for the reduced E and pair too.
     """
     entries = 0
     for x in (c.c1_tangent_deg, *c.normal_weights, *c.normal_line_degrees):
@@ -291,30 +305,6 @@ def _check_digits(c: ZeroComponent, digits: int):
                     "decimal digits, the int-string limit, so it could not be written back")
 
 
-def _mul(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
-    """(p1/q1)(p2/q2) in lowest terms, from two fractions in lowest terms."""
-    g1 = math.gcd(p1, q2)
-    g2 = math.gcd(p2, q1)
-    return (p1 // g1) * (p2 // g2), (q1 // g2) * (q2 // g1)
-
-
-def _add(p1: int, q1: int, p2: int, q2: int) -> tuple[int, int]:
-    """p1/q1 + p2/q2 in lowest terms, from two fractions in lowest terms."""
-    g = math.gcd(q1, q2)
-    if g == 1:
-        return p1 * q2 + p2 * q1, q1 * q2
-    s = q1 // g
-    t = p1 * (q2 // g) + p2 * s
-    g2 = math.gcd(t, g)
-    return t // g2, s * (q2 // g2)
-
-
-def _inverse(x: Fraction) -> tuple[int, int]:
-    """1/x in lowest terms with a positive denominator; x is nonzero."""
-    p, q = x.as_integer_ratio()
-    return (q, p) if p > 0 else (-q, -p)
-
-
 def _contribution_pair(c: ZeroComponent, n: int) -> tuple[int, int]:
     """component_contribution(c, n) as a (numerator, denominator) pair in
     lowest terms with a positive denominator.
@@ -323,24 +313,38 @@ def _contribution_pair(c: ZeroComponent, n: int) -> tuple[int, int]:
     + sum of the degrees g_j and D = sum_j g_j / w_j, a point contributes
     a^(n+1) / P and a curve a^n ((n+1) c1 - a D) / P: the t^dim coefficient
     of the closed-form classes of component_contribution_parts.
+
+    Numerator and denominator are plain integer products of the entries'
+    numerators and denominators, over common denominators and with no gcd
+    on the way; a curve reduces (n+1) c1 - a D once, and the pair is
+    reduced once at the end. Unreduced, each integer still has at most
+    _residue_bits(c, n) bits, so the budget covers every intermediate.
     """
     if n < c.dim:
         raise ValueError(f"ambient dimension {n} below component dimension {c.dim}")
     ap, aq = c.trace_L.as_integer_ratio()
-    ip, iq = 1, 1  # 1 / P
-    for w in c.normal_weights:
-        ip, iq = _mul(ip, iq, *_inverse(w))
+    p, q = ap ** n, aq ** n
     if c.dim == 0:
-        return _mul(ap ** (n + 1), aq ** (n + 1), ip, iq)
-    cp, cq = c.c1_tangent_deg.as_integer_ratio()
-    dp, dq = 0, 1
-    for w, g in zip(c.normal_weights, c.normal_line_degrees):
-        gp, gq = g.as_integer_ratio()
-        cp, cq = _add(cp, cq, gp, gq)
-        dp, dq = _add(dp, dq, *_mul(gp, gq, *_inverse(w)))
-    adp, adq = _mul(ap, aq, dp, dq)
-    ep, eq = _add(*_mul(n + 1, 1, cp, cq), -adp, adq)  # (n+1) c1 - a D
-    return _mul(*_mul(ap ** n, aq ** n, ep, eq), ip, iq)
+        p, q = p * ap, q * aq
+        for w in c.normal_weights:
+            wp, wq = w.as_integer_ratio()
+            p, q = p * wq, q * wp
+    else:
+        cp, cq = c.c1_tangent_deg.as_integer_ratio()
+        dp, dq = 0, 1
+        for w, g in zip(c.normal_weights, c.normal_line_degrees):
+            wp, wq = w.as_integer_ratio()
+            gp, gq = g.as_integer_ratio()
+            p, q = p * wq, q * wp
+            cp, cq = cp * gq + gp * cq, cq * gq
+            dp, dq = dp * gq * wp + gp * wq * dq, dq * gq * wp
+        ep, eq = (n + 1) * cp * aq * dq - ap * dp * cq, cq * aq * dq
+        e = math.gcd(ep, eq)
+        p, q = p * (ep // e), q * (eq // e)
+    k = math.gcd(p, q)
+    if q < 0:
+        k = -k
+    return p // k, q // k
 
 
 def component_contribution_parts(c: ZeroComponent, n: int):
@@ -420,24 +424,25 @@ def rescale_field(data: FixedPointData, c: Rational) -> FixedPointData:
     Chern degrees are unchanged, so localization_sum(rescale_field(data, c))
     == c * localization_sum(data) exactly.
 
-    Each trace and weight is multiplied by c as a reduced integer pair
-    (_mul), and the components and data are built through their
-    constructors, so every check, both bit budgets included, runs again.
+    Each scaled trace and weight is built once, as the Fraction of the
+    integer products of its numerator and denominator with c's, which
+    reduces it with one gcd. The components and data are built through
+    their constructors, so every check, both bit budgets included, runs
+    again.
     """
-    factor = Fraction(c)
-    if factor == 0:
+    factor = _exact(c)
+    if not factor:
         raise ValueError("rescaling factor must be nonzero")
     fp, fq = factor.as_integer_ratio()
 
     def scaled(x: Fraction) -> Fraction:
-        return Fraction(*_mul(fp, fq, *x.as_integer_ratio()))
+        p, q = x.as_integer_ratio()
+        return Fraction(fp * p, fq * q)
 
-    components = tuple(
-        ZeroComponent(z.name, z.dim, scaled(z.trace_L),
-                      tuple(scaled(w) for w in z.normal_weights),
+    components = tuple([
+        ZeroComponent(z.name, z.dim, scaled(z.trace_L), tuple(map(scaled, z.normal_weights)),
                       z.c1_tangent_deg, z.normal_line_degrees)
-        for z in data.components
-    )
+        for z in data.components])
     return FixedPointData(data.label, data.manifold_dim, components)
 
 
@@ -460,11 +465,14 @@ def _parse_rational(value, where: str) -> Fraction:
     a numeral past Python's int digit limit and any other string ("1.5",
     "1e3", " 3", "+3", "3_0", non-ASCII digits) are refused.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(
-            f"{where}: rationals must be integers or 'p/q' strings, got {value!r}")
-    if isinstance(value, int):
+    if type(value) is int:  # what JSON gives most; bool is a subclass, not int
         return Fraction(value)
+    if type(value) is not str:
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise ValueError(
+                f"{where}: rationals must be integers or 'p/q' strings, got {value!r}")
+        if isinstance(value, int):
+            return Fraction(value)
     plain = _PLAIN_RATIONAL.match(value)
     if plain:
         try:
@@ -488,20 +496,19 @@ def _parse_component(entry) -> ZeroComponent:
         dim, trace_L, weights = entry["dim"], entry["trace_L"], entry["normal_weights"]
     except KeyError as exc:
         raise ValueError(f"{where} missing key: {exc}") from exc
-
-    def rationals(values, key):
-        values = _typed(values, list, f"{where}: {key}")
-        return tuple(_parse_rational(v, where) for v in values)
-
     return ZeroComponent(
-        name=name,
-        dim=_typed(dim, int, f"{where}: dim"),
-        trace_L=_parse_rational(trace_L, where),
-        normal_weights=rationals(weights, "normal_weights"),
-        c1_tangent_deg=_parse_rational(entry.get("c1_tangent_deg", 0), where),
-        normal_line_degrees=rationals(entry.get("normal_line_degrees", []),
-                                      "normal_line_degrees"),
+        name,
+        _typed(dim, int, f"{where}: dim"),
+        _parse_rational(trace_L, where),
+        _rationals(weights, where, "normal_weights"),
+        _parse_rational(entry.get("c1_tangent_deg", 0), where),
+        _rationals(entry.get("normal_line_degrees", []), where, "normal_line_degrees"),
     )
+
+
+def _rationals(values, where: str, key: str) -> tuple[Fraction, ...]:
+    values = _typed(values, list, f"{where}: {key}")
+    return tuple([_parse_rational(v, where) for v in values])
 
 
 def fixed_point_data_from_dict(payload: dict) -> FixedPointData:

@@ -183,6 +183,15 @@ def test_invariant_determinism(capsys):
     ("check", "--example", "cp1", "--suite", "invariance", "--samples", "0"),
     # a band-limited grid of 10^16 nodes per sample, refused before any is made
     ("check", "--example", "hopf", "--suite", "invariance", "--points", "100000000"),
+    # options the residue route would ignore
+    ("invariant", "--example", "cp1", "--method", "localization", "--volume", "nope"),
+    ("invariant", "--example", "cp1", "--method", "localization", "--volume", "fs"),
+    ("invariant", "--example", "cp1", "--method", "localization", "--refine", "7"),
+    ("invariant", "--example", "cp1", "--method", "localization", "--points", "3"),
+    ("invariant", "--example", "cp1", "--method", "localization", "--field", "nope",
+     "--fixed-point-file", "unread.json"),
+    ("invariant", "--example", "cp1", "--method", "localization", "--field", "z-ddz",
+     "--fixed-point-file", "unread.json"),
 ])
 def test_usage_errors_exit_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -193,6 +202,10 @@ def test_usage_errors_exit_two(capsys, argv):
         # the subcommand's own parser reads them, and names itself
         assert err.startswith(f"usage: holoinv {argv[0]}")
         assert f"holoinv {argv[0]}: error: unrecognized arguments: " in err
+    if "localization" in argv and {"--volume", "--refine", "--points",
+                                   "--fixed-point-file"} & set(argv):
+        # refused as unused, before the fixed-point file is opened
+        assert "does not apply" in err
 
 
 @pytest.mark.parametrize("extra, limit", [

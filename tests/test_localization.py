@@ -223,6 +223,34 @@ def _lowest_terms(x):
                                                                   x.denominator) == 1
 
 
+def _unreduced_residue(comp, n):
+    """The residue's integers as plain products of the entries' numerators
+    and denominators over common denominators, with no gcd taken: for a
+    curve c1 and D, the two terms of E = (n+1) c1 - a D and E itself, and
+    the whole contribution as (num, den)."""
+    ap, aq = comp.trace_L.numerator, comp.trace_L.denominator
+    wp = [w.numerator for w in comp.normal_weights]
+    wq = [w.denominator for w in comp.normal_weights]
+    if comp.dim == 0:
+        return {"num": ap ** (n + 1) * math.prod(wq), "den": aq ** (n + 1) * math.prod(wp)}
+    tp, tq = comp.c1_tangent_deg.numerator, comp.c1_tangent_deg.denominator
+    gp = [g.numerator for g in comp.normal_line_degrees]
+    gq = [g.denominator for g in comp.normal_line_degrees]
+    m = len(wp)
+    others = [math.prod(gq[k] * wp[k] for k in range(m) if k != j) for j in range(m)]
+    # c1 = t + sum_j g_j over tq prod gq, and D = sum_j g_j / w_j over prod gq wp
+    cp = tp * math.prod(gq) + tq * sum(gp[j] * math.prod(gq[:j] + gq[j + 1:])
+                                       for j in range(m))
+    cq = tq * math.prod(gq)
+    dp = sum(gp[j] * wq[j] * others[j] for j in range(m))
+    dq = math.prod(gq[k] * wp[k] for k in range(m))
+    first, second = (n + 1) * cp * aq * dq, ap * dp * cq
+    ep, eq = first - second, cq * aq * dq
+    return {"cp": cp, "cq": cq, "dp": dp, "dq": dq, "first": first, "second": second,
+            "ep": ep, "eq": eq,
+            "num": ap ** n * ep * math.prod(wq), "den": aq ** n * eq * math.prod(wp)}
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=fixed_point_data(BIG), factor=BIG_NONZERO)
 def test_integer_pair_kernel_matches_the_ring_reference_on_large_entries(data, factor):
@@ -232,9 +260,15 @@ def test_integer_pair_kernel_matches_the_ring_reference_on_large_entries(data, f
         value = component_contribution(comp, n)
         assert value == _ring_reference_parts(comp, n)[2]
         assert _lowest_terms(value)
-        # the budget's estimate bounds the integers it is checked against
-        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
-        assert bits <= localization._residue_bits(comp, n)
+        # the kernel's own pair is in lowest terms with a positive denominator
+        assert localization._contribution_pair(comp, n) == value.as_integer_ratio()
+        # the kernel forms these integers, products of their factors on the
+        # way, and these divided by gcds, so the budget must bound them
+        unreduced = _unreduced_residue(comp, n)
+        assert Fraction(unreduced["num"], unreduced["den"]) == value
+        budget = localization._residue_bits(comp, n)
+        for name, x in unreduced.items():
+            assert x.bit_length() <= budget, name
         values.append(value)
     total = localization_sum(data)
     assert total == sum(values, Fraction(0))
@@ -403,7 +437,12 @@ def test_bit_budget_accepts_entries_at_the_digit_limit():
     point, curve = (localization._residue_bits(c, 2) for c in data.components)
     assert localization.MAX_RESIDUE_BITS * 3 // 4 < point < curve < localization.MAX_RESIDUE_BITS
     expected = sum((_ring_reference_parts(c, 2)[2] for c in data.components), Fraction(0))
-    assert localization_sum(data) == expected
+    # the largest accepted input is summed in under a second, the time the
+    # refusal tests allow for refusing larger ones
+    start = time.perf_counter()
+    total = localization_sum(data)
+    assert time.perf_counter() - start < 1.0
+    assert total == expected
 
 
 def _unrelated_points(count):
